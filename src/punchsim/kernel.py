@@ -97,10 +97,6 @@ class Topology:
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError("loss_rate must be within [0, 1]")
 
-    @property
-    def nodes(self) -> set[str]:
-        return set(self.access)
-
     def add_host(self, host: str, mean: float, stddev: float = 0.0,
                  nat_leg: float = 0.0) -> None:
         if mean < 0 or stddev < 0 or nat_leg < 0:
@@ -131,11 +127,6 @@ class Topology:
 
     def leg(self, host: str) -> float:
         return self.nat_leg.get(host, 0.0)
-
-    def nat_to_nat_one_way(self, a: str, b: str) -> float:
-        """Mean one-way latency between the two hosts' NAT devices."""
-        mean, _ = self.pair_params(a, b)
-        return max(0.0, mean - self.leg(a) - self.leg(b))
 
 
 def sample_latency(topology: Topology, a: str, b: str, rng: RandomStream) -> float:

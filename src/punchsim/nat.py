@@ -123,6 +123,7 @@ class NatState:
         self.rng = rng
         self._by_key: dict[tuple, NatMapping] = {}
         self._by_port: dict[int, NatMapping] = {}
+        self._sessions = 0  # non-static mappings in _by_port
         self.denylist: dict[str, float] = {}
         self.next_sequential_port = 40_000
         self._scan_counts: dict[str, tuple[float, int]] = {}
@@ -141,8 +142,17 @@ class NatState:
         return not m.static and now - m.last_activity > self.config.mapping_ttl
 
     def _drop_mapping(self, m: NatMapping) -> None:
-        self._by_key.pop(m.key, None)
-        self._by_port.pop(m.external.port, None)
+        if self._by_key.get(m.key) is m:
+            del self._by_key[m.key]
+        port = m.external.port
+        if self._by_port.get(port) is m:
+            del self._by_port[port]
+            if not m.static:
+                self._sessions -= 1
+
+    def _drop_expired(self, now: float) -> None:
+        for m in [m for m in self._by_port.values() if self._expired(m, now)]:
+            self._drop_mapping(m)
 
     def _alloc_port(self, internal: Endpoint) -> int:
         policy = self.config.port_alloc
@@ -162,12 +172,18 @@ class NatState:
                 return port
 
     def session_count(self) -> int:
-        return sum(1 for m in self._by_port.values() if not m.static)
+        """Dynamic mappings in the table, in O(1). Expiry is lazy, so this
+        includes idle mappings not yet dropped; the capacity check in
+        `process_outbound` drops those before it refuses a new mapping."""
+        return self._sessions
 
     def install_static_mapping(self, internal: Endpoint, external_port: int) -> NatMapping:
         """Pre-installed port mapping (UPnP/PMP analogue): fixed external
         port, endpoint-independent filtering, no expiry."""
         external = Endpoint(self.public_host, external_port)
+        old = self._by_port.get(external_port)
+        if old is not None:
+            self._drop_mapping(old)
         m = NatMapping(internal=internal, external=external,
                        key=("static", internal, external_port), static=True)
         self._by_port[external_port] = m
@@ -181,7 +197,8 @@ class NatState:
         selected by the configured mapping behavior.
 
         Raises SessionTableFull when no matching mapping exists and the
-        table is at max_sessions.
+        table holds max_sessions dynamic mappings that have not expired:
+        a full table first drops its expired mappings (RFC 4787 §4.3).
         """
         key = self._mapping_key(pkt.src, pkt.dst)
         m = self._by_key.get(key)
@@ -195,18 +212,20 @@ class NatState:
             if static is not None:
                 m = static
             else:
-                if self.session_count() >= self.config.max_sessions:
-                    raise SessionTableFull(str(pkt.src))
+                if self._sessions >= self.config.max_sessions:
+                    self._drop_expired(now)
+                    if self._sessions >= self.config.max_sessions:
+                        raise SessionTableFull(str(pkt.src))
                 port = self._alloc_port(pkt.src)
                 m = NatMapping(internal=pkt.src,
                                external=Endpoint(self.public_host, port),
                                key=key, created=now, last_activity=now)
                 self._by_key[key] = m
                 self._by_port[port] = m
+                self._sessions += 1
         m.contacted.setdefault(pkt.dst, now)
         m.last_activity = max(m.last_activity, now)
-        return Packet(src=m.external, dst=pkt.dst, kind=pkt.kind,
-                      ttl=pkt.ttl, size_bytes=pkt.size_bytes, tag=pkt.tag)
+        return pkt.readdressed(m.external, pkt.dst)
 
     def _note_unsolicited(self, pkt: Packet, now: float) -> InboundAction:
         cfg = self.config
@@ -257,14 +276,11 @@ class NatState:
                     return self._note_unsolicited(pkt, now), None
 
         m.last_activity = max(m.last_activity, now)
-        return InboundAction.DELIVER, Packet(
-            src=pkt.src, dst=m.internal, kind=pkt.kind,
-            ttl=pkt.ttl, size_bytes=pkt.size_bytes, tag=pkt.tag)
+        return InboundAction.DELIVER, pkt.readdressed(pkt.src, m.internal)
 
     def expire(self, now: float) -> None:
         """Drop idle mappings and elapsed denylist entries. Mapping idle
         strictly longer than the TTL is removed; a denylist entry is
         removed at its expiry time inclusive."""
-        for m in [m for m in self._by_port.values() if self._expired(m, now)]:
-            self._drop_mapping(m)
+        self._drop_expired(now)
         self.denylist = {h: t for h, t in self.denylist.items() if t > now}

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
 
-@dataclass(frozen=True, order=True)
-class Endpoint:
-    """A (host-id, port) pair; the unit NATs translate and filter on."""
+class Endpoint(namedtuple("Endpoint", "host port")):
+    """A (host-id, port) pair; the unit NATs translate and filter on.
 
-    host: str
-    port: int
+    A tuple, so hashing, equality and ordering by (host, port) run in C.
+    The constructor validates, and unpickling goes through it too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, host: str, port: int):
+        self = tuple.__new__(cls, (host, port))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if not self.host:
@@ -38,7 +46,7 @@ class PacketKind(Enum):
                         PacketKind.TCP_ACK, PacketKind.TCP_RST)
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """Simulated datagram/segment."""
 
@@ -54,3 +62,16 @@ class Packet:
             raise ValueError("ttl must be >= 1")
         if self.size_bytes < 0:
             raise ValueError("size_bytes must be >= 0")
+
+    def readdressed(self, src: Endpoint, dst: Endpoint) -> Packet:
+        """A copy with new addresses, as a NAT rewrites it. The other
+        fields were validated when this packet was built, so the copy
+        skips `__post_init__`."""
+        pkt = object.__new__(Packet)
+        pkt.src = src
+        pkt.dst = dst
+        pkt.kind = self.kind
+        pkt.ttl = self.ttl
+        pkt.size_bytes = self.size_bytes
+        pkt.tag = self.tag
+        return pkt

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from punchsim.kernel import RandomStream
 from punchsim.nat import (Archetype, FilteringBehavior, InboundAction,
@@ -63,6 +65,32 @@ class TestMapping:
         nat.process_outbound(udp(INT, DST1), 0.0)
         with pytest.raises(SessionTableFull):
             nat.process_outbound(udp(INT, DST2), 1.0)
+
+    def test_full_table_of_expired_mappings_admits_new_mapping(self):
+        # Expiry is lazy: nothing calls expire() between packets, so the
+        # capacity check itself must not count idle mappings past the TTL.
+        nat = make_nat(mapping=MappingBehavior.APDM, mapping_ttl=1000,
+                       max_sessions=4)
+        for port in range(4):
+            nat.process_outbound(udp(INT, Endpoint("x", 1000 + port)), 0.0)
+        assert nat.session_count() == 4
+        nat.process_outbound(udp(INT, DST2), 11_000.0)
+        assert nat.session_count() == 1
+
+    def test_static_mapping_over_live_dynamic_port_replaces_it(self):
+        nat = make_nat(mapping=MappingBehavior.APDM)
+        ext = nat.process_outbound(udp(INT, DST1), 0.0).src
+        other = Endpoint("lan2", 7000)
+        static = nat.install_static_mapping(other, ext.port)
+        assert nat.session_count() == 0
+        # The replaced dynamic mapping is gone from both tables, so a
+        # later outbound packet neither reuses it nor evicts the static one.
+        again = nat.process_outbound(udp(INT, DST1), 1.0).src
+        assert again.port != ext.port
+        assert nat.session_count() == 1
+        action, pkt = nat.process_inbound(udp(DST2, ext), 2.0)
+        assert action is InboundAction.DELIVER and pkt.dst == other
+        assert nat._by_port[ext.port] is static
 
 
 class TestFiltering:
@@ -201,3 +229,57 @@ def test_static_mapping_admits_unsolicited():
     action, pkt = nat.process_inbound(udp(DST1, Endpoint("pub", 6000)), 0.0)
     assert action is InboundAction.DELIVER
     assert pkt.dst == INT
+
+
+INTERNALS = [Endpoint("lan", 5000), Endpoint("lan", 5001), Endpoint("lan2", 5000)]
+DESTS = [Endpoint("x", 443), Endpoint("x", 8443), Endpoint("y", 443)]
+PORT_LO, PORT_HI = 40_000, 40_015
+STATIC_PORTS = [40_000, 40_001, 40_002, 6000]
+
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("out"), st.sampled_from(INTERNALS), st.sampled_from(DESTS)),
+    st.tuples(st.just("in"), st.sampled_from(DESTS), st.integers(PORT_LO, PORT_HI)),
+    st.tuples(st.just("expire")),
+    st.tuples(st.just("static"), st.sampled_from(INTERNALS),
+              st.sampled_from(STATIC_PORTS)),
+).flatmap(lambda step: st.tuples(st.just(step), st.floats(0.0, 800.0))),
+    max_size=40)
+
+
+def _check_tables(nat):
+    dynamic = sum(1 for m in nat._by_port.values() if not m.static)
+    assert nat.session_count() == dynamic
+    for port, m in nat._by_port.items():
+        assert m.external.port == port
+        assert nat._by_key.get(m.key) is m
+    for key, m in nat._by_key.items():
+        assert m.key == key
+        assert nat._by_port.get(m.external.port) is m
+    assert nat.session_count() <= nat.config.max_sessions
+
+
+@settings(max_examples=300, deadline=None)
+@given(mapping=st.sampled_from(list(MappingBehavior)),
+       port_alloc=st.sampled_from(list(PortAllocation)),
+       max_sessions=st.integers(1, 4), steps=_steps)
+def test_table_invariants_hold_under_random_traffic(mapping, port_alloc,
+                                                    max_sessions, steps):
+    # A 16-port range keeps inbound probes landing on live mappings; the
+    # 4 static ports and at most 4 sessions never fill it.
+    nat = make_nat(mapping=mapping, port_alloc=port_alloc, mapping_ttl=1000,
+                   max_sessions=max_sessions, port_range=(PORT_LO, PORT_HI))
+    now = 0.0
+    for step, dt in steps:
+        now += dt
+        if step[0] == "out":
+            try:
+                nat.process_outbound(udp(step[1], step[2]), now)
+            except SessionTableFull:
+                assert nat.session_count() == max_sessions
+        elif step[0] == "in":
+            nat.process_inbound(udp(step[1], Endpoint("pub", step[2])), now)
+        elif step[0] == "expire":
+            nat.expire(now)
+        else:
+            nat.install_static_mapping(step[1], step[2])
+        _check_tables(nat)
