@@ -213,13 +213,16 @@ def success_rate_series(records: list[dict], min_per_client: int = 1000,
 # -- relay path location ----------------------------------------------------------
 
 
-def relay_path_location(records: list[dict], bin_width: float = 0.05) -> dict:
-    """Success rate as a function of where the relay sits on the path,
-    location = RTT-to-relay / RTT-via-relay clipped to [0, 1], binned."""
+def relay_path_bins(filtered: list[dict], bin_width: float = 0.05
+                    ) -> tuple[dict[str, list[int]], int]:
+    """Success counts by where the relay sits on the path, location =
+    RTT-to-relay / RTT-via-relay clipped to [0, 1], over records that
+    already passed the success filters. Returns ({bin label: [successes,
+    total]} in label order, records skipped for lacking an RTT-to-relay
+    or a nonzero relayed RTT)."""
     if not 0.0 < bin_width <= 1.0:
         raise ValueError("bin_width must be in (0, 1]")
     n_bins = int(round(1.0 / bin_width))
-    filtered = apply_success_filters(records)
     bins: dict[str, list[int]] = {}
     skipped = 0
     for rec in filtered:
@@ -234,8 +237,15 @@ def relay_path_location(records: list[dict], bin_width: float = 0.05) -> dict:
         hit = bins.setdefault(label, [0, 0])
         hit[0] += rec["outcome"] == "SUCCESS"
         hit[1] += 1
+    return dict(sorted(bins.items())), skipped
+
+
+def relay_path_location(records: list[dict], bin_width: float = 0.05) -> dict:
+    """Success rate as a function of where the relay sits on the path
+    (see `relay_path_bins`), over the standard success filters."""
+    bins, skipped = relay_path_bins(apply_success_filters(records), bin_width)
     return {"bins": {label: {"successes": s, "total": n, "rate": s / n}
-                     for label, (s, n) in sorted(bins.items())},
+                     for label, (s, n) in bins.items()},
             "skipped": skipped}
 
 

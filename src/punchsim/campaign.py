@@ -18,7 +18,8 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import Optional
 
-from .dcutr import DcutrConfig, HolePunch, OutcomeResult, PeerRuntime
+from .analysis import apply_success_filters, relay_path_bins, validate_records
+from .dcutr import DcutrConfig, HolePunch, PeerRuntime
 from .kernel import RandomStream, Simulation, Topology, derive_seed
 from .nat import (Archetype, FilteringBehavior, MappingBehavior, NatConfig,
                   PortAllocation)
@@ -143,9 +144,6 @@ class Population:
 class CampaignConfig:
     population: PopulationSpec = field(default_factory=PopulationSpec)
     policy: TransportPolicy = TransportPolicy.NONE
-    refined_wait: bool = False
-    alternate_roles: bool = False
-    ttl_priming: bool = False
     persistent_nat: bool = False
     trial_spacing_s: float = 90.0
     dcutr: DcutrConfig = field(default_factory=DcutrConfig)
@@ -223,8 +221,8 @@ def _add_peer_host(net: Network, spec: PeerSpec):
                         nat_leg=spec.nat_leg_ms)
 
 
-def _runtime(net: Network, spec: PeerSpec) -> PeerRuntime:
-    return PeerRuntime(net, net.hosts[spec.peer_id], transports=spec.transports,
+def _add_peer(net: Network, spec: PeerSpec) -> PeerRuntime:
+    return PeerRuntime(net, _add_peer_host(net, spec), transports=spec.transports,
                        port_mapping=spec.port_mapping_active,
                        mapping_lies=spec.mapping_lies)
 
@@ -237,33 +235,35 @@ def _pick_filter(policy: TransportPolicy, rng: RandomStream) -> Optional[Transpo
     return Transport(policy.value)
 
 
-def _dcutr_config(config: CampaignConfig) -> DcutrConfig:
-    cfg = DcutrConfig(**asdict(config.dcutr))
-    cfg.refined_wait = config.refined_wait
-    cfg.alternate_roles = config.alternate_roles
-    cfg.ttl_priming = config.ttl_priming
-    return cfg
+def _draw_trial(population: Population, config: CampaignConfig, seed: int,
+                trial: int) -> tuple[PeerSpec, PeerSpec, Optional[Transport]]:
+    """The (client, remote, transport filter) of one trial."""
+    rng = RandomStream(seed, f"trial/{trial}")
+    client_spec = population.clients[rng.randint(0, len(population.clients) - 1)]
+    remote_spec = population.remotes[rng.randint(0, len(population.remotes) - 1)]
+    return client_spec, remote_spec, _pick_filter(config.policy, rng)
+
+
+def _build_world(population: Population, seed: int,
+                 label: str) -> tuple[Network, list[RelayService]]:
+    """A world seeded from (seed, label) holding the relays and their
+    services; peers join it later."""
+    net = Network(Simulation(seed=derive_seed(seed, label)), Topology())
+    services = [RelayService(net, _add_peer_host(net, relay_spec))
+                for relay_spec in population.relays]
+    return net, services
 
 
 def run_trial(population: Population, config: CampaignConfig, seed: int,
               trial: int) -> dict:
     """One independent trial in a fresh world, fully determined by
     (population seed, campaign seed, trial index)."""
-    rng = RandomStream(seed, f"trial/{trial}")
-    client_spec = population.clients[rng.randint(0, len(population.clients) - 1)]
-    remote_spec = population.remotes[rng.randint(0, len(population.remotes) - 1)]
-    tf = _pick_filter(config.policy, rng)
+    client_spec, remote_spec, tf = _draw_trial(population, config, seed, trial)
+    net, services = _build_world(population, seed, f"sim/{trial}")
+    client = _add_peer(net, client_spec)
+    remote = _add_peer(net, remote_spec)
 
-    net = Network(Simulation(seed=derive_seed(seed, f"sim/{trial}")), Topology())
-    services = []
-    for relay_spec in population.relays:
-        _add_peer_host(net, relay_spec)
-        services.append(RelayService(net, net.hosts[relay_spec.peer_id]))
-    _add_peer_host(net, client_spec)
-    _add_peer_host(net, remote_spec)
-    client = _runtime(net, client_spec)
-    remote = _runtime(net, remote_spec)
-
+    # Relay addresses in the order the reservations are confirmed.
     reserved = []
     for svc in services:
         remote.relay.reserve(svc.endpoint,
@@ -274,7 +274,7 @@ def run_trial(population: Population, config: CampaignConfig, seed: int,
     relay_addrs = [ep for ep, ok in reserved if ok]
 
     results = []
-    HolePunch(net, client, remote, relay_addrs, _dcutr_config(config),
+    HolePunch(net, client, remote, relay_addrs, config.dcutr,
               transport_filter=tf, on_done=results.append).start()
     net.sim.run(until=net.sim.now + 600_000)
     result = results[0] if results else None
@@ -357,25 +357,17 @@ def _run_persistent(population: Population, config: CampaignConfig,
                     n_trials: int, seed: int) -> list[dict]:
     """Sequential trials in one shared world so NAT device state (mapping
     tables, denylists) carries across trials. Always single-threaded."""
-    net = Network(Simulation(seed=derive_seed(seed, "sim/persistent")), Topology())
-    services = []
-    for relay_spec in population.relays:
-        _add_peer_host(net, relay_spec)
-        services.append(RelayService(net, net.hosts[relay_spec.peer_id]))
+    net, services = _build_world(population, seed, "sim/persistent")
     runtimes: dict[str, PeerRuntime] = {}
 
     def runtime_for(spec: PeerSpec) -> PeerRuntime:
         if spec.peer_id not in runtimes:
-            _add_peer_host(net, spec)
-            runtimes[spec.peer_id] = _runtime(net, spec)
+            runtimes[spec.peer_id] = _add_peer(net, spec)
         return runtimes[spec.peer_id]
 
     records = []
     for trial in range(n_trials):
-        rng = RandomStream(seed, f"trial/{trial}")
-        client_spec = population.clients[rng.randint(0, len(population.clients) - 1)]
-        remote_spec = population.remotes[rng.randint(0, len(population.remotes) - 1)]
-        tf = _pick_filter(config.policy, rng)
+        client_spec, remote_spec, tf = _draw_trial(population, config, seed, trial)
         client = runtime_for(client_spec)
         remote = runtime_for(remote_spec)
         for svc in services:
@@ -384,7 +376,7 @@ def _run_persistent(population: Population, config: CampaignConfig,
         relay_addrs = [svc.endpoint for svc in services
                        if svc.host.id in remote.relay.reservations]
         results = []
-        HolePunch(net, client, remote, relay_addrs, _dcutr_config(config),
+        HolePunch(net, client, remote, relay_addrs, config.dcutr,
                   transport_filter=tf, on_done=results.append).start()
         guard = 0
         while not results and guard < 1_000:
@@ -398,30 +390,19 @@ def _run_persistent(population: Population, config: CampaignConfig,
 # -- aggregation ---------------------------------------------------------------
 
 
-def _passes_success_filters(rec: dict) -> bool:
-    return (not rec["port_mapping_active"]
-            and rec["outcome"] in ("SUCCESS", "FAILED"))
-
-
 def aggregate(records: list[dict], seed: int = 0, config_hash: str = "",
               min_per_client: int = 0, bin_width: float = 0.05) -> CampaignReport:
-    """Campaign summary over the standard filters: drop port-mapped
-    clients, keep only SUCCESS/FAILED outcomes, and optionally require a
-    minimum per-client contribution."""
+    """Campaign summary over validated records and the standard success
+    filters of the analysis module (`analysis.apply_success_filters`),
+    with relay-path bins from `analysis.relay_path_bins`."""
     if not records:
         raise ValueError("no records to aggregate")
+    validate_records(records)
     distribution: dict[str, int] = {}
     for rec in records:
         distribution[rec["outcome"]] = distribution.get(rec["outcome"], 0) + 1
 
-    counts: dict[str, int] = {}
-    for rec in records:
-        if _passes_success_filters(rec):
-            counts[rec["client"]] = counts.get(rec["client"], 0) + 1
-    filtered = [rec for rec in records
-                if _passes_success_filters(rec)
-                and counts.get(rec["client"], 0) >= min_per_client]
-
+    filtered = apply_success_filters(records, min_per_client)
     successes = [rec for rec in filtered if rec["outcome"] == "SUCCESS"]
     success_rate = len(successes) / len(filtered) if filtered else None
 
@@ -441,29 +422,25 @@ def aggregate(records: list[dict], seed: int = 0, config_hash: str = "",
                   for rec in successes
                   if rec["rtt_direct_after_mean"] and rec["rtt_relayed_mean"]]
 
-    bins: dict[str, list[int]] = {}
-    for rec in filtered:
-        to_relay, relayed = rec["rtt_to_relay_mean"], rec["rtt_relayed_mean"]
-        if not to_relay or not relayed:
-            continue
-        loc = min(1.0, max(0.0, to_relay / relayed))
-        idx = min(int(loc / bin_width), int(round(1.0 / bin_width)) - 1)
-        label = f"{idx * bin_width:.2f}"
-        hit = bins.setdefault(label, [0, 0])
-        hit[0] += rec["outcome"] == "SUCCESS"
-        hit[1] += 1
-    relay_path_bins = {label: {"successes": s, "total": n}
-                       for label, (s, n) in sorted(bins.items())}
+    bins, _skipped = relay_path_bins(filtered, bin_width)
+    relay_path = {label: {"successes": s, "total": n}
+                  for label, (s, n) in bins.items()}
 
     return CampaignReport(
         n_results=len(records), outcome_distribution=distribution,
         success_rate=success_rate, n_filtered=len(filtered),
         attempt_histogram=attempt_histogram,
         per_transport_success=per_transport, rtt_ratios=rtt_ratios,
-        relay_path_bins=relay_path_bins, seed=seed, config_hash=config_hash)
+        relay_path_bins=relay_path, seed=seed, config_hash=config_hash)
 
 
 # -- configuration and export -----------------------------------------------------
+
+
+# Strategy switches whose home is DcutrConfig. Configs may also set them at
+# the top level, and exports mirror them there, so results files and
+# config hashes stay comparable with those written before the move.
+DCUTR_ALIASES = ("refined_wait", "alternate_roles", "ttl_priming")
 
 
 def config_to_dict(config: CampaignConfig) -> dict:
@@ -471,6 +448,8 @@ def config_to_dict(config: CampaignConfig) -> dict:
     blob["policy"] = config.policy.value
     pop = blob["population"]
     pop["latency_range_ms"] = list(pop["latency_range_ms"])
+    for key in DCUTR_ALIASES:
+        blob[key] = blob["dcutr"][key]
     return blob
 
 
@@ -480,6 +459,12 @@ def config_from_dict(raw: dict) -> CampaignConfig:
     if "latency_range_ms" in pop_raw:
         pop_raw["latency_range_ms"] = tuple(pop_raw["latency_range_ms"])
     dcutr_raw = dict(raw.pop("dcutr", {}))
+    for key in DCUTR_ALIASES:
+        if key in raw:
+            value = raw.pop(key)
+            if dcutr_raw.setdefault(key, value) != value:
+                raise ValueError(f"{key} is {value!r} at the top level but "
+                                 f"{dcutr_raw[key]!r} under dcutr")
     policy = TransportPolicy(raw.pop("policy", "none"))
     return CampaignConfig(population=PopulationSpec(**pop_raw),
                           policy=policy, dcutr=DcutrConfig(**dcutr_raw),

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional
 
 from .net import Host, Network
 from .packets import Endpoint
-from .relay import Circuit, PeerAddressInfo, Reachability, RelayClient
+from .relay import Circuit, PeerAddressInfo, RelayClient
 from .strategies import assign_roles, check_priming_ttl, refined_wait_time
 from .transport import QuicPort, TcpPort, Transport, measure_rtt
 
@@ -122,8 +123,6 @@ class PeerRuntime:
                 if not mapping_lies:
                     host.nat.install_static_mapping(port_obj.local, port_obj.port)
                 self.mapped_endpoints[transport] = external
-        if host.nat is None:
-            self.info.reachability = Reachability.PUBLIC
 
     def port_for(self, transport: Transport):
         return self.tcp if transport is Transport.TCP else self.quic
@@ -282,63 +281,45 @@ class HolePunch:
         pending = {"n": len(ports)}
 
         def send_identify() -> None:
-            addrs = [(str(ep), tr.value) for ep, tr in runtime.advertised()]
-            circuit.send(("id", tuple(addrs), runtime.info.port_mapping_active),
+            addrs = tuple(runtime.advertised())
+            circuit.send(("id", addrs),
                          CONNECT_BYTES_BASE + CONNECT_BYTES_PER_ADDR * len(addrs))
 
         for transport, port in ports:
-            def on_obs(observed: Optional[Endpoint], transport=transport) -> None:
-                if observed is not None and runtime.host.nat is not None:
+            def on_obs(observed: Optional[Endpoint], transport=transport,
+                       port=port) -> None:
+                if runtime.host.nat is None:
+                    observed = Endpoint(runtime.host.id, port)  # its own address
+                if observed is not None:
                     runtime.info.observed_public = [
                         (ep, tr) for ep, tr in runtime.info.observed_public
                         if tr is not transport] + [(observed, transport)]
-                elif runtime.host.nat is None:
-                    runtime.info.observed_public = [
-                        (ep, tr) for ep, tr in runtime.info.observed_public
-                        if tr is not transport] + [
-                        (Endpoint(runtime.host.id, runtime.port_for(transport).port),
-                         transport)]
                 pending["n"] -= 1
                 if pending["n"] == 0:
                     send_identify()
 
             runtime.relay.observe_via(circuit.relay_ep, port, on_obs)
 
-    def _store_peer_addrs(self, raw_addrs, side: str, mapping_flag: bool) -> None:
-        parsed = []
-        for ep_str, tr in raw_addrs:
-            host, port = ep_str.rsplit(":", 1)
-            parsed.append((Endpoint(host, int(port)), Transport(tr)))
-        if side == "client":
-            self._client_addrs = parsed
-            self._identified += 1
-            if self._identified == 2:
-                self._after_identify()
-        else:
-            self._remote_addrs = parsed
-            self._identified += 1
-            if self._identified == 2:
-                self._after_identify()
-
-    def _after_identify(self) -> None:
-        self._hook_establishment()
-        self._maybe_reverse()
+    def _peer_identified(self) -> None:
+        self._identified += 1
+        if self._identified == 2:
+            self._hook_establishment()
+            self._maybe_reverse()
 
     # -- connection reversal -----------------------------------------------------
 
     def _maybe_reverse(self) -> None:
+        """Connection Reversal: the initiator dials the listener's first
+        eligible address when the listener looks publicly dialable;
+        otherwise (or when that dial fails) the punch stream opens."""
         if self.done:
-            return
-        if not self.client.appears_public() or not self._client_addrs:
-            self._open_stream()
             return
         candidates = [(ep, tr) for ep, tr in self._client_addrs
                       if self.filter is None or tr is self.filter]
-        if not candidates:
-            self._open_stream()
-            return
-        target, transport = candidates[0]
-        port = self.remote.port_for(transport)
+        port = None
+        if self.client.appears_public() and candidates:
+            target, transport = candidates[0]
+            port = self.remote.port_for(transport)
         if port is None:
             self._open_stream()
             return
@@ -371,23 +352,23 @@ class HolePunch:
             return
         kind = tag[0]
         if kind == "id":
-            self._store_peer_addrs(tag[1], "remote", tag[2])
+            self._remote_addrs = list(tag[1])
+            self._peer_identified()
         elif kind == "stream-open":
             self.stream_open = True
             self._send_control("listener", self.c_circ, ("stream-ack",), STREAM_OPEN_BYTES)
         elif kind == "connect":
             gen = tag[1]
-            self._remote_addrs = self._parse_addrs(tag[2]) or self._remote_addrs
+            self._remote_addrs = list(tag[2]) or self._remote_addrs
             if self.cfg.ttl_priming:
-                self._start_listener_priming(gen)
-            addrs = [(str(ep), tr.value) for ep, tr in
-                     self.client.advertised(self.filter)]
+                self._start_priming("listener", gen, until=self.sim.now + 2_000.0)
+            addrs = tuple(self.client.advertised(self.filter))
             rtt_nat = 2.0 * self.net.topology.leg(self.client.host.id)
             self._send_control("listener", self.c_circ,
-                               ("connect-reply", gen, tuple(addrs), rtt_nat),
+                               ("connect-reply", gen, addrs, rtt_nat),
                                CONNECT_BYTES_BASE + CONNECT_BYTES_PER_ADDR * len(addrs))
         elif kind == "sync":
-            self._listener_act(tag[1])
+            self._act(tag[1], "listener")
 
     def _remote_message(self, tag: tuple, size: int) -> None:
         """Messages arriving at the initiator (remote) side."""
@@ -395,19 +376,12 @@ class HolePunch:
             return
         kind = tag[0]
         if kind == "id":
-            self._store_peer_addrs(tag[1], "client", tag[2])
+            self._client_addrs = list(tag[1])
+            self._peer_identified()
         elif kind == "stream-ack":
             self._measure_then_punch()
         elif kind == "connect-reply":
             self._on_connect_reply(tag[1], tag[2], tag[3])
-
-    @staticmethod
-    def _parse_addrs(raw) -> list[tuple[Endpoint, Transport]]:
-        out = []
-        for ep_str, tr in raw:
-            host, port = ep_str.rsplit(":", 1)
-            out.append((Endpoint(host, int(port)), Transport(tr)))
-        return out
 
     def _measure_then_punch(self) -> None:
         if self.done:
@@ -454,10 +428,9 @@ class HolePunch:
         self._attempt_started = self.sim.now
         self._attempt_rtt = None
         gen = index
-        addrs = [(str(ep), tr.value) for ep, tr in
-                 self.remote.advertised(self.filter)]
+        addrs = tuple(self.remote.advertised(self.filter))
         self._connect_sent_at = self.sim.now
-        self._send_control("initiator", self.r_circ, ("connect", gen, tuple(addrs)),
+        self._send_control("initiator", self.r_circ, ("connect", gen, addrs),
                            CONNECT_BYTES_BASE + CONNECT_BYTES_PER_ADDR * len(addrs))
         self.sim.schedule_in(lambda: self._connect_timeout(gen),
                              self.cfg.attempt_deadline_ms)
@@ -467,10 +440,10 @@ class HolePunch:
             return
         self._end_attempt(gen, OutcomeAttempt.TIMEOUT)
 
-    def _on_connect_reply(self, gen: int, raw_addrs, rtt_listener_nat: float) -> None:
+    def _on_connect_reply(self, gen: int, addrs, rtt_listener_nat: float) -> None:
         if self.done or gen != self._attempt_gen:
             return
-        self._client_addrs = self._parse_addrs(raw_addrs) or self._client_addrs
+        self._client_addrs = list(addrs) or self._client_addrs
         rtt = self.sim.now - self._connect_sent_at
         self._attempt_rtt = rtt
         if self.cfg.refined_wait:
@@ -481,8 +454,8 @@ class HolePunch:
         wait = max(0.0, wait + self.cfg.sync_error_ms)
         self._send_control("initiator", self.r_circ, ("sync", gen), SYNC_BYTES)
         if self.cfg.ttl_priming:
-            self._start_initiator_priming(gen, until=self.sim.now + wait)
-        self.sim.schedule_in(lambda: self._initiator_act(gen), wait)
+            self._start_priming("initiator", gen, until=self.sim.now + wait)
+        self.sim.schedule_in(lambda: self._act(gen, "initiator"), wait)
         deadline = wait + self.cfg.attempt_deadline_ms
         self.sim.schedule_in(lambda: self._attempt_deadline(gen), deadline)
 
@@ -492,6 +465,12 @@ class HolePunch:
             return assign_roles(index, base)
         return base
 
+    def _side(self, side: str) -> tuple[PeerRuntime, list[tuple[Endpoint, Transport]]]:
+        """One side's runtime and the addresses it holds for its peer."""
+        if side == "listener":
+            return self.client, self._remote_addrs
+        return self.remote, self._client_addrs
+
     def _act(self, index: int, side: str) -> None:
         """Dial phase for one side, at its synchronization instant."""
         if self.done or index != self._attempt_gen:
@@ -499,8 +478,7 @@ class HolePunch:
         transport = self._choose_transport()
         if transport is None:
             return
-        runtime = self.client if side == "listener" else self.remote
-        peer_addrs = self._remote_addrs if side == "listener" else self._client_addrs
+        runtime, peer_addrs = self._side(side)
         target = self._peer_endpoint(peer_addrs, transport)
         if target is None:
             return
@@ -513,22 +491,18 @@ class HolePunch:
         else:
             runtime.quic.prime(target, count=self.cfg.dummy_count, ttl=64)
 
-    def _listener_act(self, index: int) -> None:
-        self._act(index, "listener")
-
-    def _initiator_act(self, index: int) -> None:
-        self._act(index, "initiator")
-
     def _attempt_deadline(self, gen: int) -> None:
         if self.done or self._attempt_gen != gen:
             return
         self._end_attempt(gen, OutcomeAttempt.FAILED)
 
-    def _end_attempt(self, gen: int, outcome: OutcomeAttempt) -> None:
+    def _end_attempt(self, gen: int, outcome: OutcomeAttempt,
+                     transport: Optional[Transport] = None) -> None:
+        """Record attempt `gen`; `transport` is the one a successful
+        attempt established."""
         rtt = (self._attempt_rtt, 0.0) if self._attempt_rtt is not None else None
         self.result.attempts.append(HolePunchAttempt(
-            index=gen, outcome=outcome, rtt_relayed=rtt,
-            transport_used=self._choose_transport() if outcome is OutcomeAttempt.SUCCESS else None,
+            index=gen, outcome=outcome, rtt_relayed=rtt, transport_used=transport,
             started=self._attempt_started, ended=self.sim.now))
         if outcome is OutcomeAttempt.SUCCESS:
             self._after_success()
@@ -540,16 +514,12 @@ class HolePunch:
     # -- establishment detection -----------------------------------------------------
 
     def _hook_establishment(self) -> None:
-        def make_hook(runtime: PeerRuntime, port_obj, transport: Transport):
-            def on_established(remote_ep: Endpoint) -> None:
-                self._on_established(runtime, port_obj, transport, remote_ep)
-            return on_established
-
         for runtime in (self.client, self.remote):
             for transport in (Transport.TCP, Transport.QUIC):
                 port_obj = runtime.port_for(transport)
                 if port_obj is not None:
-                    port_obj.on_established = make_hook(runtime, port_obj, transport)
+                    port_obj.on_established = partial(
+                        self._on_established, runtime, port_obj, transport)
 
     def _on_established(self, runtime: PeerRuntime, port_obj,
                         transport: Transport, remote_ep: Endpoint) -> None:
@@ -571,13 +541,9 @@ class HolePunch:
         gen = self._attempt_gen
         if self.result.attempts and self.result.attempts[-1].index == gen:
             return  # attempt already settled
-        self._settled_transport = transport
-        self._end_attempt(gen, OutcomeAttempt.SUCCESS)
+        self._end_attempt(gen, OutcomeAttempt.SUCCESS, transport)
 
     def _after_success(self) -> None:
-        if self.result.attempts:
-            self.result.attempts[-1].transport_used = getattr(
-                self, "_settled_transport", self._choose_transport())
         if self.r_circ is not None:
             self.r_circ.on_closed = None
         if self.c_circ is not None:
@@ -613,28 +579,15 @@ class HolePunch:
 
     # -- low-TTL priming ---------------------------------------------------------------
 
-    def _prime_target(self, side: str) -> Optional[Endpoint]:
-        addrs = self._remote_addrs if side == "listener" else self._client_addrs
-        return self._peer_endpoint(addrs, Transport.QUIC)
-
-    def _start_listener_priming(self, gen: int) -> None:
-        target = self._prime_target("listener")
-        if target is None or self.client.quic is None:
+    def _start_priming(self, side: str, gen: int, until: float) -> None:
+        runtime, peer_addrs = self._side(side)
+        target = self._peer_endpoint(peer_addrs, Transport.QUIC)
+        if target is None or runtime.quic is None:
             return
         owner = self.net.hosts.get(target.host.split("#", 1)[0])
-        check_priming_ttl(self.net.topology, self.client.host.id,
+        check_priming_ttl(self.net.topology, runtime.host.id,
                           owner.id if owner else target.host, self.cfg.priming_ttl)
-        self._prime_loop(self.client.quic, target, gen,
-                         until=self.sim.now + 2_000.0)
-
-    def _start_initiator_priming(self, gen: int, until: float) -> None:
-        target = self._prime_target("initiator")
-        if target is None or self.remote.quic is None:
-            return
-        owner = self.net.hosts.get(target.host.split("#", 1)[0])
-        check_priming_ttl(self.net.topology, self.remote.host.id,
-                          owner.id if owner else target.host, self.cfg.priming_ttl)
-        self._prime_loop(self.remote.quic, target, gen, until=until)
+        self._prime_loop(runtime.quic, target, gen, until=until)
 
     def _prime_loop(self, quic: QuicPort, target: Endpoint, gen: int,
                     until: float) -> None:

@@ -150,6 +150,13 @@ class Simulation:
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._streams: dict[str, RandomStream] = {}
+        self._tokens = 0
+
+    def next_token(self) -> int:
+        """A number unique within this simulation, for protocol tokens, so
+        they never depend on process-wide state."""
+        self._tokens += 1
+        return self._tokens
 
     def stream(self, stream_id: str) -> RandomStream:
         """Named random stream, created on first use."""

@@ -78,6 +78,10 @@ class NatConfig:
             raise ValueError("mapping_ttl must be positive")
         if self.max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
+        lo, hi = self.port_range
+        if not 0 <= lo <= hi < PORT_SPACE:
+            raise ValueError(f"port_range must be an ordered pair within "
+                             f"0..{PORT_SPACE - 1}, got {self.port_range}")
 
 
 def archetype(config: NatConfig) -> Archetype:
@@ -125,7 +129,8 @@ class NatState:
         self._by_port: dict[int, NatMapping] = {}
         self._sessions = 0  # non-static mappings in _by_port
         self.denylist: dict[str, float] = {}
-        self.next_sequential_port = 40_000
+        lo, hi = config.port_range
+        self.next_sequential_port = 40_000 if lo <= 40_000 <= hi else lo
         self._scan_counts: dict[str, tuple[float, int]] = {}
 
     # -- mapping bookkeeping -------------------------------------------------
@@ -154,11 +159,17 @@ class NatState:
         for m in [m for m in self._by_port.values() if self._expired(m, now)]:
             self._drop_mapping(m)
 
-    def _alloc_port(self, internal: Endpoint) -> int:
+    def _alloc_port(self, internal: Endpoint, now: float) -> int:
         policy = self.config.port_alloc
         if policy is PortAllocation.PRESERVE and internal.port not in self._by_port:
             return internal.port
         lo, hi = self.config.port_range
+        if len(self._by_port) > hi - lo:
+            # Only a table at least as large as the range can have used it
+            # up; expired mappings give their ports back first.
+            self._drop_expired(now)
+            if all(port in self._by_port for port in range(lo, hi + 1)):
+                raise SessionTableFull(f"{internal}: no free port in {lo}..{hi}")
         if policy is PortAllocation.SEQUENTIAL:
             port = self.next_sequential_port
             while port in self._by_port:
@@ -199,6 +210,7 @@ class NatState:
         Raises SessionTableFull when no matching mapping exists and the
         table holds max_sessions dynamic mappings that have not expired:
         a full table first drops its expired mappings (RFC 4787 §4.3).
+        Also raised when every port in ``port_range`` is taken.
         """
         key = self._mapping_key(pkt.src, pkt.dst)
         m = self._by_key.get(key)
@@ -216,7 +228,7 @@ class NatState:
                     self._drop_expired(now)
                     if self._sessions >= self.config.max_sessions:
                         raise SessionTableFull(str(pkt.src))
-                port = self._alloc_port(pkt.src)
+                port = self._alloc_port(pkt.src, now)
                 m = NatMapping(internal=pkt.src,
                                external=Endpoint(self.public_host, port),
                                key=key, created=now, last_activity=now)

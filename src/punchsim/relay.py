@@ -45,7 +45,6 @@ class PeerAddressInfo:
     about the remote over Identify."""
 
     observed_public: list[tuple[Endpoint, Transport]] = field(default_factory=list)
-    reachability: Reachability = Reachability.UNKNOWN
     port_mapping_active: bool = False
 
     def endpoint_for(self, transport: Transport) -> Optional[Endpoint]:
@@ -65,15 +64,12 @@ class Circuit:
         self.cid = cid
         self.peer_id = peer_id
         self.open = True
-        self.bytes_sent = 0
-        self.bytes_received = 0
         self.on_message: Optional[Callable[[tuple, int], None]] = None
         self.on_closed: Optional[Callable[[str], None]] = None
 
     def send(self, tag: tuple, size_bytes: int) -> None:
         if not self.open:
             return
-        self.bytes_sent += size_bytes
         self.client._send_control(self.relay_ep,
                                   ("circ", self.cid, tag),
                                   size_bytes + CIRCUIT_HEADER_BYTES)
@@ -252,7 +248,7 @@ class RelayClient:
             return
         for relay_ep in relay_addrs:
             key = f"conn/{relay_ep.host}/{listener_id}"
-            self._waiters[key] = (settle, relay_ep, listener_id)
+            self._waiters[key] = settle
             self._send_control(relay_ep, ("conn-req", listener_id, self.peer_id))
         self.net.sim.schedule_in(
             lambda: (not state["done"] and (state.update(done=True), on_done(None))),
@@ -264,26 +260,28 @@ class RelayClient:
         """RTT of the relayed path via sequential circuit-level pings."""
         rtts: list[float] = []
         state = {"seq": 0}
+        # Circuit ids are relay-local, so (relay, cid) names the circuit.
+        key = (circuit.relay_ep.host, circuit.cid)
 
         def send_next() -> None:
             if state["seq"] >= samples or not circuit.open:
                 on_done(mean_stddev(rtts) if rtts else None)
                 return
             state["seq"] += 1
-            token = ("cping", id(circuit), state["seq"])
+            token = ("cping", *key, state["seq"])
             sent_at = self.net.sim.now
 
             def on_pong() -> None:
                 rtts.append(self.net.sim.now - sent_at)
                 send_next()
 
-            self._ping_waiters[("cpong", id(circuit), state["seq"])] = on_pong
+            self._ping_waiters[("cpong", *key, state["seq"])] = on_pong
             seq = state["seq"]
             circuit.send(token, PING_BYTES)
             self.net.sim.schedule_in(lambda: check_timeout(seq), timeout_ms)
 
         def check_timeout(seq: int) -> None:
-            if self._ping_waiters.pop(("cpong", id(circuit), seq), None) is not None:
+            if self._ping_waiters.pop(("cpong", *key, seq), None) is not None:
                 if state["seq"] == seq:
                     send_next()
 
@@ -325,7 +323,7 @@ class RelayClient:
 
     def _timeout(self, key, value) -> None:
         waiter = self._waiters.pop(key, None)
-        if waiter is not None and not isinstance(waiter, tuple):
+        if waiter is not None:
             waiter(value)
 
     def _on_packet(self, pkt: Packet) -> None:
@@ -344,10 +342,9 @@ class RelayClient:
                 waiter(False)
         elif kind in ("conn-ok", "conn-refused"):
             listener_id = tag[2] if kind == "conn-ok" else tag[1]
-            waiter = self._waiters.pop(f"conn/{pkt.src.host}/{listener_id}", None)
-            if waiter is None:
+            settle = self._waiters.pop(f"conn/{pkt.src.host}/{listener_id}", None)
+            if settle is None:
                 return
-            settle = waiter[0]
             if kind == "conn-refused":
                 settle(None)
                 return
@@ -364,8 +361,6 @@ class RelayClient:
             if circuit is None or not circuit.open:
                 return
             payload = tag[2]
-            size = pkt.size_bytes - CIRCUIT_HEADER_BYTES
-            circuit.bytes_received += size
             if isinstance(payload, tuple) and payload and payload[0] == "cping":
                 circuit.send(("cpong",) + payload[1:], PING_BYTES)
                 return
@@ -375,7 +370,7 @@ class RelayClient:
                     waiter()
                 return
             if circuit.on_message is not None:
-                circuit.on_message(payload, size)
+                circuit.on_message(payload, pkt.size_bytes - CIRCUIT_HEADER_BYTES)
         elif kind == "circ-reset":
             circuit = self.circuits.get((pkt.src.host, tag[1]))
             if circuit is not None:

@@ -217,14 +217,11 @@ class RttProbe:
     endpoint; reports sample mean and stddev of observed RTTs, or None
     when every sample timed out."""
 
-    _counter = 0
-
     def __init__(self, net: Network, host: Host, port: int, target: Endpoint,
                  samples: int = DEFAULT_RTT_SAMPLES, timeout_ms: float = 2_000.0,
                  on_done: Callable[[Optional[tuple[float, float]]], None] = None):
         if not 1 <= samples <= 10:
             raise ValueError("samples must be in 1..10")
-        RttProbe._counter += 1
         self.net = net
         self.host = host
         self.port = port
@@ -232,7 +229,7 @@ class RttProbe:
         self.samples = samples
         self.timeout_ms = timeout_ms
         self.on_done = on_done
-        self.token = ("rtt", RttProbe._counter)
+        self.token = ("rtt", net.sim.next_token())
         self.rtts: list[float] = []
         self._answered: set[int] = set()
         self._seq = 0

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from punchsim import cli
+from punchsim.analysis import MalformedRecord, relay_path_location
 from punchsim.campaign import (CampaignConfig, PopulationSpec,
                                TransportPolicy, aggregate, config_from_dict,
                                config_hash, config_to_dict, export_results,
@@ -17,6 +19,22 @@ def small_config(**pop_kwargs):
     pop = dict(n_clients=10, n_remotes=10, seed=5)
     pop.update(pop_kwargs)
     return CampaignConfig(population=PopulationSpec(**pop))
+
+
+def make_record(trial=0, outcome="SUCCESS", to_relay=10.0, relayed=40.0):
+    """One record in the campaign export schema."""
+    return {
+        "trial": trial, "timestamp": "2026-01-01T00:00:00+00:00",
+        "client": "client-00000", "remote": "remote-00000", "as_id": 64512,
+        "private_addrs": ["10.0.0.1"],
+        "public_endpoints": [["client-00000#nat:4001", "QUIC"]],
+        "port_mapping_active": False, "protocol_filter": None,
+        "outcome": outcome, "attempts": [],
+        "rtt_to_relay_mean": to_relay, "rtt_to_relay_stddev": 0.0,
+        "rtt_relayed_mean": relayed, "rtt_relayed_stddev": 0.0,
+        "rtt_direct_after_mean": None, "rtt_direct_after_stddev": None,
+        "relay_addrs": ["relay-00:1"],
+    }
 
 
 class TestPopulation:
@@ -169,7 +187,71 @@ class TestExport:
     def test_config_dict_round_trip_preserves_hash(self):
         cfg = small_config(edm_share=0.3, jitter=0.4)
         cfg.policy = TransportPolicy.QUIC
-        cfg.refined_wait = True
+        cfg.dcutr.refined_wait = True
         restored = config_from_dict(config_to_dict(cfg))
         assert config_hash(restored) == config_hash(cfg)
         assert restored == cfg
+
+
+class TestOneRecordPipeline:
+    def test_zero_rtt_to_relay_binned_like_analysis(self):
+        # A relay RTT of 0.0 is a measurement (the relay sits at the
+        # client's end of the path); only a missing one is skipped.
+        records = [make_record(0, "SUCCESS", to_relay=0.0),
+                   make_record(1, "FAILED", to_relay=20.0),
+                   make_record(2, "SUCCESS", to_relay=None)]
+        report = aggregate(records)
+        location = relay_path_location(records)
+        assert report.relay_path_bins["0.00"] == {"successes": 1, "total": 1}
+        assert report.relay_path_bins == {
+            label: {"successes": b["successes"], "total": b["total"]}
+            for label, b in location["bins"].items()}
+        assert location["skipped"] == 1
+
+    @pytest.mark.parametrize("field, value", [("timestamp", "yesterday"),
+                                              ("outcome", "MAYBE")])
+    def test_aggregate_rejects_malformed_records(self, field, value):
+        records = [make_record(0), make_record(1)]
+        records[1][field] = value
+        with pytest.raises(MalformedRecord, match="record 1"):
+            aggregate(records)
+
+    def test_aggregate_rejects_missing_field(self):
+        bad = make_record()
+        del bad["port_mapping_active"]
+        with pytest.raises(MalformedRecord):
+            aggregate([bad])
+
+
+class TestConfigHome:
+    def test_dcutr_block_sets_strategy_switches(self):
+        cfg = config_from_dict({"dcutr": {"refined_wait": True}})
+        assert cfg.dcutr.refined_wait
+        blob = config_to_dict(cfg)
+        assert blob["refined_wait"] is True
+        assert blob["dcutr"]["refined_wait"] is True
+        assert config_from_dict(blob) == cfg
+
+    def test_top_level_keys_are_aliases(self):
+        cfg = config_from_dict({"alternate_roles": True, "ttl_priming": True})
+        assert cfg.dcutr.alternate_roles and cfg.dcutr.ttl_priming
+        assert not cfg.dcutr.refined_wait
+
+    def test_conflicting_switch_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "campaign.yaml"
+        path.write_text("refined_wait: true\ndcutr:\n  refined_wait: false\n")
+        out = tmp_path / "results.json"
+        rc = cli.main(["simulate", "--config", str(path), "--trials", "1",
+                       "--seed", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        assert "refined_wait" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_default_config_export_layout_unchanged(self):
+        blob = config_to_dict(CampaignConfig())
+        assert set(blob) == {"population", "policy", "refined_wait",
+                             "alternate_roles", "ttl_priming", "persistent_nat",
+                             "trial_spacing_s", "dcutr"}
+        assert config_hash(CampaignConfig()) == "6fd1505934db1ed4"

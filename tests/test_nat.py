@@ -283,3 +283,47 @@ def test_table_invariants_hold_under_random_traffic(mapping, port_alloc,
         else:
             nat.install_static_mapping(step[1], step[2])
         _check_tables(nat)
+
+
+class TestPortRange:
+    @pytest.mark.parametrize("bad", [(70_000, 60_000), (5_000, 4_000),
+                                     (60_000, 70_000), (-1, 10)])
+    def test_reversed_or_out_of_space_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="port_range"):
+            NatConfig(port_range=bad)
+
+    @pytest.mark.parametrize("alloc", list(PortAllocation))
+    def test_exhausted_range_raises_session_table_full(self, alloc):
+        nat = make_nat(mapping=MappingBehavior.APDM, port_alloc=alloc,
+                       port_range=(40_000, 40_001), max_sessions=4)
+        internal = Endpoint("lan", 40_000)
+        ports = {nat.process_outbound(udp(internal, Endpoint("x", 1000 + i)),
+                                      0.0).src.port for i in range(2)}
+        assert ports == {40_000, 40_001}
+        with pytest.raises(SessionTableFull):
+            nat.process_outbound(udp(internal, DST2), 1.0)
+        assert nat.session_count() == 2
+
+    def test_expired_mappings_give_range_ports_back(self):
+        nat = make_nat(mapping=MappingBehavior.APDM, mapping_ttl=1_000,
+                       port_range=(40_000, 40_001))
+        for i in range(2):
+            nat.process_outbound(udp(INT, Endpoint("x", 1000 + i)), 0.0)
+        ext = nat.process_outbound(udp(INT, DST2), 5_000.0).src
+        assert ext.port in (40_000, 40_001)
+        assert nat.session_count() == 1
+
+    def test_sequential_allocation_starts_inside_range(self):
+        nat = make_nat(mapping=MappingBehavior.APDM,
+                       port_alloc=PortAllocation.SEQUENTIAL,
+                       port_range=(1_000, 1_010))
+        ports = [nat.process_outbound(udp(INT, dst), 0.0).src.port
+                 for dst in (DST1, DST2)]
+        assert ports == [1_000, 1_001]
+
+    def test_sequential_allocation_keeps_default_start(self):
+        nat = make_nat(mapping=MappingBehavior.APDM,
+                       port_alloc=PortAllocation.SEQUENTIAL)
+        ports = [nat.process_outbound(udp(INT, dst), 0.0).src.port
+                 for dst in (DST1, DST2)]
+        assert ports == [40_000, 40_001]

@@ -2,7 +2,7 @@ from punchsim.kernel import Simulation, Topology
 from punchsim.nat import FilteringBehavior, MappingBehavior, NatConfig
 from punchsim.net import Network
 from punchsim.packets import Endpoint, Packet, PacketKind
-from punchsim.transport import QuicPort, TcpPort, measure_rtt
+from punchsim.transport import QuicPort, RttProbe, TcpPort, measure_rtt
 
 
 def build_net(seed=1, loss=0.0):
@@ -211,3 +211,16 @@ class TestRtt:
                     samples=3, on_done=out.append)
         net.sim.run(until=30_000)
         assert out == [None]
+
+    def test_fresh_worlds_issue_the_same_probe_token(self):
+        # Probe tokens come from the simulation, not from process-wide
+        # state, so a replayed world repeats them.
+        tokens = []
+        for _ in range(2):
+            net = build_net()
+            net.add_host("a", 10.0)
+            port = net.hosts["a"].bind(lambda pkt: None)
+            probe = RttProbe(net, net.hosts["a"], port, Endpoint("b", 7),
+                             on_done=lambda rtt: None)
+            tokens.append(probe.token)
+        assert tokens[0] == tokens[1]

@@ -150,6 +150,17 @@ class TestCircuits:
         assert mean == 80.0
         assert std == 0.0
 
+    def test_circuit_ping_tokens_name_the_circuit_not_the_object(self):
+        worlds = []
+        for _ in range(2):
+            net, services, alice, bob = build_world()
+            a_circ, _ = open_circuit(net, alice, bob, services)
+            alice.circuit_ping(a_circ, samples=1, on_done=lambda rtt: None)
+            worlds.append((a_circ, set(alice._ping_waiters)))
+        (first, waiting), (second, waiting_again) = worlds
+        assert first is not second
+        assert waiting == waiting_again == {("cpong", "relay-0", first.cid, 1)}
+
 
 class TestObserve:
     def test_observe_via_reports_nat_external_endpoint(self):
