@@ -33,7 +33,11 @@ class MalformedRecord(ValueError):
 
 
 def validate_records(records: list[dict]) -> None:
+    if not isinstance(records, list):
+        raise MalformedRecord(0, "records must be a list")
     for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise MalformedRecord(i, "not an object")
         for key in REQUIRED_FIELDS:
             if key not in rec:
                 raise MalformedRecord(i, f"missing field {key!r}")

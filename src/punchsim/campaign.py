@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Optional
 
 from .analysis import apply_success_filters, relay_path_bins, validate_records
-from .dcutr import DcutrConfig, HolePunch, PeerRuntime
+from .dcutr import DcutrConfig, HolePunch, HolePunchResult, PeerRuntime
 from .kernel import RandomStream, Simulation, Topology, derive_seed
 from .nat import (Archetype, FilteringBehavior, MappingBehavior, NatConfig,
                   PortAllocation)
@@ -273,12 +273,23 @@ def run_trial(population: Population, config: CampaignConfig, seed: int,
     net.sim.run(until=net.sim.now + 6_000)
     relay_addrs = [ep for ep, ok in reserved if ok]
 
+    result = _punch(net, client, remote, relay_addrs, config, tf)
+    return _record(result, client_spec, remote_spec, tf, trial, config)
+
+
+def _punch(net: Network, client: PeerRuntime, remote: PeerRuntime,
+           relay_addrs: list, config: CampaignConfig,
+           tf: Optional[Transport]) -> Optional[HolePunchResult]:
+    """Start one hole punch and step the clock in 1 s slices until it
+    reports (None after 1 000 slices without a report)."""
     results = []
     HolePunch(net, client, remote, relay_addrs, config.dcutr,
               transport_filter=tf, on_done=results.append).start()
-    net.sim.run(until=net.sim.now + 600_000)
-    result = results[0] if results else None
-    return _record(result, client_spec, remote_spec, tf, trial, config)
+    for _ in range(1_000):
+        if results:
+            break
+        net.sim.run(until=net.sim.now + 1_000)
+    return results[0] if results else None
 
 
 def _rtt_fields(prefix: str, rtt: Optional[tuple]) -> dict:
@@ -375,14 +386,7 @@ def _run_persistent(population: Population, config: CampaignConfig,
         net.sim.run(until=net.sim.now + 6_000)
         relay_addrs = [svc.endpoint for svc in services
                        if svc.host.id in remote.relay.reservations]
-        results = []
-        HolePunch(net, client, remote, relay_addrs, config.dcutr,
-                  transport_filter=tf, on_done=results.append).start()
-        guard = 0
-        while not results and guard < 1_000:
-            net.sim.run(until=net.sim.now + 1_000)
-            guard += 1
-        result = results[0] if results else None
+        result = _punch(net, client, remote, relay_addrs, config, tf)
         records.append(_record(result, client_spec, remote_spec, tf, trial, config))
     return records
 
@@ -534,5 +538,7 @@ def load_results(path: str) -> tuple[list[dict], dict]:
         return records, {"seed": seed, "config_hash": chash}
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("a results document must be a JSON object")
     return doc["records"], {"seed": doc["seed"], "config_hash": doc["config_hash"],
                             "config": doc.get("config")}

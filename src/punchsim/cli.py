@@ -48,8 +48,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         report = campaign.aggregate(records, seed=args.seed,
                                     config_hash=campaign.config_hash(config))
         campaign.export_report(report, args.report)
-        print(f"wrote report to {args.report} "
-              f"(success rate {report.success_rate:.4f} "
+        rate = "n/a" if report.success_rate is None else f"{report.success_rate:.4f}"
+        print(f"wrote report to {args.report} (success rate {rate} "
               f"over {report.n_filtered} filtered records)")
     return EXIT_OK
 

@@ -180,7 +180,6 @@ class HolePunch:
         self._client_addrs: list[tuple[Endpoint, Transport]] = []
         self._client_direct: Optional[tuple[Endpoint, Endpoint, Transport]] = None
         self._awaiting_client_direct = False
-        self._priming_stop = False
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -193,7 +192,6 @@ class HolePunch:
         if self.done:
             return
         self.done = True
-        self._priming_stop = True
         self.result.outcome = outcome
         self.result.ended = self.sim.now
         self.result.listen_endpoints = [
@@ -391,11 +389,15 @@ class HolePunch:
             return
 
         def got_to_relay(rtt) -> None:
+            if self.done:
+                return
             self.result.rtt_to_relay = rtt
             self.client.relay.circuit_ping(self.c_circ, self.cfg.rtt_samples,
                                            got_relayed)
 
         def got_relayed(rtt) -> None:
+            if self.done:
+                return
             self.result.rtt_relayed = rtt
             self._start_attempt(1)
 
@@ -591,8 +593,7 @@ class HolePunch:
 
     def _prime_loop(self, quic: QuicPort, target: Endpoint, gen: int,
                     until: float) -> None:
-        if (self.done or self._priming_stop or self._attempt_gen != gen
-                or self.sim.now > until):
+        if self.done or self._attempt_gen != gen or self.sim.now > until:
             return
         quic.prime(target, count=1, ttl=self.cfg.priming_ttl)
         self.sim.schedule_in(

@@ -5,6 +5,13 @@ Timing model for a packet sent at t0 from a to b with one-way draw L:
 the sender's NAT processes it at t0 + leg(a), the receiver's NAT at
 t0 + L - leg(b), and the receiving host sees it at t0 + L. Only the NAT
 passage times matter for hole-punch synchronization.
+
+Requests and replies: a request's tag is (kind, token, ...) with a token
+from `Simulation.next_token()`; its reply's tag is (one of `REPLY_KINDS`,
+token, ...). The requester files a callback under the token in its host's
+`replies` table (`Host.expect` adds a timeout), and `Host.serve` hands it
+the reply, whether that reached a bound port or came through a circuit.
+`serve` also answers ("ping", token) with ("pong", token) on either carrier.
 """
 
 from __future__ import annotations
@@ -16,6 +23,9 @@ from .nat import InboundAction, NatConfig, NatState, SessionTableFull
 from .packets import Endpoint, Packet, PacketKind
 
 FIRST_DYNAMIC_PORT = 10_000
+# Tag kinds that answer a request; tag[1] echoes the request's token.
+REPLY_KINDS = frozenset({"pong", "obsr", "rsv-ok", "rsv-refused", "conn-ok",
+                         "conn-refused"})
 
 
 class Host:
@@ -27,11 +37,8 @@ class Host:
         self.id = host_id
         self.nat = nat
         self.handlers: dict[int, Callable[[Packet], None]] = {}
+        self.replies: dict[int, Callable[[tuple], None]] = {}
         self._next_port = FIRST_DYNAMIC_PORT
-
-    @property
-    def is_public(self) -> bool:
-        return self.nat is None
 
     def bind(self, handler: Callable[[Packet], None], port: Optional[int] = None) -> int:
         if port is None:
@@ -42,27 +49,48 @@ class Host:
         self.handlers[port] = handler
         return port
 
-    def unbind(self, port: int) -> None:
-        self.handlers.pop(port, None)
-
     def endpoint(self, port: int) -> Endpoint:
         return Endpoint(self.id, port)
 
     def send(self, pkt: Packet) -> None:
         self.net.send(self.id, pkt)
 
+    def expect(self, token: int, on_reply: Callable[[tuple], None],
+               timeout_ms: float, on_timeout: Callable[[], None]) -> None:
+        """Wait for the reply echoing `token`: `on_reply(tag)` if it
+        arrives within `timeout_ms`, else `on_timeout()`."""
+        self.replies[token] = on_reply
+        self.net.sim.schedule_in(lambda: self._expire(token, on_timeout), timeout_ms)
+
+    def _expire(self, token: int, on_timeout: Callable[[], None]) -> None:
+        if self.replies.pop(token, None) is not None:
+            on_timeout()
+
+    def serve(self, tag, answer: Callable[[tuple, object], None], via) -> bool:
+        """Answer a ping with `answer(pong_tag, via)`, or hand a reply to
+        the callback its token names (a reply nobody waits for is dropped).
+        False when `tag` is neither, so the message is the application's."""
+        if type(tag) is not tuple:
+            return False
+        kind = tag[0]
+        if kind == "ping":
+            answer(("pong",) + tag[1:], via)
+        elif kind in REPLY_KINDS:
+            on_reply = self.replies.pop(tag[1], None)
+            if on_reply is not None:
+                on_reply(tag)
+        else:
+            return False
+        return True
+
     def _dispatch(self, pkt: Packet) -> None:
-        # Any bound port answers latency probes; application handlers
-        # never see them.
-        if isinstance(pkt.tag, tuple) and pkt.tag and pkt.tag[0] == "ping":
-            if pkt.dst.port in self.handlers:
-                self.send(Packet(src=pkt.dst, dst=pkt.src, kind=PacketKind.UDP_DATAGRAM,
-                                 size_bytes=pkt.size_bytes,
-                                 tag=("pong",) + pkt.tag[1:]))
-            return
         handler = self.handlers.get(pkt.dst.port)
-        if handler is not None:
+        if handler is not None and not self.serve(pkt.tag, self._answer, pkt):
             handler(pkt)
+
+    def _answer(self, tag: tuple, request: Packet) -> None:
+        self.send(Packet(src=request.dst, dst=request.src, kind=PacketKind.UDP_DATAGRAM,
+                         size_bytes=request.size_bytes, tag=tag))
 
 
 class Network:

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional
 
 from .net import Host, Network
 from .packets import Endpoint, Packet, PacketKind
-from .transport import DialResult, QuicPort, TcpPort, Transport, mean_stddev
+from .transport import PING_BYTES, DialResult, QuicPort, RttProbe, TcpPort, Transport
 
 RELAY_PORT = 1
 DEFAULT_RESERVATION_MS = 3_600_000.0
@@ -19,7 +20,6 @@ DEFAULT_RELAYED_CONN_LIMIT = 16
 DEFAULT_RESERVATION_CAPACITY = 128
 CONTROL_BYTES = 24
 CIRCUIT_HEADER_BYTES = 8
-PING_BYTES = 32
 
 
 class Reachability(Enum):
@@ -67,12 +67,14 @@ class Circuit:
         self.on_message: Optional[Callable[[tuple, int], None]] = None
         self.on_closed: Optional[Callable[[str], None]] = None
 
-    def send(self, tag: tuple, size_bytes: int) -> None:
+    def send(self, tag: tuple, size_bytes: int) -> bool:
+        """Send a payload through the relay; False once the circuit closed."""
         if not self.open:
-            return
+            return False
         self.client._send_control(self.relay_ep,
                                   ("circ", self.cid, tag),
                                   size_bytes + CIRCUIT_HEADER_BYTES)
+        return True
 
     def close(self) -> None:
         if self.open:
@@ -133,9 +135,9 @@ class RelayService:
         if tag[0] == "obs":
             self._send(pkt.src, ("obsr", tag[1], pkt.src))
         elif tag[0] == "rsv-req":
-            peer_id = tag[1]
+            token, peer_id = tag[1], tag[2]
             if self._live_reservations() >= self.capacity and peer_id not in self.reservations:
-                self._send(pkt.src, ("rsv-refused", peer_id))
+                self._send(pkt.src, ("rsv-refused", token))
                 return
             rsv = Reservation(relay=self.host.id, client=peer_id,
                               client_endpoint=pkt.src,
@@ -143,12 +145,12 @@ class RelayService:
                               data_budget_bytes=self.data_budget_bytes,
                               relayed_conn_limit=self.relayed_conn_limit)
             self.reservations[peer_id] = rsv
-            self._send(pkt.src, ("rsv-ok", peer_id, rsv.expires))
+            self._send(pkt.src, ("rsv-ok", token, rsv.expires))
         elif tag[0] == "conn-req":
-            listener_id, dialer_id = tag[1], tag[2]
+            token, listener_id, dialer_id = tag[1], tag[2], tag[3]
             rsv = self.reservations.get(listener_id)
             if rsv is None or rsv.expires <= now or rsv.active_conns >= rsv.relayed_conn_limit:
-                self._send(pkt.src, ("conn-refused", listener_id))
+                self._send(pkt.src, ("conn-refused", token))
                 return
             cid = self._next_cid
             self._next_cid += 1
@@ -160,7 +162,7 @@ class RelayService:
                 "budget": rsv.data_budget_bytes,
                 "rsv": rsv,
             }
-            self._send(pkt.src, ("conn-ok", cid, listener_id))
+            self._send(pkt.src, ("conn-ok", token, cid))
             self._send(rsv.client_endpoint, ("conn-in", cid, dialer_id))
         elif tag[0] == "circ":
             cid, payload = tag[1], tag[2]
@@ -203,8 +205,6 @@ class RelayClient:
         # Circuit ids are assigned relay-locally, so key by (relay, cid).
         self.circuits: dict[tuple[str, int], Circuit] = {}
         self.on_incoming_circuit: Optional[Callable[[Circuit], None]] = None
-        self._waiters: dict[str, Callable] = {}
-        self._ping_waiters: dict[tuple, Callable[[float], None]] = {}
 
     @property
     def endpoint(self) -> Endpoint:
@@ -217,10 +217,15 @@ class RelayClient:
 
     def reserve(self, relay_ep: Endpoint, on_done: Callable[[bool], None],
                 timeout_ms: float = 5_000.0) -> None:
-        key = f"rsv/{relay_ep.host}"
-        self._waiters[key] = on_done
-        self._send_control(relay_ep, ("rsv-req", self.peer_id))
-        self.net.sim.schedule_in(lambda: self._timeout(key, False), timeout_ms)
+        token = self.net.sim.next_token()
+        self._send_control(relay_ep, ("rsv-req", token, self.peer_id))
+
+        def on_reply(tag: tuple) -> None:
+            if tag[0] == "rsv-ok":
+                self.reservations[relay_ep.host] = tag[2]
+            on_done(tag[0] == "rsv-ok")
+
+        self.host.expect(token, on_reply, timeout_ms, lambda: on_done(False))
 
     def connect_via(self, listener_id: str, relay_addrs: list[Endpoint],
                     on_done: Callable[[Optional[Circuit]], None],
@@ -243,13 +248,23 @@ class RelayClient:
             state["done"] = True
             on_done(circuit)
 
+        def on_reply(relay_ep: Endpoint, tag: tuple) -> None:
+            if tag[0] == "conn-refused":
+                settle(None)
+                return
+            circuit = Circuit(self, relay_ep, tag[2], peer_id=listener_id)
+            self.circuits[(relay_ep.host, circuit.cid)] = circuit
+            settle(circuit)
+
         if not relay_addrs:
             on_done(None)
             return
         for relay_ep in relay_addrs:
-            key = f"conn/{relay_ep.host}/{listener_id}"
-            self._waiters[key] = settle
-            self._send_control(relay_ep, ("conn-req", listener_id, self.peer_id))
+            token = self.net.sim.next_token()
+            # No timeout per request: `settle` closes a circuit that opens
+            # late, so the relay frees its slot.
+            self.host.replies[token] = partial(on_reply, relay_ep)
+            self._send_control(relay_ep, ("conn-req", token, listener_id, self.peer_id))
         self.net.sim.schedule_in(
             lambda: (not state["done"] and (state.update(done=True), on_done(None))),
             timeout_ms)
@@ -257,101 +272,31 @@ class RelayClient:
     def circuit_ping(self, circuit: Circuit, samples: int,
                      on_done: Callable[[Optional[tuple[float, float]]], None],
                      timeout_ms: float = 5_000.0) -> None:
-        """RTT of the relayed path via sequential circuit-level pings."""
-        rtts: list[float] = []
-        state = {"seq": 0}
-        # Circuit ids are relay-local, so (relay, cid) names the circuit.
-        key = (circuit.relay_ep.host, circuit.cid)
-
-        def send_next() -> None:
-            if state["seq"] >= samples or not circuit.open:
-                on_done(mean_stddev(rtts) if rtts else None)
-                return
-            state["seq"] += 1
-            token = ("cping", *key, state["seq"])
-            sent_at = self.net.sim.now
-
-            def on_pong() -> None:
-                rtts.append(self.net.sim.now - sent_at)
-                send_next()
-
-            self._ping_waiters[("cpong", *key, state["seq"])] = on_pong
-            seq = state["seq"]
-            circuit.send(token, PING_BYTES)
-            self.net.sim.schedule_in(lambda: check_timeout(seq), timeout_ms)
-
-        def check_timeout(seq: int) -> None:
-            if self._ping_waiters.pop(("cpong", *key, seq), None) is not None:
-                if state["seq"] == seq:
-                    send_next()
-
-        send_next()
+        """RTT of the relayed path via sequential pings through the
+        circuit; the far end's RelayClient answers them."""
+        RttProbe(self.net, self.host, lambda tag: circuit.send(tag, PING_BYTES),
+                 samples=samples, timeout_ms=timeout_ms, on_done=on_done).start()
 
     def observe_via(self, observer_ep: Endpoint, port: int,
                     on_done: Callable[[Optional[Endpoint]], None],
                     timeout_ms: float = 5_000.0) -> None:
         """Learn the external endpoint of one of this host's bound ports
-        as seen by a public observer (Identify's address discovery).
-
-        The probe must leave from the observed port itself so the answer
-        reflects that port's translation, so the port's handler is wrapped
-        until the answer (or the timeout) arrives.
-        """
-        token = ("obsw", self.peer_id, port, self.net.sim.now)
-        outer = self.host.handlers[port]
-        state = {"done": False}
-
-        def settle(value: Optional[Endpoint]) -> None:
-            if state["done"]:
-                return
-            state["done"] = True
-            self.host.handlers[port] = outer
-            on_done(value)
-
-        def wrapped(pkt: Packet) -> None:
-            tag = pkt.tag
-            if isinstance(tag, tuple) and tag and tag[0] == "obsr" and tag[1] == token:
-                settle(tag[2])
-                return
-            outer(pkt)
-
-        self.host.handlers[port] = wrapped
-        self.host.send(Packet(src=Endpoint(self.host.id, port), dst=observer_ep,
+        as seen by a public observer (Identify's address discovery). The
+        probe leaves from the observed port itself so the answer reflects
+        that port's translation."""
+        token = self.net.sim.next_token()
+        self.host.send(Packet(src=self.host.endpoint(port), dst=observer_ep,
                               kind=PacketKind.UDP_DATAGRAM, size_bytes=CONTROL_BYTES,
                               tag=("obs", token)))
-        self.net.sim.schedule_in(lambda: settle(None), timeout_ms)
-
-    def _timeout(self, key, value) -> None:
-        waiter = self._waiters.pop(key, None)
-        if waiter is not None:
-            waiter(value)
+        self.host.expect(token, lambda tag: on_done(tag[2]), timeout_ms,
+                         lambda: on_done(None))
 
     def _on_packet(self, pkt: Packet) -> None:
         tag = pkt.tag
         if not isinstance(tag, tuple):
             return
         kind = tag[0]
-        if kind == "rsv-ok":
-            waiter = self._waiters.pop(f"rsv/{pkt.src.host}", None)
-            if waiter is not None:
-                self.reservations[pkt.src.host] = tag[2]
-                waiter(True)
-        elif kind == "rsv-refused":
-            waiter = self._waiters.pop(f"rsv/{pkt.src.host}", None)
-            if waiter is not None:
-                waiter(False)
-        elif kind in ("conn-ok", "conn-refused"):
-            listener_id = tag[2] if kind == "conn-ok" else tag[1]
-            settle = self._waiters.pop(f"conn/{pkt.src.host}/{listener_id}", None)
-            if settle is None:
-                return
-            if kind == "conn-refused":
-                settle(None)
-                return
-            circuit = Circuit(self, pkt.src, tag[1], peer_id=listener_id)
-            self.circuits[(pkt.src.host, circuit.cid)] = circuit
-            settle(circuit)
-        elif kind == "conn-in":
+        if kind == "conn-in":
             circuit = Circuit(self, pkt.src, tag[1], peer_id=tag[2])
             self.circuits[(pkt.src.host, circuit.cid)] = circuit
             if self.on_incoming_circuit is not None:
@@ -361,16 +306,10 @@ class RelayClient:
             if circuit is None or not circuit.open:
                 return
             payload = tag[2]
-            if isinstance(payload, tuple) and payload and payload[0] == "cping":
-                circuit.send(("cpong",) + payload[1:], PING_BYTES)
-                return
-            if isinstance(payload, tuple) and payload and payload[0] == "cpong":
-                waiter = self._ping_waiters.pop(payload, None)
-                if waiter is not None:
-                    waiter()
-                return
-            if circuit.on_message is not None:
-                circuit.on_message(payload, pkt.size_bytes - CIRCUIT_HEADER_BYTES)
+            size = pkt.size_bytes - CIRCUIT_HEADER_BYTES
+            if (not self.host.serve(payload, circuit.send, size)
+                    and circuit.on_message is not None):
+                circuit.on_message(payload, size)
         elif kind == "circ-reset":
             circuit = self.circuits.get((pkt.src.host, tag[1]))
             if circuit is not None:

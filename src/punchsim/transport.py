@@ -213,66 +213,41 @@ class QuicPort:
 
 
 class RttProbe:
-    """Sequential ping/pong exchanges from a bound port to a target
-    endpoint; reports sample mean and stddev of observed RTTs, or None
-    when every sample timed out."""
+    """Sequential pings over any carrier (`send(tag)` is False once it is
+    gone), each awaiting its pong on a fresh token in the host's reply
+    table. Reports the RTTs' mean and stddev, or None if none came back."""
 
-    def __init__(self, net: Network, host: Host, port: int, target: Endpoint,
+    def __init__(self, net: Network, host: Host, send: Callable[[tuple], bool],
                  samples: int = DEFAULT_RTT_SAMPLES, timeout_ms: float = 2_000.0,
                  on_done: Callable[[Optional[tuple[float, float]]], None] = None):
         if not 1 <= samples <= 10:
             raise ValueError("samples must be in 1..10")
         self.net = net
         self.host = host
-        self.port = port
-        self.target = target
+        self.send = send
         self.samples = samples
         self.timeout_ms = timeout_ms
         self.on_done = on_done
-        self.token = ("rtt", net.sim.next_token())
         self.rtts: list[float] = []
-        self._answered: set[int] = set()
-        self._seq = 0
+        self._sent = 0
         self._sent_at = 0.0
-        self._outer = host.handlers[port]
-        host.handlers[port] = self._on_packet
 
     def start(self) -> None:
         self._send_next()
 
     def _send_next(self) -> None:
-        if self._seq >= self.samples:
-            self._done()
-            return
-        self._seq += 1
-        seq = self._seq
-        self._sent_at = self.net.sim.now
-        self.host.send(Packet(src=Endpoint(self.host.id, self.port), dst=self.target,
-                              kind=PacketKind.UDP_DATAGRAM, size_bytes=PING_BYTES,
-                              tag=("ping", self.token, seq)))
-        self.net.sim.schedule_in(lambda: self._check_timeout(seq), self.timeout_ms)
+        if self._sent < self.samples:
+            token = self.net.sim.next_token()
+            if self.send(("ping", token)):
+                self._sent += 1
+                self._sent_at = self.net.sim.now
+                self.host.expect(token, self._on_packet, self.timeout_ms, self._send_next)
+                return
+        self.on_done(mean_stddev(self.rtts) if self.rtts else None)
 
-    def _check_timeout(self, seq: int) -> None:
-        if self._seq == seq and seq not in self._answered:
-            self._send_next()
-
-    def _on_packet(self, pkt: Packet) -> None:
-        tag = pkt.tag
-        if (isinstance(tag, tuple) and len(tag) == 3 and tag[0] == "pong"
-                and tag[1] == self.token and tag[2] == self._seq
-                and self._seq not in self._answered):
-            self._answered.add(self._seq)
-            self.rtts.append(self.net.sim.now - self._sent_at)
-            self._send_next()
-            return
-        self._outer(pkt)
-
-    def _done(self) -> None:
-        self.host.handlers[self.port] = self._outer
-        if not self.rtts:
-            self.on_done(None)
-            return
-        self.on_done(mean_stddev(self.rtts))
+    def _on_packet(self, tag: tuple) -> None:
+        self.rtts.append(self.net.sim.now - self._sent_at)
+        self._send_next()
 
 
 def mean_stddev(values: list[float]) -> tuple[float, float]:
@@ -287,6 +262,13 @@ def mean_stddev(values: list[float]) -> tuple[float, float]:
 def measure_rtt(net: Network, host: Host, port: int, target: Endpoint,
                 samples: int = DEFAULT_RTT_SAMPLES,
                 on_done: Callable[[Optional[tuple[float, float]]], None] = None) -> None:
-    """Direct-path RTT measurement; relayed paths are measured at the
-    circuit level (see the relay module)."""
-    RttProbe(net, host, port, target, samples=samples, on_done=on_done).start()
+    """Direct-path RTT measurement from a bound port; relayed paths are
+    measured over their circuit (see the relay module)."""
+    src = host.endpoint(port)
+
+    def send(tag: tuple) -> bool:
+        host.send(Packet(src=src, dst=target, kind=PacketKind.UDP_DATAGRAM,
+                         size_bytes=PING_BYTES, tag=tag))
+        return True
+
+    RttProbe(net, host, send, samples=samples, on_done=on_done).start()

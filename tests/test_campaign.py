@@ -255,3 +255,46 @@ class TestConfigHome:
                              "alternate_roles", "ttl_priming", "persistent_nat",
                              "trial_spacing_s", "dcutr"}
         assert config_hash(CampaignConfig()) == "6fd1505934db1ed4"
+
+
+class TestCliExits:
+    def test_report_with_no_filtered_record_prints_na(self, tmp_path, capsys):
+        # Every client holds a port mapping, so the success filters keep
+        # no record and the success rate is undefined.
+        path = tmp_path / "campaign.yaml"
+        path.write_text("population:\n  n_clients: 3\n  n_remotes: 3\n"
+                        "  port_mapping_prevalence: 1.0\n")
+        report = tmp_path / "report.json"
+        rc = cli.main(["simulate", "--config", str(path), "--trials", "5",
+                       "--seed", "1", "--out", str(tmp_path / "results.json"),
+                       "--report", str(report)])
+        assert rc == cli.EXIT_OK
+        assert "success rate n/a" in capsys.readouterr().out
+        assert '"success_rate": null' in report.read_text()
+
+    def analyze_exit(self, tmp_path, capsys, text):
+        path = tmp_path / "results.json"
+        path.write_text(text)
+        rc = cli.main(["analyze", "--in", str(path),
+                       "--out", str(tmp_path / "report.json")])
+        assert "Traceback" not in capsys.readouterr().err
+        return rc
+
+    def test_non_object_record_exits_2(self, tmp_path, capsys):
+        doc = '{"seed": 1, "config_hash": "", "records": [1]}'
+        assert self.analyze_exit(tmp_path, capsys, doc) == cli.EXIT_CONFIG
+
+    def test_top_level_array_exits_2(self, tmp_path, capsys):
+        assert self.analyze_exit(tmp_path, capsys, "[1, 2]") == cli.EXIT_CONFIG
+
+    def test_validation_rejects_non_list_and_non_object_records(self):
+        with pytest.raises(MalformedRecord, match="record 1: not an object"):
+            aggregate([make_record(), "x"])
+        with pytest.raises(MalformedRecord, match="must be a list"):
+            aggregate({"0": make_record()})
+
+    def test_load_results_rejects_non_object_document(self, tmp_path):
+        path = tmp_path / "results.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="JSON object"):
+            load_results(str(path))

@@ -119,6 +119,23 @@ class TestEarlyOutcomes:
         assert out and out[0].outcome is OutcomeResult.CANCELLED
         assert out[0].attempts == []
 
+    def test_cancel_during_rtt_probe_leaves_rtts_unset(self):
+        net, svc, client, remote = build_world()
+        out = []
+        hp = HolePunch(net, client, remote, [svc.endpoint],
+                       on_done=out.append)
+        hp.start()
+        while not hp.stream_open and net.sim.now < 60_000:
+            net.sim.run(until=net.sim.now + 1)
+        # The stream-ack reaches the remote about 40 ms later; its
+        # to-relay probe then sends ten pings 30 ms apart.
+        net.sim.run(until=net.sim.now + 100)
+        hp.cancel()
+        net.sim.run(until=net.sim.now + 60_000)
+        assert out[0].outcome is OutcomeResult.CANCELLED
+        assert out[0].rtt_to_relay is None
+        assert out[0].rtt_relayed is None
+
 
 class TestReversal:
     def test_public_client_gets_reversed(self):

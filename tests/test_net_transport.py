@@ -215,12 +215,14 @@ class TestRtt:
     def test_fresh_worlds_issue_the_same_probe_token(self):
         # Probe tokens come from the simulation, not from process-wide
         # state, so a replayed world repeats them.
-        tokens = []
+        worlds = []
         for _ in range(2):
             net = build_net()
-            net.add_host("a", 10.0)
-            port = net.hosts["a"].bind(lambda pkt: None)
-            probe = RttProbe(net, net.hosts["a"], port, Endpoint("b", 7),
-                             on_done=lambda rtt: None)
-            tokens.append(probe.token)
-        assert tokens[0] == tokens[1]
+            host = net.add_host("a", 10.0)
+            sent = []
+            RttProbe(net, host, lambda tag: sent.append(tag) or True,
+                     on_done=lambda rtt: None).start()
+            worlds.append((sent, set(host.replies)))
+        assert worlds[0] == worlds[1]
+        (sent, waiting), _ = worlds
+        assert sent == [("ping", *waiting)]

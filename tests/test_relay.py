@@ -4,7 +4,7 @@ from punchsim.net import Network
 from punchsim.packets import Endpoint
 from punchsim.relay import (Reachability, RelayClient, RelayService,
                             autonat_check)
-from punchsim.transport import QuicPort, TcpPort, Transport
+from punchsim.transport import QuicPort, TcpPort, Transport, measure_rtt
 
 
 def build_world(seed=1, relay_kwargs=None, n_relays=1):
@@ -156,10 +156,11 @@ class TestCircuits:
             net, services, alice, bob = build_world()
             a_circ, _ = open_circuit(net, alice, bob, services)
             alice.circuit_ping(a_circ, samples=1, on_done=lambda rtt: None)
-            worlds.append((a_circ, set(alice._ping_waiters)))
+            worlds.append((a_circ, set(alice.host.replies)))
         (first, waiting), (second, waiting_again) = worlds
         assert first is not second
-        assert waiting == waiting_again == {("cpong", "relay-0", first.cid, 1)}
+        # One pong awaited, on a token from the simulation's own counter.
+        assert waiting == waiting_again and len(waiting) == 1
 
 
 class TestObserve:
@@ -183,6 +184,22 @@ class TestObserve:
         net.sim.run(until=net.sim.now + 6_000)
         assert out[0] is not None
         assert net.hosts["alice"].handlers[alice.port] is handler
+
+    def test_observe_and_rtt_probe_share_a_port(self):
+        # Replies are matched by token, so two exchanges in flight on one
+        # port both complete, and the port keeps the handler bound to it.
+        net, services, alice, bob = build_world()
+        host = net.hosts["alice"]
+        handler = host.handlers[alice.port]
+        observed, rtts = [], []
+        alice.observe_via(services[0].endpoint, alice.port, observed.append)
+        measure_rtt(net, host, alice.port, services[0].endpoint, samples=3,
+                    on_done=rtts.append)
+        net.sim.run(until=net.sim.now + 10_000)
+        assert observed[0].host == "alice#nat"
+        # alice<->relay is 15 ms each way.
+        assert rtts == [(30.0, 0.0)]
+        assert host.handlers[alice.port] is handler
 
     def test_observe_via_timeout_reports_none(self):
         net, services, alice, bob = build_world()
