@@ -32,6 +32,34 @@ class MalformedRecord(ValueError):
         self.reason = reason
 
 
+def _type_error(rec: dict) -> Optional[str]:
+    """Why a record's fields do not have the types the analyses read, or
+    None. `remote`, `relay_addrs` and the RTT fields may be absent."""
+    for key in ("client", "remote", "timestamp", "outcome"):
+        if not isinstance(rec.get(key, ""), str):
+            return f"{key} must be a string"
+    for key in ("private_addrs", "attempts", "relay_addrs"):
+        if not isinstance(rec.get(key, []), list):
+            return f"{key} must be a list"
+    for addr in rec["private_addrs"]:
+        if not isinstance(addr, str):
+            return "private_addrs entries must be strings"
+    if not isinstance(rec["as_id"], (int, str)):
+        return "as_id must be an integer or a string"
+    endpoints = rec["public_endpoints"]
+    if not isinstance(endpoints, list):
+        return "public_endpoints must be a list"
+    for entry in endpoints:
+        if not (isinstance(entry, str)
+                or (isinstance(entry, (list, tuple)) and len(entry) == 2
+                    and isinstance(entry[0], str) and isinstance(entry[1], str))):
+            return "public_endpoints entries must be strings or [str, str] pairs"
+    for key in RTT_FIELDS:
+        if not isinstance(rec.get(key), NUMBER_OR_NULL):
+            return f"{key} must be a number or null"
+    return None
+
+
 def validate_records(records: list[dict]) -> None:
     if not isinstance(records, list):
         raise MalformedRecord(0, "records must be a list")
@@ -41,6 +69,9 @@ def validate_records(records: list[dict]) -> None:
         for key in REQUIRED_FIELDS:
             if key not in rec:
                 raise MalformedRecord(i, f"missing field {key!r}")
+        reason = _type_error(rec)
+        if reason is not None:
+            raise MalformedRecord(i, reason)
         if rec["outcome"] not in OUTCOMES:
             raise MalformedRecord(i, f"unknown outcome {rec['outcome']!r}")
         try:
@@ -97,11 +128,12 @@ def identify_networks(records: list[dict]) -> list[dict]:
         by_client.setdefault(records[i]["client"], []).append(i)
 
     out = [dict(rec) for rec in records]
+    public_ips = [_public_ips(rec) for rec in records]
     for client, indices in by_client.items():
         uf = _UnionFind()
         context_ips: dict[tuple, list[str]] = {}
         for i in indices:
-            ips = _public_ips(records[i])
+            ips = public_ips[i]
             if not ips:
                 continue
             for ip in ips:
@@ -119,7 +151,7 @@ def identify_networks(records: list[dict]) -> list[dict]:
 
         labels: dict[str, int] = {}
         for i in indices:
-            ips = _public_ips(records[i])
+            ips = public_ips[i]
             if not ips:
                 out[i]["network"] = ZERO_PUBLIC
                 continue
@@ -258,6 +290,9 @@ def relay_path_location(records: list[dict], bin_width: float = 0.05) -> dict:
 
 RTT_CLASSES = {"to_relay": "rtt_to_relay", "via_relay": "rtt_relayed",
                "direct_after": "rtt_direct_after"}
+RTT_FIELDS = tuple(f"{prefix}_{stat}" for prefix in RTT_CLASSES.values()
+                   for stat in ("mean", "stddev"))
+NUMBER_OR_NULL = (int, float, type(None))
 
 
 def rtt_accuracy(records: list[dict]) -> dict:

@@ -18,7 +18,8 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import Optional
 
-from .analysis import apply_success_filters, relay_path_bins, validate_records
+from .analysis import (RTT_FIELDS, apply_success_filters, relay_path_bins,
+                       validate_records)
 from .dcutr import DcutrConfig, HolePunch, HolePunchResult, PeerRuntime
 from .kernel import RandomStream, Simulation, Topology, derive_seed
 from .nat import (Archetype, FilteringBehavior, MappingBehavior, NatConfig,
@@ -503,13 +504,13 @@ def export_results(records: list[dict], path: str, seed: int,
     doc = {"seed": seed, "config_hash": chash,
            "config": config_to_dict(config), "records": records}
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write(json.dumps(doc, sort_keys=True, indent=1))
         fh.write("\n")
 
 
 def export_report(report: CampaignReport, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(asdict(report), fh, sort_keys=True, indent=1)
+        fh.write(json.dumps(asdict(report), sort_keys=True, indent=1))
         fh.write("\n")
 
 
@@ -530,9 +531,7 @@ def load_results(path: str) -> tuple[list[dict], dict]:
                 for key in ("private_addrs", "public_endpoints", "attempts",
                             "relay_addrs"):
                     rec[key] = json.loads(rec[key])
-                for key in ("rtt_to_relay_mean", "rtt_to_relay_stddev",
-                            "rtt_relayed_mean", "rtt_relayed_stddev",
-                            "rtt_direct_after_mean", "rtt_direct_after_stddev"):
+                for key in RTT_FIELDS:
                     rec[key] = float(rec[key]) if rec[key] else None
                 records.append(rec)
         return records, {"seed": seed, "config_hash": chash}

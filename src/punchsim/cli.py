@@ -84,7 +84,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except analysis.MalformedRecord as exc:
         raise ConfigError(str(exc)) from exc
     with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write(json.dumps(report, indent=1, sort_keys=True))
         fh.write("\n")
     print(f"analyzed {report['n_records']} records "
           f"({report['n_networks']} networks); wrote {args.out}")

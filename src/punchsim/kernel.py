@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import math
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 # Floor applied to every latency draw so causality is never violated.
@@ -68,42 +66,58 @@ class RandomStream:
         self.rng.shuffle(seq)
 
 
-@dataclass
 class Topology:
     """Star topology: per-host access latency, summed per pair, with
     optional per-pair overrides.
 
-    access: host-id -> (mean ms, stddev ms) one-way access-network latency.
-    nat_leg: host-id -> one-way latency between the host and its own NAT
-        (a fraction of the access latency; 0 for public hosts). Only the
-        relative timing of NAT passage depends on it.
-    hop_distance: symmetric hop count between distinct hosts, used solely
-        for TTL semantics. A host's own NAT sits at hop 1; the remote NAT
-        effectively at hop ``hop_distance``.
-    loss_rate: independent Bernoulli drop probability per traversal.
+    Each host has a one-way access latency (mean ms, stddev ms) and a NAT
+    leg: the one-way latency between the host and its own NAT (a fraction
+    of the access latency; 0 for public hosts). Only the relative timing
+    of NAT passage depends on the leg. Both are fixed by `add_host`.
+    The hop distance is a symmetric hop count between distinct hosts,
+    used solely for TTL semantics: a host's own NAT sits at hop 1, the
+    remote NAT effectively at hop ``hop_distance``. ``loss_rate`` is an
+    independent Bernoulli drop probability per traversal.
+
+    `route(a, b)` is computed once per pair and cached. Pair and hop
+    overrides change only through `set_pair_params` and
+    `set_hop_distance`, and each change clears that cache.
     """
 
-    access: dict[str, tuple[float, float]] = field(default_factory=dict)
-    nat_leg: dict[str, float] = field(default_factory=dict)
-    pair_override: dict[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
-    hop_override: dict[tuple[str, str], int] = field(default_factory=dict)
-    default_hop_distance: int = 6
-    loss_rate: float = 0.0
-
-    def __post_init__(self):
-        for host, (mean, std) in self.access.items():
-            if mean < 0 or std < 0:
-                raise ValueError(f"negative latency parameters for {host!r}")
-        if not 0.0 <= self.loss_rate <= 1.0:
+    def __init__(self, default_hop_distance: int = 6, loss_rate: float = 0.0):
+        if not 0.0 <= loss_rate <= 1.0:
             raise ValueError("loss_rate must be within [0, 1]")
+        self.loss_rate = loss_rate
+        self._default_hops = default_hop_distance
+        self._access: dict[str, tuple[float, float]] = {}
+        self._nat_leg: dict[str, float] = {}
+        self._pair_override: dict[tuple[str, str], tuple[float, float]] = {}
+        self._hop_override: dict[tuple[str, str], int] = {}
+        self._routes: dict[tuple[str, str], tuple[float, float, int]] = {}
 
     def add_host(self, host: str, mean: float, stddev: float = 0.0,
                  nat_leg: float = 0.0) -> None:
+        if host in self._access:
+            raise ValueError(f"duplicate host {host!r}")
         if mean < 0 or stddev < 0 or nat_leg < 0:
             raise ValueError("latency parameters must be non-negative")
-        self.access[host] = (mean, stddev)
+        self._access[host] = (mean, stddev)
         if nat_leg:
-            self.nat_leg[host] = nat_leg
+            self._nat_leg[host] = nat_leg
+
+    def set_pair_params(self, a: str, b: str, mean: float, stddev: float) -> None:
+        """Override the one-way latency between a and b (either order)."""
+        if mean < 0 or stddev < 0:
+            raise ValueError("latency parameters must be non-negative")
+        self._pair_override[self._pair_key(a, b)] = (mean, stddev)
+        self._routes.clear()
+
+    def set_hop_distance(self, a: str, b: str, hops: int) -> None:
+        """Override the hop count between distinct hosts a and b."""
+        if a == b or hops < 1:
+            raise ValueError("hop overrides need two distinct hosts and hops >= 1")
+        self._hop_override[self._pair_key(a, b)] = hops
+        self._routes.clear()
 
     def _pair_key(self, a: str, b: str) -> tuple[str, str]:
         return (a, b) if a <= b else (b, a)
@@ -111,32 +125,46 @@ class Topology:
     def pair_params(self, a: str, b: str) -> tuple[float, float]:
         """(mean, stddev) of the one-way latency between a and b."""
         for host in (a, b):
-            if host not in self.access:
+            if host not in self._access:
                 raise KeyError(f"unknown host {host!r}")
-        override = self.pair_override.get(self._pair_key(a, b))
+        override = self._pair_override.get(self._pair_key(a, b))
         if override is not None:
             return override
-        ma, sa = self.access[a]
-        mb, sb = self.access[b]
+        ma, sa = self._access[a]
+        mb, sb = self._access[b]
         return ma + mb, sa + sb
 
     def hop_distance(self, a: str, b: str) -> int:
         if a == b:
             return 0
-        return self.hop_override.get(self._pair_key(a, b), self.default_hop_distance)
+        return self._hop_override.get(self._pair_key(a, b), self._default_hops)
 
     def leg(self, host: str) -> float:
-        return self.nat_leg.get(host, 0.0)
+        return self._nat_leg.get(host, 0.0)
+
+    def route(self, a: str, b: str) -> tuple[float, float, int]:
+        """(mean, stddev, hops) of the path a -> b, computed once per
+        pair until a parameter changes."""
+        route = self._routes.get((a, b))
+        if route is None:
+            mean, stddev = self.pair_params(a, b)
+            route = self._routes[(a, b)] = (mean, stddev, self.hop_distance(a, b))
+        return route
+
+
+def draw_latency(rng: RandomStream, mean: float, stddev: float) -> float:
+    """A one-way latency draw: max(MIN_LATENCY_MS, N(mean, stddev)).
+    The only definition; `sample_latency` and `Network.send` share it."""
+    latency = rng.normal(mean, stddev)
+    return latency if latency > MIN_LATENCY_MS else MIN_LATENCY_MS
 
 
 def sample_latency(topology: Topology, a: str, b: str, rng: RandomStream) -> float:
-    """One-way latency draw for a packet traversing a -> b.
-
-    Truncated normal: max(floor, N(mean, stddev)) with mean/stddev from the
-    pair override if present, else the sum of both hosts' access parameters.
-    """
+    """One-way latency draw for a packet traversing a -> b, with mean and
+    stddev from the pair override if present, else the sum of both
+    hosts' access parameters."""
     mean, stddev = topology.pair_params(a, b)
-    return max(MIN_LATENCY_MS, rng.normal(mean, stddev))
+    return draw_latency(rng, mean, stddev)
 
 
 class Simulation:
@@ -177,14 +205,17 @@ class Simulation:
     def run(self, until: Optional[float] = None) -> None:
         """Execute events in time order until the queue drains or the
         clock would pass ``until``."""
-        while self._queue:
-            at, _, fn = self._queue[0]
-            if until is not None and at > until:
-                break
-            heapq.heappop(self._queue)
-            self.now = at
+        queue = self._queue
+        pop = heapq.heappop
+        if until is None:
+            while queue:
+                self.now, _, fn = pop(queue)
+                fn()
+            return
+        while queue and queue[0][0] <= until:
+            self.now, _, fn = pop(queue)
             fn()
-        if until is not None and until > self.now:
+        if until > self.now:
             self.now = until
 
     def pending(self) -> int:

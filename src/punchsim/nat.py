@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Optional
 
 from .kernel import RandomStream
-from .packets import Endpoint, Packet, PacketKind
+from .packets import Endpoint, Packet, PacketKind, unchecked_endpoint
 
 EPHEMERAL_START = 1024
 PORT_SPACE = 65536
@@ -128,20 +128,13 @@ class NatState:
         self._by_key: dict[tuple, NatMapping] = {}
         self._by_port: dict[int, NatMapping] = {}
         self._sessions = 0  # non-static mappings in _by_port
+        self._statics = 0   # static mappings in _by_port
         self.denylist: dict[str, float] = {}
         lo, hi = config.port_range
         self.next_sequential_port = 40_000 if lo <= 40_000 <= hi else lo
         self._scan_counts: dict[str, tuple[float, int]] = {}
 
     # -- mapping bookkeeping -------------------------------------------------
-
-    def _mapping_key(self, internal: Endpoint, dst: Endpoint) -> tuple:
-        mode = self.config.mapping
-        if mode is MappingBehavior.EIM:
-            return (internal,)
-        if mode is MappingBehavior.ADM:
-            return (internal, dst.host)
-        return (internal, dst)
 
     def _expired(self, m: NatMapping, now: float) -> bool:
         return not m.static and now - m.last_activity > self.config.mapping_ttl
@@ -152,7 +145,9 @@ class NatState:
         port = m.external.port
         if self._by_port.get(port) is m:
             del self._by_port[port]
-            if not m.static:
+            if m.static:
+                self._statics -= 1
+            else:
                 self._sessions -= 1
 
     def _drop_expired(self, now: float) -> None:
@@ -199,6 +194,7 @@ class NatState:
                        key=("static", internal, external_port), static=True)
         self._by_port[external_port] = m
         self._by_key[m.key] = m
+        self._statics += 1
         return m
 
     # -- data path -----------------------------------------------------------
@@ -212,32 +208,44 @@ class NatState:
         a full table first drops its expired mappings (RFC 4787 §4.3).
         Also raised when every port in ``port_range`` is taken.
         """
-        key = self._mapping_key(pkt.src, pkt.dst)
+        src, dst = pkt.src, pkt.dst
+        config = self.config
+        mode = config.mapping
+        if mode is MappingBehavior.EIM:
+            key = (src,)
+        elif mode is MappingBehavior.ADM:
+            key = (src, dst.host)
+        else:
+            key = (src, dst)
         m = self._by_key.get(key)
-        if m is not None and self._expired(m, now):
+        # Dynamic keys never name a static mapping, so only the TTL counts.
+        if m is not None and now - m.last_activity > config.mapping_ttl:
             self._drop_mapping(m)
             m = None
         if m is None:
             # A static mapping for the same internal endpoint carries
             # outbound traffic too (the router keeps the forwarded port).
-            static = self._by_key.get(("static", pkt.src, pkt.src.port))
-            if static is not None:
-                m = static
-            else:
-                if self._sessions >= self.config.max_sessions:
+            if self._statics:
+                m = self._by_key.get(("static", src, src.port))
+            if m is None:
+                if self._sessions >= config.max_sessions:
                     self._drop_expired(now)
-                    if self._sessions >= self.config.max_sessions:
-                        raise SessionTableFull(str(pkt.src))
-                port = self._alloc_port(pkt.src, now)
-                m = NatMapping(internal=pkt.src,
-                               external=Endpoint(self.public_host, port),
+                    if self._sessions >= config.max_sessions:
+                        raise SessionTableFull(str(src))
+                port = self._alloc_port(src, now)
+                # NatConfig checked the range the port comes from.
+                m = NatMapping(internal=src,
+                               external=unchecked_endpoint((self.public_host, port)),
                                key=key, created=now, last_activity=now)
                 self._by_key[key] = m
                 self._by_port[port] = m
                 self._sessions += 1
-        m.contacted.setdefault(pkt.dst, now)
-        m.last_activity = max(m.last_activity, now)
-        return pkt.readdressed(m.external, pkt.dst)
+        contacted = m.contacted
+        if dst not in contacted:
+            contacted[dst] = now
+        if now > m.last_activity:
+            m.last_activity = now
+        return pkt.readdressed(m.external, dst)
 
     def _note_unsolicited(self, pkt: Packet, now: float) -> InboundAction:
         cfg = self.config
@@ -269,10 +277,12 @@ class NatState:
             del self.denylist[pkt.src.host]
 
         m = self._by_port.get(pkt.dst.port)
-        if m is not None and (self._expired(m, now) or m.created > now):
+        if m is not None:
             if self._expired(m, now):
                 self._drop_mapping(m)
-            m = None
+                m = None
+            elif m.created > now:
+                m = None
         if m is None:
             return self._note_unsolicited(pkt, now), None
 
@@ -287,7 +297,8 @@ class NatState:
                 if since is None or since > now:
                     return self._note_unsolicited(pkt, now), None
 
-        m.last_activity = max(m.last_activity, now)
+        if now > m.last_activity:
+            m.last_activity = now
         return InboundAction.DELIVER, pkt.readdressed(pkt.src, m.internal)
 
     def expire(self, now: float) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .kernel import Simulation, Topology, sample_latency
+from .kernel import Simulation, Topology, draw_latency
 from .nat import InboundAction, NatConfig, NatState, SessionTableFull
 from .packets import Endpoint, Packet, PacketKind
 
@@ -32,10 +32,12 @@ class Host:
     """A simulated host: bound ports with packet handlers, optionally
     behind a NAT device."""
 
-    def __init__(self, network: "Network", host_id: str, nat: Optional[NatState]):
+    def __init__(self, network: "Network", host_id: str, nat: Optional[NatState],
+                 leg: float = 0.0):
         self.net = network
         self.id = host_id
         self.nat = nat
+        self.leg = leg  # one-way latency to its own NAT
         self.handlers: dict[int, Callable[[Packet], None]] = {}
         self.replies: dict[int, Callable[[tuple], None]] = {}
         self._next_port = FIRST_DYNAMIC_PORT
@@ -100,7 +102,7 @@ class Network:
         self.sim = sim
         self.topology = topology
         self.hosts: dict[str, Host] = {}
-        self._owner: dict[str, str] = {}  # addressable host-id -> host-id
+        self._owner: dict[str, Host] = {}  # addressable host-id -> host
         self._latency_rng = sim.stream("latency")
         self._loss_rng = sim.stream("loss")
         self.dropped_session_full = 0
@@ -115,12 +117,13 @@ class Network:
         if nat_config is not None:
             nat = NatState(nat_config, public_host=f"{host_id}#nat",
                            rng=self.sim.stream(f"nat/{host_id}"))
-            self._owner[nat.public_host] = host_id
-        host = Host(self, host_id, nat)
+        leg = nat_leg if nat is not None else 0.0
+        self.topology.add_host(host_id, mean_latency, stddev_latency, nat_leg=leg)
+        host = Host(self, host_id, nat, self.topology.leg(host_id))
         self.hosts[host_id] = host
-        self._owner[host_id] = host_id
-        self.topology.add_host(host_id, mean_latency, stddev_latency,
-                               nat_leg=nat_leg if nat is not None else 0.0)
+        self._owner[host_id] = host
+        if nat is not None:
+            self._owner[nat.public_host] = host
         return host
 
     def public_endpoint_host(self, host_id: str) -> str:
@@ -132,37 +135,39 @@ class Network:
         """Inject a packet into the fabric. Drops (filtering, TTL, loss,
         table exhaustion) are outcomes, not errors."""
         sim = self.sim
-        topo = self.topology
         sender = self.hosts[from_host]
         t0 = sim.now
 
         if sender.nat is not None and not skip_sender_nat:
             try:
-                pkt = sender.nat.process_outbound(pkt, t0 + topo.leg(from_host))
+                pkt = sender.nat.process_outbound(pkt, t0 + sender.leg)
             except SessionTableFull:
                 self.dropped_session_full += 1
                 return
 
-        to_host = self._owner.get(pkt.dst.host)
-        if to_host is None:
+        dst_host = pkt.dst.host
+        receiver = self._owner.get(dst_host)
+        if receiver is None:
             return
-        if from_host != to_host and pkt.ttl < topo.hop_distance(from_host, to_host):
+        topo = self.topology
+        mean, stddev, hops = topo.route(from_host, receiver.id)
+        if pkt.ttl < hops:
             self.dropped_in_core += 1
             return
         if topo.loss_rate > 0.0 and self._loss_rng.random() < topo.loss_rate:
             return
 
-        latency = sample_latency(topo, from_host, to_host, self._latency_rng)
+        latency = draw_latency(self._latency_rng, mean, stddev)
         if skip_sender_nat and sender.nat is not None:
             # The packet originates at the NAT box itself, one access leg
             # closer to the destination than the host.
-            latency = max(0.0, latency - topo.leg(from_host))
-        receiver = self.hosts[to_host]
+            latency = max(0.0, latency - sender.leg)
         t_arrival = t0 + latency
-        if receiver.nat is not None and pkt.dst.host == receiver.nat.public_host:
-            t_nat = min(t_arrival, max(t0, t_arrival - topo.leg(to_host)))
+        rnat = receiver.nat
+        if rnat is not None and dst_host == rnat.public_host:
+            t_nat = max(t0, t_arrival - receiver.leg)
             sim.schedule(lambda: self._at_receiver_nat(receiver, pkt, t_arrival), t_nat)
-        elif pkt.dst.host == receiver.id and receiver.nat is None:
+        elif rnat is None:
             sim.schedule(lambda: receiver._dispatch(pkt), t_arrival)
         # A NAT'd host's internal address is not routable from outside.
 

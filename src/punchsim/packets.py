@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 
 class Endpoint(namedtuple("Endpoint", "host port")):
@@ -29,6 +30,11 @@ class Endpoint(namedtuple("Endpoint", "host port")):
 
     def __str__(self) -> str:
         return f"{self.host}:{self.port}"
+
+
+# unchecked_endpoint((host, port)) builds an Endpoint without validating
+# it, for a port taken from a range that was checked already.
+unchecked_endpoint = partial(tuple.__new__, Endpoint)
 
 
 class PacketKind(Enum):

@@ -104,6 +104,7 @@ class RelayService:
         self.net = net
         self.host = host
         self.port = host.bind(self._on_packet, port)
+        self.endpoint = Endpoint(host.id, self.port)
         self.capacity = capacity
         self.reservation_ms = reservation_ms
         self.data_budget_bytes = data_budget_bytes
@@ -113,10 +114,6 @@ class RelayService:
         # per-direction byte counters.
         self._circuits: dict[int, dict] = {}
         self._next_cid = 1
-
-    @property
-    def endpoint(self) -> Endpoint:
-        return Endpoint(self.host.id, self.port)
 
     def _send(self, dst: Endpoint, tag: tuple, size: int = CONTROL_BYTES) -> None:
         self.host.send(Packet(src=self.endpoint, dst=dst,
@@ -201,14 +198,11 @@ class RelayClient:
         self.host = host
         self.peer_id = peer_id or host.id
         self.port = host.bind(self._on_packet)
+        self.endpoint = Endpoint(host.id, self.port)
         self.reservations: dict[str, float] = {}  # relay-id -> expires
         # Circuit ids are assigned relay-locally, so key by (relay, cid).
         self.circuits: dict[tuple[str, int], Circuit] = {}
         self.on_incoming_circuit: Optional[Callable[[Circuit], None]] = None
-
-    @property
-    def endpoint(self) -> Endpoint:
-        return Endpoint(self.host.id, self.port)
 
     def _send_control(self, dst: Endpoint, tag: tuple, size: int = CONTROL_BYTES) -> None:
         self.host.send(Packet(src=self.endpoint, dst=dst,

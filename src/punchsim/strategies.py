@@ -11,7 +11,7 @@ from typing import Optional
 
 from .kernel import RandomStream, Topology
 from .nat import InboundAction, NatState, SessionTableFull
-from .packets import Endpoint, Packet, PacketKind
+from .packets import Endpoint, Packet, PacketKind, unchecked_endpoint
 
 DEFAULT_PORT_SPACE = 65_536
 PROBE_WINDOW_MS = 500.0
@@ -140,26 +140,36 @@ def birthday_punch(plan: BirthdayPlan, edm_nat: NatState, edm_host: str,
     if hi - lo + 1 != plan.port_space:
         raise ValueError("plan port_space does not match the NAT's range")
     both_edm = plan.scenario is BirthdayScenario.EDM_VS_EDM
+    # Validate the highest source ports and one template packet up front,
+    # so a plan too large for them fails before any NAT is touched; every
+    # other endpoint below has a port from a checked range and skips
+    # validation.
+    Endpoint(edm_host, 20_000 + plan.m_open - 1)
+    if prober_nat is not None:
+        Endpoint(prober_host, 30_000 + plan.k_probe - 1)
+    template = Packet(src=peer_external,
+                      dst=Endpoint(edm_nat.public_host, lo),
+                      kind=PacketKind.UDP_DATAGRAM)
+    readdressed = template.readdressed
 
     for i in range(plan.m_open):
         if both_edm:
-            target = Endpoint(peer_external.host, rng.randint(lo, hi))
+            target = unchecked_endpoint((peer_external.host, rng.randint(lo, hi)))
         else:
             target = peer_external
-        pkt = Packet(src=Endpoint(edm_host, 20_000 + i), dst=target,
-                     kind=PacketKind.UDP_DATAGRAM)
-        edm_nat.process_outbound(pkt, now)  # SessionTableFull propagates
+        # SessionTableFull propagates
+        edm_nat.process_outbound(
+            readdressed(unchecked_endpoint((edm_host, 20_000 + i)), target), now)
 
     probe_ports = rng.sample(range(lo, hi + 1), plan.k_probe)
+    public_host = edm_nat.public_host
     for j, dst_port in enumerate(probe_ports):
-        dst = Endpoint(edm_nat.public_host, dst_port)
+        dst = unchecked_endpoint((public_host, dst_port))
         if prober_nat is not None:
-            inner = Packet(src=Endpoint(prober_host, 30_000 + j), dst=dst,
-                           kind=PacketKind.UDP_DATAGRAM)
+            inner = readdressed(unchecked_endpoint((prober_host, 30_000 + j)), dst)
             probe = prober_nat.process_outbound(inner, now)
         else:
-            probe = Packet(src=peer_external, dst=dst,
-                           kind=PacketKind.UDP_DATAGRAM)
+            probe = readdressed(peer_external, dst)
         action, _ = edm_nat.process_inbound(probe, now)
         if action is InboundAction.DELIVER:
             return True

@@ -287,6 +287,37 @@ class TestCliExits:
     def test_top_level_array_exits_2(self, tmp_path, capsys):
         assert self.analyze_exit(tmp_path, capsys, "[1, 2]") == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("field, value", [
+        ("public_endpoints", 5),
+        ("public_endpoints", [5]),
+        ("rtt_relayed_mean", "x"),
+        ("client", [1]),
+        ("private_addrs", None),
+    ])
+    def test_wrongly_typed_field_exits_2(self, tmp_path, capsys, field, value):
+        rec = make_record()
+        rec[field] = value
+        doc = json.dumps({"seed": 1, "config_hash": "", "records": [rec]})
+        assert self.analyze_exit(tmp_path, capsys, doc) == cli.EXIT_CONFIG
+
+    def test_validation_names_the_wrongly_typed_field(self):
+        for field, value, reason in [
+                ("remote", 7, "remote must be a string"),
+                ("outcome", ["SUCCESS"], "outcome must be a string"),
+                ("attempts", {}, "attempts must be a list"),
+                ("relay_addrs", "relay-00:1", "relay_addrs must be a list"),
+                ("public_endpoints", [["a:1", "QUIC", "x"]], "public_endpoints"),
+                ("rtt_to_relay_stddev", [0.0], "rtt_to_relay_stddev must be a number")]:
+            rec = make_record()
+            rec[field] = value
+            with pytest.raises(MalformedRecord, match=f"record 1: {reason}"):
+                aggregate([make_record(), rec])
+        # Plain endpoint strings and missing optional fields stay valid.
+        rec = make_record()
+        rec["public_endpoints"] = ["client-00000#nat:4001"]
+        del rec["remote"], rec["relay_addrs"], rec["rtt_relayed_mean"]
+        aggregate([rec])
+
     def test_validation_rejects_non_list_and_non_object_records(self):
         with pytest.raises(MalformedRecord, match="record 1: not an object"):
             aggregate([make_record(), "x"])

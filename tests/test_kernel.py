@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from punchsim.kernel import (RandomStream, ScheduleInPastError, Simulation,
                              Topology, sample_latency)
@@ -67,7 +69,7 @@ def test_latency_degenerate_sum():
 
 def test_pair_override_precedence():
     topo = _topo()
-    topo.pair_override[("a", "b")] = (50.0, 0.0)
+    topo.set_pair_params("a", "b", 50.0, 0.0)
     rng = RandomStream(1, "lat")
     assert sample_latency(topo, "a", "b", rng) == 50.0
 
@@ -89,3 +91,56 @@ def test_latency_distribution_moments():
     std = math.sqrt(sum((d - mean) ** 2 for d in draws) / (len(draws) - 1))
     assert abs(mean - 100.0) < 2.0
     assert abs(std - 50.0) < 3.0
+
+
+# -- kernel invariants under random schedules ---------------------------------
+
+_delays = st.integers(0, 5).map(float)
+# An event's children: (delay after it runs, their own children).
+_children = st.recursive(
+    st.just(()),
+    lambda kids: st.lists(st.tuples(_delays, kids), max_size=3).map(tuple),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(roots=st.lists(st.tuples(st.integers(0, 20).map(float), _children),
+                      max_size=12),
+       until=st.integers(0, 30).map(float))
+def test_events_run_in_time_then_fifo_order(roots, until):
+    sim = Simulation(seed=1)
+    scheduled = []  # time of each event, in the order it was scheduled
+    ran = []        # (clock, scheduling order) of each event that ran
+
+    def add(at, children):
+        order = len(scheduled)
+        scheduled.append(at)
+
+        def fire():
+            ran.append((sim.now, order))
+            with pytest.raises(ScheduleInPastError):
+                sim.schedule(lambda: None, sim.now - 1.0)
+            for delay, kids in children:
+                add(sim.now + delay, kids)
+
+        sim.schedule(fire, at)
+
+    for at, children in roots:
+        add(at, children)
+
+    sim.run(until)
+    assert sim.now == until
+    assert all(t <= until for t, _ in ran)
+    waiting = [scheduled[o] for o in set(range(len(scheduled))) - {o for _, o in ran}]
+    assert all(t > until for t in waiting)
+    assert sim.pending() == len(waiting)
+    with pytest.raises(ScheduleInPastError):
+        sim.schedule(lambda: None, until - 0.5)
+
+    sim.run()
+    assert sim.pending() == 0
+    assert len(ran) == len(scheduled)
+    # Each event ran at its own time, the clock never went back, and
+    # events at equal times ran in the order they were scheduled.
+    assert all(t == scheduled[o] for t, o in ran)
+    assert ran == sorted(ran)

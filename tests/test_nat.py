@@ -231,10 +231,24 @@ def test_static_mapping_admits_unsolicited():
     assert pkt.dst == INT
 
 
+def test_static_mapping_carries_outbound_until_replaced():
+    nat = make_nat(mapping=MappingBehavior.APDM)
+    nat.install_static_mapping(INT, INT.port)
+    assert nat.process_outbound(udp(INT, DST1), 0.0).src == Endpoint("pub", INT.port)
+    assert nat.session_count() == 0
+    # Another internal endpoint takes the forwarded port over; INT's
+    # traffic then needs a dynamic mapping of its own.
+    nat.install_static_mapping(Endpoint("lan2", 7000), INT.port)
+    out = nat.process_outbound(udp(INT, DST1), 1.0)
+    assert out.src != Endpoint("pub", INT.port)
+    assert nat.session_count() == 1
+    assert nat._statics == 1
+
+
 INTERNALS = [Endpoint("lan", 5000), Endpoint("lan", 5001), Endpoint("lan2", 5000)]
 DESTS = [Endpoint("x", 443), Endpoint("x", 8443), Endpoint("y", 443)]
 PORT_LO, PORT_HI = 40_000, 40_015
-STATIC_PORTS = [40_000, 40_001, 40_002, 6000]
+STATIC_PORTS = [40_000, 40_001, 40_002, 6000, 5000]
 
 _steps = st.lists(st.one_of(
     st.tuples(st.just("out"), st.sampled_from(INTERNALS), st.sampled_from(DESTS)),
@@ -249,6 +263,7 @@ _steps = st.lists(st.one_of(
 def _check_tables(nat):
     dynamic = sum(1 for m in nat._by_port.values() if not m.static)
     assert nat.session_count() == dynamic
+    assert nat._statics == len(nat._by_port) - dynamic
     for port, m in nat._by_port.items():
         assert m.external.port == port
         assert nat._by_key.get(m.key) is m
@@ -265,7 +280,8 @@ def _check_tables(nat):
 def test_table_invariants_hold_under_random_traffic(mapping, port_alloc,
                                                     max_sessions, steps):
     # A 16-port range keeps inbound probes landing on live mappings; the
-    # 4 static ports and at most 4 sessions never fill it.
+    # 3 static ports inside it and at most 4 sessions never fill it. Static
+    # port 5000 equals an internal port, so outbound traffic can use it.
     nat = make_nat(mapping=mapping, port_alloc=port_alloc, mapping_ttl=1000,
                    max_sessions=max_sessions, port_range=(PORT_LO, PORT_HI))
     now = 0.0

@@ -1,4 +1,7 @@
-from punchsim.kernel import Simulation, Topology
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from punchsim.kernel import MIN_LATENCY_MS, RandomStream, Simulation, Topology
 from punchsim.nat import FilteringBehavior, MappingBehavior, NatConfig
 from punchsim.net import Network
 from punchsim.packets import Endpoint, Packet, PacketKind
@@ -57,7 +60,7 @@ class TestDelivery:
 
     def test_high_ttl_passes_default_hops(self):
         net = build_net()
-        net.topology.hop_override[("a", "b")] = 4
+        net.topology.set_hop_distance("a", "b", 4)
         a = net.add_host("a", 10.0)
         b = net.add_host("b", 20.0)
         sink = Sink()
@@ -88,6 +91,104 @@ class TestDelivery:
             a.send(udp(Endpoint("a", 1), Endpoint("b", 80)))
         net.sim.run()
         assert abs(len(sink.received) / 2_000 - 0.7) < 0.03
+
+
+def test_override_changed_after_packets_flowed_takes_effect():
+    net = build_net()
+    a = net.add_host("a", 10.0)
+    b = net.add_host("b", 20.0)
+    arrivals = []
+    b.bind(lambda pkt: arrivals.append(net.sim.now), 80)
+
+    def send_and_run(ttl=64):
+        """The packet's latency, or None when it was dropped."""
+        t0, before = net.sim.now, len(arrivals)
+        a.send(udp(Endpoint("a", 1), Endpoint("b", 80), ttl=ttl))
+        net.sim.run()
+        return arrivals[-1] - t0 if len(arrivals) > before else None
+
+    assert send_and_run() == 30.0
+    net.topology.set_pair_params("b", "a", 50.0, 0.0)
+    assert send_and_run() == 50.0
+    assert send_and_run(ttl=5) is None and net.dropped_in_core == 1
+    net.topology.set_hop_distance("a", "b", 5)
+    assert send_and_run(ttl=5) == 50.0
+
+
+_hosts = st.lists(st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 10.0),
+                            st.one_of(st.none(), st.floats(0.0, 5.0))),
+                  min_size=2, max_size=5)
+# (at send index, a, b, ("pair", mean, stddev) or ("hops", n))
+_overrides = st.lists(st.tuples(
+    st.integers(0, 15), st.integers(0, 4), st.integers(0, 4),
+    st.one_of(st.tuples(st.just("pair"), st.floats(0.0, 60.0), st.floats(0.0, 10.0)),
+              st.tuples(st.just("hops"), st.integers(1, 9)))), max_size=6)
+_sends = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 9)),
+                  min_size=1, max_size=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hosts=_hosts, overrides=_overrides, sends=_sends,
+       loss=st.sampled_from([0.0, 0.2, 0.5]), seed=st.integers(0, 1000))
+def test_routes_match_the_topology(hosts, overrides, sends, loss, seed):
+    """Arrival times, NAT passage times, core drops and loss drops equal
+    a reference computed from `pair_params`, `hop_distance` and `leg`
+    with the same streams, while overrides change between packets."""
+    net = build_net(seed=seed, loss=loss)
+    topo = net.topology
+    names = [f"h{i}" for i in range(len(hosts))]
+    nat_times = []  # (kind, host, time the packet passed the NAT)
+    arrivals = []   # (send index, receiver, arrival time)
+    for name, (mean, stddev, leg) in zip(names, hosts):
+        host = net.add_host(name, mean, stddev, nat_leg=leg or 0.0,
+                            nat_config=None if leg is None else NatConfig())
+        host.bind(lambda pkt, name=name: arrivals.append((pkt.tag, name, net.sim.now)), 80)
+        if host.nat is not None:
+            # Inbound port 80 reaches the host, whoever sends.
+            host.nat.install_static_mapping(Endpoint(name, 80), 80)
+            for kind in ("process_outbound", "process_inbound"):
+                def passing(pkt, now, name=name, kind=kind,
+                            real=getattr(host.nat, kind)):
+                    nat_times.append((kind, name, now))
+                    return real(pkt, now)
+                setattr(host.nat, kind, passing)
+
+    latency_rng = RandomStream(seed, "latency")
+    loss_rng = RandomStream(seed, "loss")
+    expected_arrivals, expected_nat, core_drops = [], [], 0
+
+    def send(k, i, j, ttl):
+        nonlocal core_drops
+        for at, x, y, change in overrides:
+            x, y = names[x % len(names)], names[y % len(names)]
+            if at == k and x != y:
+                if change[0] == "pair":
+                    topo.set_pair_params(x, y, change[1], change[2])
+                else:
+                    topo.set_hop_distance(x, y, change[1])
+        a, b = names[i % len(names)], names[j % len(names)]
+        t0 = net.sim.now
+        if net.hosts[a].nat is not None:
+            expected_nat.append(("process_outbound", a, t0 + topo.leg(a)))
+        if ttl < topo.hop_distance(a, b):
+            core_drops += 1
+        elif not (loss > 0.0 and loss_rng.random() < loss):
+            mean, stddev = topo.pair_params(a, b)
+            t_arrival = t0 + max(MIN_LATENCY_MS, latency_rng.normal(mean, stddev))
+            if net.hosts[b].nat is not None:
+                expected_nat.append(("process_inbound", b,
+                                     max(t0, t_arrival - topo.leg(b))))
+            expected_arrivals.append((k, b, t_arrival))
+        dst = Endpoint(net.public_endpoint_host(b), 80)
+        net.hosts[a].send(udp(Endpoint(a, 1000 + k), dst, ttl=ttl, tag=k))
+
+    for k, (i, j, ttl) in enumerate(sends):
+        net.sim.schedule(lambda k=k, i=i, j=j, ttl=ttl: send(k, i, j, ttl), 10.0 * k)
+    net.sim.run()
+
+    assert sorted(arrivals) == sorted(expected_arrivals)
+    assert sorted(nat_times) == sorted(expected_nat)
+    assert net.dropped_in_core == core_drops
 
 
 class TestTcp:

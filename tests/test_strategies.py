@@ -114,6 +114,28 @@ class TestBirthdayMonteCarlo:
             birthday_punch(plan, nat, "edm-host", Endpoint("peer", 1),
                            RandomStream(1, "mc"))
 
+    def test_opening_ports_past_the_port_space_fail_before_the_nat(self):
+        # Openings leave from ports 20 000 + i, so m_open = 50 000 would
+        # need ports up to 69 999.
+        plan = BirthdayPlan(m_open=50_000, k_probe=1)
+        nat = edm_nat(65_536, seed=1)
+        with pytest.raises(ValueError, match="port out of range: 69999"):
+            birthday_punch(plan, nat, "edm-host", Endpoint("peer", 1),
+                           RandomStream(1, "mc"))
+        assert nat.session_count() == 0
+        assert not nat._by_port
+
+    def test_probe_ports_past_the_port_space_fail_before_any_nat(self):
+        plan = BirthdayPlan(m_open=1, k_probe=40_000,
+                            scenario=BirthdayScenario.EDM_VS_EDM)
+        nat = edm_nat(65_536, seed=1)
+        prober = edm_nat(65_536, seed=1, label="p")
+        with pytest.raises(ValueError, match="port out of range: 69999"):
+            birthday_punch(plan, nat, "edm-host", Endpoint(prober.public_host, 0),
+                           RandomStream(1, "mc"), prober_nat=prober)
+        assert nat.session_count() == 0
+        assert prober.session_count() == 0
+
 
 class TestGainArithmetic:
     def test_pair_shares(self):
