@@ -280,17 +280,20 @@ def run_trial(population: Population, config: CampaignConfig, seed: int,
 
 def _punch(net: Network, client: PeerRuntime, remote: PeerRuntime,
            relay_addrs: list, config: CampaignConfig,
-           tf: Optional[Transport]) -> Optional[HolePunchResult]:
+           tf: Optional[Transport]) -> HolePunchResult:
     """Start one hole punch and step the clock in 1 s slices until it
-    reports (None after 1 000 slices without a report)."""
+    reports; after 1 000 slices it is cancelled."""
     results = []
-    HolePunch(net, client, remote, relay_addrs, config.dcutr,
-              transport_filter=tf, on_done=results.append).start()
+    punch = HolePunch(net, client, remote, relay_addrs, config.dcutr,
+                      transport_filter=tf, on_done=results.append)
+    punch.start()
     for _ in range(1_000):
         if results:
             break
         net.sim.run(until=net.sim.now + 1_000)
-    return results[0] if results else None
+    if not results:
+        punch.cancel()
+    return results[0]
 
 
 def _rtt_fields(prefix: str, rtt: Optional[tuple]) -> dict:
@@ -299,7 +302,7 @@ def _rtt_fields(prefix: str, rtt: Optional[tuple]) -> dict:
     return {f"{prefix}_mean": round(rtt[0], 6), f"{prefix}_stddev": round(rtt[1], 6)}
 
 
-def _record(result, client_spec: PeerSpec, remote_spec: PeerSpec,
+def _record(result: HolePunchResult, client_spec: PeerSpec, remote_spec: PeerSpec,
             tf: Optional[Transport], trial: int, config: CampaignConfig) -> dict:
     ts = CAMPAIGN_EPOCH + timedelta(seconds=trial * config.trial_spacing_s)
     rec = {
@@ -312,13 +315,6 @@ def _record(result, client_spec: PeerSpec, remote_spec: PeerSpec,
         "port_mapping_active": client_spec.port_mapping_active,
         "protocol_filter": tf.value if tf is not None else None,
     }
-    if result is None:
-        rec.update({"public_endpoints": [], "outcome": "UNKNOWN", "attempts": [],
-                    "relay_addrs": []})
-        rec.update(_rtt_fields("rtt_to_relay", None))
-        rec.update(_rtt_fields("rtt_relayed", None))
-        rec.update(_rtt_fields("rtt_direct_after", None))
-        return rec
     rec.update({
         "public_endpoints": [[ep, tr] for ep, tr in result.listen_endpoints],
         "outcome": result.outcome.value,

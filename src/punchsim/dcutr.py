@@ -11,13 +11,13 @@ initiator side, then simultaneous dials. Up to three attempts per result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import Enum, IntEnum
 from functools import partial
 from typing import Callable, Optional
 
 from .net import Host, Network
 from .packets import Endpoint
-from .relay import Circuit, PeerAddressInfo, RelayClient
+from .relay import Circuit, RelayClient
 from .strategies import assign_roles, check_priming_ttl, refined_wait_time
 from .transport import QuicPort, TcpPort, Transport, measure_rtt
 
@@ -28,7 +28,6 @@ SYNC_BYTES = 16
 
 
 class OutcomeResult(Enum):
-    UNKNOWN = "UNKNOWN"
     NO_CONNECTION = "NO_CONNECTION"
     NO_STREAM = "NO_STREAM"
     CONNECTION_REVERSED = "CONNECTION_REVERSED"
@@ -38,8 +37,6 @@ class OutcomeResult(Enum):
 
 
 class OutcomeAttempt(Enum):
-    UNKNOWN = "UNKNOWN"
-    DIRECT_DIAL = "DIRECT_DIAL"
     PROTOCOL_ERROR = "PROTOCOL_ERROR"
     CANCELLED = "CANCELLED"
     TIMEOUT = "TIMEOUT"
@@ -53,8 +50,6 @@ class HolePunchAttempt:
     outcome: OutcomeAttempt
     rtt_relayed: Optional[tuple[float, float]] = None
     transport_used: Optional[Transport] = None
-    started: float = 0.0
-    ended: float = 0.0
 
 
 @dataclass
@@ -63,7 +58,7 @@ class HolePunchResult:
     remote: str
     relay_addrs: list[str] = field(default_factory=list)
     attempts: list[HolePunchAttempt] = field(default_factory=list)
-    outcome: OutcomeResult = OutcomeResult.UNKNOWN
+    outcome: Optional[OutcomeResult] = None  # set when the punch ends
     protocol_filter: Optional[Transport] = None
     port_mapping_active: bool = False
     listen_endpoints: list[tuple[str, str]] = field(default_factory=list)
@@ -112,7 +107,9 @@ class PeerRuntime:
         self.relay = RelayClient(net, host)
         self.tcp = TcpPort(net, host) if Transport.TCP in transports else None
         self.quic = QuicPort(net, host) if Transport.QUIC in transports else None
-        self.info = PeerAddressInfo(port_mapping_active=port_mapping)
+        self.port_mapping_active = port_mapping
+        # Public endpoints of its own ports, as a relay observed them.
+        self.observed: dict[Transport, Endpoint] = {}
         self.mapped_endpoints: dict[Transport, Endpoint] = {}
         if port_mapping and host.nat is not None:
             for transport, port_obj in ((Transport.TCP, self.tcp),
@@ -127,27 +124,42 @@ class PeerRuntime:
     def port_for(self, transport: Transport):
         return self.tcp if transport is Transport.TCP else self.quic
 
-    def advertised(self, filter: Optional[Transport] = None) -> list[tuple[Endpoint, Transport]]:
-        """Candidate public addresses: mapped endpoints take precedence
-        over relay-observed ones for the same transport."""
-        out: list[tuple[Endpoint, Transport]] = []
+    def advertised(self, filter: Optional[Transport] = None) -> dict[Transport, Endpoint]:
+        """Candidate public addresses, QUIC first: mapped endpoints take
+        precedence over relay-observed ones for the same transport."""
+        out: dict[Transport, Endpoint] = {}
         for transport in (Transport.QUIC, Transport.TCP):
             if filter is not None and transport is not filter:
                 continue
-            if transport not in self.transports:
-                continue
-            ep = self.mapped_endpoints.get(transport) or self.info.endpoint_for(transport)
+            ep = self.mapped_endpoints.get(transport) or self.observed.get(transport)
             if ep is not None:
-                out.append((ep, transport))
+                out[transport] = ep
         return out
 
     def appears_public(self) -> bool:
-        return self.host.nat is None or self.info.port_mapping_active
+        return self.host.nat is None or self.port_mapping_active
+
+
+class Phase(IntEnum):
+    """Where a punch stands. Phases only move forward; each attempt
+    re-enters ATTEMPT."""
+    CIRCUIT = 1    # the listener dials the relayed connection
+    IDENTIFY = 2   # both sides learn their public addresses
+    REVERSAL = 3   # the initiator dials a publicly dialable listener
+    STREAM = 4     # the initiator opened the punch stream, awaits its ack
+    MEASURE = 5    # RTTs to and through the relay
+    ATTEMPT = 6    # one CONNECT/SYNC exchange and its simultaneous dials
+    DIRECT = 7     # punched; the direct-path RTT measurement
+    DONE = 8
 
 
 class HolePunch:
     """One hole-punch probe between a client (listener side) and a remote
-    (initiator side), driven entirely by simulator events."""
+    (initiator side), driven entirely by simulator events.
+
+    Each timer is cancelled when the punch leaves the phases it covers,
+    so a timer that fires is always current. A relay message may arrive
+    late, so `connect-reply` and `sync` name their attempt."""
 
     def __init__(self, net: Network, client: PeerRuntime, remote: PeerRuntime,
                  relay_addrs: list[Endpoint], cfg: Optional[DcutrConfig] = None,
@@ -165,21 +177,47 @@ class HolePunch:
             client=client.peer_id, remote=remote.peer_id,
             relay_addrs=[str(ep) for ep in relay_addrs],
             protocol_filter=transport_filter,
-            port_mapping_active=client.info.port_mapping_active,
+            port_mapping_active=client.port_mapping_active,
             started=self.sim.now)
-        self.done = False
+        self.phase = Phase.CIRCUIT
+        # timer name -> (last phase it covers, kernel handle)
+        self._timers: dict[str, tuple[Phase, list]] = {}
         self.c_circ: Optional[Circuit] = None
         self.r_circ: Optional[Circuit] = None
-        self.stream_open = False
-        self.reversed_established = False
         self._identified = 0
-        self._attempt_gen = 0
+        self._attempt = 0
         self._attempt_started = 0.0
         self._attempt_rtt: Optional[float] = None
-        self._remote_addrs: list[tuple[Endpoint, Transport]] = []
-        self._client_addrs: list[tuple[Endpoint, Transport]] = []
+        # What each side learned of the other's addresses.
+        self._remote_addrs: dict[Transport, Endpoint] = {}
+        self._client_addrs: dict[Transport, Endpoint] = {}
+        # The listener's direct connection, once its port reports one.
         self._client_direct: Optional[tuple[Endpoint, Endpoint, Transport]] = None
-        self._awaiting_client_direct = False
+
+    @property
+    def done(self) -> bool:
+        return self.phase is Phase.DONE
+
+    # -- phases and their timers ---------------------------------------------
+
+    def _arm(self, name: str, fn: Callable[[], None], delay: float,
+             last: Optional[Phase] = None) -> None:
+        """(Re)arm timer `name` to cover the phases from now to `last`."""
+        self._disarm(name)
+        self._timers[name] = (last or self.phase, self.sim.schedule_in(fn, delay))
+
+    def _disarm(self, name: str) -> None:
+        timer = self._timers.pop(name, None)
+        if timer is not None:
+            self.sim.cancel(timer[1])
+
+    def _enter(self, phase: Phase) -> None:
+        """Move to `phase`. A timer survives only a forward move that stays
+        within its last phase, so a new attempt cancels the old one's."""
+        for name, (last, _) in list(self._timers.items()):
+            if not self.phase < phase <= last:
+                self._disarm(name)
+        self.phase = phase
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -189,13 +227,11 @@ class HolePunch:
                                       on_done=self._on_client_circuit)
 
     def _finish(self, outcome: OutcomeResult) -> None:
-        if self.done:
-            return
-        self.done = True
+        self._enter(Phase.DONE)
         self.result.outcome = outcome
         self.result.ended = self.sim.now
         self.result.listen_endpoints = [
-            (str(ep), tr.value) for ep, tr in self.client.advertised()]
+            (str(ep), tr.value) for tr, ep in self.client.advertised().items()]
         if self.c_circ is not None:
             self.c_circ.on_closed = None
             self.c_circ.close()
@@ -210,26 +246,36 @@ class HolePunch:
             self.on_done(self.result)
 
     def cancel(self) -> None:
-        """Explicit abort (campaign shutdown); never occurs spontaneously."""
+        """Explicit abort, e.g. at the campaign's time bound."""
         if not self.done:
-            if self._attempt_gen >= 1:
-                self.result.attempts.append(HolePunchAttempt(
-                    index=self._attempt_gen, outcome=OutcomeAttempt.CANCELLED,
-                    started=self._attempt_started, ended=self.sim.now))
-            self._finish(OutcomeResult.CANCELLED)
+            self._abort(OutcomeAttempt.CANCELLED, OutcomeResult.CANCELLED,
+                        OutcomeResult.CANCELLED)
+
+    def _abort(self, attempt_outcome: OutcomeAttempt, in_attempt: OutcomeResult,
+               otherwise: OutcomeResult) -> None:
+        """End the punch now. An attempt in flight is recorded as
+        `attempt_outcome`, without its relayed RTT, and the punch ends
+        `in_attempt`; outside ATTEMPT it ends `otherwise`."""
+        if self.phase is not Phase.ATTEMPT:
+            self._finish(otherwise)
+            return
+        self.result.attempts.append(HolePunchAttempt(self._attempt, attempt_outcome))
+        self._finish(in_attempt)
 
     # -- circuit establishment -------------------------------------------------
 
     def _on_client_circuit(self, circuit: Optional[Circuit]) -> None:
-        if self.done:
+        if self.phase is not Phase.CIRCUIT:
             return
         if circuit is None:
             self._finish(OutcomeResult.NO_CONNECTION)
             return
+        self._enter(Phase.IDENTIFY)
         self.c_circ = circuit
         circuit.on_message = self._client_message
         circuit.on_closed = self._on_circuit_closed
-        self.sim.schedule_in(self._stream_deadline, self.cfg.stream_timeout_ms)
+        self._arm("stream", self._stream_deadline, self.cfg.stream_timeout_ms,
+                  last=Phase.STREAM)
         self._observe_and_identify(self.client, circuit)
 
     def _on_remote_circuit(self, circuit: Circuit) -> None:
@@ -237,8 +283,6 @@ class HolePunch:
         remote can see one incoming circuit per relay. Adopt whichever one
         the client's first message actually arrives on; the client closes
         the losers itself."""
-        if self.done:
-            return
         circuit.on_message = lambda tag, size: self._remote_adopt(circuit, tag, size)
 
     def _remote_adopt(self, circuit: Circuit, tag: tuple, size: int) -> None:
@@ -253,20 +297,13 @@ class HolePunch:
             self._remote_message(tag, size)
 
     def _on_circuit_closed(self, reason: str) -> None:
-        if self.done:
-            return
-        if self._attempt_gen >= 1:
-            self.result.attempts.append(HolePunchAttempt(
-                index=self._attempt_gen, outcome=OutcomeAttempt.PROTOCOL_ERROR,
-                started=self._attempt_started, ended=self.sim.now))
-            self._finish(OutcomeResult.FAILED)
-        else:
-            self._finish(OutcomeResult.NO_STREAM)
+        self._abort(OutcomeAttempt.PROTOCOL_ERROR, OutcomeResult.FAILED,
+                    OutcomeResult.NO_STREAM)
 
     def _stream_deadline(self) -> None:
-        if self.done or self.stream_open:
-            return
-        if self.reversed_established:
+        """No stream-ack reached the initiator in time. A reversal dial
+        that landed at the listener still counts as reversed."""
+        if self._client_direct is not None:
             self._finish(OutcomeResult.CONNECTION_REVERSED)
         else:
             self._finish(OutcomeResult.NO_STREAM)
@@ -279,7 +316,7 @@ class HolePunch:
         pending = {"n": len(ports)}
 
         def send_identify() -> None:
-            addrs = tuple(runtime.advertised())
+            addrs = runtime.advertised()
             circuit.send(("id", addrs),
                          CONNECT_BYTES_BASE + CONNECT_BYTES_PER_ADDR * len(addrs))
 
@@ -289,9 +326,7 @@ class HolePunch:
                 if runtime.host.nat is None:
                     observed = Endpoint(runtime.host.id, port)  # its own address
                 if observed is not None:
-                    runtime.info.observed_public = [
-                        (ep, tr) for ep, tr in runtime.info.observed_public
-                        if tr is not transport] + [(observed, transport)]
+                    runtime.observed[transport] = observed
                 pending["n"] -= 1
                 if pending["n"] == 0:
                     send_identify()
@@ -310,20 +345,19 @@ class HolePunch:
         """Connection Reversal: the initiator dials the listener's first
         eligible address when the listener looks publicly dialable;
         otherwise (or when that dial fails) the punch stream opens."""
-        if self.done:
-            return
-        candidates = [(ep, tr) for ep, tr in self._client_addrs
+        candidates = [tr for tr in self._client_addrs
                       if self.filter is None or tr is self.filter]
         port = None
         if self.client.appears_public() and candidates:
-            target, transport = candidates[0]
+            transport = candidates[0]
+            target = self._client_addrs[transport]
             port = self.remote.port_for(transport)
         if port is None:
             self._open_stream()
             return
 
         def on_dial(res) -> None:
-            if self.done:
+            if self.phase is not Phase.REVERSAL:
                 return
             if res.established:
                 self.result.direct_endpoints_used = [str(target)]
@@ -331,6 +365,7 @@ class HolePunch:
             else:
                 self._open_stream()
 
+        self._enter(Phase.REVERSAL)
         port.dial(target, self.cfg.reversal_deadline_ms, on_dial)
 
     # -- stream open and measurements ---------------------------------------------
@@ -340,8 +375,7 @@ class HolePunch:
         circuit.send(tag, size)
 
     def _open_stream(self) -> None:
-        if self.done:
-            return
+        self._enter(Phase.STREAM)
         self._send_control("initiator", self.r_circ, ("stream-open",), STREAM_OPEN_BYTES)
 
     def _client_message(self, tag: tuple, size: int) -> None:
@@ -350,23 +384,22 @@ class HolePunch:
             return
         kind = tag[0]
         if kind == "id":
-            self._remote_addrs = list(tag[1])
+            self._remote_addrs = tag[1]
             self._peer_identified()
         elif kind == "stream-open":
-            self.stream_open = True
             self._send_control("listener", self.c_circ, ("stream-ack",), STREAM_OPEN_BYTES)
         elif kind == "connect":
             gen = tag[1]
-            self._remote_addrs = list(tag[2]) or self._remote_addrs
-            if self.cfg.ttl_priming:
-                self._start_priming("listener", gen, until=self.sim.now + 2_000.0)
-            addrs = tuple(self.client.advertised(self.filter))
+            self._remote_addrs = tag[2] or self._remote_addrs
+            if self.cfg.ttl_priming and self._is_current(gen):
+                self._prime("listener", until=self.sim.now + 2_000.0)
+            addrs = self.client.advertised(self.filter)
             rtt_nat = 2.0 * self.net.topology.leg(self.client.host.id)
             self._send_control("listener", self.c_circ,
                                ("connect-reply", gen, addrs, rtt_nat),
                                CONNECT_BYTES_BASE + CONNECT_BYTES_PER_ADDR * len(addrs))
-        elif kind == "sync":
-            self._act(tag[1], "listener")
+        elif kind == "sync" and self._is_current(tag[1]):
+            self._act("listener")
 
     def _remote_message(self, tag: tuple, size: int) -> None:
         """Messages arriving at the initiator (remote) side."""
@@ -374,32 +407,29 @@ class HolePunch:
             return
         kind = tag[0]
         if kind == "id":
-            self._client_addrs = list(tag[1])
+            self._client_addrs = tag[1]
             self._peer_identified()
         elif kind == "stream-ack":
             self._measure_then_punch()
-        elif kind == "connect-reply":
-            self._on_connect_reply(tag[1], tag[2], tag[3])
+        elif kind == "connect-reply" and self._is_current(tag[1]):
+            self._on_connect_reply(tag[2], tag[3])
 
     def _measure_then_punch(self) -> None:
-        if self.done:
-            return
+        self._enter(Phase.MEASURE)
         if not self.cfg.measure_rtts:
             self._start_attempt(1)
             return
 
         def got_to_relay(rtt) -> None:
-            if self.done:
-                return
-            self.result.rtt_to_relay = rtt
-            self.client.relay.circuit_ping(self.c_circ, self.cfg.rtt_samples,
-                                           got_relayed)
+            if self.phase is Phase.MEASURE:
+                self.result.rtt_to_relay = rtt
+                self.client.relay.circuit_ping(self.c_circ, self.cfg.rtt_samples,
+                                               got_relayed)
 
         def got_relayed(rtt) -> None:
-            if self.done:
-                return
-            self.result.rtt_relayed = rtt
-            self._start_attempt(1)
+            if self.phase is Phase.MEASURE:
+                self.result.rtt_relayed = rtt
+                self._start_attempt(1)
 
         measure_rtt(self.net, self.client.host, self.client.relay.port,
                     self.c_circ.relay_ep, samples=self.cfg.rtt_samples,
@@ -408,45 +438,31 @@ class HolePunch:
     # -- synchronized punch attempts ------------------------------------------------
 
     def _choose_transport(self) -> Optional[Transport]:
-        remote_set = {tr for _, tr in self._remote_addrs}
-        client_set = {tr for _, tr in self._client_addrs}
         for transport in (Transport.QUIC, Transport.TCP):
             if self.filter is not None and transport is not self.filter:
                 continue
-            if transport in remote_set and transport in client_set:
+            if transport in self._remote_addrs and transport in self._client_addrs:
                 return transport
         return None
 
-    def _peer_endpoint(self, addrs, transport) -> Optional[Endpoint]:
-        for ep, tr in addrs:
-            if tr is transport:
-                return ep
-        return None
+    def _is_current(self, index: int) -> bool:
+        """Whether a message about attempt `index` is for the attempt in
+        flight; one sent for an earlier attempt may arrive late."""
+        return self.phase is Phase.ATTEMPT and index == self._attempt
 
     def _start_attempt(self, index: int) -> None:
-        if self.done:
-            return
-        self._attempt_gen = index
+        self._enter(Phase.ATTEMPT)
+        self._attempt = index
         self._attempt_started = self.sim.now
         self._attempt_rtt = None
-        gen = index
-        addrs = tuple(self.remote.advertised(self.filter))
-        self._connect_sent_at = self.sim.now
-        self._send_control("initiator", self.r_circ, ("connect", gen, addrs),
+        addrs = self.remote.advertised(self.filter)
+        self._send_control("initiator", self.r_circ, ("connect", index, addrs),
                            CONNECT_BYTES_BASE + CONNECT_BYTES_PER_ADDR * len(addrs))
-        self.sim.schedule_in(lambda: self._connect_timeout(gen),
-                             self.cfg.attempt_deadline_ms)
+        self._arm("attempt", self._attempt_expired, self.cfg.attempt_deadline_ms)
 
-    def _connect_timeout(self, gen: int) -> None:
-        if self.done or self._attempt_gen != gen or self._attempt_rtt is not None:
-            return
-        self._end_attempt(gen, OutcomeAttempt.TIMEOUT)
-
-    def _on_connect_reply(self, gen: int, addrs, rtt_listener_nat: float) -> None:
-        if self.done or gen != self._attempt_gen:
-            return
-        self._client_addrs = list(addrs) or self._client_addrs
-        rtt = self.sim.now - self._connect_sent_at
+    def _on_connect_reply(self, addrs, rtt_listener_nat: float) -> None:
+        self._client_addrs = addrs or self._client_addrs
+        rtt = self.sim.now - self._attempt_started
         self._attempt_rtt = rtt
         if self.cfg.refined_wait:
             rtt_initiator_nat = 2.0 * self.net.topology.leg(self.remote.host.id)
@@ -454,12 +470,19 @@ class HolePunch:
         else:
             wait = rtt / 2.0
         wait = max(0.0, wait + self.cfg.sync_error_ms)
-        self._send_control("initiator", self.r_circ, ("sync", gen), SYNC_BYTES)
+        self._send_control("initiator", self.r_circ, ("sync", self._attempt), SYNC_BYTES)
         if self.cfg.ttl_priming:
-            self._start_priming("initiator", gen, until=self.sim.now + wait)
-        self.sim.schedule_in(lambda: self._act(gen, "initiator"), wait)
-        deadline = wait + self.cfg.attempt_deadline_ms
-        self.sim.schedule_in(lambda: self._attempt_deadline(gen), deadline)
+            self._prime("initiator", until=self.sim.now + wait)
+        # The initiator dials at its instant even if the listener's dial
+        # already won the attempt.
+        self._arm("act", lambda: self._act("initiator"), wait, last=Phase.DIRECT)
+        self._arm("attempt", self._attempt_expired, wait + self.cfg.attempt_deadline_ms)
+
+    def _attempt_expired(self) -> None:
+        """The attempt timer: TIMEOUT while no connect-reply came back,
+        FAILED once the dials had their time."""
+        self._end_attempt(OutcomeAttempt.TIMEOUT if self._attempt_rtt is None
+                          else OutcomeAttempt.FAILED)
 
     def _roles(self, index: int) -> tuple:
         base = ("listener", "initiator")  # (quic client, quic server)
@@ -467,51 +490,43 @@ class HolePunch:
             return assign_roles(index, base)
         return base
 
-    def _side(self, side: str) -> tuple[PeerRuntime, list[tuple[Endpoint, Transport]]]:
+    def _side(self, side: str) -> tuple[PeerRuntime, dict[Transport, Endpoint]]:
         """One side's runtime and the addresses it holds for its peer."""
         if side == "listener":
             return self.client, self._remote_addrs
         return self.remote, self._client_addrs
 
-    def _act(self, index: int, side: str) -> None:
+    def _act(self, side: str) -> None:
         """Dial phase for one side, at its synchronization instant."""
-        if self.done or index != self._attempt_gen:
-            return
         transport = self._choose_transport()
         if transport is None:
             return
         runtime, peer_addrs = self._side(side)
-        target = self._peer_endpoint(peer_addrs, transport)
+        target = peer_addrs.get(transport)
         if target is None:
             return
         if transport is Transport.TCP:
             runtime.tcp.dial(target, self.cfg.attempt_deadline_ms)
             return
-        quic_client, _ = self._roles(index)
+        quic_client, _ = self._roles(self._attempt)
         if side == quic_client:
             runtime.quic.dial(target, self.cfg.attempt_deadline_ms)
         else:
             runtime.quic.prime(target, count=self.cfg.dummy_count, ttl=64)
 
-    def _attempt_deadline(self, gen: int) -> None:
-        if self.done or self._attempt_gen != gen:
-            return
-        self._end_attempt(gen, OutcomeAttempt.FAILED)
-
-    def _end_attempt(self, gen: int, outcome: OutcomeAttempt,
+    def _end_attempt(self, outcome: OutcomeAttempt,
                      transport: Optional[Transport] = None) -> None:
-        """Record attempt `gen`; `transport` is the one a successful
-        attempt established."""
+        """Record the attempt in flight; `transport` is the one a
+        successful attempt established."""
         rtt = (self._attempt_rtt, 0.0) if self._attempt_rtt is not None else None
-        self.result.attempts.append(HolePunchAttempt(
-            index=gen, outcome=outcome, rtt_relayed=rtt, transport_used=transport,
-            started=self._attempt_started, ended=self.sim.now))
+        self.result.attempts.append(
+            HolePunchAttempt(self._attempt, outcome, rtt, transport))
         if outcome is OutcomeAttempt.SUCCESS:
             self._after_success()
-        elif gen >= self.cfg.max_attempts:
+        elif self._attempt >= self.cfg.max_attempts:
             self._finish(OutcomeResult.FAILED)
         else:
-            self._start_attempt(gen + 1)
+            self._start_attempt(self._attempt + 1)
 
     # -- establishment detection -----------------------------------------------------
 
@@ -525,27 +540,24 @@ class HolePunch:
 
     def _on_established(self, runtime: PeerRuntime, port_obj,
                         transport: Transport, remote_ep: Endpoint) -> None:
-        if self.done:
-            return
         if runtime is self.client:
-            self._client_direct = (port_obj.local, remote_ep, transport)
-            if self._awaiting_client_direct:
-                self._awaiting_client_direct = False
-                self._measure_direct()
+            if self.phase is Phase.DIRECT:
+                if self._client_direct is None:  # in the grace window
+                    self._client_direct = (port_obj.local, remote_ep, transport)
+                    self._disarm("grace")
+                    self._measure_direct()
                 return
-        if self._attempt_gen == 0:
-            # Direct connection before any attempt: reversal landed.
-            if runtime is self.client:
-                self.reversed_established = True
+            self._client_direct = (port_obj.local, remote_ep, transport)
+        # Before the attempts this is a reversal dial landing, which the
+        # stream deadline reads; after a success the attempt is settled.
+        if self.phase is not Phase.ATTEMPT:
             return
         if not self.result.direct_endpoints_used:
             self.result.direct_endpoints_used = [str(remote_ep)]
-        gen = self._attempt_gen
-        if self.result.attempts and self.result.attempts[-1].index == gen:
-            return  # attempt already settled
-        self._end_attempt(gen, OutcomeAttempt.SUCCESS, transport)
+        self._end_attempt(OutcomeAttempt.SUCCESS, transport)
 
     def _after_success(self) -> None:
+        self._enter(Phase.DIRECT)
         if self.r_circ is not None:
             self.r_circ.on_closed = None
         if self.c_circ is not None:
@@ -553,49 +565,37 @@ class HolePunch:
             self.c_circ.close()
         if not self.cfg.measure_rtts:
             self._finish(OutcomeResult.SUCCESS)
-            return
-        if self._client_direct is None:
+        elif self._client_direct is None:
             # One side established first; the other's handshake packet is
             # still in flight. Give it a grace window before giving up on
             # the direct-path measurement.
-            self._awaiting_client_direct = True
-            self.sim.schedule_in(self._direct_grace_expired, 2_000.0)
-            return
-        self._measure_direct()
-
-    def _direct_grace_expired(self) -> None:
-        if self.done or not self._awaiting_client_direct:
-            return
-        self._awaiting_client_direct = False
-        self._finish(OutcomeResult.SUCCESS)
+            self._arm("grace", lambda: self._finish(OutcomeResult.SUCCESS), 2_000.0)
+        else:
+            self._measure_direct()
 
     def _measure_direct(self) -> None:
         local, remote_ep, _ = self._client_direct
 
         def got_direct(rtt) -> None:
-            self.result.rtt_direct_after = rtt
-            self._finish(OutcomeResult.SUCCESS)
+            if self.phase is Phase.DIRECT:
+                self.result.rtt_direct_after = rtt
+                self._finish(OutcomeResult.SUCCESS)
 
         measure_rtt(self.net, self.client.host, local.port, remote_ep,
                     samples=self.cfg.rtt_samples, on_done=got_direct)
 
     # -- low-TTL priming ---------------------------------------------------------------
 
-    def _start_priming(self, side: str, gen: int, until: float) -> None:
+    def _prime(self, side: str, until: float) -> None:
+        """One low-TTL dummy toward the peer's QUIC address, repeated every
+        `priming_interval_ms` until `until`."""
         runtime, peer_addrs = self._side(side)
-        target = self._peer_endpoint(peer_addrs, Transport.QUIC)
-        if target is None or runtime.quic is None:
+        target = peer_addrs.get(Transport.QUIC)
+        if target is None or runtime.quic is None or self.sim.now > until:
             return
         owner = self.net.hosts.get(target.host.split("#", 1)[0])
         check_priming_ttl(self.net.topology, runtime.host.id,
                           owner.id if owner else target.host, self.cfg.priming_ttl)
-        self._prime_loop(runtime.quic, target, gen, until=until)
-
-    def _prime_loop(self, quic: QuicPort, target: Endpoint, gen: int,
-                    until: float) -> None:
-        if self.done or self._attempt_gen != gen or self.sim.now > until:
-            return
-        quic.prime(target, count=1, ttl=self.cfg.priming_ttl)
-        self.sim.schedule_in(
-            lambda: self._prime_loop(quic, target, gen, until),
-            self.cfg.priming_interval_ms)
+        runtime.quic.prime(target, count=1, ttl=self.cfg.priming_ttl)
+        self._arm("prime-" + side, lambda: self._prime(side, until),
+                  self.cfg.priming_interval_ms, last=Phase.DIRECT)

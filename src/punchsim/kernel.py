@@ -170,12 +170,16 @@ def sample_latency(topology: Topology, a: str, b: str, rng: RandomStream) -> flo
 class Simulation:
     """Single-threaded event loop with a FIFO tie-break for simultaneous
     events. One instance per trial; instances share nothing.
+
+    `schedule` returns the queue entry ``[at, seq, fn]`` as the handle.
+    `cancel` clears its ``fn`` in place (lazy deletion), and `run` drops
+    cleared entries without moving the clock.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.now = 0.0
-        self._queue: list[tuple[float, int, Callable[[], None]]] = []
+        self._queue: list[list] = []
         self._seq = 0
         self._streams: dict[str, RandomStream] = {}
         self._tokens = 0
@@ -192,15 +196,20 @@ class Simulation:
             self._streams[stream_id] = RandomStream(self.seed, stream_id)
         return self._streams[stream_id]
 
-    def schedule(self, fn: Callable[[], None], at: float) -> int:
+    def schedule(self, fn: Callable[[], None], at: float) -> list:
         if at < self.now:
             raise ScheduleInPastError(f"cannot schedule at t={at} (now={self.now})")
         self._seq += 1
-        heapq.heappush(self._queue, (at, self._seq, fn))
-        return self._seq
+        entry = [at, self._seq, fn]
+        heapq.heappush(self._queue, entry)
+        return entry
 
-    def schedule_in(self, fn: Callable[[], None], delay: float) -> int:
+    def schedule_in(self, fn: Callable[[], None], delay: float) -> list:
         return self.schedule(fn, self.now + delay)
+
+    def cancel(self, handle: list) -> None:
+        """Make sure a scheduled event never runs; idempotent."""
+        handle[2] = None
 
     def run(self, until: Optional[float] = None) -> None:
         """Execute events in time order until the queue drains or the
@@ -209,14 +218,19 @@ class Simulation:
         pop = heapq.heappop
         if until is None:
             while queue:
-                self.now, _, fn = pop(queue)
-                fn()
+                at, _, fn = pop(queue)
+                if fn is not None:
+                    self.now = at
+                    fn()
             return
         while queue and queue[0][0] <= until:
-            self.now, _, fn = pop(queue)
-            fn()
+            at, _, fn = pop(queue)
+            if fn is not None:
+                self.now = at
+                fn()
         if until > self.now:
             self.now = until
 
     def pending(self) -> int:
-        return len(self._queue)
+        """Events still to run; cancelled entries do not count."""
+        return sum(entry[2] is not None for entry in self._queue)

@@ -10,7 +10,8 @@ Requests and replies: a request's tag is (kind, token, ...) with a token
 from `Simulation.next_token()`; its reply's tag is (one of `REPLY_KINDS`,
 token, ...). The requester files a callback under the token in its host's
 `replies` table (`Host.expect` adds a timeout), and `Host.serve` hands it
-the reply, whether that reached a bound port or came through a circuit.
+the reply, whether that reached a bound port or came through a circuit,
+and cancels the timeout.
 `serve` also answers ("ping", token) with ("pong", token) on either carrier.
 """
 
@@ -39,7 +40,8 @@ class Host:
         self.nat = nat
         self.leg = leg  # one-way latency to its own NAT
         self.handlers: dict[int, Callable[[Packet], None]] = {}
-        self.replies: dict[int, Callable[[tuple], None]] = {}
+        # token -> (on_reply, timeout handle or None)
+        self.replies: dict[int, tuple[Callable[[tuple], None], Optional[list]]] = {}
         self._next_port = FIRST_DYNAMIC_PORT
 
     def bind(self, handler: Callable[[Packet], None], port: Optional[int] = None) -> int:
@@ -61,12 +63,13 @@ class Host:
                timeout_ms: float, on_timeout: Callable[[], None]) -> None:
         """Wait for the reply echoing `token`: `on_reply(tag)` if it
         arrives within `timeout_ms`, else `on_timeout()`."""
-        self.replies[token] = on_reply
-        self.net.sim.schedule_in(lambda: self._expire(token, on_timeout), timeout_ms)
+        timer = self.net.sim.schedule_in(lambda: self._expire(token, on_timeout),
+                                         timeout_ms)
+        self.replies[token] = (on_reply, timer)
 
     def _expire(self, token: int, on_timeout: Callable[[], None]) -> None:
-        if self.replies.pop(token, None) is not None:
-            on_timeout()
+        del self.replies[token]  # a delivered reply cancelled this timer
+        on_timeout()
 
     def serve(self, tag, answer: Callable[[tuple, object], None], via) -> bool:
         """Answer a ping with `answer(pong_tag, via)`, or hand a reply to
@@ -78,8 +81,11 @@ class Host:
         if kind == "ping":
             answer(("pong",) + tag[1:], via)
         elif kind in REPLY_KINDS:
-            on_reply = self.replies.pop(tag[1], None)
-            if on_reply is not None:
+            waiting = self.replies.pop(tag[1], None)
+            if waiting is not None:
+                on_reply, timer = waiting
+                if timer is not None:
+                    self.net.sim.cancel(timer)
                 on_reply(tag)
         else:
             return False

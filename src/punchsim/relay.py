@@ -1,17 +1,15 @@
-"""Precursor protocols: relay reservations and limited relayed
-connections, observed-address exchange, and dial-back reachability
-classification."""
+"""Precursor protocols: relay reservations, limited relayed connections
+(circuits) with pings through them, and observed-address exchange."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
 from .net import Host, Network
 from .packets import Endpoint, Packet, PacketKind
-from .transport import PING_BYTES, DialResult, QuicPort, RttProbe, TcpPort, Transport
+from .transport import PING_BYTES, RttProbe
 
 RELAY_PORT = 1
 DEFAULT_RESERVATION_MS = 3_600_000.0
@@ -20,12 +18,6 @@ DEFAULT_RELAYED_CONN_LIMIT = 16
 DEFAULT_RESERVATION_CAPACITY = 128
 CONTROL_BYTES = 24
 CIRCUIT_HEADER_BYTES = 8
-
-
-class Reachability(Enum):
-    PUBLIC = "public"
-    PRIVATE = "private"
-    UNKNOWN = "unknown"
 
 
 @dataclass
@@ -37,21 +29,6 @@ class Reservation:
     data_budget_bytes: int = DEFAULT_DATA_BUDGET_BYTES
     relayed_conn_limit: int = DEFAULT_RELAYED_CONN_LIMIT
     active_conns: int = 0
-
-
-@dataclass
-class PeerAddressInfo:
-    """What a peer knows about its own addressing, plus what it learned
-    about the remote over Identify."""
-
-    observed_public: list[tuple[Endpoint, Transport]] = field(default_factory=list)
-    port_mapping_active: bool = False
-
-    def endpoint_for(self, transport: Transport) -> Optional[Endpoint]:
-        for ep, tr in self.observed_public:
-            if tr is transport:
-                return ep
-        return None
 
 
 class Circuit:
@@ -257,7 +234,7 @@ class RelayClient:
             token = self.net.sim.next_token()
             # No timeout per request: `settle` closes a circuit that opens
             # late, so the relay frees its slot.
-            self.host.replies[token] = partial(on_reply, relay_ep)
+            self.host.replies[token] = (partial(on_reply, relay_ep), None)
             self._send_control(relay_ep, ("conn-req", token, listener_id, self.peer_id))
         self.net.sim.schedule_in(
             lambda: (not state["done"] and (state.update(done=True), on_done(None))),
@@ -308,37 +285,3 @@ class RelayClient:
             circuit = self.circuits.get((pkt.src.host, tag[1]))
             if circuit is not None:
                 circuit._closed(tag[2])
-
-
-def autonat_check(net: Network, advertised: list[tuple[Endpoint, Transport]],
-                  helpers: list[str],
-                  on_done: Callable[[Reachability], None],
-                  deadline_ms: float = 5_000.0) -> None:
-    """Dial-back reachability classification: public iff some helper's
-    unsolicited dial to an advertised address establishes."""
-    if not helpers:
-        on_done(Reachability.UNKNOWN)
-        return
-    if not advertised:
-        on_done(Reachability.PRIVATE)
-        return
-    attempts = [(h, ep, tr) for h in helpers for ep, tr in advertised]
-    state = {"done": False, "pending": len(attempts)}
-
-    def finish(result: DialResult) -> None:
-        if state["done"]:
-            return
-        state["pending"] -= 1
-        if result.established:
-            state["done"] = True
-            on_done(Reachability.PUBLIC)
-        elif state["pending"] == 0:
-            state["done"] = True
-            on_done(Reachability.PRIVATE)
-
-    for helper, ep, transport in attempts:
-        host = net.hosts[helper]
-        if transport is Transport.TCP:
-            TcpPort(net, host, listening=False).dial(ep, deadline_ms, finish)
-        else:
-            QuicPort(net, host, accepting=False).dial(ep, deadline_ms, finish)

@@ -144,11 +144,9 @@ class QuicPort:
     In hole punching one side dials (client) while the other primes its
     NAT with dummy datagrams and answers the client's first flight."""
 
-    def __init__(self, net: Network, host: Host, port: Optional[int] = None,
-                 accepting: bool = True):
+    def __init__(self, net: Network, host: Host, port: Optional[int] = None):
         self.net = net
         self.host = host
-        self.accepting = accepting
         self.port = host.bind(self._on_packet, port)
         self.local = host.endpoint(self.port)
         self._dials: dict[Endpoint, dict] = {}
@@ -192,8 +190,6 @@ class QuicPort:
 
     def _on_packet(self, pkt: Packet) -> None:
         if pkt.kind is PacketKind.QUIC_INITIAL:
-            if not self.accepting:
-                return
             self.host.send(Packet(src=self.local, dst=pkt.src,
                                   kind=PacketKind.QUIC_REPLY,
                                   size_bytes=QUIC_REPLY_BYTES))

@@ -8,10 +8,10 @@ from punchsim.campaign import (CampaignConfig, PopulationSpec,
                                TransportPolicy, aggregate, config_from_dict,
                                config_hash, config_to_dict, export_results,
                                generate_population, load_results,
-                               run_campaign)
+                               run_campaign, run_trial)
 from punchsim.nat import MappingBehavior
 
-VALID_OUTCOMES = {"UNKNOWN", "NO_CONNECTION", "NO_STREAM",
+VALID_OUTCOMES = {"NO_CONNECTION", "NO_STREAM",
                   "CONNECTION_REVERSED", "CANCELLED", "FAILED", "SUCCESS"}
 
 
@@ -126,6 +126,18 @@ class TestCampaignRuns:
         b = run_campaign(cfg, n_trials=30, seed=14)
         assert a == b
         assert all(r["outcome"] in VALID_OUTCOMES for r in a)
+
+    def test_punch_past_the_time_bound_is_cancelled(self):
+        # An attempt deadline beyond the 1 000 s bound: the punch is still
+        # in its first attempt when the campaign stops waiting.
+        cfg = small_config(edm_share=1.0)
+        cfg.policy = TransportPolicy.QUIC
+        cfg.dcutr.attempt_deadline_ms = 2_000_000
+        population = generate_population(cfg.population)
+        record = run_trial(population, cfg, seed=1, trial=0)
+        assert record["outcome"] == "CANCELLED"
+        assert [(a["index"], a["outcome"]) for a in record["attempts"]] == [
+            (1, "CANCELLED")]
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from punchsim.campaign import ARCHETYPE_NATS
 from punchsim.dcutr import (DcutrConfig, HolePunch, OutcomeAttempt,
-                            OutcomeResult, PeerRuntime)
+                            OutcomeResult, PeerRuntime, Phase)
 from punchsim.kernel import Simulation, Topology
 from punchsim.nat import (FilteringBehavior, MappingBehavior, NatConfig,
                           PortAllocation)
@@ -15,8 +19,8 @@ SYMMETRIC = dict(mapping=MappingBehavior.APDM,
 
 def build_world(client_nat=CONE, remote_nat=CONE, client_mapping=False,
                 mapping_lies=False, seed=3, client_lat=10.0, remote_lat=20.0,
-                client_leg=1.0, remote_leg=2.0):
-    net = Network(Simulation(seed=seed), Topology())
+                client_leg=1.0, remote_leg=2.0, loss=0.0):
+    net = Network(Simulation(seed=seed), Topology(loss_rate=loss))
     net.add_host("relay", 5.0)
     svc = RelayService(net, net.hosts["relay"])
     net.add_host("client", client_lat,
@@ -108,6 +112,21 @@ class TestEarlyOutcomes:
         net.sim.run(until=net.sim.now + 60_000)
         assert hp.result.outcome is OutcomeResult.NO_STREAM
 
+    def test_lost_stream_ack_ends_no_stream(self):
+        # With this seed the listener gets stream-open but its stream-ack
+        # is lost on the way to the initiator.
+        net, svc, client, remote = build_world(seed=2, loss=0.02)
+        out = []
+        hp = HolePunch(net, client, remote, [svc.endpoint],
+                       on_done=out.append)
+        hp.start()
+        while hp.phase is Phase.CIRCUIT:
+            net.sim.run(until=net.sim.now + 1)
+        opened = net.sim.now  # the stream deadline runs from here
+        net.sim.run()
+        assert [r.outcome for r in out] == [OutcomeResult.NO_STREAM]
+        assert out[0].ended - opened <= hp.cfg.stream_timeout_ms
+
     def test_cancel_before_attempts(self):
         net, svc, client, remote = build_world()
         out = []
@@ -125,11 +144,11 @@ class TestEarlyOutcomes:
         hp = HolePunch(net, client, remote, [svc.endpoint],
                        on_done=out.append)
         hp.start()
-        while not hp.stream_open and net.sim.now < 60_000:
+        while hp.phase is not Phase.MEASURE and net.sim.now < 60_000:
             net.sim.run(until=net.sim.now + 1)
-        # The stream-ack reaches the remote about 40 ms later; its
-        # to-relay probe then sends ten pings 30 ms apart.
-        net.sim.run(until=net.sim.now + 100)
+        # The stream-ack reached the remote; the to-relay probe now sends
+        # ten pings 30 ms apart.
+        net.sim.run(until=net.sim.now + 60)
         hp.cancel()
         net.sim.run(until=net.sim.now + 60_000)
         assert out[0].outcome is OutcomeResult.CANCELLED
@@ -171,6 +190,15 @@ class TestAttemptMachinery:
                            tf=Transport.QUIC)
         assert res.outcome is OutcomeResult.FAILED
         assert [a.index for a in res.attempts] == [1, 2]
+
+    def test_deadline_during_direct_measurement_adds_no_attempt(self):
+        # The attempt timer would fire while the direct RTT is measured.
+        net, svc, client, remote = build_world()
+        cfg = DcutrConfig(attempt_deadline_ms=200.0)
+        _, res = run_punch(net, client, remote, [svc.endpoint], cfg=cfg)
+        assert res.outcome is OutcomeResult.SUCCESS
+        assert res.rtt_direct_after is not None
+        assert [a.outcome for a in res.attempts] == [OutcomeAttempt.SUCCESS]
 
     def test_attempt_rtt_recorded(self):
         net, svc, client, remote = build_world()
@@ -236,3 +264,51 @@ class TestOptimizations:
         assert res.outcome is OutcomeResult.SUCCESS
         assert [a.outcome for a in res.attempts] == [
             OutcomeAttempt.FAILED, OutcomeAttempt.SUCCESS]
+
+
+# -- invariants over small worlds ------------------------------------------------
+
+_NATS = list(ARCHETYPE_NATS.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(client_nat=st.sampled_from([None, *_NATS]),  # None: a public client
+       remote_nat=st.sampled_from(_NATS),
+       client_mapping=st.sampled_from([False, False, False, True]),
+       tf=st.sampled_from([None, *Transport]),
+       loss=st.sampled_from([0.0, 0.02, 0.1]), seed=st.integers(0, 10_000),
+       cancel_at=st.one_of(st.none(), st.floats(0.0, 40_000.0)))
+def test_punch_ends_once_with_consistent_attempts(client_nat, remote_nat,
+                                                  client_mapping, tf, loss,
+                                                  seed, cancel_at):
+    net, svc, client, remote = build_world(
+        client_nat=client_nat, remote_nat=remote_nat, seed=seed, loss=loss,
+        client_mapping=client_mapping and client_nat is not None,
+        client_leg=1.0 if client_nat else 0.0)
+    out = []
+    live_timers = []
+
+    def on_done(result):
+        out.append(result)
+        # The punch's own timers are the events dcutr scheduled; transport
+        # retransmits and deadlines belong to the ports.
+        live_timers.extend(e for e in net.sim._queue if e[2] is not None
+                           and getattr(e[2], "__module__", "") == "punchsim.dcutr")
+
+    hp = HolePunch(net, client, remote, [svc.endpoint], transport_filter=tf,
+                   on_done=on_done)
+    hp.start()
+    if cancel_at is not None:
+        net.sim.run(until=net.sim.now + cancel_at)
+        hp.cancel()
+    net.sim.run()
+
+    assert len(out) == 1 and hp.done
+    res = out[0]
+    assert live_timers == []
+    assert [a.index for a in res.attempts] == list(range(1, len(res.attempts) + 1))
+    assert len(res.attempts) <= hp.cfg.max_attempts
+    if res.outcome is OutcomeResult.SUCCESS:
+        assert res.attempts[-1].outcome is OutcomeAttempt.SUCCESS
+    if cancel_at is None:
+        assert res.outcome is not OutcomeResult.CANCELLED

@@ -106,11 +106,19 @@ _children = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(roots=st.lists(st.tuples(st.integers(0, 20).map(float), _children),
                       max_size=12),
-       until=st.integers(0, 30).map(float))
-def test_events_run_in_time_then_fifo_order(roots, until):
+       until=st.integers(0, 30).map(float),
+       cancels=st.lists(st.tuples(st.one_of(st.just(-1), st.integers(0, 11)),
+                                  st.integers(0, 11)), max_size=8))
+def test_events_run_in_time_then_fifo_order(roots, until, cancels):
+    # `cancels` holds (canceller, victim) pairs: when event `canceller` runs
+    # (-1: before the first run) it cancels event `victim`, by scheduling
+    # order, if that one is scheduled by then. Pairs may repeat, and a
+    # victim may already have run, or be the canceller itself.
     sim = Simulation(seed=1)
     scheduled = []  # time of each event, in the order it was scheduled
+    handles = []
     ran = []        # (clock, scheduling order) of each event that ran
+    cancelled = set()  # events cancelled before they ran
 
     def add(at, children):
         order = len(scheduled)
@@ -122,24 +130,38 @@ def test_events_run_in_time_then_fifo_order(roots, until):
                 sim.schedule(lambda: None, sim.now - 1.0)
             for delay, kids in children:
                 add(sim.now + delay, kids)
+            cancel_from(order)
 
-        sim.schedule(fire, at)
+        handles.append(sim.schedule(fire, at))
+
+    def cancel_from(canceller):
+        for c, victim in cancels:
+            if c == canceller and victim < len(handles):
+                if victim not in {o for _, o in ran}:
+                    cancelled.add(victim)
+                sim.cancel(handles[victim])
 
     for at, children in roots:
         add(at, children)
+    cancel_from(-1)
+    # Later than any other event: if it moved the clock, the last check sees it.
+    sim.cancel(sim.schedule(lambda: ran.append((sim.now, -1)), 1_000.0))
 
     sim.run(until)
     assert sim.now == until
     assert all(t <= until for t, _ in ran)
-    waiting = [scheduled[o] for o in set(range(len(scheduled))) - {o for _, o in ran}]
-    assert all(t > until for t in waiting)
-    assert sim.pending() == len(waiting)
+    live = set(range(len(scheduled))) - {o for _, o in ran} - cancelled
+    assert all(scheduled[o] > until for o in live)
+    assert sim.pending() == len(live)
     with pytest.raises(ScheduleInPastError):
         sim.schedule(lambda: None, until - 0.5)
 
     sim.run()
     assert sim.pending() == 0
-    assert len(ran) == len(scheduled)
+    # Every event ran exactly once unless it was cancelled before its
+    # time, and a cancelled entry never moved the clock.
+    assert sorted(o for _, o in ran) == sorted(set(range(len(scheduled))) - cancelled)
+    assert sim.now == max([until] + [t for t, _ in ran])
     # Each event ran at its own time, the clock never went back, and
     # events at equal times ran in the order they were scheduled.
     assert all(t == scheduled[o] for t, o in ran)

@@ -301,6 +301,23 @@ class TestRtt:
         assert mean == 60.0
         assert std == 0.0
 
+    def test_delivered_reply_cancels_its_timeout(self):
+        net = build_net()
+        net.add_host("a", 10.0)
+        net.add_host("b", 20.0)
+        net.hosts["b"].bind(lambda pkt: None, 7)
+        port = net.hosts["a"].bind(lambda pkt: None)
+        out = []
+        measure_rtt(net, net.hosts["a"], port, Endpoint("b", 7),
+                    samples=1, on_done=out.append)
+        assert net.sim.pending() == 2  # the ping and its timeout
+        net.sim.run(until=60.0)
+        assert out == [(60.0, 0.0)]
+        assert net.sim.pending() == 0
+        assert net.hosts["a"].replies == {}
+        net.sim.run()
+        assert net.sim.now == 60.0
+
     def test_unreachable_target_reports_failure(self):
         net = build_net()
         net.add_host("a", 10.0)

@@ -1,10 +1,9 @@
 from punchsim.kernel import Simulation, Topology
-from punchsim.nat import FilteringBehavior, NatConfig
+from punchsim.nat import NatConfig
 from punchsim.net import Network
 from punchsim.packets import Endpoint
-from punchsim.relay import (Reachability, RelayClient, RelayService,
-                            autonat_check)
-from punchsim.transport import QuicPort, TcpPort, Transport, measure_rtt
+from punchsim.relay import RelayClient, RelayService
+from punchsim.transport import TcpPort, measure_rtt
 
 
 def build_world(seed=1, relay_kwargs=None, n_relays=1):
@@ -209,34 +208,3 @@ class TestObserve:
         net.sim.run(until=net.sim.now + 6_000)
         assert out == [None]
 
-
-class TestAutonat:
-    def test_public_host_classified_public(self):
-        net = Network(Simulation(seed=1), Topology())
-        net.add_host("helper", 5.0)
-        net.add_host("peer", 10.0)
-        port = QuicPort(net, net.hosts["peer"])
-        out = []
-        autonat_check(net, [(Endpoint("peer", port.port), Transport.QUIC)],
-                      ["helper"], out.append)
-        net.sim.run(until=net.sim.now + 10_000)
-        assert out == [Reachability.PUBLIC]
-
-    def test_natted_host_classified_private(self):
-        net = Network(Simulation(seed=1), Topology())
-        net.add_host("helper", 5.0)
-        net.add_host("peer", 10.0,
-                     nat_config=NatConfig(filtering=FilteringBehavior.APDF))
-        TcpPort(net, net.hosts["peer"], port=4001)
-        pub = net.public_endpoint_host("peer")
-        out = []
-        autonat_check(net, [(Endpoint(pub, 4001), Transport.TCP)],
-                      ["helper"], out.append)
-        net.sim.run(until=net.sim.now + 10_000)
-        assert out == [Reachability.PRIVATE]
-
-    def test_no_helpers_is_unknown(self):
-        net = Network(Simulation(seed=1), Topology())
-        out = []
-        autonat_check(net, [], [], out.append)
-        assert out == [Reachability.UNKNOWN]
