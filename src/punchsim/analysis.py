@@ -33,11 +33,20 @@ class MalformedRecord(ValueError):
 
 
 def _type_error(rec: dict) -> Optional[str]:
-    """Why a record's fields do not have the types the analyses read, or
-    None. `remote`, `relay_addrs` and the RTT fields may be absent."""
+    """Why a record's fields do not have the types the analyses and the
+    exports read, or None. `trial`, `remote`, `protocol_filter`,
+    `relay_addrs` and the RTT fields may be absent."""
     for key in ("client", "remote", "timestamp", "outcome"):
         if not isinstance(rec.get(key, ""), str):
             return f"{key} must be a string"
+    if not rec["client"] or rec.get("remote") == "":
+        return "client and remote must not be empty"
+    if type(rec.get("trial", 0)) is not int:  # a bool is not a trial index
+        return "trial must be an integer"
+    if rec.get("protocol_filter") not in (None, "TCP", "QUIC"):
+        return "protocol_filter must be TCP, QUIC or null"
+    if not isinstance(rec["port_mapping_active"], bool):
+        return "port_mapping_active must be a boolean"
     for key in ("private_addrs", "attempts", "relay_addrs"):
         if not isinstance(rec.get(key, []), list):
             return f"{key} must be a list"
@@ -55,8 +64,10 @@ def _type_error(rec: dict) -> Optional[str]:
                     and isinstance(entry[0], str) and isinstance(entry[1], str))):
             return "public_endpoints entries must be strings or [str, str] pairs"
     for key in RTT_FIELDS:
-        if not isinstance(rec.get(key), NUMBER_OR_NULL):
-            return f"{key} must be a number or null"
+        value = rec.get(key)
+        if value is not None and not (type(value) in (int, float)
+                                      and -math.inf < value < math.inf):
+            return f"{key} must be a number (finite) or null"
     return None
 
 
@@ -292,7 +303,6 @@ RTT_CLASSES = {"to_relay": "rtt_to_relay", "via_relay": "rtt_relayed",
                "direct_after": "rtt_direct_after"}
 RTT_FIELDS = tuple(f"{prefix}_{stat}" for prefix in RTT_CLASSES.values()
                    for stat in ("mean", "stddev"))
-NUMBER_OR_NULL = (int, float, type(None))
 
 
 def rtt_accuracy(records: list[dict]) -> dict:

@@ -21,7 +21,7 @@ from typing import Optional
 from .analysis import (RTT_FIELDS, apply_success_filters, relay_path_bins,
                        validate_records)
 from .dcutr import DcutrConfig, HolePunch, HolePunchResult, PeerRuntime
-from .kernel import RandomStream, Simulation, Topology, derive_seed
+from .kernel import RandomStream, Simulation, Topology, check_number, derive_seed
 from .nat import (Archetype, FilteringBehavior, MappingBehavior, NatConfig,
                   PortAllocation)
 from .net import Network
@@ -44,6 +44,11 @@ FIELD_BASELINES = {
     "rtt_accuracy_within_10pct": {"value": 0.90, "reproducible": False},
 }
 
+# CSV cells holding JSON; an empty one means the field was absent.
+CSV_JSON_COLUMNS = ("as_id", "private_addrs", "public_endpoints", "attempts",
+                    "relay_addrs")
+# CSV cells whose empty value means null.
+CSV_NULL_COLUMNS = ("protocol_filter", *RTT_FIELDS)
 CSV_COLUMNS = [
     "trial", "timestamp", "client", "remote", "as_id", "private_addrs",
     "public_endpoints", "port_mapping_active", "protocol_filter", "outcome",
@@ -51,6 +56,8 @@ CSV_COLUMNS = [
     "rtt_relayed_mean", "rtt_relayed_stddev", "rtt_direct_after_mean",
     "rtt_direct_after_stddev", "relay_addrs", "seed", "config_hash",
 ]
+# json.dumps(cell, sort_keys=True, separators=(",", ":")), built once.
+_csv_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 ARCHETYPE_NATS = {
     Archetype.FULL_CONE: dict(mapping=MappingBehavior.EIM,
@@ -63,6 +70,7 @@ ARCHETYPE_NATS = {
                               filtering=FilteringBehavior.APDF,
                               port_alloc=PortAllocation.RANDOM),
 }
+ARCHETYPE_NAMES = {archetype.value for archetype in Archetype}
 
 
 class TransportPolicy(Enum):
@@ -116,12 +124,26 @@ class PopulationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_clients, self.n_remotes) < 1 or self.n_relays < 1:
-            raise ValueError("population counts must be >= 1")
+        for name in ("n_clients", "n_remotes", "n_relays"):
+            check_number(name, getattr(self, name), lo=1, integer=True)
+        if not isinstance(self.shares, dict) or not set(self.shares) <= ARCHETYPE_NAMES:
+            raise ValueError(f"shares must map archetypes {sorted(ARCHETYPE_NAMES)} "
+                             "to probabilities")
+        for name, share in self.shares.items():
+            check_number(f"shares[{name}]", share, 0.0, 1.0)
         if abs(sum(self.shares.values()) - 1.0) > 1e-9:
             raise ValueError("archetype shares must sum to 1")
-        if self.edm_share is not None and not 0.0 <= self.edm_share <= 1.0:
-            raise ValueError("edm_share must be a probability")
+        if self.edm_share is not None:
+            check_number("edm_share", self.edm_share, 0.0, 1.0)
+        for name in ("port_mapping_prevalence", "mapping_lies_share"):
+            check_number(name, getattr(self, name), 0.0, 1.0)
+        low_high = self.latency_range_ms
+        if not isinstance(low_high, (tuple, list)) or len(low_high) != 2:
+            raise ValueError("latency_range_ms must be a [low, high] pair")
+        for value in low_high:
+            check_number("latency_range_ms", value, lo=0.0)
+        check_number("jitter", self.jitter, lo=0.0)
+        check_number("nat_leg_fraction", self.nat_leg_fraction, lo=0.0)
 
     def effective_shares(self) -> dict:
         if self.edm_share is None:
@@ -148,6 +170,10 @@ class CampaignConfig:
     persistent_nat: bool = False
     trial_spacing_s: float = 90.0
     dcutr: DcutrConfig = field(default_factory=DcutrConfig)
+
+    def __post_init__(self):
+        # Over a day, timestamps pass year 9999 after a few million trials.
+        check_number("trial_spacing_s", self.trial_spacing_s, 0.0, 86_400.0)
 
 
 @dataclass
@@ -348,6 +374,7 @@ def run_campaign(config: CampaignConfig, n_trials: int, seed: int,
     population = generate_population(config.population)
     if config.persistent_nat:
         return _run_persistent(population, config, n_trials, seed)
+    workers = min(workers, n_trials)  # no idle worker processes
     if workers <= 1:
         return [run_trial(population, config, seed, t) for t in range(n_trials)]
     blob = json.dumps(config_to_dict(config), sort_keys=True)
@@ -481,7 +508,7 @@ def config_hash(config: CampaignConfig) -> str:
 def export_results(records: list[dict], path: str, seed: int,
                    config: CampaignConfig) -> None:
     """Write records as JSON (single document) or CSV (one row per record,
-    nested fields JSON-encoded) based on the path suffix."""
+    `as_id` and nested fields JSON-encoded) based on the path suffix."""
     chash = config_hash(config)
     if str(path).endswith(".csv"):
         with open(path, "w", newline="") as fh:
@@ -489,10 +516,9 @@ def export_results(records: list[dict], path: str, seed: int,
             writer.writeheader()
             for rec in records:
                 row = dict(rec)
-                for key in ("private_addrs", "public_endpoints", "attempts",
-                            "relay_addrs"):
-                    row[key] = json.dumps(row[key], sort_keys=True,
-                                          separators=(",", ":"))
+                for key in CSV_JSON_COLUMNS:
+                    if key in row:
+                        row[key] = _csv_json(row[key])
                 row["seed"] = seed
                 row["config_hash"] = chash
                 writer.writerow(row)
@@ -511,24 +537,29 @@ def export_report(report: CampaignReport, path: str) -> None:
 
 
 def load_results(path: str) -> tuple[list[dict], dict]:
-    """Read a results file (JSON or CSV) back into records plus metadata."""
+    """Read a results file (JSON or CSV) back into records plus metadata.
+    An empty CSV cell reads as null for `protocol_filter` and the RTT
+    fields, and as an absent field elsewhere."""
     if str(path).endswith(".csv"):
         records = []
         seed, chash = 0, ""
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
-                rec = dict(row)
-                seed = int(rec.pop("seed"))
-                chash = rec.pop("config_hash")
-                rec["trial"] = int(rec["trial"])
-                rec["as_id"] = int(rec["as_id"])
-                rec["port_mapping_active"] = rec["port_mapping_active"] == "True"
-                rec["protocol_filter"] = rec["protocol_filter"] or None
-                for key in ("private_addrs", "public_endpoints", "attempts",
-                            "relay_addrs"):
-                    rec[key] = json.loads(rec[key])
+                seed = int(row.pop("seed"))
+                chash = row.pop("config_hash")
+                rec = {key: value or None for key, value in row.items()
+                       if value or key in CSV_NULL_COLUMNS}
+                if "trial" in rec:
+                    rec["trial"] = int(rec["trial"])
+                rec["port_mapping_active"] = row["port_mapping_active"] == "True"
+                for key in CSV_JSON_COLUMNS:
+                    if key in rec:
+                        rec[key] = json.loads(rec[key])
                 for key in RTT_FIELDS:
-                    rec[key] = float(rec[key]) if rec[key] else None
+                    cell = rec.get(key)
+                    if cell is not None:  # an int RTT stays an int
+                        rec[key] = (int(cell) if cell.lstrip("-").isdigit()
+                                    else float(cell))
                 records.append(rec)
         return records, {"seed": seed, "config_hash": chash}
     with open(path) as fh:

@@ -10,7 +10,8 @@ import sys
 import yaml
 
 from . import analysis, campaign
-from .strategies import BirthdayPlan, BirthdayScenario, birthday_probability
+from .strategies import (BirthdayPlan, BirthdayScenario, PrimingConfigError,
+                         birthday_probability)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,8 +41,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if args.trials <= 0:
         raise ConfigError("--trials must be positive")
-    records = campaign.run_campaign(config, n_trials=args.trials,
-                                    seed=args.seed, workers=args.workers)
+    try:
+        records = campaign.run_campaign(config, n_trials=args.trials,
+                                        seed=args.seed, workers=args.workers)
+    except PrimingConfigError as exc:  # it needs the topology to show
+        raise ConfigError(f"invalid config: {exc}") from exc
     campaign.export_results(records, args.out, seed=args.seed, config=config)
     print(f"wrote {len(records)} records to {args.out}")
     if args.report:

@@ -10,16 +10,18 @@ initiator side, then simultaneous dials. Up to three attempts per result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import partial
 from typing import Callable, Optional
 
+from .kernel import check_number
 from .net import Host, Network
 from .packets import Endpoint
 from .relay import Circuit, RelayClient
 from .strategies import assign_roles, check_priming_ttl, refined_wait_time
-from .transport import QuicPort, TcpPort, Transport, measure_rtt
+from .transport import Port, QuicPort, TcpPort, Transport, measure_rtt
 
 STREAM_OPEN_BYTES = 32
 CONNECT_BYTES_BASE = 96
@@ -90,6 +92,16 @@ class DcutrConfig:
     # Campaign instrumentation pings (to-relay / via-relay / direct-after).
     measure_rtts: bool = True
 
+    def __post_init__(self):
+        for name in ("stream_timeout_ms", "attempt_deadline_ms", "reversal_deadline_ms"):
+            check_number(name, getattr(self, name), lo=0.0)
+        check_number("sync_error_ms", self.sync_error_ms)
+        # A shorter priming interval may not move the clock at all.
+        check_number("priming_interval_ms", self.priming_interval_ms, lo=1.0)
+        for name, hi in (("max_attempts", math.inf), ("rtt_samples", 10),
+                         ("priming_ttl", 255), ("dummy_count", math.inf)):
+            check_number(name, getattr(self, name), 1, hi, integer=True)
+
 
 class PeerRuntime:
     """A peer's live protocol state: relay client, one bound port per
@@ -103,26 +115,22 @@ class PeerRuntime:
         self.net = net
         self.host = host
         self.peer_id = host.id
-        self.transports = frozenset(transports)
         self.relay = RelayClient(net, host)
-        self.tcp = TcpPort(net, host) if Transport.TCP in transports else None
-        self.quic = QuicPort(net, host) if Transport.QUIC in transports else None
+        # Bound TCP first, so port numbers do not depend on set order.
+        self.ports: dict[Transport, Port] = {
+            transport: cls(net, host) for transport, cls in
+            ((Transport.TCP, TcpPort), (Transport.QUIC, QuicPort))
+            if transport in transports}
         self.port_mapping_active = port_mapping
         # Public endpoints of its own ports, as a relay observed them.
         self.observed: dict[Transport, Endpoint] = {}
         self.mapped_endpoints: dict[Transport, Endpoint] = {}
         if port_mapping and host.nat is not None:
-            for transport, port_obj in ((Transport.TCP, self.tcp),
-                                        (Transport.QUIC, self.quic)):
-                if port_obj is None:
-                    continue
+            for transport, port_obj in self.ports.items():
                 external = Endpoint(host.nat.public_host, port_obj.port)
                 if not mapping_lies:
                     host.nat.install_static_mapping(port_obj.local, port_obj.port)
                 self.mapped_endpoints[transport] = external
-
-    def port_for(self, transport: Transport):
-        return self.tcp if transport is Transport.TCP else self.quic
 
     def advertised(self, filter: Optional[Transport] = None) -> dict[Transport, Endpoint]:
         """Candidate public addresses, QUIC first: mapped endpoints take
@@ -239,9 +247,8 @@ class HolePunch:
             self.r_circ.on_closed = None
         self.remote.relay.on_incoming_circuit = None
         for runtime in (self.client, self.remote):
-            for port in (runtime.tcp, runtime.quic):
-                if port is not None:
-                    port.on_established = None
+            for port in runtime.ports.values():
+                port.on_established = None
         if self.on_done is not None:
             self.on_done(self.result)
 
@@ -311,27 +318,25 @@ class HolePunch:
     # -- identify --------------------------------------------------------------
 
     def _observe_and_identify(self, runtime: PeerRuntime, circuit: Circuit) -> None:
-        ports = [(tr, runtime.port_for(tr).port) for tr in
-                 (Transport.TCP, Transport.QUIC) if tr in runtime.transports]
-        pending = {"n": len(ports)}
+        pending = {"n": len(runtime.ports)}
 
         def send_identify() -> None:
             addrs = runtime.advertised()
             circuit.send(("id", addrs),
                          CONNECT_BYTES_BASE + CONNECT_BYTES_PER_ADDR * len(addrs))
 
-        for transport, port in ports:
+        for transport, port in runtime.ports.items():
             def on_obs(observed: Optional[Endpoint], transport=transport,
-                       port=port) -> None:
+                       local=port.local) -> None:
                 if runtime.host.nat is None:
-                    observed = Endpoint(runtime.host.id, port)  # its own address
+                    observed = local  # its own address
                 if observed is not None:
                     runtime.observed[transport] = observed
                 pending["n"] -= 1
                 if pending["n"] == 0:
                     send_identify()
 
-            runtime.relay.observe_via(circuit.relay_ep, port, on_obs)
+            runtime.relay.observe_via(circuit.relay_ep, port.port, on_obs)
 
     def _peer_identified(self) -> None:
         self._identified += 1
@@ -349,9 +354,8 @@ class HolePunch:
                       if self.filter is None or tr is self.filter]
         port = None
         if self.client.appears_public() and candidates:
-            transport = candidates[0]
-            target = self._client_addrs[transport]
-            port = self.remote.port_for(transport)
+            target = self._client_addrs[candidates[0]]
+            port = self.remote.ports.get(candidates[0])
         if port is None:
             self._open_stream()
             return
@@ -484,12 +488,6 @@ class HolePunch:
         self._end_attempt(OutcomeAttempt.TIMEOUT if self._attempt_rtt is None
                           else OutcomeAttempt.FAILED)
 
-    def _roles(self, index: int) -> tuple:
-        base = ("listener", "initiator")  # (quic client, quic server)
-        if self.cfg.alternate_roles:
-            return assign_roles(index, base)
-        return base
-
     def _side(self, side: str) -> tuple[PeerRuntime, dict[Transport, Endpoint]]:
         """One side's runtime and the addresses it holds for its peer."""
         if side == "listener":
@@ -505,14 +503,14 @@ class HolePunch:
         target = peer_addrs.get(transport)
         if target is None:
             return
-        if transport is Transport.TCP:
-            runtime.tcp.dial(target, self.cfg.attempt_deadline_ms)
-            return
-        quic_client, _ = self._roles(self._attempt)
-        if side == quic_client:
-            runtime.quic.dial(target, self.cfg.attempt_deadline_ms)
-        else:
-            runtime.quic.prime(target, count=self.cfg.dummy_count, ttl=64)
+        port = runtime.ports[transport]
+        roles = ("listener", "initiator")  # (QUIC client, QUIC server)
+        if self.cfg.alternate_roles:
+            roles = assign_roles(self._attempt, roles)
+        if transport is Transport.TCP or side == roles[0]:
+            port.dial(target, self.cfg.attempt_deadline_ms)
+        else:  # the QUIC server primes its NAT
+            port.prime(target, count=self.cfg.dummy_count, ttl=64)
 
     def _end_attempt(self, outcome: OutcomeAttempt,
                      transport: Optional[Transport] = None) -> None:
@@ -532,11 +530,9 @@ class HolePunch:
 
     def _hook_establishment(self) -> None:
         for runtime in (self.client, self.remote):
-            for transport in (Transport.TCP, Transport.QUIC):
-                port_obj = runtime.port_for(transport)
-                if port_obj is not None:
-                    port_obj.on_established = partial(
-                        self._on_established, runtime, port_obj, transport)
+            for transport, port_obj in runtime.ports.items():
+                port_obj.on_established = partial(
+                    self._on_established, runtime, port_obj, transport)
 
     def _on_established(self, runtime: PeerRuntime, port_obj,
                         transport: Transport, remote_ep: Endpoint) -> None:
@@ -591,11 +587,12 @@ class HolePunch:
         `priming_interval_ms` until `until`."""
         runtime, peer_addrs = self._side(side)
         target = peer_addrs.get(Transport.QUIC)
-        if target is None or runtime.quic is None or self.sim.now > until:
+        port = runtime.ports.get(Transport.QUIC)
+        if target is None or port is None or self.sim.now > until:
             return
         owner = self.net.hosts.get(target.host.split("#", 1)[0])
         check_priming_ttl(self.net.topology, runtime.host.id,
                           owner.id if owner else target.host, self.cfg.priming_ttl)
-        runtime.quic.prime(target, count=1, ttl=self.cfg.priming_ttl)
+        port.prime(target, count=1, ttl=self.cfg.priming_ttl)
         self._arm("prime-" + side, lambda: self._prime(side, until),
                   self.cfg.priming_interval_ms, last=Phase.DIRECT)

@@ -9,11 +9,22 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
 from typing import Callable, Optional
 
 # Floor applied to every latency draw so causality is never violated.
 MIN_LATENCY_MS = 0.01
+
+
+def check_number(name: str, value, lo: float = -math.inf, hi: float = math.inf,
+                 integer: bool = False) -> None:
+    """Raise ValueError unless `value` is a finite number (an int when
+    `integer`, never a bool) within [lo, hi]. Config fields use this."""
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not lo <= value <= hi or abs(value) == math.inf):
+        kind = "an integer" if integer else "a finite number"
+        raise ValueError(f"{name} must be {kind} in [{lo}, {hi}], not {value!r}")
 
 
 class ScheduleInPastError(ValueError):

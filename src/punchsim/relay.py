@@ -202,43 +202,42 @@ class RelayClient:
                     on_done: Callable[[Optional[Circuit]], None],
                     timeout_ms: float = 10_000.0) -> None:
         """Dial the listener through every given relay; the first circuit
-        to open wins, the rest are closed."""
-        state = {"done": False, "refused": 0, "n": len(relay_addrs)}
+        to open wins, the rest are closed. The overall timeout is live
+        exactly while the dial is unsettled."""
+        if not relay_addrs:
+            on_done(None)
+            return
+        refused = 0
+        timeout = None
 
         def settle(circuit: Optional[Circuit]) -> None:
-            if state["done"]:
+            nonlocal timeout
+            if timeout is None:  # settled already
                 if circuit is not None:
                     circuit.close()
                 return
-            if circuit is None:
-                state["refused"] += 1
-                if state["refused"] >= state["n"]:
-                    state["done"] = True
-                    on_done(None)
-                return
-            state["done"] = True
+            self.net.sim.cancel(timeout)
+            timeout = None
             on_done(circuit)
 
         def on_reply(relay_ep: Endpoint, tag: tuple) -> None:
+            nonlocal refused
             if tag[0] == "conn-refused":
-                settle(None)
+                refused += 1
+                if refused == len(relay_addrs):
+                    settle(None)
                 return
             circuit = Circuit(self, relay_ep, tag[2], peer_id=listener_id)
             self.circuits[(relay_ep.host, circuit.cid)] = circuit
             settle(circuit)
 
-        if not relay_addrs:
-            on_done(None)
-            return
         for relay_ep in relay_addrs:
             token = self.net.sim.next_token()
             # No timeout per request: `settle` closes a circuit that opens
             # late, so the relay frees its slot.
             self.host.replies[token] = (partial(on_reply, relay_ep), None)
             self._send_control(relay_ep, ("conn-req", token, listener_id, self.peer_id))
-        self.net.sim.schedule_in(
-            lambda: (not state["done"] and (state.update(done=True), on_done(None))),
-            timeout_ms)
+        timeout = self.net.sim.schedule_in(lambda: settle(None), timeout_ms)
 
     def circuit_ping(self, circuit: Circuit, samples: int,
                      on_done: Callable[[Optional[tuple[float, float]]], None],

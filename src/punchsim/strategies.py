@@ -92,8 +92,8 @@ def refined_wait_time(rtt_listener_initiator: float, rtt_listener_nat: float,
 def assign_roles(attempt_index: int, base: tuple) -> tuple:
     """Role assignment for a retry: odd attempts keep the base
     assignment, even attempts swap it."""
-    if attempt_index not in (1, 2, 3):
-        raise ValueError("attempt_index must be 1..3")
+    if attempt_index < 1:
+        raise ValueError("attempt_index must be >= 1")
     return base if attempt_index % 2 == 1 else (base[1], base[0])
 
 

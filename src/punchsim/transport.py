@@ -1,11 +1,11 @@
-"""Connection establishment over simulated packets: TCP with simultaneous
-open, a QUIC-style one-round-trip UDP handshake with NAT priming, and RTT
-probing."""
+"""Connection establishment over simulated packets: one port interface
+(`Port`) for TCP with simultaneous open and for a QUIC-style
+one-round-trip UDP handshake with NAT priming, and RTT probing."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -32,133 +32,122 @@ class Transport(Enum):
 class DialResult:
     established: bool
     reason: Optional[str] = None  # "rst" | "timeout" when failed
-    remote: Optional[Endpoint] = None
-    at: float = 0.0
 
 
-class _TcpState(Enum):
-    SYN_SENT = "syn-sent"
-    SYN_RCVD = "syn-rcvd"
+class ConnState(Enum):
+    OPENING = "opening"      # we dialed; the first flight repeats
+    ACCEPTING = "accepting"  # the remote dialed; we answered
     ESTABLISHED = "established"
     FAILED = "failed"
 
 
-class _TcpConn:
-    __slots__ = ("remote", "state", "on_done", "done")
-
-    def __init__(self, remote: Endpoint, state: _TcpState,
-                 on_done: Optional[Callable[[DialResult], None]] = None):
-        self.remote = remote
-        self.state = state
-        self.on_done = on_done
-        self.done = False
+@dataclass(slots=True)
+class _Conn:
+    remote: Endpoint
+    state: ConnState
+    on_done: Optional[Callable[[DialResult], None]] = None
+    timers: list = field(default_factory=list)  # a dial's [retransmit, deadline]
 
 
-class TcpPort:
-    """A bound TCP port that can listen and dial concurrently, as hole
-    punching requires. Crossing SYNs complete via simultaneous open."""
+class Port:
+    """A bound port that dials and is dialed. A dial sends its first
+    flight, repeats it every `RETRANSMIT_MS` and fails at its deadline; it
+    settles once, and settling cancels both timers. Subclasses supply
+    `_first_flight(remote)` and the packet handler `_on_packet(pkt)`."""
 
-    def __init__(self, net: Network, host: Host, port: Optional[int] = None,
-                 listening: bool = True):
-        self.net = net
-        self.host = host
-        self.listening = listening
-        self.port = host.bind(self._on_packet, port)
-        self.local = host.endpoint(self.port)
-        self.conns: dict[Endpoint, _TcpConn] = {}
-        # Fires once per remote that reaches ESTABLISHED, dialed or accepted.
-        self.on_established: Optional[Callable[[Endpoint], None]] = None
-
-    def dial(self, remote: Endpoint, deadline_ms: float = DEFAULT_DIAL_DEADLINE_MS,
-             on_done: Optional[Callable[[DialResult], None]] = None) -> None:
-        conn = _TcpConn(remote, _TcpState.SYN_SENT, on_done)
-        self.conns[remote] = conn
-        self._send(remote, PacketKind.TCP_SYN)
-        self.net.sim.schedule_in(lambda: self._retransmit(conn), TCP_SYN_RETRANSMIT_MS)
-        self.net.sim.schedule_in(lambda: self._deadline(conn), deadline_ms)
-
-    def _send(self, remote: Endpoint, kind: PacketKind) -> None:
-        self.host.send(Packet(src=self.local, dst=remote, kind=kind,
-                              size_bytes=TCP_SEGMENT_BYTES))
-
-    def _retransmit(self, conn: _TcpConn) -> None:
-        if conn.done or conn.state is not _TcpState.SYN_SENT:
-            return
-        self._send(conn.remote, PacketKind.TCP_SYN)
-        self.net.sim.schedule_in(lambda: self._retransmit(conn), TCP_SYN_RETRANSMIT_MS)
-
-    def _deadline(self, conn: _TcpConn) -> None:
-        if not conn.done and conn.state is not _TcpState.ESTABLISHED:
-            self._finish(conn, DialResult(False, "timeout"))
-
-    def _finish(self, conn: _TcpConn, result: DialResult) -> None:
-        if conn.done:
-            return
-        conn.done = True
-        if not result.established:
-            conn.state = _TcpState.FAILED
-        if conn.on_done is not None:
-            conn.on_done(result)
-        if result.established and self.on_established is not None:
-            self.on_established(conn.remote)
-
-    def _establish(self, conn: _TcpConn) -> None:
-        if conn.state is _TcpState.ESTABLISHED:
-            return
-        conn.state = _TcpState.ESTABLISHED
-        self._finish(conn, DialResult(True, remote=conn.remote, at=self.net.sim.now))
-
-    def _on_packet(self, pkt: Packet) -> None:
-        conn = self.conns.get(pkt.src)
-        kind = pkt.kind
-        if kind is PacketKind.TCP_RST:
-            if conn is not None and conn.state is not _TcpState.ESTABLISHED:
-                self._finish(conn, DialResult(False, "rst"))
-            return
-        if kind is PacketKind.TCP_SYN:
-            if conn is None:
-                if not self.listening:
-                    return
-                conn = _TcpConn(pkt.src, _TcpState.SYN_RCVD)
-                self.conns[pkt.src] = conn
-                self._send(pkt.src, PacketKind.TCP_SYNACK)
-            elif conn.state is _TcpState.SYN_SENT:
-                # Simultaneous open: our SYN crossed theirs.
-                self._send(pkt.src, PacketKind.TCP_SYNACK)
-            elif conn.state is _TcpState.SYN_RCVD:
-                self._send(pkt.src, PacketKind.TCP_SYNACK)
-            return
-        if kind is PacketKind.TCP_SYNACK:
-            if conn is not None and conn.state in (_TcpState.SYN_SENT, _TcpState.SYN_RCVD):
-                self._send(pkt.src, PacketKind.TCP_ACK)
-                self._establish(conn)
-            return
-        if kind is PacketKind.TCP_ACK:
-            if conn is not None and conn.state is _TcpState.SYN_RCVD:
-                self._establish(conn)
-
-
-class QuicPort:
-    """A bound UDP port speaking a one-round-trip QUIC-style handshake.
-
-    In hole punching one side dials (client) while the other primes its
-    NAT with dummy datagrams and answers the client's first flight."""
+    RETRANSMIT_MS: float
 
     def __init__(self, net: Network, host: Host, port: Optional[int] = None):
         self.net = net
         self.host = host
         self.port = host.bind(self._on_packet, port)
         self.local = host.endpoint(self.port)
-        self._dials: dict[Endpoint, dict] = {}
+        self.conns: dict[Endpoint, _Conn] = {}
+        # Fires once per connection that reaches ESTABLISHED.
         self.on_established: Optional[Callable[[Endpoint], None]] = None
-        self._accepted: set[Endpoint] = set()
 
     def dial(self, remote: Endpoint, deadline_ms: float = DEFAULT_DIAL_DEADLINE_MS,
              on_done: Optional[Callable[[DialResult], None]] = None) -> None:
-        state = {"remote": remote, "on_done": on_done, "done": False}
-        self._dials[remote] = state
-        self._send_initial(state)
-        self.net.sim.schedule_in(lambda: self._deadline(state), deadline_ms)
+        conn = _Conn(remote, ConnState.OPENING, on_done)
+        self.conns[remote] = conn
+        self._first_flight(remote)
+        sim = self.net.sim
+        conn.timers = [
+            sim.schedule_in(lambda: self._retransmit(conn), self.RETRANSMIT_MS),
+            sim.schedule_in(lambda: self._settle(conn, DialResult(False, "timeout")),
+                            deadline_ms)]
+
+    def _retransmit(self, conn: _Conn) -> None:
+        self._first_flight(conn.remote)
+        conn.timers[0] = self.net.sim.schedule_in(lambda: self._retransmit(conn),
+                                                  self.RETRANSMIT_MS)
+
+    def _settle(self, conn: _Conn, result: DialResult) -> None:
+        """End an open connection; callers check that it is open."""
+        conn.state = ConnState.ESTABLISHED if result.established else ConnState.FAILED
+        for timer in conn.timers:
+            self.net.sim.cancel(timer)
+        if conn.on_done is not None:
+            conn.on_done(result)
+        if result.established and self.on_established is not None:
+            self.on_established(conn.remote)
+
+
+_OPEN = (ConnState.OPENING, ConnState.ACCEPTING)
+
+
+class TcpPort(Port):
+    """A TCP port that can listen and dial concurrently, as hole punching
+    requires. Crossing SYNs complete via simultaneous open."""
+
+    RETRANSMIT_MS = TCP_SYN_RETRANSMIT_MS
+
+    def __init__(self, net: Network, host: Host, port: Optional[int] = None,
+                 listening: bool = True):
+        self.listening = listening
+        super().__init__(net, host, port)
+
+    def _send(self, remote: Endpoint, kind: PacketKind) -> None:
+        self.host.send(Packet(src=self.local, dst=remote, kind=kind,
+                              size_bytes=TCP_SEGMENT_BYTES))
+
+    def _first_flight(self, remote: Endpoint) -> None:
+        self._send(remote, PacketKind.TCP_SYN)
+
+    def _on_packet(self, pkt: Packet) -> None:
+        conn = self.conns.get(pkt.src)
+        state = conn.state if conn is not None else None
+        kind = pkt.kind
+        if kind is PacketKind.TCP_RST:
+            if state in _OPEN:
+                self._settle(conn, DialResult(False, "rst"))
+        elif kind is PacketKind.TCP_SYN:
+            # A SYN that crossed ours is a simultaneous open.
+            if state in _OPEN or (conn is None and self.listening):
+                if conn is None:
+                    self.conns[pkt.src] = _Conn(pkt.src, ConnState.ACCEPTING)
+                self._send(pkt.src, PacketKind.TCP_SYNACK)
+        elif kind is PacketKind.TCP_SYNACK:
+            if state in _OPEN:
+                self._send(pkt.src, PacketKind.TCP_ACK)
+                self._settle(conn, DialResult(True))
+        elif kind is PacketKind.TCP_ACK:
+            if state is ConnState.ACCEPTING:
+                self._settle(conn, DialResult(True))
+
+
+class QuicPort(Port):
+    """A UDP port speaking a one-round-trip QUIC-style handshake.
+
+    In hole punching one side dials (client) while the other primes its
+    NAT with dummy datagrams and answers the client's first flight, which
+    establishes that side at once."""
+
+    RETRANSMIT_MS = QUIC_RETRANSMIT_MS
+
+    def __init__(self, net: Network, host: Host, port: Optional[int] = None):
+        super().__init__(net, host, port)
+        self._accepted: set[Endpoint] = set()
 
     def prime(self, toward: Endpoint, count: int = 3, ttl: int = 64,
               spacing_ms: float = 5.0) -> None:
@@ -174,19 +163,10 @@ class QuicPort:
                                               tag="dummy")),
                 i * spacing_ms)
 
-    def _send_initial(self, state: dict) -> None:
-        if state["done"]:
-            return
-        self.host.send(Packet(src=self.local, dst=state["remote"],
+    def _first_flight(self, remote: Endpoint) -> None:
+        self.host.send(Packet(src=self.local, dst=remote,
                               kind=PacketKind.QUIC_INITIAL,
                               size_bytes=QUIC_INITIAL_BYTES))
-        self.net.sim.schedule_in(lambda: self._send_initial(state), QUIC_RETRANSMIT_MS)
-
-    def _deadline(self, state: dict) -> None:
-        if not state["done"]:
-            state["done"] = True
-            if state["on_done"] is not None:
-                state["on_done"](DialResult(False, "timeout"))
 
     def _on_packet(self, pkt: Packet) -> None:
         if pkt.kind is PacketKind.QUIC_INITIAL:
@@ -197,15 +177,10 @@ class QuicPort:
                 self._accepted.add(pkt.src)
                 if self.on_established is not None:
                     self.on_established(pkt.src)
-            return
-        if pkt.kind is PacketKind.QUIC_REPLY:
-            state = self._dials.get(pkt.src)
-            if state is not None and not state["done"]:
-                state["done"] = True
-                if state["on_done"] is not None:
-                    state["on_done"](DialResult(True, remote=pkt.src, at=self.net.sim.now))
-                if self.on_established is not None:
-                    self.on_established(pkt.src)
+        elif pkt.kind is PacketKind.QUIC_REPLY:
+            conn = self.conns.get(pkt.src)
+            if conn is not None and conn.state is ConnState.OPENING:
+                self._settle(conn, DialResult(True))
 
 
 class RttProbe:

@@ -101,7 +101,7 @@ class TestFirstAttemptDominance:
                         "PortRestrictedCone": 0.7, "Symmetric": 0.0},
                 jitter=1.0),
             policy=TransportPolicy.RANDOM)
-        records = run_campaign(cfg, n_trials=10_000, seed=42)
+        records = run_campaign(cfg, n_trials=10_000, seed=42, workers=2)
         histogram = aggregate(records, seed=42).attempt_histogram
         successes = sum(histogram.values())
         assert successes > 0
@@ -118,7 +118,7 @@ class TestTransportAgnosticism:
                     shares={"FullCone": 0.0, "RestrictedCone": 0.0,
                             "PortRestrictedCone": 0.8, "Symmetric": 0.2}),
                 policy=policy)
-            records = run_campaign(cfg, n_trials=10_000, seed=42)
+            records = run_campaign(cfg, n_trials=10_000, seed=42, workers=2)
             rates[policy] = aggregate(records, seed=42).success_rate
         assert abs(rates[TransportPolicy.TCP]
                    - rates[TransportPolicy.QUIC]) <= 0.02

@@ -1,9 +1,15 @@
 import json
+import math
+from datetime import timedelta, timezone
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from punchsim import cli
-from punchsim.analysis import MalformedRecord, relay_path_location
+from punchsim import campaign, cli
+from punchsim.analysis import (OUTCOMES, RTT_FIELDS, MalformedRecord, analyze,
+                               relay_path_location, validate_records)
 from punchsim.campaign import (CampaignConfig, PopulationSpec,
                                TransportPolicy, aggregate, config_from_dict,
                                config_hash, config_to_dict, export_results,
@@ -35,6 +41,74 @@ def make_record(trial=0, outcome="SUCCESS", to_relay=10.0, relayed=40.0):
         "rtt_direct_after_mean": None, "rtt_direct_after_stddev": None,
         "relay_addrs": ["relay-00:1"],
     }
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6)
+FINITE = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+ZONES = st.none() | st.builds(timezone, st.timedeltas(
+    min_value=timedelta(hours=-23), max_value=timedelta(hours=23)))
+
+
+@st.composite
+def valid_records(draw):
+    """Records as a results file holds them (JSON values, so endpoint
+    pairs are lists), over every field of the export schema, with the
+    optional ones present or absent."""
+    timestamp = draw(st.dates().map(lambda d: d.isoformat())
+                     | st.datetimes(timezones=ZONES).map(lambda t: t.isoformat()))
+    rec = {
+        "client": draw(st.text(min_size=1)),
+        "timestamp": timestamp,
+        "public_endpoints": draw(st.lists(
+            st.text() | st.lists(st.text(), min_size=2, max_size=2), max_size=3)),
+        "private_addrs": draw(st.lists(st.text(), max_size=3)),
+        "as_id": draw(st.integers() | st.text() | st.booleans()),
+        "outcome": draw(st.sampled_from(sorted(OUTCOMES))),
+        "attempts": draw(st.lists(JSON_VALUES, max_size=3)),
+        "port_mapping_active": draw(st.booleans()),
+    }
+    optional = {"trial": st.integers(), "remote": st.text(min_size=1),
+                "protocol_filter": st.sampled_from([None, "TCP", "QUIC"]),
+                "relay_addrs": st.lists(JSON_VALUES, max_size=3),
+                **{key: st.none() | FINITE for key in RTT_FIELDS}}
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            rec[key] = draw(values)
+    return rec
+
+
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.text(max_size=3),
+    st.floats(-10.0, 1e4), st.sampled_from([math.nan, math.inf, -math.inf, 1e300]),
+    st.sampled_from(["TCP", "QUIC", "random", "FullCone"]),
+    st.lists(st.integers(-3, 70) | st.floats(-1.0, 70.0), max_size=3),
+    st.dictionaries(st.sampled_from(["FullCone", "Symmetric", "x"]),
+                    st.floats(-1.0, 2.0) | st.text(max_size=2), max_size=3))
+CONFIG_FIELDS = {
+    None: [*config_to_dict(CampaignConfig()), "bogus"],
+    "population": [*config_to_dict(CampaignConfig())["population"], "bogus"],
+    "dcutr": [*config_to_dict(CampaignConfig())["dcutr"], "bogus"],
+}
+
+
+@st.composite
+def config_documents(draw):
+    """A small campaign config as YAML with up to four fields (or whole
+    sections) replaced by values of any shape."""
+    doc = {"population": {"n_clients": 2, "n_remotes": 2, "n_relays": 1},
+           "dcutr": {"max_attempts": 2}}
+    for _ in range(draw(st.integers(1, 4))):
+        section = draw(st.sampled_from(sorted(CONFIG_FIELDS, key=str)))
+        key = draw(st.sampled_from(CONFIG_FIELDS[section]))
+        target = doc if section is None else doc.get(section)
+        if isinstance(target, dict):
+            target[key] = draw(ODD_VALUES)
+    return yaml.safe_dump(doc)
 
 
 class TestPopulation:
@@ -97,6 +171,32 @@ class TestCampaignRuns:
         parallel = run_campaign(cfg, n_trials=60, seed=12, workers=4)
         assert json.dumps(serial, sort_keys=True) == \
             json.dumps(parallel, sort_keys=True)
+
+    def test_no_more_workers_than_trials(self, monkeypatch):
+        started = []
+
+        class Recorder:
+            """Stands in for the process pool; starts no process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                chunks = list(chunks)
+                started.append([len(trials) for _, _, trials in chunks])
+                return map(fn, chunks)
+
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", Recorder)
+        cfg = small_config()
+        records = run_campaign(cfg, n_trials=3, seed=4, workers=8)
+        assert started == [3, [1, 1, 1]]
+        assert records == run_campaign(cfg, n_trials=3, seed=4)
 
     def test_identical_seed_identical_records(self):
         cfg = small_config()
@@ -186,6 +286,32 @@ class TestExport:
         loaded, meta = load_results(str(path))
         assert loaded == records
         assert meta["seed"] == 9
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(valid_records(), min_size=1, max_size=4))
+    def test_any_valid_record_round_trips(self, tmp_path, records):
+        validate_records(records)
+        loaded = {}
+        for suffix in ("json", "csv"):
+            path = str(tmp_path / f"results.{suffix}")
+            export_results(records, path, seed=3, config=CampaignConfig())
+            loaded[suffix] = load_results(path)[0]
+        assert loaded["json"] == records
+        # An absent field comes back absent, except that CSV has one
+        # column per field: an absent protocol_filter or RTT field comes
+        # back null there.
+        nulls = dict.fromkeys(("protocol_filter", *RTT_FIELDS))
+        assert loaded["csv"] == [{**nulls, **rec} for rec in records]
+        assert analyze(loaded["json"]) == analyze(loaded["csv"])
+
+    def test_string_as_id_and_absent_fields_export_to_csv(self, tmp_path):
+        rec = make_record()
+        rec["as_id"] = "AS64512"
+        del rec["remote"], rec["relay_addrs"], rec["trial"]
+        path = str(tmp_path / "results.csv")
+        export_results([rec], path, seed=3, config=CampaignConfig())
+        assert load_results(path)[0] == [rec]
 
     def test_re_export_is_byte_identical(self, tmp_path):
         cfg = small_config()
@@ -283,6 +409,43 @@ class TestCliExits:
         assert rc == cli.EXIT_OK
         assert "success rate n/a" in capsys.readouterr().out
         assert '"success_rate": null' in report.read_text()
+
+    def simulate_exit(self, tmp_path, capsys, text, trials=5):
+        path = tmp_path / "campaign.yaml"
+        path.write_text(text)
+        rc = cli.main(["simulate", "--config", str(path), "--trials", str(trials),
+                       "--seed", "1", "--out", str(tmp_path / "results.json")])
+        assert "Traceback" not in capsys.readouterr().err
+        return rc
+
+    # A small all-Symmetric population over QUIC fails its attempts, so
+    # every attempt-dependent setting is read.
+    FAILING = ("policy: QUIC\npopulation: {n_clients: 2, n_remotes: 2, "
+               "shares: {Symmetric: 1.0}}\n")
+
+    @pytest.mark.parametrize("text", [
+        "population: {shares: 5}\n",
+        "population: {latency_range_ms: [1]}\n",
+        FAILING + "trial_spacing_s: x\n",
+        FAILING + "dcutr: {max_attempts: x}\n",
+        FAILING + "dcutr: {rtt_samples: 20}\n",
+        FAILING + "dcutr: {ttl_priming: true, priming_ttl: 6}\n",
+    ])
+    def test_config_that_crashed_the_run_exits_2(self, tmp_path, capsys, text):
+        assert self.simulate_exit(tmp_path, capsys, text) == cli.EXIT_CONFIG
+
+    def test_alternating_roles_past_three_attempts(self, tmp_path, capsys):
+        text = self.FAILING + "dcutr: {max_attempts: 5, alternate_roles: true}\n"
+        assert self.simulate_exit(tmp_path, capsys, text) == cli.EXIT_OK
+        records, _ = load_results(str(tmp_path / "results.json"))
+        assert [len(rec["attempts"]) for rec in records] == [5] * 5
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(st.text(max_size=40), config_documents()))
+    def test_any_config_document_runs_or_exits_2(self, tmp_path, capsys, text):
+        rc = self.simulate_exit(tmp_path, capsys, text, trials=2)
+        assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG)
 
     def analyze_exit(self, tmp_path, capsys, text):
         path = tmp_path / "results.json"

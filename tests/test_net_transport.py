@@ -235,6 +235,28 @@ class TestTcp:
         assert results[0].reason == "rst"
 
 
+def test_settled_dials_leave_nothing_queued():
+    """A dial cancels its retransmit and deadline timers when it settles,
+    so once its packets have landed nothing of it is left to run."""
+    net = build_net()
+    net.add_host("a", 10.0)
+    net.add_host("b", 20.0)
+    net.add_host("c", 20.0, nat_config=NatConfig(rst_on_unsolicited_tcp=True))
+    TcpPort(net, net.hosts["b"], port=443)
+    QuicPort(net, net.hosts["b"], port=4433)
+    tcp = TcpPort(net, net.hosts["a"], listening=False)
+    quic = QuicPort(net, net.hosts["a"])
+    established, refused, quic_done = [], [], []
+    tcp.dial(Endpoint("b", 443), on_done=established.append)
+    tcp.dial(Endpoint(net.public_endpoint_host("c"), 40_000), on_done=refused.append)
+    quic.dial(Endpoint("b", 4433), on_done=quic_done.append)
+    # Every dial settles within 100 ms, before any retransmit is due.
+    net.sim.run(until=400.0)
+    assert established[0].established and quic_done[0].established
+    assert refused[0].reason == "rst"
+    assert net.sim.pending() == 0
+
+
 class TestQuic:
     def _pair(self, server_filtering=FilteringBehavior.APDF):
         net = build_net()

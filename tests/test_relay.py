@@ -38,6 +38,14 @@ def open_circuit(net, dialer, listener, services):
     return out[0], circuits
 
 
+def test_open_circuit_leaves_nothing_queued():
+    """`connect_via` cancels its overall timeout when a circuit opens."""
+    net, services, alice, bob = build_world()
+    circuit, _ = open_circuit(net, alice, bob, services)
+    assert circuit is not None and circuit.open
+    assert net.sim.pending() == 0
+
+
 class TestReservation:
     def test_reserve_succeeds_and_records_expiry(self):
         net, services, alice, bob = build_world()
