@@ -3,24 +3,56 @@ identification, filtered success-rate time series with a trend line,
 relay-path-location binning, RTT measurement accuracy, and the
 direct-vs-relayed latency ratio distribution.
 
-Input records use the campaign export schema; files produced elsewhere
-can be converted to it externally.
+Input records follow the results-file schema, `RECORD_FIELDS`; files
+produced elsewhere can be converted to it externally.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from datetime import datetime
 from typing import Optional
 
-REQUIRED_FIELDS = (
-    "client", "timestamp", "public_endpoints", "private_addrs", "as_id",
-    "outcome", "attempts", "port_mapping_active",
-)
 OUTCOMES = {"UNKNOWN", "NO_CONNECTION", "NO_STREAM", "CONNECTION_REVERSED",
             "CANCELLED", "FAILED", "SUCCESS"}
 ZERO_PUBLIC = "zero-public"
 MULTI_NETWORK = "multi-network"
+
+RTT_CLASSES = {"to_relay": "rtt_to_relay", "via_relay": "rtt_relayed",
+               "direct_after": "rtt_direct_after"}
+RTT_FIELDS = tuple(f"{prefix}_{stat}" for prefix in RTT_CLASSES.values()
+                   for stat in ("mean", "stddev"))
+
+# The results-file record schema, in CSV column order: per field, its
+# presence rule, its CSV cell kind (text, json, int, bool or number) and
+# its type rule, which `_type_error` checks. A required field is in every
+# record; an optional or a nullable one may be left out, and its empty CSV
+# cell reads as absent, or as null for a nullable one. No other key is
+# allowed.
+REQUIRED, OPTIONAL, NULLABLE = "required", "optional", "nullable"
+RECORD_FIELDS = {
+    "trial": (OPTIONAL, "int", "integer"),
+    "timestamp": (REQUIRED, "text", "string"),
+    "client": (REQUIRED, "text", "string"),
+    "remote": (OPTIONAL, "text", "string"),
+    "as_id": (REQUIRED, "json", "id"),
+    "private_addrs": (REQUIRED, "json", "strings"),
+    "public_endpoints": (REQUIRED, "json", "endpoints"),
+    "port_mapping_active": (REQUIRED, "bool", "boolean"),
+    "protocol_filter": (NULLABLE, "text", "transport"),
+    "outcome": (REQUIRED, "text", "string"),
+    "attempts": (REQUIRED, "json", "list"),
+    **dict.fromkeys(RTT_FIELDS, (NULLABLE, "number", "number")),
+    "relay_addrs": (OPTIONAL, "json", "list"),
+}
+_REQUIRED = tuple(k for k, (presence, _, _) in RECORD_FIELDS.items() if presence == REQUIRED)
+_KNOWN = frozenset(RECORD_FIELDS)
+# The fields under each type rule, in column order.
+_RULES = {rule: tuple(k for k, (_, _, r) in RECORD_FIELDS.items() if r == rule)
+          for _, _, rule in RECORD_FIELDS.values()}
+_LISTS = _RULES["list"] + _RULES["strings"] + _RULES["endpoints"]
+_FLOAT_MAX = sys.float_info.max  # a larger int RTT overflows a division
 
 
 class MalformedRecord(ValueError):
@@ -33,53 +65,64 @@ class MalformedRecord(ValueError):
 
 
 def _type_error(rec: dict) -> Optional[str]:
-    """Why a record's fields do not have the types the analyses and the
-    exports read, or None. `trial`, `remote`, `protocol_filter`,
-    `relay_addrs` and the RTT fields may be absent."""
-    for key in ("client", "remote", "timestamp", "outcome"):
-        if not isinstance(rec.get(key, ""), str):
+    """Why a record's fields break their type rules in `RECORD_FIELDS`,
+    or None. Absent optional fields pass; only the transport and number
+    rules take null."""
+    for key in _RULES["string"]:
+        value = rec.get(key, "absent")
+        if not isinstance(value, str):
             return f"{key} must be a string"
-    if not rec["client"] or rec.get("remote") == "":
-        return "client and remote must not be empty"
-    if type(rec.get("trial", 0)) is not int:  # a bool is not a trial index
-        return "trial must be an integer"
-    if rec.get("protocol_filter") not in (None, "TCP", "QUIC"):
-        return "protocol_filter must be TCP, QUIC or null"
-    if not isinstance(rec["port_mapping_active"], bool):
-        return "port_mapping_active must be a boolean"
-    for key in ("private_addrs", "attempts", "relay_addrs"):
+        if not value:  # its empty CSV cell would read back as absent
+            return f"{key} must not be empty"
+    for key in _RULES["integer"]:
+        if type(rec.get(key, 0)) is not int:  # a bool is not a trial index
+            return f"{key} must be an integer"
+    for key in _RULES["transport"]:
+        if rec.get(key) not in (None, "TCP", "QUIC"):
+            return f"{key} must be TCP, QUIC or null"
+    for key in _RULES["boolean"]:
+        if not isinstance(rec.get(key, False), bool):
+            return f"{key} must be a boolean"
+    for key in _RULES["id"]:
+        if not isinstance(rec.get(key, 0), (int, str)):
+            return f"{key} must be an integer or a string"
+    for key in _LISTS:
         if not isinstance(rec.get(key, []), list):
             return f"{key} must be a list"
-    for addr in rec["private_addrs"]:
-        if not isinstance(addr, str):
-            return "private_addrs entries must be strings"
-    if not isinstance(rec["as_id"], (int, str)):
-        return "as_id must be an integer or a string"
-    endpoints = rec["public_endpoints"]
-    if not isinstance(endpoints, list):
-        return "public_endpoints must be a list"
-    for entry in endpoints:
-        if not (isinstance(entry, str)
-                or (isinstance(entry, (list, tuple)) and len(entry) == 2
-                    and isinstance(entry[0], str) and isinstance(entry[1], str))):
-            return "public_endpoints entries must be strings or [str, str] pairs"
-    for key in RTT_FIELDS:
+    for key in _RULES["strings"]:
+        for entry in rec.get(key, ()):
+            if not isinstance(entry, str):
+                return f"{key} entries must be strings"
+    for key in _RULES["endpoints"]:
+        for entry in rec.get(key, ()):
+            if not (isinstance(entry, str)
+                    or (isinstance(entry, (list, tuple)) and len(entry) == 2
+                        and isinstance(entry[0], str) and isinstance(entry[1], str))):
+                return f"{key} entries must be strings or [str, str] pairs"
+    for key in _RULES["number"]:
         value = rec.get(key)
         if value is not None and not (type(value) in (int, float)
-                                      and -math.inf < value < math.inf):
+                                      and -_FLOAT_MAX <= value <= _FLOAT_MAX):
             return f"{key} must be a number (finite) or null"
     return None
 
 
 def validate_records(records: list[dict]) -> None:
+    """Check each record against `RECORD_FIELDS`: required fields present,
+    no other key, every type rule kept, a known outcome and an ISO 8601
+    timestamp. Raises `MalformedRecord` at the first record that fails."""
     if not isinstance(records, list):
         raise MalformedRecord(0, "records must be a list")
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise MalformedRecord(i, "not an object")
-        for key in REQUIRED_FIELDS:
+        for key in _REQUIRED:
             if key not in rec:
                 raise MalformedRecord(i, f"missing field {key!r}")
+        if not _KNOWN.issuperset(rec):
+            # repr, not sorting: a long CSV row files its extra cells under None.
+            unknown = ", ".join(repr(key) for key in rec if key not in _KNOWN)
+            raise MalformedRecord(i, f"fields outside the record schema: {unknown}")
         reason = _type_error(rec)
         if reason is not None:
             raise MalformedRecord(i, reason)
@@ -299,12 +342,6 @@ def relay_path_location(records: list[dict], bin_width: float = 0.05) -> dict:
 # -- RTT accuracy and latency ratios ------------------------------------------------
 
 
-RTT_CLASSES = {"to_relay": "rtt_to_relay", "via_relay": "rtt_relayed",
-               "direct_after": "rtt_direct_after"}
-RTT_FIELDS = tuple(f"{prefix}_{stat}" for prefix in RTT_CLASSES.values()
-                   for stat in ("mean", "stddev"))
-
-
 def rtt_accuracy(records: list[dict]) -> dict:
     """Dispersion of each RTT measurement class: stddev/mean per record,
     returned sorted (an empirical CDF); zero-mean records are skipped."""
@@ -325,19 +362,19 @@ def rtt_accuracy(records: list[dict]) -> dict:
     return out
 
 
+def latency_ratios(records: list[dict]) -> list[float]:
+    """Direct-path RTT over relayed RTT, in record order, of each SUCCESS
+    record that measured both as nonzero."""
+    return [rec["rtt_direct_after_mean"] / rec["rtt_relayed_mean"] for rec in records
+            if rec["outcome"] == "SUCCESS" and rec.get("rtt_direct_after_mean")
+            and rec.get("rtt_relayed_mean")]
+
+
 def latency_ratio_cdf(records: list[dict]) -> dict:
     """Distribution of direct-path RTT relative to the relayed RTT among
-    successes; the share of peers whose direct path came out slower is
-    reported separately."""
-    ratios = []
-    for rec in records:
-        if rec["outcome"] != "SUCCESS":
-            continue
-        direct = rec.get("rtt_direct_after_mean")
-        relayed = rec.get("rtt_relayed_mean")
-        if direct and relayed:
-            ratios.append(direct / relayed)
-    ratios.sort()
+    successes (`latency_ratios`); the share of peers whose direct path
+    came out slower is reported separately."""
+    ratios = sorted(latency_ratios(records))
     over_one = sum(r > 1.0 for r in ratios)
     return {"ratios": ratios,
             "fraction_over_one": over_one / len(ratios) if ratios else None,

@@ -18,8 +18,8 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import Optional
 
-from .analysis import (RTT_FIELDS, apply_success_filters, relay_path_bins,
-                       validate_records)
+from .analysis import (NULLABLE, RECORD_FIELDS, apply_success_filters,
+                       latency_ratios, relay_path_bins, validate_records)
 from .dcutr import DcutrConfig, HolePunch, HolePunchResult, PeerRuntime
 from .kernel import RandomStream, Simulation, Topology, check_number, derive_seed
 from .nat import (Archetype, FilteringBehavior, MappingBehavior, NatConfig,
@@ -44,18 +44,10 @@ FIELD_BASELINES = {
     "rtt_accuracy_within_10pct": {"value": 0.90, "reproducible": False},
 }
 
-# CSV cells holding JSON; an empty one means the field was absent.
-CSV_JSON_COLUMNS = ("as_id", "private_addrs", "public_endpoints", "attempts",
-                    "relay_addrs")
-# CSV cells whose empty value means null.
-CSV_NULL_COLUMNS = ("protocol_filter", *RTT_FIELDS)
-CSV_COLUMNS = [
-    "trial", "timestamp", "client", "remote", "as_id", "private_addrs",
-    "public_endpoints", "port_mapping_active", "protocol_filter", "outcome",
-    "attempts", "rtt_to_relay_mean", "rtt_to_relay_stddev",
-    "rtt_relayed_mean", "rtt_relayed_stddev", "rtt_direct_after_mean",
-    "rtt_direct_after_stddev", "relay_addrs", "seed", "config_hash",
-]
+CSV_COLUMNS = [*RECORD_FIELDS, "seed", "config_hash"]
+# The record fields whose CSV cells hold JSON; `csv` writes the others with
+# str(), null as an empty cell.
+_JSON_CELLS = tuple(k for k, (_, cell, _) in RECORD_FIELDS.items() if cell == "json")
 # json.dumps(cell, sort_keys=True, separators=(",", ":")), built once.
 _csv_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -86,22 +78,11 @@ class PeerSpec:
     nat: Optional[NatConfig]
     port_mapping_active: bool = False
     mapping_lies: bool = False
-    transports: frozenset = frozenset({Transport.TCP, Transport.QUIC})
     access_latency_ms: float = 20.0
     latency_stddev_ms: float = 0.0
     nat_leg_ms: float = 2.0
     as_id: int = 64512
     private_addrs: tuple = ()
-
-    def __post_init__(self):
-        if not self.transports:
-            raise ValueError("transports must be non-empty")
-        if self.is_public and self.nat is not None:
-            raise ValueError("public peers carry no NAT config")
-
-    @property
-    def is_public(self) -> bool:
-        return self.nat is None
 
 
 @dataclass
@@ -249,7 +230,7 @@ def _add_peer_host(net: Network, spec: PeerSpec):
 
 
 def _add_peer(net: Network, spec: PeerSpec) -> PeerRuntime:
-    return PeerRuntime(net, _add_peer_host(net, spec), transports=spec.transports,
+    return PeerRuntime(net, _add_peer_host(net, spec),
                        port_mapping=spec.port_mapping_active,
                        mapping_lies=spec.mapping_lies)
 
@@ -331,18 +312,16 @@ def _rtt_fields(prefix: str, rtt: Optional[tuple]) -> dict:
 def _record(result: HolePunchResult, client_spec: PeerSpec, remote_spec: PeerSpec,
             tf: Optional[Transport], trial: int, config: CampaignConfig) -> dict:
     ts = CAMPAIGN_EPOCH + timedelta(seconds=trial * config.trial_spacing_s)
-    rec = {
+    return {  # in `analysis.RECORD_FIELDS` order
         "trial": trial,
         "timestamp": ts.isoformat(),
         "client": client_spec.peer_id,
         "remote": remote_spec.peer_id,
         "as_id": client_spec.as_id,
         "private_addrs": list(client_spec.private_addrs),
+        "public_endpoints": [[ep, tr] for ep, tr in result.listen_endpoints],
         "port_mapping_active": client_spec.port_mapping_active,
         "protocol_filter": tf.value if tf is not None else None,
-    }
-    rec.update({
-        "public_endpoints": [[ep, tr] for ep, tr in result.listen_endpoints],
         "outcome": result.outcome.value,
         "attempts": [{
             "index": a.index,
@@ -350,12 +329,11 @@ def _record(result: HolePunchResult, client_spec: PeerSpec, remote_spec: PeerSpe
             "transport": a.transport_used.value if a.transport_used else None,
             **_rtt_fields("rtt_relayed", a.rtt_relayed),
         } for a in result.attempts],
+        **_rtt_fields("rtt_to_relay", result.rtt_to_relay),
+        **_rtt_fields("rtt_relayed", result.rtt_relayed),
+        **_rtt_fields("rtt_direct_after", result.rtt_direct_after),
         "relay_addrs": list(result.relay_addrs),
-    })
-    rec.update(_rtt_fields("rtt_to_relay", result.rtt_to_relay))
-    rec.update(_rtt_fields("rtt_relayed", result.rtt_relayed))
-    rec.update(_rtt_fields("rtt_direct_after", result.rtt_direct_after))
-    return rec
+    }
 
 
 def _worker(args) -> list:
@@ -441,14 +419,12 @@ def aggregate(records: list[dict], seed: int = 0, config_hash: str = "",
 
     per_transport: dict[str, Optional[float]] = {}
     for transport in ("TCP", "QUIC"):
-        subset = [rec for rec in filtered if rec["protocol_filter"] == transport]
+        subset = [rec for rec in filtered if rec.get("protocol_filter") == transport]
         if subset:
             per_transport[transport] = (
                 sum(rec["outcome"] == "SUCCESS" for rec in subset) / len(subset))
 
-    rtt_ratios = [round(rec["rtt_direct_after_mean"] / rec["rtt_relayed_mean"], 6)
-                  for rec in successes
-                  if rec["rtt_direct_after_mean"] and rec["rtt_relayed_mean"]]
+    rtt_ratios = [round(ratio, 6) for ratio in latency_ratios(successes)]
 
     bins, _skipped = relay_path_bins(filtered, bin_width)
     relay_path = {label: {"successes": s, "total": n}
@@ -516,7 +492,7 @@ def export_results(records: list[dict], path: str, seed: int,
             writer.writeheader()
             for rec in records:
                 row = dict(rec)
-                for key in CSV_JSON_COLUMNS:
+                for key in _JSON_CELLS:
                     if key in row:
                         row[key] = _csv_json(row[key])
                 row["seed"] = seed
@@ -536,30 +512,45 @@ def export_report(report: CampaignReport, path: str) -> None:
         fh.write("\n")
 
 
+# How a non-empty CSV cell of each kind but text reads back; an integer
+# RTT stays an int.
+_CELL_DECODERS = {"json": json.loads, "int": int,
+                  "bool": {"True": True, "False": False}.__getitem__,
+                  "number": lambda cell: (int(cell) if cell.lstrip("-").isdigit()
+                                          else float(cell))}
+_DECODED = tuple((k, _CELL_DECODERS[cell]) for k, (_, cell, _) in RECORD_FIELDS.items()
+                 if cell != "text")
+# The fields whose empty cell reads as absent; a nullable field's reads as null.
+_ABSENT_IF_EMPTY = frozenset(k for k, (presence, _, _) in RECORD_FIELDS.items()
+                             if presence != NULLABLE)
+
+
 def load_results(path: str) -> tuple[list[dict], dict]:
     """Read a results file (JSON or CSV) back into records plus metadata.
-    An empty CSV cell reads as null for `protocol_filter` and the RTT
-    fields, and as an absent field elsewhere."""
+    A CSV cell decodes as its field's kind in `analysis.RECORD_FIELDS`;
+    a malformed or missing cell raises ValueError."""
     if str(path).endswith(".csv"):
         records = []
         seed, chash = 0, ""
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            for row in reader:
+                if None in row.values():
+                    raise ValueError(f"line {reader.line_num} has fewer cells "
+                                     "than the header")
                 seed = int(row.pop("seed"))
                 chash = row.pop("config_hash")
-                rec = {key: value or None for key, value in row.items()
-                       if value or key in CSV_NULL_COLUMNS}
-                if "trial" in rec:
-                    rec["trial"] = int(rec["trial"])
-                rec["port_mapping_active"] = row["port_mapping_active"] == "True"
-                for key in CSV_JSON_COLUMNS:
-                    if key in rec:
-                        rec[key] = json.loads(rec[key])
-                for key in RTT_FIELDS:
-                    cell = rec.get(key)
-                    if cell is not None:  # an int RTT stays an int
-                        rec[key] = (int(cell) if cell.lstrip("-").isdigit()
-                                    else float(cell))
+                # A column outside the schema stays for validation to reject.
+                rec = {key: cell or None for key, cell in row.items()
+                       if cell or key not in _ABSENT_IF_EMPTY}
+                try:
+                    for key, decode in _DECODED:
+                        cell = rec.get(key)
+                        if cell is not None:
+                            rec[key] = decode(cell)
+                except (KeyError, ValueError):
+                    raise ValueError(f"line {reader.line_num}: {key} cell "
+                                     f"{cell!r} is malformed") from None
                 records.append(rec)
         return records, {"seed": seed, "config_hash": chash}
     with open(path) as fh:

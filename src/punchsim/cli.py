@@ -4,6 +4,7 @@ the port-guessing success oracle, and analyze result files."""
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -76,7 +77,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         records, _meta = campaign.load_results(args.infile)
     except OSError as exc:
         raise ConfigError(f"cannot read input file: {exc}") from exc
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    # Deep JSON nesting raises RecursionError; before Python 3.11 a NUL byte, csv.Error.
+    except (KeyError, ValueError, RecursionError, csv.Error) as exc:
         raise ConfigError(f"input file is not a results file: {exc}") from exc
     if args.min_per_client < 0:
         raise ConfigError("--min-per-client must be non-negative")

@@ -107,20 +107,15 @@ class PeerRuntime:
     """A peer's live protocol state: relay client, one bound port per
     transport, and its address book."""
 
-    def __init__(self, net: Network, host: Host,
-                 transports: frozenset = frozenset({Transport.TCP, Transport.QUIC}),
-                 port_mapping: bool = False, mapping_lies: bool = False):
-        if not transports:
-            raise ValueError("peer must support at least one transport")
+    def __init__(self, net: Network, host: Host, port_mapping: bool = False,
+                 mapping_lies: bool = False):
         self.net = net
         self.host = host
         self.peer_id = host.id
         self.relay = RelayClient(net, host)
-        # Bound TCP first, so port numbers do not depend on set order.
-        self.ports: dict[Transport, Port] = {
-            transport: cls(net, host) for transport, cls in
-            ((Transport.TCP, TcpPort), (Transport.QUIC, QuicPort))
-            if transport in transports}
+        # TCP binds first; port numbers follow the binding order.
+        self.ports: dict[Transport, Port] = {Transport.TCP: TcpPort(net, host),
+                                             Transport.QUIC: QuicPort(net, host)}
         self.port_mapping_active = port_mapping
         # Public endpoints of its own ports, as a relay observed them.
         self.observed: dict[Transport, Endpoint] = {}
@@ -352,13 +347,11 @@ class HolePunch:
         otherwise (or when that dial fails) the punch stream opens."""
         candidates = [tr for tr in self._client_addrs
                       if self.filter is None or tr is self.filter]
-        port = None
-        if self.client.appears_public() and candidates:
-            target = self._client_addrs[candidates[0]]
-            port = self.remote.ports.get(candidates[0])
-        if port is None:
+        if not (self.client.appears_public() and candidates):
             self._open_stream()
             return
+        transport = candidates[0]
+        target = self._client_addrs[transport]
 
         def on_dial(res) -> None:
             if self.phase is not Phase.REVERSAL:
@@ -370,7 +363,7 @@ class HolePunch:
                 self._open_stream()
 
         self._enter(Phase.REVERSAL)
-        port.dial(target, self.cfg.reversal_deadline_ms, on_dial)
+        self.remote.ports[transport].dial(target, self.cfg.reversal_deadline_ms, on_dial)
 
     # -- stream open and measurements ---------------------------------------------
 
@@ -587,12 +580,11 @@ class HolePunch:
         `priming_interval_ms` until `until`."""
         runtime, peer_addrs = self._side(side)
         target = peer_addrs.get(Transport.QUIC)
-        port = runtime.ports.get(Transport.QUIC)
-        if target is None or port is None or self.sim.now > until:
+        if target is None or self.sim.now > until:
             return
         owner = self.net.hosts.get(target.host.split("#", 1)[0])
         check_priming_ttl(self.net.topology, runtime.host.id,
                           owner.id if owner else target.host, self.cfg.priming_ttl)
-        port.prime(target, count=1, ttl=self.cfg.priming_ttl)
+        runtime.ports[Transport.QUIC].prime(target, count=1, ttl=self.cfg.priming_ttl)
         self._arm("prime-" + side, lambda: self._prime(side, until),
                   self.cfg.priming_interval_ms, last=Phase.DIRECT)

@@ -1,14 +1,18 @@
+import csv
+import io
 import json
 import math
+import re
 from datetime import timedelta, timezone
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from punchsim import campaign, cli
-from punchsim.analysis import (OUTCOMES, RTT_FIELDS, MalformedRecord, analyze,
+from punchsim.analysis import (OUTCOMES, RECORD_FIELDS, RTT_FIELDS,
+                               MalformedRecord, analyze, latency_ratio_cdf,
                                relay_path_location, validate_records)
 from punchsim.campaign import (CampaignConfig, PopulationSpec,
                                TransportPolicy, aggregate, config_from_dict,
@@ -305,6 +309,31 @@ class TestExport:
         assert loaded["csv"] == [{**nulls, **rec} for rec in records]
         assert analyze(loaded["json"]) == analyze(loaded["csv"])
 
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(valid_records(), st.none() | st.text(max_size=6) | st.integers(),
+           JSON_VALUES)
+    def test_validation_accepts_only_what_exports_to_csv(self, tmp_path, rec,
+                                                         key, value):
+        assume(key not in campaign.CSV_COLUMNS)
+        path = str(tmp_path / "results.csv")
+        validate_records([rec])
+        export_results([rec], path, seed=3, config=CampaignConfig())
+        rec[key] = value
+        with pytest.raises(MalformedRecord, match=f"schema: {re.escape(repr(key))}"):
+            validate_records([rec])
+        with pytest.raises(ValueError):
+            export_results([rec], path, seed=3, config=CampaignConfig())
+
+    def test_records_hold_the_schema_fields_in_column_order(self):
+        cfg = small_config()
+        population = generate_population(cfg.population)
+        cfg.persistent_nat = True
+        for rec in [run_trial(population, cfg, 1, 0),
+                    *run_campaign(cfg, n_trials=3, seed=1)]:
+            assert list(rec) == list(RECORD_FIELDS)
+        assert campaign.CSV_COLUMNS == [*RECORD_FIELDS, "seed", "config_hash"]
+
     def test_string_as_id_and_absent_fields_export_to_csv(self, tmp_path):
         rec = make_record()
         rec["as_id"] = "AS64512"
@@ -353,6 +382,18 @@ class TestOneRecordPipeline:
         records[1][field] = value
         with pytest.raises(MalformedRecord, match="record 1"):
             aggregate(records)
+
+    def test_aggregate_reads_absent_optional_fields_as_null(self):
+        records = [make_record(i) for i in range(4)]
+        for rec in records:
+            rec["rtt_direct_after_mean"] = 20.0
+        del records[0]["protocol_filter"]
+        del records[1]["rtt_direct_after_mean"]
+        del records[2]["rtt_relayed_mean"]
+        report = aggregate(records)
+        assert report.rtt_ratios == [0.5, 0.5]
+        assert report.rtt_ratios == latency_ratio_cdf(records)["ratios"]
+        assert report.per_transport_success == {}
 
     def test_aggregate_rejects_missing_field(self):
         bad = make_record()
@@ -447,13 +488,98 @@ class TestCliExits:
         rc = self.simulate_exit(tmp_path, capsys, text, trials=2)
         assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG)
 
-    def analyze_exit(self, tmp_path, capsys, text):
-        path = tmp_path / "results.json"
-        path.write_text(text)
+    def analyze_exit(self, tmp_path, capsys, text, suffix="json"):
+        path = tmp_path / f"results.{suffix}"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         rc = cli.main(["analyze", "--in", str(path),
                        "--out", str(tmp_path / "report.json")])
         assert "Traceback" not in capsys.readouterr().err
         return rc
+
+    CSV_HEADER = ",".join(campaign.CSV_COLUMNS) + "\n"
+
+    def test_short_csv_row_exits_2(self, tmp_path, capsys):
+        text = self.CSV_HEADER + "0,2026-01-01T00:00:00+00:00\n"
+        assert self.analyze_exit(tmp_path, capsys, text, "csv") == cli.EXIT_CONFIG
+
+    def test_record_key_outside_the_schema_exits_2(self, tmp_path, capsys):
+        rec = {**make_record(), "network": "client-00000/net-0"}
+        doc = json.dumps({"seed": 1, "config_hash": "", "records": [rec]})
+        assert self.analyze_exit(tmp_path, capsys, doc) == cli.EXIT_CONFIG
+        # A row longer than the header files its extra cells under None.
+        path = str(tmp_path / "results.csv")
+        export_results([make_record()], path, seed=1, config=CampaignConfig())
+        with open(path) as fh:
+            text = fh.read().rstrip("\n") + ",extra\n"
+        assert self.analyze_exit(tmp_path, capsys, text, "csv") == cli.EXIT_CONFIG
+        with pytest.raises(MalformedRecord, match="schema: None"):
+            validate_records(load_results(path)[0])
+
+    @pytest.mark.parametrize("field, value", [
+        ("rtt_relayed_mean", 10 ** 400),  # overflows the float division
+        ("attempts", "[" * 100_000 + "]" * 100_000),  # nests past the recursion limit
+    ], ids=["int-beyond-float", "deep-json"])
+    def test_oversized_value_exits_2(self, tmp_path, capsys, field, value):
+        doc = json.dumps({"seed": 1, "config_hash": "", "records": [make_record()]})
+        doc = doc.replace(f'"{field}": {json.dumps(make_record()[field])}',
+                          f'"{field}": {value}')
+        assert self.analyze_exit(tmp_path, capsys, doc) == cli.EXIT_CONFIG
+
+    @staticmethod
+    def mutated_csv(text, data):
+        """The CSV text with a row cut short, one cell dropped or added in
+        a row, a column renamed or added, or a cell blanked or replaced by
+        any text."""
+        rows = list(csv.reader(io.StringIO(text)))
+        r = data.draw(st.integers(1, len(rows) - 1))
+        c = data.draw(st.integers(0, len(rows[0]) - 1))
+        cell = data.draw(st.text(max_size=8))
+        how = data.draw(st.sampled_from(["cut", "drop", "add", "rename",
+                                         "column", "blank", "replace"]))
+        if how == "cut":
+            del rows[r][c:]
+        elif how == "drop":
+            del rows[r][c]
+        elif how == "add":
+            rows[r].insert(c, cell)
+        elif how == "rename":
+            rows[0][c] = cell
+        elif how == "column":
+            rows[0].insert(c, cell)
+            for row in rows[1:]:
+                row.insert(c, data.draw(st.text(max_size=8)))
+        else:
+            rows[r][c] = "" if how == "blank" else cell
+        out = io.StringIO()
+        csv.writer(out).writerows(rows)
+        return out.getvalue()
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_any_malformed_results_file_exits_0_or_2(self, tmp_path, capsys, data):
+        records = [make_record(0), make_record(1, "FAILED")]
+        kind = data.draw(st.sampled_from(["bytes", "csv", "json"]))
+        if kind == "bytes":
+            suffix = data.draw(st.sampled_from(["json", "csv"]))
+            text = data.draw(st.binary(max_size=200))
+        elif kind == "csv":
+            suffix = "csv"
+            path = str(tmp_path / "valid.csv")
+            export_results(records, path, seed=1, config=CampaignConfig())
+            with open(path) as fh:
+                text = self.mutated_csv(fh.read(), data)
+        else:
+            suffix = "json"
+            rec = records[data.draw(st.integers(0, 1))]
+            key = data.draw(st.sampled_from(list(RECORD_FIELDS)) | st.text(max_size=6))
+            rec[key] = data.draw(ODD_VALUES)
+            text = json.dumps({"seed": 1, "config_hash": "", "records": records})
+        rc = self.analyze_exit(tmp_path, capsys, text, suffix)
+        assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG)
 
     def test_non_object_record_exits_2(self, tmp_path, capsys):
         doc = '{"seed": 1, "config_hash": "", "records": [1]}'
