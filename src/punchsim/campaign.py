@@ -491,6 +491,12 @@ def export_results(records: list[dict], path: str, seed: int,
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
             for rec in records:
+                # DictWriter refuses other unknown keys; these two name
+                # columns, so it would let the file's metadata overwrite them.
+                for key in ("seed", "config_hash"):
+                    if key in rec:
+                        raise ValueError(f"record has a field outside the record "
+                                         f"schema: {key!r}")
                 row = dict(rec)
                 for key in _JSON_CELLS:
                     if key in row:

@@ -15,6 +15,9 @@ from typing import Callable, Optional
 
 # Floor applied to every latency draw so causality is never violated.
 MIN_LATENCY_MS = 0.01
+# Unbound, so a copied stream draws from its own generator; a bound method
+# cached per stream would be shared by its copies.
+_getrandbits = random.Random.getrandbits
 
 
 def check_number(name: str, value, lo: float = -math.inf, hi: float = math.inf,
@@ -65,7 +68,19 @@ class RandomStream:
         return self.rng.random()
 
     def randint(self, a: int, b: int) -> int:
-        return self.rng.randint(a, b)
+        """A uniform integer in [a, b], drawn exactly as CPython's
+        `Random.randint` draws it (`_randbelow_with_getrandbits`: redraw
+        `k` bits while they reach `n`) without its three Python frames.
+        `tests/test_kernel.py` pins the draws against `Random.randint`."""
+        n = b - a + 1
+        if n <= 0:
+            raise ValueError(f"empty range for randint({a}, {b})")
+        rng = self.rng
+        k = n.bit_length()
+        r = _getrandbits(rng, k)
+        while r >= n:
+            r = _getrandbits(rng, k)
+        return a + r
 
     def sample(self, population, k):
         return self.rng.sample(population, k)

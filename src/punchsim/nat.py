@@ -97,7 +97,7 @@ def archetype(config: NatConfig) -> Archetype:
     }[config.filtering]
 
 
-@dataclass
+@dataclass(slots=True)
 class NatMapping:
     internal: Endpoint
     external: Endpoint
@@ -207,6 +207,9 @@ class NatState:
         table holds max_sessions dynamic mappings that have not expired:
         a full table first drops its expired mappings (RFC 4787 §4.3).
         Also raised when every port in ``port_range`` is taken.
+
+        Keeps no reference to ``pkt`` and always returns a new packet, so
+        a caller may readdress ``pkt`` in place and pass it again.
         """
         src, dst = pkt.src, pkt.dst
         config = self.config
@@ -268,7 +271,8 @@ class NatState:
         """Filter an inbound packet addressed to this device's public host.
 
         Returns (DELIVER, translated packet), (DROP, None), or
-        (REJECT_RST, None).
+        (REJECT_RST, None). Like `process_outbound`, it keeps no reference
+        to ``pkt``, and the translated packet is a new one.
         """
         expiry = self.denylist.get(pkt.src.host)
         if expiry is not None:

@@ -110,7 +110,6 @@ class Network:
         self.hosts: dict[str, Host] = {}
         self._owner: dict[str, Host] = {}  # addressable host-id -> host
         self._latency_rng = sim.stream("latency")
-        self._loss_rng = sim.stream("loss")
         self.dropped_session_full = 0
         self.dropped_in_core = 0
 
@@ -160,7 +159,8 @@ class Network:
         if pkt.ttl < hops:
             self.dropped_in_core += 1
             return
-        if topo.loss_rate > 0.0 and self._loss_rng.random() < topo.loss_rate:
+        # The loss stream is made on first use: a lossless run never seeds it.
+        if topo.loss_rate > 0.0 and sim.stream("loss").random() < topo.loss_rate:
             return
 
         latency = draw_latency(self._latency_rng, mean, stddev)

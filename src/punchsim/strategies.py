@@ -140,36 +140,35 @@ def birthday_punch(plan: BirthdayPlan, edm_nat: NatState, edm_host: str,
     if hi - lo + 1 != plan.port_space:
         raise ValueError("plan port_space does not match the NAT's range")
     both_edm = plan.scenario is BirthdayScenario.EDM_VS_EDM
-    # Validate the highest source ports and one template packet up front,
-    # so a plan too large for them fails before any NAT is touched; every
-    # other endpoint below has a port from a checked range and skips
-    # validation.
+    # Validate the highest source ports and one packet up front, so a plan
+    # too large for them fails before any NAT is touched; every other
+    # endpoint below has a port from a checked range and skips validation.
+    # The packet carries every opening and direct probe, readdressed in
+    # place: the NAT keeps no reference to the packet it gets.
     Endpoint(edm_host, 20_000 + plan.m_open - 1)
     if prober_nat is not None:
         Endpoint(prober_host, 30_000 + plan.k_probe - 1)
-    template = Packet(src=peer_external,
-                      dst=Endpoint(edm_nat.public_host, lo),
-                      kind=PacketKind.UDP_DATAGRAM)
-    readdressed = template.readdressed
-
+    carrier = Packet(src=peer_external,
+                     dst=Endpoint(edm_nat.public_host, lo),
+                     kind=PacketKind.UDP_DATAGRAM)
+    carrier.dst = peer_external  # every opening's target unless both-EDM
     for i in range(plan.m_open):
         if both_edm:
-            target = unchecked_endpoint((peer_external.host, rng.randint(lo, hi)))
-        else:
-            target = peer_external
+            carrier.dst = unchecked_endpoint((peer_external.host, rng.randint(lo, hi)))
+        carrier.src = unchecked_endpoint((edm_host, 20_000 + i))
         # SessionTableFull propagates
-        edm_nat.process_outbound(
-            readdressed(unchecked_endpoint((edm_host, 20_000 + i)), target), now)
+        edm_nat.process_outbound(carrier, now)
 
     probe_ports = rng.sample(range(lo, hi + 1), plan.k_probe)
     public_host = edm_nat.public_host
+    carrier.src = peer_external
     for j, dst_port in enumerate(probe_ports):
-        dst = unchecked_endpoint((public_host, dst_port))
+        carrier.dst = unchecked_endpoint((public_host, dst_port))
         if prober_nat is not None:
-            inner = readdressed(unchecked_endpoint((prober_host, 30_000 + j)), dst)
-            probe = prober_nat.process_outbound(inner, now)
+            carrier.src = unchecked_endpoint((prober_host, 30_000 + j))
+            probe = prober_nat.process_outbound(carrier, now)
         else:
-            probe = readdressed(peer_external, dst)
+            probe = carrier
         action, _ = edm_nat.process_inbound(probe, now)
         if action is InboundAction.DELIVER:
             return True

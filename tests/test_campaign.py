@@ -315,7 +315,7 @@ class TestExport:
            JSON_VALUES)
     def test_validation_accepts_only_what_exports_to_csv(self, tmp_path, rec,
                                                          key, value):
-        assume(key not in campaign.CSV_COLUMNS)
+        assume(key not in RECORD_FIELDS)
         path = str(tmp_path / "results.csv")
         validate_records([rec])
         export_results([rec], path, seed=3, config=CampaignConfig())
@@ -324,6 +324,15 @@ class TestExport:
             validate_records([rec])
         with pytest.raises(ValueError):
             export_results([rec], path, seed=3, config=CampaignConfig())
+
+    @pytest.mark.parametrize("key", ["seed", "config_hash"])
+    def test_csv_export_refuses_a_record_holding_file_metadata(self, tmp_path, key):
+        # Both name CSV columns, so DictWriter's unknown-key check lets them
+        # through; the file's own seed and hash must not overwrite them.
+        rec = {**make_record(), key: 99}
+        with pytest.raises(ValueError, match=repr(key)):
+            export_results([rec], str(tmp_path / "results.csv"), seed=3,
+                           config=CampaignConfig())
 
     def test_records_hold_the_schema_fields_in_column_order(self):
         cfg = small_config()

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,36 @@ def test_random_stream_reproducible():
     seq_c = [c.random() for _ in range(10)]
     assert seq_a == seq_b
     assert seq_a != seq_c
+
+
+# Ranges wide and narrow, with and without a power-of-two width, negative
+# and beyond 32 bits, where getrandbits draws more than one word.
+PIN_RANGES = [(0, 65535), (5, 5), (0, 1), (1024, 65535), (40000, 40010),
+              (-3, 7), (0, 2**32), (7, 2**32 + 7), (0, 2**40)]
+
+
+def test_randint_draws_exactly_as_cpython_randint():
+    # RandomStream.randint re-implements Random.randint's getrandbits
+    # rejection loop; a CPython change to that loop fails here instead of
+    # silently shifting every port draw and digest.
+    for seed in range(200):
+        stream = RandomStream(seed, "pin")
+        reference = random.Random()
+        reference.setstate(stream.rng.getstate())
+        for a, b in PIN_RANGES * 3:
+            assert stream.randint(a, b) == reference.randint(a, b), (seed, a, b)
+        assert stream.rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("a, b", [(5, 4), (0, -1), (2**40, 0)])
+def test_randint_empty_range_raises_without_drawing(a, b):
+    stream = RandomStream(1, "pin")
+    state = stream.rng.getstate()
+    with pytest.raises(ValueError, match="empty range"):
+        stream.randint(a, b)
+    with pytest.raises(ValueError):
+        random.Random().randint(a, b)
+    assert stream.rng.getstate() == state
 
 
 def _topo():

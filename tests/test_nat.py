@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -299,6 +301,39 @@ def test_table_invariants_hold_under_random_traffic(mapping, port_alloc,
         else:
             nat.install_static_mapping(step[1], step[2])
         _check_tables(nat)
+
+
+class TestPacketsAreNotKept:
+    """The NAT keeps no reference to the packet it gets and returns a new
+    one, so a caller may readdress its packet in place and pass it again
+    (`strategies.birthday_punch` does)."""
+
+    @staticmethod
+    def tables(nat):
+        return ({key: astuple(m) for key, m in nat._by_key.items()},
+                {port: astuple(m) for port, m in nat._by_port.items()})
+
+    @pytest.mark.parametrize("mapping", list(MappingBehavior))
+    def test_readdressing_the_input_changes_nothing(self, mapping):
+        nat = make_nat(mapping=mapping, filtering=FilteringBehavior.APDF)
+        pkt = udp(INT, DST1)
+        out = nat.process_outbound(pkt, 0.0)
+        sent, tables = (out.src, out.dst), self.tables(nat)
+        pkt.src, pkt.dst = Endpoint("lan", 6000), DST2
+        assert (out.src, out.dst) == (sent[0], DST1)
+        assert self.tables(nat) == tables
+        # APDF lets the reply from DST1 in and drops the one from DST2.
+        for src, expected in ((DST1, InboundAction.DELIVER),
+                              (DST2, InboundAction.DROP)):
+            pkt = udp(src, sent[0])
+            action, delivered = nat.process_inbound(pkt, 1.0)
+            assert action is expected
+            tables = self.tables(nat)
+            pkt.src, pkt.dst = Endpoint("z", 1), Endpoint("pub", 1)
+            if delivered is not None:
+                assert delivered is not pkt
+                assert (delivered.src, delivered.dst) == (src, INT)
+            assert self.tables(nat) == tables
 
 
 class TestPortRange:

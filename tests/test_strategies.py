@@ -137,6 +137,41 @@ class TestBirthdayMonteCarlo:
         assert prober.session_count() == 0
 
 
+def sampled_punch_hits(seed, i, m, k, lo=0, hi=65_535):
+    """A second oracle for the mixed scenario that builds no NAT: m
+    distinct mapped ports, drawn from punch i's NAT stream as
+    `NatState._alloc_port` draws them (redrawing a taken port), meet k
+    distinct probes, drawn from its probe stream as `birthday_punch` draws
+    them."""
+    nat_rng = RandomStream(seed, f"nat/{i}")
+    mapped = set()
+    while len(mapped) < m:
+        mapped.add(nat_rng.randint(lo, hi))
+    probes = RandomStream(seed, f"mc/{i}").sample(range(lo, hi + 1), k)
+    return not mapped.isdisjoint(probes)
+
+
+class TestSamplingOracle:
+    # An extra check beside the protocol-level 20k-punch acceptance test,
+    # which it does not replace.
+    plan = BirthdayPlan(m_open=256, k_probe=256)
+
+    def test_same_verdict_as_birthday_punch(self):
+        peer = Endpoint("peer", 4242)
+        for i in range(2_000):
+            nat = edm_nat(65_536, seed=7, label=str(i))
+            hit = birthday_punch(self.plan, nat, "edm-host", peer,
+                                 RandomStream(7, f"mc/{i}"))
+            assert hit == sampled_punch_hits(7, i, 256, 256), i
+
+    def test_hit_rate_matches_analytic_oracle(self):
+        n = 20_000
+        expected = birthday_probability(self.plan)
+        rate = sum(sampled_punch_hits(5, i, 256, 256) for i in range(n)) / n
+        sigma = math.sqrt(expected * (1 - expected) / n)
+        assert abs(rate - expected) <= max(0.02, 6 * sigma)
+
+
 class TestGainArithmetic:
     def test_pair_shares(self):
         assert math.isclose(mixed_pair_share(0.11), 0.1958, rel_tol=1e-9)
