@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .analysis import (NULLABLE, RECORD_FIELDS, apply_success_filters,
@@ -45,9 +46,9 @@ FIELD_BASELINES = {
 }
 
 CSV_COLUMNS = [*RECORD_FIELDS, "seed", "config_hash"]
-# The record fields whose CSV cells hold JSON; `csv` writes the others with
-# str(), null as an empty cell.
-_JSON_CELLS = tuple(k for k, (_, cell, _) in RECORD_FIELDS.items() if cell == "json")
+# Per record field in column order, whether its CSV cell holds JSON; `csv`
+# writes the others with str(), null as an empty cell.
+_CSV_CELLS = tuple((k, cell == "json") for k, (_, cell, _) in RECORD_FIELDS.items())
 # json.dumps(cell, sort_keys=True, separators=(",", ":")), built once.
 _csv_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -487,35 +488,107 @@ def export_results(records: list[dict], path: str, seed: int,
     `as_id` and nested fields JSON-encoded) based on the path suffix."""
     chash = config_hash(config)
     if str(path).endswith(".csv"):
+        rows = [CSV_COLUMNS]
+        for rec in records:
+            # `seed` and `config_hash` name columns too: the file's
+            # metadata must not overwrite a record's own.
+            if not RECORD_FIELDS.keys() >= rec.keys():
+                unknown = ", ".join(repr(k) for k in rec if k not in RECORD_FIELDS)
+                raise ValueError(f"record has fields outside the record "
+                                 f"schema: {unknown}")
+            rows.append([(_csv_json(rec[k]) if is_json else rec[k])
+                         if k in rec else "" for k, is_json in _CSV_CELLS]
+                        + [seed, chash])
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            for rec in records:
-                # DictWriter refuses other unknown keys; these two name
-                # columns, so it would let the file's metadata overwrite them.
-                for key in ("seed", "config_hash"):
-                    if key in rec:
-                        raise ValueError(f"record has a field outside the record "
-                                         f"schema: {key!r}")
-                row = dict(rec)
-                for key in _JSON_CELLS:
-                    if key in row:
-                        row[key] = _csv_json(row[key])
-                row["seed"] = seed
-                row["config_hash"] = chash
-                writer.writerow(row)
+            csv.writer(fh).writerows(rows)
         return
-    doc = {"seed": seed, "config_hash": chash,
-           "config": config_to_dict(config), "records": records}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=1))
-        fh.write("\n")
+    write_json({"seed": seed, "config_hash": chash,
+                "config": config_to_dict(config), "records": records}, path)
 
 
 def export_report(report: CampaignReport, path: str) -> None:
+    write_json(asdict(report), path)
+
+
+def write_json(value, path: str) -> None:
+    """Write `value` to `path` byte for byte as `json.dumps` with
+    `sort_keys=True` and an indent of 1 writes it, plus a newline: the
+    layout of every JSON file punchsim writes. That indent turns json's C
+    encoder off; this writer costs about half its pure-Python one."""
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    out.append("\n")
     with open(path, "w") as fh:
-        fh.write(json.dumps(asdict(report), sort_keys=True, indent=1))
-        fh.write("\n")
+        fh.write("".join(out))
+
+
+# json's names for the floats that float.__repr__ writes as nan, inf and -inf.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+# json's encoding of each scalar type.
+_JSON_LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
+                float: _json_float, type(None): {None: "null"}.__getitem__,
+                bool: {True: "true", False: "false"}.__getitem__}
+
+
+def _json_leaf(value) -> str:
+    """json's encoding of a scalar. A subclass of str, int or float (an
+    `IntEnum`, say) is written as its base type, as json writes it."""
+    for kind in (value.__class__, str, int, float):
+        if kind in _JSON_LEAVES and isinstance(value, kind):
+            return _JSON_LEAVES[kind](value)
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    "is not JSON serializable")
+
+
+def _write_json(value, indent: str, out: list) -> None:
+    """Append `value` laid out at the depth whose line break and indent
+    is `indent`. Dict keys are sorted as they are, then written as
+    strings, as json does: int keys sort as ints."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + " "
+        sep = "[" + inner
+        for item in value:
+            leaf = _JSON_LEAVES.get(item.__class__)
+            if leaf is None:
+                out.append(sep)
+                _write_json(item, inner, out)
+            else:
+                out.append(sep + leaf(item))
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + " "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):  # as json sorts
+            if not isinstance(key, str):
+                if key is not None and not isinstance(key, (int, float)):
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                key = _json_leaf(key)
+            head = sep + encode_basestring_ascii(key) + ": "
+            leaf = _JSON_LEAVES.get(item.__class__)
+            if leaf is None:
+                out.append(head)
+                _write_json(item, inner, out)
+            else:
+                out.append(head + leaf(item))
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        out.append(_json_leaf(value))
 
 
 # How a non-empty CSV cell of each kind but text reads back; an integer

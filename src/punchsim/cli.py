@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import yaml
@@ -38,21 +39,43 @@ def _load_config(path: str) -> campaign.CampaignConfig:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """Raise ConfigError unless `path` can be written as a file, so that a
+    run does not fail only once its results are ready."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write {path}: no directory {directory}")
+    if os.path.isdir(path) or not os.access(
+            path if os.path.exists(path) else directory, os.W_OK):
+        raise ConfigError(f"cannot write {path}: not a writable file")
+
+
+def _write(write, value, path: str, **kwargs) -> None:
+    """`write(value, path, **kwargs)`, with an OSError as a ConfigError."""
+    try:
+        write(value, path, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if args.trials <= 0:
         raise ConfigError("--trials must be positive")
+    for path in (args.out, args.report):
+        if path:
+            _check_writable(path)
     try:
         records = campaign.run_campaign(config, n_trials=args.trials,
                                         seed=args.seed, workers=args.workers)
     except PrimingConfigError as exc:  # it needs the topology to show
         raise ConfigError(f"invalid config: {exc}") from exc
-    campaign.export_results(records, args.out, seed=args.seed, config=config)
+    _write(campaign.export_results, records, args.out, seed=args.seed, config=config)
     print(f"wrote {len(records)} records to {args.out}")
     if args.report:
         report = campaign.aggregate(records, seed=args.seed,
                                     config_hash=campaign.config_hash(config))
-        campaign.export_report(report, args.report)
+        _write(campaign.export_report, report, args.report)
         rate = "n/a" if report.success_rate is None else f"{report.success_rate:.4f}"
         print(f"wrote report to {args.report} (success rate {rate} "
               f"over {report.n_filtered} filtered records)")
@@ -89,9 +112,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                                   bin_width=args.bin_width)
     except analysis.MalformedRecord as exc:
         raise ConfigError(str(exc)) from exc
-    with open(args.out, "w") as fh:
-        fh.write(json.dumps(report, indent=1, sort_keys=True))
-        fh.write("\n")
+    _write(campaign.write_json, report, args.out)
     print(f"analyzed {report['n_records']} records "
           f"({report['n_networks']} networks); wrote {args.out}")
     return EXIT_OK

@@ -3,11 +3,13 @@ import io
 import json
 import math
 import re
+from collections import OrderedDict
 from datetime import timedelta, timezone
+from enum import IntEnum
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from punchsim import campaign, cli
@@ -84,6 +86,47 @@ def valid_records(draw):
         if draw(st.booleans()):
             rec[key] = draw(values)
     return rec
+
+
+class Level(IntEnum):
+    LOW = 2
+    HIGH = 12
+
+
+class Text(str):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+class Items(list):
+    pass
+
+
+# Strings with non-ASCII, control and lone surrogate characters.
+STRINGS = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=6)
+JSON_KEYS = st.one_of(
+    STRINGS, st.integers(0, 20), st.floats(), st.booleans(), st.none(),
+    st.sampled_from(Level), STRINGS.map(Text))
+TREE_LEAVES = st.one_of(
+    st.none(), st.booleans(), STRINGS, STRINGS.map(Text),
+    st.integers(), st.integers(2**64, 2**80), st.sampled_from(Level),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300]),
+    st.floats().map(Ratio))
+# Nested dicts, lists and tuples, empty ones included; a dict's keys are
+# all strings, all ints (either side of 10), or any mix of key types.
+JSON_TREES = st.recursive(
+    TREE_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.lists(kids, max_size=4).map(Items),
+        st.dictionaries(STRINGS, kids, max_size=4),
+        st.dictionaries(st.integers(0, 20), kids, max_size=4),
+        st.dictionaries(JSON_KEYS, kids, max_size=3),
+        st.dictionaries(STRINGS, kids, max_size=4).map(OrderedDict)),
+    max_leaves=12)
 
 
 ODD_VALUES = st.one_of(
@@ -330,9 +373,11 @@ class TestExport:
         # Both name CSV columns, so DictWriter's unknown-key check lets them
         # through; the file's own seed and hash must not overwrite them.
         rec = {**make_record(), key: 99}
+        path = tmp_path / "results.csv"
         with pytest.raises(ValueError, match=repr(key)):
-            export_results([rec], str(tmp_path / "results.csv"), seed=3,
+            export_results([make_record(), rec], str(path), seed=3,
                            config=CampaignConfig())
+        assert not path.exists()  # no half-written file
 
     def test_records_hold_the_schema_fields_in_column_order(self):
         cfg = small_config()
@@ -359,6 +404,22 @@ class TestExport:
         loaded, _ = load_results(str(p1))
         export_results(loaded, str(p2), seed=2, config=cfg)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(JSON_TREES)
+    @example({2: [], 10: {}, "x": None})
+    @example([{3: 1.5, 12: (), True: "a"}, Items(), OrderedDict(b=1, a=2)])
+    def test_writer_writes_what_json_dumps_writes(self, tmp_path, value):
+        path = tmp_path / "value.json"
+        try:
+            expected = json.dumps(value, sort_keys=True, indent=1) + "\n"
+        except (TypeError, ValueError):
+            with pytest.raises((TypeError, ValueError)):
+                campaign.write_json(value, str(path))
+        else:
+            campaign.write_json(value, str(path))
+            assert path.read_bytes() == expected.encode("ascii")
 
     def test_config_dict_round_trip_preserves_hash(self):
         cfg = small_config(edm_share=0.3, jitter=0.4)
@@ -496,6 +557,43 @@ class TestCliExits:
     def test_any_config_document_runs_or_exits_2(self, tmp_path, capsys, text):
         rc = self.simulate_exit(tmp_path, capsys, text, trials=2)
         assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG)
+
+    SMALL = "population: {n_clients: 2, n_remotes: 2, n_relays: 1}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--out", "{missing}/results.json"],
+        ["simulate", "--out", "{tmp}/results.json", "--report", "{missing}/report.json"],
+        ["simulate", "--out", "{tmp}"],
+        ["analyze", "--in", "{tmp}/in.json", "--out", "{missing}/report.json"],
+    ], ids=["simulate-out", "simulate-report", "simulate-out-is-a-directory",
+            "analyze-out"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        (tmp_path / "campaign.yaml").write_text(self.SMALL)
+        export_results([make_record()], str(tmp_path / "in.json"), seed=1,
+                       config=CampaignConfig())
+        args = [arg.format(tmp=tmp_path, missing=tmp_path / "missing")
+                for arg in command]
+        if command[0] == "simulate":
+            args += ["--config", str(tmp_path / "campaign.yaml"),
+                     "--trials", "2", "--seed", "1"]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: cannot write" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("out, report", [("missing/results.json", None),
+                                             ("results.json", "missing/report.json")],
+                             ids=["out", "report"])
+    def test_simulate_checks_its_outputs_before_any_trial(self, tmp_path,
+                                                          monkeypatch, out, report):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(campaign, "run_campaign", no_run)
+        (tmp_path / "campaign.yaml").write_text(self.SMALL)
+        args = ["simulate", "--config", str(tmp_path / "campaign.yaml"),
+                "--trials", "2", "--seed", "1", "--out", str(tmp_path / out)]
+        if report:
+            args += ["--report", str(tmp_path / report)]
+        assert cli.main(args) == cli.EXIT_CONFIG
 
     def analyze_exit(self, tmp_path, capsys, text, suffix="json"):
         path = tmp_path / f"results.{suffix}"
