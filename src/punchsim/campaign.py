@@ -142,7 +142,6 @@ class Population:
     clients: list
     remotes: list
     relays: list
-    spec: PopulationSpec
 
 
 @dataclass
@@ -220,8 +219,7 @@ def generate_population(spec: PopulationSpec) -> Population:
         relays.append(PeerSpec(peer_id=f"relay-{i:02d}", nat=None,
                                access_latency_ms=mean,
                                latency_stddev_ms=stddev, nat_leg_ms=0.0))
-    return Population(clients=clients, remotes=remotes, relays=relays,
-                      spec=spec)
+    return Population(clients=clients, remotes=remotes, relays=relays)
 
 
 def _add_peer_host(net: Network, spec: PeerSpec):

@@ -62,6 +62,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if args.trials <= 0:
         raise ConfigError("--trials must be positive")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        raise ConfigError(f"--workers must be in 1..{cpus} (the CPU count)")
     for path in (args.out, args.report):
         if path:
             _check_writable(path)
@@ -83,12 +86,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.m <= 0 or args.k <= 0 or args.space <= 0:
-        raise ConfigError("--m, --k, and --space must be positive")
-    if args.m + args.k > args.space:
-        raise ConfigError("--m plus --k cannot exceed the port space")
-    plan = BirthdayPlan(m_open=args.m, k_probe=args.k, port_space=args.space,
-                        scenario=BirthdayScenario(args.scenario))
+    try:
+        plan = BirthdayPlan(m_open=args.m, k_probe=args.k, port_space=args.space,
+                            scenario=BirthdayScenario(args.scenario))
+    except ValueError as exc:
+        raise ConfigError(f"invalid plan: {exc}") from exc
     prob = birthday_probability(plan)
     print(json.dumps({"m": args.m, "k": args.k, "port_space": args.space,
                       "scenario": args.scenario, "probability": prob}))
@@ -130,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--out", required=True, help="results file (.json or .csv)")
     sim.add_argument("--report", help="also write an aggregate report here")
-    sim.add_argument("--workers", type=int, default=1)
+    sim.add_argument("--workers", type=int, default=1,
+                     help="worker processes, 1 to the CPU count (default 1)")
     sim.set_defaults(func=_cmd_simulate)
 
     orc = sub.add_parser("oracle",

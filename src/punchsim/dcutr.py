@@ -61,7 +61,6 @@ class HolePunchResult:
     relay_addrs: list[str] = field(default_factory=list)
     attempts: list[HolePunchAttempt] = field(default_factory=list)
     outcome: Optional[OutcomeResult] = None  # set when the punch ends
-    protocol_filter: Optional[Transport] = None
     port_mapping_active: bool = False
     listen_endpoints: list[tuple[str, str]] = field(default_factory=list)
     direct_endpoints_used: list[str] = field(default_factory=list)
@@ -179,7 +178,6 @@ class HolePunch:
         self.result = HolePunchResult(
             client=client.peer_id, remote=remote.peer_id,
             relay_addrs=[str(ep) for ep in relay_addrs],
-            protocol_filter=transport_filter,
             port_mapping_active=client.port_mapping_active,
             started=self.sim.now)
         self.phase = Phase.CIRCUIT
@@ -376,9 +374,8 @@ class HolePunch:
         self._send_control("initiator", self.r_circ, ("stream-open",), STREAM_OPEN_BYTES)
 
     def _client_message(self, tag: tuple, size: int) -> None:
-        """Messages arriving at the listener (client) side."""
-        if self.done or not isinstance(tag, tuple):
-            return
+        """Messages arriving at the listener (client) side; none arrives
+        after DONE, since finishing closes `c_circ`."""
         kind = tag[0]
         if kind == "id":
             self._remote_addrs = tag[1]
@@ -399,8 +396,9 @@ class HolePunch:
             self._act("listener")
 
     def _remote_message(self, tag: tuple, size: int) -> None:
-        """Messages arriving at the initiator (remote) side."""
-        if self.done or not isinstance(tag, tuple):
+        """Messages arriving at the initiator (remote) side. `r_circ` stays
+        open past DONE until the relay resets it, so late ones arrive."""
+        if self.done:
             return
         kind = tag[0]
         if kind == "id":
@@ -493,9 +491,7 @@ class HolePunch:
         if transport is None:
             return
         runtime, peer_addrs = self._side(side)
-        target = peer_addrs.get(transport)
-        if target is None:
-            return
+        target = peer_addrs[transport]  # both books hold `transport`
         port = runtime.ports[transport]
         roles = ("listener", "initiator")  # (QUIC client, QUIC server)
         if self.cfg.alternate_roles:

@@ -15,6 +15,8 @@ from typing import Callable, Optional
 
 # Floor applied to every latency draw so causality is never violated.
 MIN_LATENCY_MS = 0.01
+# Hops between two distinct hosts without a `set_hop_distance` override.
+DEFAULT_HOP_DISTANCE = 6
 # Unbound, so a copied stream draws from its own generator; a bound method
 # cached per stream would be shared by its copies.
 _getrandbits = random.Random.getrandbits
@@ -52,8 +54,6 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, stream_id: str):
-        self.seed = seed
-        self.stream_id = stream_id
         self.rng = random.Random(derive_seed(seed, stream_id))
 
     def normal(self, mean: float, stddev: float) -> float:
@@ -110,11 +110,10 @@ class Topology:
     `set_hop_distance`, and each change clears that cache.
     """
 
-    def __init__(self, default_hop_distance: int = 6, loss_rate: float = 0.0):
+    def __init__(self, loss_rate: float = 0.0):
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError("loss_rate must be within [0, 1]")
         self.loss_rate = loss_rate
-        self._default_hops = default_hop_distance
         self._access: dict[str, tuple[float, float]] = {}
         self._nat_leg: dict[str, float] = {}
         self._pair_override: dict[tuple[str, str], tuple[float, float]] = {}
@@ -163,7 +162,7 @@ class Topology:
     def hop_distance(self, a: str, b: str) -> int:
         if a == b:
             return 0
-        return self._hop_override.get(self._pair_key(a, b), self._default_hops)
+        return self._hop_override.get(self._pair_key(a, b), DEFAULT_HOP_DISTANCE)
 
     def leg(self, host: str) -> float:
         return self._nat_leg.get(host, 0.0)

@@ -16,7 +16,6 @@ from typing import Optional
 from .kernel import RandomStream
 from .packets import Endpoint, Packet, PacketKind, unchecked_endpoint
 
-EPHEMERAL_START = 1024
 PORT_SPACE = 65536
 
 
@@ -66,9 +65,6 @@ class NatConfig:
     denylist_on_unsolicited: bool = False
     denylist_duration: float = 60_000.0
     rst_on_unsolicited_tcp: bool = False
-    # Drop sources exceeding this many unsolicited probes per second
-    # (scan-defense heuristic); None disables.
-    scan_limit: Optional[int] = None
     # Inclusive allocation range; the full 16-bit space by default so the
     # uniform-port assumption behind birthday-collision math holds.
     port_range: tuple[int, int] = (0, PORT_SPACE - 1)
@@ -132,7 +128,6 @@ class NatState:
         self.denylist: dict[str, float] = {}
         lo, hi = config.port_range
         self.next_sequential_port = 40_000 if lo <= 40_000 <= hi else lo
-        self._scan_counts: dict[str, tuple[float, int]] = {}
 
     # -- mapping bookkeeping -------------------------------------------------
 
@@ -252,15 +247,6 @@ class NatState:
 
     def _note_unsolicited(self, pkt: Packet, now: float) -> InboundAction:
         cfg = self.config
-        if cfg.scan_limit is not None:
-            start, count = self._scan_counts.get(pkt.src.host, (now, 0))
-            if now - start > 1000.0:
-                start, count = now, 0
-            count += 1
-            self._scan_counts[pkt.src.host] = (start, count)
-            if count > cfg.scan_limit:
-                self.denylist[pkt.src.host] = now + cfg.denylist_duration
-                return InboundAction.DROP
         if cfg.denylist_on_unsolicited:
             self.denylist[pkt.src.host] = now + cfg.denylist_duration
         if cfg.rst_on_unsolicited_tcp and pkt.kind.is_tcp and pkt.kind is not PacketKind.TCP_RST:

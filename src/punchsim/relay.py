@@ -18,16 +18,15 @@ DEFAULT_RELAYED_CONN_LIMIT = 16
 DEFAULT_RESERVATION_CAPACITY = 128
 CONTROL_BYTES = 24
 CIRCUIT_HEADER_BYTES = 8
+# How long a client waits for a reply (reservation, address, pong); for a circuit.
+REQUEST_TIMEOUT_MS = 5_000.0
+CONNECT_TIMEOUT_MS = 10_000.0
 
 
 @dataclass
 class Reservation:
-    relay: str
-    client: str
     client_endpoint: Endpoint
     expires: float
-    data_budget_bytes: int = DEFAULT_DATA_BUDGET_BYTES
-    relayed_conn_limit: int = DEFAULT_RELAYED_CONN_LIMIT
     active_conns: int = 0
 
 
@@ -71,19 +70,17 @@ class RelayService:
     payloads unmodified; only reservation and budget limits can terminate
     a relayed connection."""
 
-    def __init__(self, net: Network, host: Host, port: int = RELAY_PORT,
+    def __init__(self, net: Network, host: Host,
                  capacity: int = DEFAULT_RESERVATION_CAPACITY,
-                 reservation_ms: float = DEFAULT_RESERVATION_MS,
                  data_budget_bytes: int = DEFAULT_DATA_BUDGET_BYTES,
                  relayed_conn_limit: int = DEFAULT_RELAYED_CONN_LIMIT):
         if host.nat is not None:
             raise ValueError("relays must be public peers")
         self.net = net
         self.host = host
-        self.port = host.bind(self._on_packet, port)
+        self.port = host.bind(self._on_packet, RELAY_PORT)
         self.endpoint = Endpoint(host.id, self.port)
         self.capacity = capacity
-        self.reservation_ms = reservation_ms
         self.data_budget_bytes = data_budget_bytes
         self.relayed_conn_limit = relayed_conn_limit
         self.reservations: dict[str, Reservation] = {}
@@ -113,17 +110,14 @@ class RelayService:
             if self._live_reservations() >= self.capacity and peer_id not in self.reservations:
                 self._send(pkt.src, ("rsv-refused", token))
                 return
-            rsv = Reservation(relay=self.host.id, client=peer_id,
-                              client_endpoint=pkt.src,
-                              expires=now + self.reservation_ms,
-                              data_budget_bytes=self.data_budget_bytes,
-                              relayed_conn_limit=self.relayed_conn_limit)
+            rsv = Reservation(client_endpoint=pkt.src,
+                              expires=now + DEFAULT_RESERVATION_MS)
             self.reservations[peer_id] = rsv
             self._send(pkt.src, ("rsv-ok", token, rsv.expires))
         elif tag[0] == "conn-req":
             token, listener_id, dialer_id = tag[1], tag[2], tag[3]
             rsv = self.reservations.get(listener_id)
-            if rsv is None or rsv.expires <= now or rsv.active_conns >= rsv.relayed_conn_limit:
+            if rsv is None or rsv.expires <= now or rsv.active_conns >= self.relayed_conn_limit:
                 self._send(pkt.src, ("conn-refused", token))
                 return
             cid = self._next_cid
@@ -133,7 +127,6 @@ class RelayService:
                 "sides": {pkt.src: rsv.client_endpoint,
                           rsv.client_endpoint: pkt.src},
                 "used": {pkt.src: 0, rsv.client_endpoint: 0},
-                "budget": rsv.data_budget_bytes,
                 "rsv": rsv,
             }
             self._send(pkt.src, ("conn-ok", token, cid))
@@ -148,7 +141,7 @@ class RelayService:
                 return
             size = pkt.size_bytes - CIRCUIT_HEADER_BYTES
             circ["used"][pkt.src] += size
-            if circ["used"][pkt.src] > circ["budget"]:
+            if circ["used"][pkt.src] > self.data_budget_bytes:
                 self._close_circuit(cid, "budget-exhausted")
                 return
             self._send(other, ("circ", cid, payload), pkt.size_bytes)
@@ -170,10 +163,10 @@ class RelayClient:
     """Peer-side relay protocol endpoint: holds reservations, dials and
     accepts circuits, answers circuit-level pings."""
 
-    def __init__(self, net: Network, host: Host, peer_id: Optional[str] = None):
+    def __init__(self, net: Network, host: Host):
         self.net = net
         self.host = host
-        self.peer_id = peer_id or host.id
+        self.peer_id = host.id
         self.port = host.bind(self._on_packet)
         self.endpoint = Endpoint(host.id, self.port)
         self.reservations: dict[str, float] = {}  # relay-id -> expires
@@ -186,8 +179,7 @@ class RelayClient:
                               kind=PacketKind.UDP_DATAGRAM, size_bytes=size,
                               tag=tag))
 
-    def reserve(self, relay_ep: Endpoint, on_done: Callable[[bool], None],
-                timeout_ms: float = 5_000.0) -> None:
+    def reserve(self, relay_ep: Endpoint, on_done: Callable[[bool], None]) -> None:
         token = self.net.sim.next_token()
         self._send_control(relay_ep, ("rsv-req", token, self.peer_id))
 
@@ -196,11 +188,10 @@ class RelayClient:
                 self.reservations[relay_ep.host] = tag[2]
             on_done(tag[0] == "rsv-ok")
 
-        self.host.expect(token, on_reply, timeout_ms, lambda: on_done(False))
+        self.host.expect(token, on_reply, REQUEST_TIMEOUT_MS, lambda: on_done(False))
 
     def connect_via(self, listener_id: str, relay_addrs: list[Endpoint],
-                    on_done: Callable[[Optional[Circuit]], None],
-                    timeout_ms: float = 10_000.0) -> None:
+                    on_done: Callable[[Optional[Circuit]], None]) -> None:
         """Dial the listener through every given relay; the first circuit
         to open wins, the rest are closed. The overall timeout is live
         exactly while the dial is unsettled."""
@@ -237,19 +228,18 @@ class RelayClient:
             # late, so the relay frees its slot.
             self.host.replies[token] = (partial(on_reply, relay_ep), None)
             self._send_control(relay_ep, ("conn-req", token, listener_id, self.peer_id))
-        timeout = self.net.sim.schedule_in(lambda: settle(None), timeout_ms)
+        timeout = self.net.sim.schedule_in(lambda: settle(None), CONNECT_TIMEOUT_MS)
 
     def circuit_ping(self, circuit: Circuit, samples: int,
-                     on_done: Callable[[Optional[tuple[float, float]]], None],
-                     timeout_ms: float = 5_000.0) -> None:
+                     on_done: Callable[[Optional[tuple[float, float]]], None]) -> None:
         """RTT of the relayed path via sequential pings through the
         circuit; the far end's RelayClient answers them."""
         RttProbe(self.net, self.host, lambda tag: circuit.send(tag, PING_BYTES),
-                 samples=samples, timeout_ms=timeout_ms, on_done=on_done).start()
+                 samples=samples, timeout_ms=REQUEST_TIMEOUT_MS, on_done=on_done).start()
 
     def observe_via(self, observer_ep: Endpoint, port: int,
                     on_done: Callable[[Optional[Endpoint]], None],
-                    timeout_ms: float = 5_000.0) -> None:
+                    timeout_ms: float = REQUEST_TIMEOUT_MS) -> None:
         """Learn the external endpoint of one of this host's bound ports
         as seen by a public observer (Identify's address discovery). The
         probe leaves from the observed port itself so the answer reflects

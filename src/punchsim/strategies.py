@@ -14,7 +14,6 @@ from .nat import InboundAction, NatState, SessionTableFull
 from .packets import Endpoint, Packet, PacketKind, unchecked_endpoint
 
 DEFAULT_PORT_SPACE = 65_536
-PROBE_WINDOW_MS = 500.0
 
 
 class BirthdayScenario(Enum):
@@ -37,8 +36,7 @@ class BirthdayPlan:
 
 
 def _log_comb(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        return float("-inf")
+    """log C(n, k), for 0 <= k <= n."""
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 

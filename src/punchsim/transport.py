@@ -18,6 +18,7 @@ QUIC_INITIAL_BYTES = 1_200
 QUIC_REPLY_BYTES = 300
 QUIC_RETRANSMIT_MS = 500.0
 DUMMY_PACKET_BYTES = 30
+DUMMY_SPACING_MS = 5.0
 PING_BYTES = 32
 DEFAULT_DIAL_DEADLINE_MS = 15_000.0
 DEFAULT_RTT_SAMPLES = 10
@@ -149,8 +150,7 @@ class QuicPort(Port):
         super().__init__(net, host, port)
         self._accepted: set[Endpoint] = set()
 
-    def prime(self, toward: Endpoint, count: int = 3, ttl: int = 64,
-              spacing_ms: float = 5.0) -> None:
+    def prime(self, toward: Endpoint, count: int = 3, ttl: int = 64) -> None:
         """Emit dummy datagrams toward the peer to create outbound NAT
         state; with a low TTL they die in the core after passing our NAT."""
         if count < 1:
@@ -161,7 +161,7 @@ class QuicPort(Port):
                                               kind=PacketKind.UDP_DATAGRAM,
                                               ttl=ttl, size_bytes=DUMMY_PACKET_BYTES,
                                               tag="dummy")),
-                i * spacing_ms)
+                i * DUMMY_SPACING_MS)
 
     def _first_flight(self, remote: Endpoint) -> None:
         self.host.send(Packet(src=self.local, dst=remote,

@@ -63,6 +63,17 @@ class TestIdentifyNetworks:
         assert {out[0]["network"], out[1]["network"]} == \
             {"c1/net-0", "c1/net-1"}
 
+    def test_lans_sharing_an_ip_chain_into_one_network(self):
+        # LAN A moves from IP 1 to IP 2, LAN B from IP 3 to IP 1, so all
+        # three IPs are one network, however often IP 2 is looked up.
+        days = iter(range(1, 10))
+        out = identify_networks([
+            rec(ips=(ip,), priv=(lan,), ts=f"2026-01-0{next(days)}T00:00:00+00:00")
+            for lan, ip in [("10.0.0.1", "1.1.1.1"), ("10.0.0.1", "2.2.2.2"),
+                            ("192.168.0.7", "3.3.3.3"), ("192.168.0.7", "1.1.1.1"),
+                            ("172.16.0.1", "2.2.2.2")]])
+        assert {r["network"] for r in out} == {"c1/net-0"}
+
     def test_zero_public_label(self):
         out = identify_networks([rec(ips=())])
         assert out[0]["network"] == ZERO_PUBLIC

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 from collections import OrderedDict
 from datetime import timedelta, timezone
@@ -22,6 +23,7 @@ from punchsim.campaign import (CampaignConfig, PopulationSpec,
                                generate_population, load_results,
                                run_campaign, run_trial)
 from punchsim.nat import MappingBehavior
+from punchsim.strategies import BirthdayPlan, BirthdayScenario, birthday_probability
 
 VALID_OUTCOMES = {"NO_CONNECTION", "NO_STREAM",
                   "CONNECTION_REVERSED", "CANCELLED", "FAILED", "SUCCESS"}
@@ -409,6 +411,8 @@ class TestExport:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(JSON_TREES)
     @example({2: [], 10: {}, "x": None})
+    @example({"leaf": b"bytes"})
+    @example({(1, 2): "tuple key"})
     @example([{3: 1.5, 12: (), True: "a"}, Items(), OrderedDict(b=1, a=2)])
     def test_writer_writes_what_json_dumps_writes(self, tmp_path, value):
         path = tmp_path / "value.json"
@@ -464,6 +468,10 @@ class TestOneRecordPipeline:
         assert report.rtt_ratios == [0.5, 0.5]
         assert report.rtt_ratios == latency_ratio_cdf(records)["ratios"]
         assert report.per_transport_success == {}
+
+    def test_aggregate_needs_a_record(self):
+        with pytest.raises(ValueError, match="no records"):
+            aggregate([])
 
     def test_aggregate_rejects_missing_field(self):
         bad = make_record()
@@ -595,6 +603,82 @@ class TestCliExits:
             args += ["--report", str(tmp_path / report)]
         assert cli.main(args) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("command, message", [
+        (["simulate", "--config", "{tmp}/missing.yaml"], "cannot read config file"),
+        (["simulate", "--trials", "0"], "--trials must be positive"),
+        (["analyze", "--in", "{tmp}/missing.json"], "cannot read input file"),
+        (["analyze", "--min-per-client", "-1"], "--min-per-client must be non-negative"),
+        (["analyze", "--bin-width", "0"], "--bin-width must be in (0, 1]"),
+    ], ids=["missing-config", "zero-trials", "missing-input", "negative-minimum",
+            "zero-bin-width"])
+    def test_bad_argument_exits_2(self, tmp_path, capsys, command, message):
+        (tmp_path / "campaign.yaml").write_text(self.SMALL)
+        export_results([make_record()], str(tmp_path / "in.json"), seed=1,
+                       config=CampaignConfig())
+        defaults = {"simulate": ["--config", "{tmp}/campaign.yaml", "--trials", "2",
+                                 "--seed", "1", "--out", "{tmp}/results.json"],
+                    "analyze": ["--in", "{tmp}/in.json", "--out", "{tmp}/report.json"]}
+        # argparse keeps the last of a repeated option.
+        args = [arg.format(tmp=tmp_path) for arg in
+                [command[0], *defaults[command[0]], *command[1:]]]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "3"])
+    def test_workers_outside_one_to_cpu_count_exit_2(self, tmp_path, capsys,
+                                                     monkeypatch, workers):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a worker pool was built")
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        (tmp_path / "campaign.yaml").write_text(self.SMALL)
+        out = tmp_path / "results.json"
+        rc = cli.main(["simulate", "--config", str(tmp_path / "campaign.yaml"),
+                       "--trials", "5", "--seed", "1", "--out", str(out),
+                       "--workers", workers])
+        assert rc == cli.EXIT_CONFIG
+        assert "error: --workers must be in 1..2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_up_to_cpu_count_run(self, tmp_path, monkeypatch):
+        asked = []
+
+        def run(config, n_trials, seed, workers):
+            asked.append(workers)
+            return []
+        monkeypatch.setattr(campaign, "run_campaign", run)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        (tmp_path / "campaign.yaml").write_text(self.SMALL)
+        for workers in ("1", "2"):
+            assert cli.main(["simulate", "--config", str(tmp_path / "campaign.yaml"),
+                             "--trials", "5", "--seed", "1", "--workers", workers,
+                             "--out", str(tmp_path / "results.json")]) == cli.EXIT_OK
+        assert asked == [1, 2]
+
+    @pytest.mark.parametrize("argv, plan, sure", [
+        ("--m 256 --k 256 --scenario mixed", BirthdayPlan(256, 256), False),
+        ("--m 256 --k 2048 --scenario both-edm --space 65536",
+         BirthdayPlan(256, 2048, scenario=BirthdayScenario.EDM_VS_EDM), False),
+        # 200 ports open and 100 probed in a space of 256 must collide.
+        ("--m 200 --k 100 --space 256 --scenario mixed", BirthdayPlan(200, 100, 256), True),
+    ], ids=["readme-mixed", "readme-both-edm", "pigeonhole"])
+    def test_oracle_prints_the_closed_form(self, capsys, argv, plan, sure):
+        assert cli.main(["oracle", *argv.split()]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {
+            "m": plan.m_open, "k": plan.k_probe, "port_space": plan.port_space,
+            "scenario": plan.scenario.value,
+            "probability": birthday_probability(plan)}
+        assert (birthday_probability(plan) == 1.0) is sure
+
+    @pytest.mark.parametrize("argv", ["--m 0 --k 5", "--m 5 --k 5 --space 0"],
+                             ids=["no-openings", "no-port-space"])
+    def test_oracle_rejects_an_impossible_plan(self, capsys, argv):
+        assert cli.main(["oracle", *argv.split(), "--scenario", "mixed"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid plan") and "Traceback" not in err
+
     def analyze_exit(self, tmp_path, capsys, text, suffix="json"):
         path = tmp_path / f"results.{suffix}"
         if isinstance(text, bytes):
@@ -715,7 +799,12 @@ class TestCliExits:
                 ("attempts", {}, "attempts must be a list"),
                 ("relay_addrs", "relay-00:1", "relay_addrs must be a list"),
                 ("public_endpoints", [["a:1", "QUIC", "x"]], "public_endpoints"),
-                ("rtt_to_relay_stddev", [0.0], "rtt_to_relay_stddev must be a number")]:
+                ("rtt_to_relay_stddev", [0.0], "rtt_to_relay_stddev must be a number"),
+                ("client", "", "client must not be empty"),
+                ("protocol_filter", "UDP", "protocol_filter must be TCP, QUIC or null"),
+                ("port_mapping_active", 1, "port_mapping_active must be a boolean"),
+                ("as_id", 1.5, "as_id must be an integer or a string"),
+                ("private_addrs", [1], "private_addrs entries must be strings")]:
             rec = make_record()
             rec[field] = value
             with pytest.raises(MalformedRecord, match=f"record 1: {reason}"):

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,10 +20,10 @@ SYMMETRIC = dict(mapping=MappingBehavior.APDM,
 
 def build_world(client_nat=CONE, remote_nat=CONE, client_mapping=False,
                 mapping_lies=False, seed=3, client_lat=10.0, remote_lat=20.0,
-                client_leg=1.0, remote_leg=2.0, loss=0.0):
+                client_leg=1.0, remote_leg=2.0, loss=0.0, relay_kwargs=None):
     net = Network(Simulation(seed=seed), Topology(loss_rate=loss))
     net.add_host("relay", 5.0)
-    svc = RelayService(net, net.hosts["relay"])
+    svc = RelayService(net, net.hosts["relay"], **(relay_kwargs or {}))
     net.add_host("client", client_lat,
                  nat_config=NatConfig(**client_nat) if client_nat else None,
                  nat_leg=client_leg)
@@ -155,6 +156,48 @@ class TestEarlyOutcomes:
         assert out[0].rtt_to_relay is None
         assert out[0].rtt_relayed is None
 
+    def test_circuit_reset_before_the_attempts_is_no_stream(self):
+        # The listener's ten relayed pings pass the 300-byte budget.
+        net, svc, client, remote = build_world(
+            relay_kwargs={"data_budget_bytes": 300})
+        hp, res = run_punch(net, client, remote, [svc.endpoint])
+        assert res.outcome is OutcomeResult.NO_STREAM
+        assert res.attempts == [] and hp.done
+
+    def test_circuit_reset_in_an_attempt_is_a_protocol_error(self):
+        # The initiator's CONNECT passes the 500-byte budget.
+        net, svc, client, remote = build_world(
+            relay_kwargs={"data_budget_bytes": 500})
+        _, res = run_punch(net, client, remote, [svc.endpoint])
+        assert res.outcome is OutcomeResult.FAILED
+        assert [(a.index, a.outcome) for a in res.attempts] == [
+            (1, OutcomeAttempt.PROTOCOL_ERROR)]
+
+    @pytest.mark.parametrize("timeout_ms, adopted", [(50.0, False), (230.0, True)],
+                             ids=["identify", "stream-ack"])
+    def test_messages_after_the_end_are_ignored(self, timeout_ms, adopted):
+        # The stream deadline ends the punch before the listener's identify
+        # (50 ms) or its stream-ack (230 ms) reaches the initiator.
+        net, svc, client, remote = build_world()
+        cfg = DcutrConfig(stream_timeout_ms=timeout_ms)
+        hp, res = run_punch(net, client, remote, [svc.endpoint], cfg=cfg)
+        assert res.outcome is OutcomeResult.NO_STREAM
+        assert hp.done and res.rtt_to_relay is None
+        assert (hp.r_circ is not None) is adopted
+        assert bool(remote.observed) is adopted
+
+    def test_no_common_transport_dials_nothing(self):
+        # A two-entry table holds the client's relay and TCP mappings, so
+        # its QUIC observation is dropped and the QUIC-only punch has no
+        # address to dial.
+        net, svc, client, remote = build_world(client_nat=dict(CONE, max_sessions=2))
+        _, res = run_punch(net, client, remote, [svc.endpoint], tf=Transport.QUIC)
+        assert net.dropped_session_full == 1
+        assert list(client.observed) == [Transport.TCP]
+        assert [a.outcome for a in res.attempts] == [OutcomeAttempt.FAILED] * 3
+        assert all(not port.conns for runtime in (client, remote)
+                   for port in runtime.ports.values())
+
 
 class TestReversal:
     def test_public_client_gets_reversed(self):
@@ -180,6 +223,39 @@ class TestReversal:
         # The fake address also poisons the punch itself.
         assert res.outcome is OutcomeResult.FAILED
         assert len(res.attempts) >= 1
+
+    def test_reversal_dial_settling_after_the_stream_deadline(self):
+        net, svc, client, remote = build_world(client_mapping=True,
+                                               mapping_lies=True)
+        cfg = DcutrConfig(reversal_deadline_ms=20_000, stream_timeout_ms=15_000)
+        hp, res = run_punch(net, client, remote, [svc.endpoint], cfg=cfg)
+        assert res.outcome is OutcomeResult.NO_STREAM
+        assert hp.done and res.attempts == []
+
+    def test_stream_deadline_after_the_reversal_landed(self):
+        # The listener accepts the reversal dial 30 ms before the
+        # initiator hears back; the stream deadline falls in between.
+        def world():
+            return build_world(client_nat=None, client_leg=0.0)
+
+        net, svc, client, remote = world()
+        landed = []
+        hp = HolePunch(net, client, remote, [svc.endpoint], on_done=landed.append)
+        hp.start()
+        while hp.phase is Phase.CIRCUIT:
+            net.sim.run(until=net.sim.now + 1)
+        opened = net.sim.now
+        while hp._client_direct is None:
+            net.sim.run(until=net.sim.now + 1)
+        accepted = net.sim.now
+        net.sim.run()
+        assert landed[0].outcome is OutcomeResult.CONNECTION_REVERSED
+        cfg = DcutrConfig(stream_timeout_ms=(accepted + landed[0].ended) / 2 - opened)
+        net, svc, client, remote = world()
+        _, res = run_punch(net, client, remote, [svc.endpoint], cfg=cfg)
+        assert res.outcome is OutcomeResult.CONNECTION_REVERSED
+        assert res.ended < landed[0].ended
+        assert res.direct_endpoints_used == []  # the dial itself never settled
 
 
 class TestAttemptMachinery:

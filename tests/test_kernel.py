@@ -111,6 +111,20 @@ def test_unknown_host_rejected():
         sample_latency(topo, "a", "zzz", RandomStream(1, "lat"))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Topology(loss_rate=1.5), "loss_rate"),
+    (lambda: _topo().add_host("a", 5.0), "duplicate host"),
+    (lambda: _topo().add_host("c", 5.0, nat_leg=-1.0), "non-negative"),
+    (lambda: _topo().set_pair_params("a", "b", 5.0, -1.0), "non-negative"),
+    (lambda: _topo().set_hop_distance("a", "a", 3), "distinct hosts"),
+    (lambda: _topo().set_hop_distance("a", "b", 0), "hops >= 1"),
+], ids=["loss-rate", "duplicate-host", "negative-leg", "negative-stddev",
+        "hops-to-itself", "zero-hops"])
+def test_topology_rejects_bad_parameters(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_latency_distribution_moments():
     # Law-of-large-numbers check against the configured normal distribution.
     topo = Topology()

@@ -343,6 +343,12 @@ class TestPortRange:
         with pytest.raises(ValueError, match="port_range"):
             NatConfig(port_range=bad)
 
+    @pytest.mark.parametrize("field, value", [("mapping_ttl", 0.0),
+                                              ("max_sessions", 0)])
+    def test_non_positive_ttl_or_table_size_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NatConfig(**{field: value})
+
     @pytest.mark.parametrize("alloc", list(PortAllocation))
     def test_exhausted_range_raises_session_table_full(self, alloc):
         nat = make_nat(mapping=MappingBehavior.APDM, port_alloc=alloc,

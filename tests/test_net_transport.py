@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +81,34 @@ class TestDelivery:
         assert a.nat.session_count() == 1
         assert b.nat.session_count() == 0
         assert not b.nat.denylist
+
+    def test_full_table_drops_at_the_sender(self):
+        net = build_net()
+        a = net.add_host("a", 10.0, nat_config=NatConfig(max_sessions=1), nat_leg=1.0)
+        b = net.add_host("b", 20.0)
+        sink = Sink()
+        b.bind(sink, 80)
+        for port in (1, 2):  # one mapping per internal endpoint
+            a.send(udp(Endpoint("a", port), Endpoint("b", 80)))
+        net.sim.run()
+        assert len(sink.received) == 1
+        assert net.dropped_session_full == 1
+
+    def test_unroutable_destination_is_dropped(self):
+        net = build_net()
+        a = net.add_host("a", 10.0)
+        a.send(udp(Endpoint("a", 1), Endpoint("nowhere", 80)))
+        assert net.sim.pending() == 0
+        assert net.dropped_session_full == net.dropped_in_core == 0
+
+    def test_duplicate_host_and_port_rejected(self):
+        net = build_net()
+        a = net.add_host("a", 10.0)
+        with pytest.raises(ValueError, match="duplicate host"):
+            net.add_host("a", 20.0)
+        a.bind(Sink(), 80)
+        with pytest.raises(ValueError, match="already bound"):
+            a.bind(Sink(), 80)
 
     def test_loss_rate_drops_fraction(self):
         net = build_net(seed=5, loss=0.3)
@@ -294,6 +323,11 @@ class TestQuic:
         assert net.hosts["server"].nat.session_count() >= 1
         assert net.dropped_in_core == before + 3
 
+    def test_prime_needs_a_packet(self):
+        net, client, server, ext_server = self._pair()
+        with pytest.raises(ValueError, match="count"):
+            server.prime(toward=client.local, count=0)
+
     def test_dual_client_dials_form_two_connections(self):
         # Both sides acting as client can yield two distinct connections.
         net = build_net()
@@ -351,6 +385,13 @@ class TestRtt:
                     samples=3, on_done=out.append)
         net.sim.run(until=30_000)
         assert out == [None]
+
+    @pytest.mark.parametrize("samples", [0, 11])
+    def test_sample_count_out_of_range_rejected(self, samples):
+        net = build_net()
+        host = net.add_host("a", 10.0)
+        with pytest.raises(ValueError, match="samples"):
+            RttProbe(net, host, lambda tag: True, samples=samples)
 
     def test_fresh_worlds_issue_the_same_probe_token(self):
         # Probe tokens come from the simulation, not from process-wide

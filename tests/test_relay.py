@@ -1,9 +1,17 @@
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+                                 precondition, rule)
+
+from punchsim.campaign import ARCHETYPE_NATS
+from punchsim.dcutr import HolePunch, OutcomeAttempt, OutcomeResult, PeerRuntime
 from punchsim.kernel import Simulation, Topology
 from punchsim.nat import NatConfig
 from punchsim.net import Network
-from punchsim.packets import Endpoint
-from punchsim.relay import RelayClient, RelayService
-from punchsim.transport import TcpPort, measure_rtt
+from punchsim.packets import Endpoint, Packet, PacketKind
+from punchsim.relay import (CONNECT_TIMEOUT_MS, DEFAULT_DATA_BUDGET_BYTES,
+                            DEFAULT_RESERVATION_MS, RelayClient, RelayService)
+from punchsim.transport import TcpPort, Transport, measure_rtt
 
 
 def build_world(seed=1, relay_kwargs=None, n_relays=1):
@@ -170,6 +178,52 @@ class TestCircuits:
         assert waiting == waiting_again and len(waiting) == 1
 
 
+class TestStrayTraffic:
+    def test_datagrams_without_a_tuple_tag_are_ignored(self):
+        net, services, alice, bob = build_world()
+        a_circ, incoming = open_circuit(net, alice, bob, services)
+        relay_ep = services[0].endpoint
+        bob_ep = services[0].reservations["bob"].client_endpoint
+        for tag in (None, "dummy"):
+            alice.host.send(Packet(src=alice.endpoint, dst=relay_ep,
+                                   kind=PacketKind.UDP_DATAGRAM, tag=tag))
+            net.hosts["relay-0"].send(Packet(src=relay_ep, dst=bob_ep,
+                                             kind=PacketKind.UDP_DATAGRAM, tag=tag))
+        net.sim.run(until=net.sim.now + 1_000)
+        got = []
+        incoming[0].on_message = lambda tag, size: got.append(tag)
+        a_circ.send(("after",), 10)
+        net.sim.run(until=net.sim.now + 1_000)
+        assert got == [("after",)] and a_circ.open and incoming[0].open
+
+    def test_payload_from_a_rebound_endpoint_is_dropped(self):
+        # Alice idles past her NAT's mapping TTL, so her next payload
+        # leaves from a new external port that is not a side of the circuit.
+        net, services, alice, bob = build_world()
+        a_circ, incoming = open_circuit(net, alice, bob, services)
+        got = []
+        incoming[0].on_message = lambda tag, size: got.append(tag)
+        net.sim.run(until=net.sim.now + NatConfig().mapping_ttl + 1_000)
+        a_circ.send(("stale",), 10)
+        net.sim.run(until=net.sim.now + 1_000)
+        assert got == []
+        circuit = services[0]._circuits[a_circ.cid]
+        assert set(circuit["used"].values()) == {0}
+
+    def test_crossing_closes_free_the_slot_once(self):
+        # Both sides close at once; bob's late payload and close reach the
+        # relay after alice's close removed the circuit.
+        net, services, alice, bob = build_world()
+        a_circ, incoming = open_circuit(net, alice, bob, services)
+        b_circ = incoming[0]
+        a_circ.close()
+        b_circ.send(("late",), 10)
+        b_circ.close()
+        net.sim.run(until=net.sim.now + 1_000)
+        assert services[0]._circuits == {}
+        assert services[0].reservations["bob"].active_conns == 0
+
+
 class TestObserve:
     def test_observe_via_reports_nat_external_endpoint(self):
         net, services, alice, bob = build_world()
@@ -216,3 +270,155 @@ class TestObserve:
         net.sim.run(until=net.sim.now + 6_000)
         assert out == [None]
 
+
+
+# -- reservations, circuits, budgets and punches in one world ------------------
+
+PAIRS = [(a, b) for a in range(3) for b in range(3) if a != b]
+RELAY_SETS = [(0,), (1,), (0, 1)]
+
+
+class RelayWorld(RuleBasedStateMachine):
+    """Two relays, each holding at most two reservations and two circuits
+    per reservation, and three NAT'd peers. Rules reserve, let every
+    reservation expire, dial through one or both relays, send until the
+    data budget resets a circuit, close either side of one, and run whole
+    hole punches in the same world. Two peers start with a reservation on
+    each relay."""
+
+    @initialize(budget=st.sampled_from([300, 500, 800, DEFAULT_DATA_BUDGET_BYTES]),
+                nats=st.lists(st.sampled_from(list(ARCHETYPE_NATS.values())),
+                              min_size=3, max_size=3),
+                seed=st.integers(0, 1_000))
+    def build(self, budget, nats, seed):
+        self.budget = budget
+        self.net = Network(Simulation(seed=seed), Topology())
+        self.services = []
+        for i in range(2):
+            host = self.net.add_host(f"relay-{i}", 5.0 * (i + 1))
+            self.services.append(RelayService(self.net, host, capacity=2,
+                                              data_budget_bytes=budget,
+                                              relayed_conn_limit=2))
+        self.peers = []
+        for i, nat in enumerate(nats):
+            host = self.net.add_host(f"peer-{i}", 10.0 * (i + 1),
+                                     nat_config=NatConfig(**nat), nat_leg=1.0)
+            peer = PeerRuntime(self.net, host)
+            peer.relay.on_incoming_circuit = self._track
+            self.peers.append(peer)
+        self.dials = []     # per connect_via, what it settled with
+        self.resets = {}    # circuit -> the reasons it was closed with
+        self.received = {}  # circuit -> payload bytes it delivered
+        for peer in self.peers[:2]:  # the third is refused until they expire
+            for svc in self.services:
+                peer.relay.reserve(svc.endpoint, lambda ok: None)
+        self._run(6_000)
+
+    def _track(self, circuit):
+        self.resets[circuit] = []
+        self.received[circuit] = 0
+        circuit.on_closed = self.resets[circuit].append
+
+        def got(tag, size):
+            self.received[circuit] += size
+        circuit.on_message = got
+
+    def _run(self, ms):
+        self.net.sim.run(until=self.net.sim.now + ms)
+
+    @rule(peer=st.integers(0, 2), relay=st.integers(0, 1))
+    def reserve(self, peer, relay):
+        svc, client = self.services[relay], self.peers[peer].relay
+        admitted = (svc._live_reservations() < svc.capacity
+                    or client.peer_id in svc.reservations)
+        out = []
+        client.reserve(svc.endpoint, out.append)
+        self._run(6_000)
+        assert out == [admitted]
+
+    @rule()
+    def expire(self):
+        self._run(DEFAULT_RESERVATION_MS + 1.0)
+        assert all(svc._live_reservations() == 0 for svc in self.services)
+
+    @rule(pair=st.sampled_from(PAIRS), relays=st.sampled_from(RELAY_SETS))
+    def connect(self, pair, relays):
+        dialer, listener = (self.peers[i] for i in pair)
+        results = []
+        self.dials.append(results)
+
+        def settled(circuit):
+            results.append(circuit)
+            if circuit is not None:
+                self._track(circuit)
+        dialer.relay.connect_via(listener.peer_id,
+                                 [self.services[i].endpoint for i in relays], settled)
+        self._run(CONNECT_TIMEOUT_MS + 1_000)
+
+    @precondition(lambda self: any(c.open for c in self.resets))
+    @rule(data=st.data())
+    def exhaust(self, data):
+        circuit = data.draw(st.sampled_from([c for c in self.resets if c.open]))
+        for i in range(50):  # 5 000 bytes pass every budget here
+            if not circuit.send(("chunk", i), 100):
+                break
+            self._run(200)
+
+    @precondition(lambda self: any(c.open for c in self.resets))
+    @rule(data=st.data())
+    def close(self, data):
+        data.draw(st.sampled_from([c for c in self.resets if c.open])).close()
+        self._run(1_000)
+
+    @rule(pair=st.sampled_from(PAIRS), relays=st.sampled_from(RELAY_SETS),
+          tf=st.sampled_from([None, *Transport]))
+    def punch(self, pair, relays, tf):
+        client, remote = (self.peers[i] for i in pair)
+        out, live_timers = [], []
+
+        def on_done(result):
+            out.append(result)
+            live_timers.extend(e for e in self.net.sim._queue if e[2] is not None
+                               and getattr(e[2], "__module__", "") == "punchsim.dcutr")
+
+        hp = HolePunch(self.net, client, remote,
+                       [self.services[i].endpoint for i in relays],
+                       transport_filter=tf, on_done=on_done)
+        hp.start()
+        for _ in range(300):
+            if out:
+                break
+            self._run(1_000)
+        remote.relay.on_incoming_circuit = self._track
+        self._run(1_000)
+        # The invariants of test_punch_ends_once_with_consistent_attempts.
+        assert len(out) == 1 and hp.done and live_timers == []
+        res = out[0]
+        assert [a.index for a in res.attempts] == list(range(1, len(res.attempts) + 1))
+        assert len(res.attempts) <= hp.cfg.max_attempts
+        assert res.outcome is not OutcomeResult.CANCELLED
+        if res.outcome is OutcomeResult.SUCCESS:
+            assert res.attempts[-1].outcome is OutcomeAttempt.SUCCESS
+
+    @invariant()
+    def active_conns_count_open_circuits(self):
+        for svc in self.services:
+            held = [c["rsv"] for c in svc._circuits.values()]
+            for rsv in [*svc.reservations.values(), *held]:
+                assert rsv.active_conns == sum(r is rsv for r in held)
+
+    @invariant()
+    def each_dial_settles_once(self):
+        assert all(len(results) == 1 for results in self.dials)
+
+    @invariant()
+    def reset_circuits_stay_closed(self):
+        for circuit, reasons in self.resets.items():
+            assert len(reasons) <= 1
+            assert not (reasons and circuit.open)
+            assert self.received[circuit] <= self.budget
+
+
+TestRelayWorld = RelayWorld.TestCase
+TestRelayWorld.settings = settings(max_examples=60, stateful_step_count=15,
+                                   deadline=None)
