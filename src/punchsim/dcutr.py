@@ -266,6 +266,9 @@ class HolePunch:
 
     def _on_client_circuit(self, circuit: Optional[Circuit]) -> None:
         if self.phase is not Phase.CIRCUIT:
+            # The punch ended first; free the relay's slot.
+            if circuit is not None:
+                circuit.close()
             return
         if circuit is None:
             self._finish(OutcomeResult.NO_CONNECTION)

@@ -167,10 +167,12 @@ class NatState:
             self.next_sequential_port = lo if port >= hi else port + 1
             return port
         # RANDOM, and the PRESERVE fallback
-        while True:
-            port = self.rng.randint(lo, hi)
-            if port not in self._by_port:
-                return port
+        randint = self.rng.randint
+        by_port = self._by_port
+        port = randint(lo, hi)
+        while port in by_port:
+            port = randint(lo, hi)
+        return port
 
     def session_count(self) -> int:
         """Dynamic mappings in the table, in O(1). Expiry is lazy, so this
@@ -232,12 +234,11 @@ class NatState:
                         raise SessionTableFull(str(src))
                 port = self._alloc_port(src, now)
                 # NatConfig checked the range the port comes from.
-                m = NatMapping(internal=src,
-                               external=unchecked_endpoint((self.public_host, port)),
-                               key=key, created=now, last_activity=now)
-                self._by_key[key] = m
-                self._by_port[port] = m
+                external = unchecked_endpoint((self.public_host, port))
+                self._by_key[key] = self._by_port[port] = NatMapping(
+                    src, external, key, {dst: now}, now, now)
                 self._sessions += 1
+                return pkt.readdressed(external, dst)
         contacted = m.contacted
         if dst not in contacted:
             contacted[dst] = now

@@ -110,10 +110,14 @@ class RelayService:
             if self._live_reservations() >= self.capacity and peer_id not in self.reservations:
                 self._send(pkt.src, ("rsv-refused", token))
                 return
-            rsv = Reservation(client_endpoint=pkt.src,
-                              expires=now + DEFAULT_RESERVATION_MS)
-            self.reservations[peer_id] = rsv
-            self._send(pkt.src, ("rsv-ok", token, rsv.expires))
+            expires = now + DEFAULT_RESERVATION_MS
+            rsv = self.reservations.get(peer_id)
+            if rsv is None:
+                self.reservations[peer_id] = Reservation(pkt.src, expires)
+            else:
+                # Refreshed in place: its open circuits count against it.
+                rsv.client_endpoint, rsv.expires = pkt.src, expires
+            self._send(pkt.src, ("rsv-ok", token, expires))
         elif tag[0] == "conn-req":
             token, listener_id, dialer_id = tag[1], tag[2], tag[3]
             rsv = self.reservations.get(listener_id)

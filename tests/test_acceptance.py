@@ -13,12 +13,11 @@ from punchsim.dcutr import (DcutrConfig, HolePunch, OutcomeAttempt,
                             OutcomeResult, PeerRuntime)
 from punchsim.kernel import RandomStream, Simulation, Topology
 from punchsim.nat import (FilteringBehavior, MappingBehavior, NatConfig,
-                          NatState, PortAllocation)
+                          PortAllocation)
 from punchsim.net import Network
-from punchsim.packets import Endpoint
 from punchsim.relay import RelayService
 from punchsim.strategies import (BirthdayPlan, BirthdayScenario,
-                                 birthday_probability, birthday_punch,
+                                 birthday_monte_carlo, birthday_probability,
                                  both_edm_pair_share, dial_arrival_skew,
                                  expected_gain, mixed_pair_share,
                                  refined_wait_time)
@@ -72,14 +71,8 @@ class TestMonteCarloAgreement:
         cfg = NatConfig(mapping=MappingBehavior.APDM,
                         filtering=FilteringBehavior.APDF,
                         port_alloc=PortAllocation.RANDOM)
-        peer = Endpoint("peer", 4242)
-        hits = 0
         n = 20_000
-        for i in range(n):
-            nat = NatState(cfg, public_host="edm#nat",
-                           rng=RandomStream(99, f"nat/{i}"))
-            hits += birthday_punch(plan, nat, "edm-host", peer,
-                                   RandomStream(99, f"mc/{i}"))
+        hits = sum(birthday_monte_carlo(plan, cfg, 99, n, workers=2))
         assert abs(hits / n - expected) < 0.02
 
 

@@ -139,6 +139,20 @@ class TestEarlyOutcomes:
         assert out and out[0].outcome is OutcomeResult.CANCELLED
         assert out[0].attempts == []
 
+    def test_circuit_opening_after_a_cancel_is_closed(self):
+        net, svc, client, remote = build_world()
+        out = []
+        hp = HolePunch(net, client, remote, [svc.endpoint],
+                       on_done=out.append)
+        hp.start()
+        net.sim.run(until=net.sim.now + 1)
+        hp.cancel()
+        net.sim.run()
+        assert out[0].outcome is OutcomeResult.CANCELLED
+        assert svc._circuits == {}
+        assert svc.reservations["remote"].active_conns == 0
+        assert not any(c.open for c in client.relay.circuits.values())
+
     def test_cancel_during_rtt_probe_leaves_rtts_unset(self):
         net, svc, client, remote = build_world()
         out = []

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -82,6 +83,49 @@ def test_randint_empty_range_raises_without_drawing(a, b):
         stream.randint(a, b)
     with pytest.raises(ValueError):
         random.Random().randint(a, b)
+    assert stream.rng.getstate() == state
+
+
+# (n, k) on both sides of each setsize edge of Random.sample: the pool
+# branch takes n <= 21 for k <= 5, n <= 85 for 6 <= k <= 21 and n <= 1045
+# for 86 <= k <= 341; the set branch takes the rest, the punch's
+# (65536, 256) among them.
+SAMPLE_CASES = [(21, 5), (22, 5), (85, 6), (86, 6), (1045, 256), (1046, 256),
+                (65536, 256), (1, 1), (7, 7), (30, 1), (200, 100), (2**40, 4),
+                (16, 0), (0, 0)]
+
+
+def test_sample_draws_exactly_as_cpython_sample():
+    # RandomStream.sample re-implements Random.sample's two branches; a
+    # CPython change to either fails here instead of silently moving
+    # every probe draw and the birthday digests.
+    for seed in range(200):
+        stream = RandomStream(seed, "pin")
+        reference = copy.deepcopy(stream.rng)
+        for n, k in SAMPLE_CASES:
+            population = range(1000, 1000 + n)
+            assert stream.sample(population, k) == reference.sample(population, k), (seed, n, k)
+            assert stream.rng.getstate() == reference.getstate(), (seed, n, k)
+
+
+@pytest.mark.parametrize("n", [1, 21, 22, 1046])
+def test_sample_of_none_or_all(n):
+    stream = RandomStream(3, "pin")
+    state = stream.rng.getstate()
+    assert stream.sample(range(n), 0) == []
+    assert stream.rng.getstate() == state
+    everything = stream.sample(range(n), n)
+    assert sorted(everything) == list(range(n))
+
+
+@pytest.mark.parametrize("n, k", [(5, -1), (5, 6), (0, 1), (70_000, 70_001)])
+def test_sample_out_of_range_raises_without_drawing(n, k):
+    stream = RandomStream(1, "pin")
+    state = stream.rng.getstate()
+    with pytest.raises(ValueError, match=f"cannot sample {k} of {n}"):
+        stream.sample(range(n), k)
+    with pytest.raises(ValueError):
+        random.Random().sample(range(n), k)
     assert stream.rng.getstate() == state
 
 

@@ -139,6 +139,20 @@ class TestCircuits:
         net.sim.run(until=net.sim.now + 12_000)
         assert out == [None]
 
+    def test_relayed_conn_limit_holds_across_a_refresh(self):
+        net, services, alice, bob = build_world(
+            relay_kwargs={"relayed_conn_limit": 1})
+        first, _ = open_circuit(net, alice, bob, services)
+        assert first is not None
+        rsv = services[0].reservations["bob"]
+        assert reserve(net, bob, services[0]) == [True]
+        out = []
+        alice.connect_via("bob", [services[0].endpoint], on_done=out.append)
+        net.sim.run(until=net.sim.now + 12_000)
+        assert out == [None]
+        assert len(services[0]._circuits) == 1
+        assert services[0].reservations["bob"] is rsv
+
     def test_multi_relay_race_keeps_one_circuit(self):
         net, services, alice, bob = build_world(n_relays=2)
         for svc in services:

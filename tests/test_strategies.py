@@ -4,16 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from punchsim import strategies
 from punchsim.kernel import RandomStream, Topology
 from punchsim.nat import (FilteringBehavior, MappingBehavior, NatConfig,
                           NatState, PortAllocation)
 from punchsim.packets import Endpoint
 from punchsim.strategies import (BirthdayPlan, BirthdayScenario,
                                  PrimingConfigError, assign_roles,
-                                 birthday_probability, birthday_punch,
-                                 both_edm_pair_share, check_priming_ttl,
-                                 dial_arrival_skew, expected_gain,
-                                 mixed_pair_share, refined_wait_time)
+                                 birthday_monte_carlo, birthday_probability,
+                                 birthday_punch, both_edm_pair_share,
+                                 check_priming_ttl, dial_arrival_skew,
+                                 expected_gain, mixed_pair_share,
+                                 refined_wait_time)
+
+# The mixed scenario's endpoint-dependent NAT over the full port space.
+EDM = NatConfig(mapping=MappingBehavior.APDM,
+                filtering=FilteringBehavior.APDF,
+                port_alloc=PortAllocation.RANDOM)
 
 
 def edm_nat(space, seed, label="edm"):
@@ -157,12 +164,8 @@ class TestSamplingOracle:
     plan = BirthdayPlan(m_open=256, k_probe=256)
 
     def test_same_verdict_as_birthday_punch(self):
-        peer = Endpoint("peer", 4242)
-        for i in range(2_000):
-            nat = edm_nat(65_536, seed=7, label=str(i))
-            hit = birthday_punch(self.plan, nat, "edm-host", peer,
-                                 RandomStream(7, f"mc/{i}"))
-            assert hit == sampled_punch_hits(7, i, 256, 256), i
+        verdicts = birthday_monte_carlo(self.plan, EDM, 7, 2_000)
+        assert verdicts == [sampled_punch_hits(7, i, 256, 256) for i in range(2_000)]
 
     def test_hit_rate_matches_analytic_oracle(self):
         n = 20_000
@@ -170,6 +173,43 @@ class TestSamplingOracle:
         rate = sum(sampled_punch_hits(5, i, 256, 256) for i in range(n)) / n
         sigma = math.sqrt(expected * (1 - expected) / n)
         assert abs(rate - expected) <= max(0.02, 6 * sigma)
+
+
+class TestMonteCarloDefinition:
+    plan = BirthdayPlan(m_open=64, k_probe=64)
+
+    def test_parallel_verdicts_equal_serial(self, monkeypatch):
+        started = []
+
+        class Recorder:
+            """Stands in for the process pool; starts no process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                chunks = list(chunks)
+                started.append([list(indices) for *_, indices in chunks])
+                return map(fn, chunks)
+
+        monkeypatch.setattr(strategies, "ProcessPoolExecutor", Recorder)
+        serial = birthday_monte_carlo(self.plan, EDM, 11, 7)
+        assert birthday_monte_carlo(self.plan, EDM, 11, 7, workers=3) == serial
+        assert started == [3, [[0, 3, 6], [1, 4], [2, 5]]]
+        assert birthday_monte_carlo(self.plan, EDM, 11, 2, workers=8) == serial[:2]
+        assert started[2:] == [2, [[0], [1]]]
+
+    def test_both_edm_plans_are_rejected(self):
+        plan = BirthdayPlan(m_open=4, k_probe=4,
+                            scenario=BirthdayScenario.EDM_VS_EDM)
+        with pytest.raises(ValueError, match="mixed scenario only"):
+            birthday_monte_carlo(plan, EDM, 1, 10)
 
 
 class TestGainArithmetic:
