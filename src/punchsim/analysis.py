@@ -274,7 +274,7 @@ def success_rate_series(records: list[dict], min_per_client: int = 1000,
     for rec in filtered:
         groups.setdefault((rec["network"], _day(rec)), []).append(rec)
 
-    day0 = min(_day(rec) for rec in filtered)
+    day0 = min(day for _, day in groups)
     origin = datetime.fromisoformat(day0 + "T00:00:00+00:00")
     points = []
     for (network, day), recs in sorted(groups.items()):

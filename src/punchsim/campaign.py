@@ -16,7 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import countOf
 from typing import Optional
 
 from .analysis import (NULLABLE, RECORD_FIELDS, apply_success_filters,
@@ -49,8 +50,6 @@ CSV_COLUMNS = [*RECORD_FIELDS, "seed", "config_hash"]
 # Per record field in column order, whether its CSV cell holds JSON; `csv`
 # writes the others with str(), null as an empty cell.
 _CSV_CELLS = tuple((k, cell == "json") for k, (_, cell, _) in RECORD_FIELDS.items())
-# json.dumps(cell, sort_keys=True, separators=(",", ":")), built once.
-_csv_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 ARCHETYPE_NATS = {
     Archetype.FULL_CONE: dict(mapping=MappingBehavior.EIM,
@@ -486,6 +485,11 @@ def export_results(records: list[dict], path: str, seed: int,
     `as_id` and nested fields JSON-encoded) based on the path suffix."""
     chash = config_hash(config)
     if str(path).endswith(".csv"):
+        # A JSON cell is json.dumps(cell, sort_keys=True, separators=(",", ":")),
+        # through the C encoder that call builds, built once per file. Its
+        # markers dict, which detects circular references, ends with the export.
+        encoder = c_make_encoder({}, json.JSONEncoder().default, encode_basestring_ascii,
+                                 None, ":", ",", True, False, True)
         rows = [CSV_COLUMNS]
         for rec in records:
             # `seed` and `config_hash` name columns too: the file's
@@ -494,7 +498,7 @@ def export_results(records: list[dict], path: str, seed: int,
                 unknown = ", ".join(repr(k) for k in rec if k not in RECORD_FIELDS)
                 raise ValueError(f"record has fields outside the record "
                                  f"schema: {unknown}")
-            rows.append([(_csv_json(rec[k]) if is_json else rec[k])
+            rows.append([("".join(encoder(rec[k], 0)) if is_json else rec[k])
                          if k in rec else "" for k, is_json in _CSV_CELLS]
                         + [seed, chash])
         with open(path, "w", newline="") as fh:
@@ -512,9 +516,11 @@ def write_json(value, path: str) -> None:
     """Write `value` to `path` byte for byte as `json.dumps` with
     `sort_keys=True` and an indent of 1 writes it, plus a newline: the
     layout of every JSON file punchsim writes. That indent turns json's C
-    encoder off; this writer costs about half its pure-Python one."""
+    encoder off; this writer costs about half its pure-Python one. Each
+    set of exact `str` dict keys is sorted and encoded once per file and
+    depth."""
     out: list[str] = []
-    _write_json(value, "\n", out)
+    _write_json(value, "\n", out, {})
     out.append("\n")
     with open(path, "w") as fh:
         fh.write("".join(out))
@@ -545,10 +551,33 @@ def _json_leaf(value) -> str:
                     "is not JSON serializable")
 
 
-def _write_json(value, indent: str, out: list) -> None:
+def _json_key(key) -> str:
+    """A dict key as json writes it: a str as it is, an int, float, bool or
+    None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is not None and not isinstance(key, (int, float)):
+        raise TypeError("keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return _json_leaf(key)
+
+
+def _heads(keys: list, indent: str) -> list:
+    """What precedes each value of a dict at `indent` whose sorted keys,
+    as strings, are `keys`: "{" or ",", the line break and indent, the
+    encoded key and ": "."""
+    sep = "," + indent + " "
+    heads = [sep + encode_basestring_ascii(key) + ": " for key in keys]
+    heads[0] = "{" + heads[0][1:]
+    return heads
+
+
+def _write_json(value, indent: str, out: list, memo: dict) -> None:
     """Append `value` laid out at the depth whose line break and indent
     is `indent`. Dict keys are sorted as they are, then written as
-    strings, as json does: int keys sort as ints."""
+    strings, as json does: int keys sort as ints. `memo` maps each set
+    of exact `str` keys in insertion order, with its indent, to its
+    sorted keys and their heads."""
     if isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -559,7 +588,7 @@ def _write_json(value, indent: str, out: list) -> None:
             leaf = _JSON_LEAVES.get(item.__class__)
             if leaf is None:
                 out.append(sep)
-                _write_json(item, inner, out)
+                _write_json(item, inner, out, memo)
             else:
                 out.append(sep + leaf(item))
             sep = "," + inner
@@ -568,30 +597,52 @@ def _write_json(value, indent: str, out: list) -> None:
         if not value:
             out.append("{}")
             return
+        keys = tuple(value)
+        # Exact str keys sort the same way in every dict; a str subclass
+        # may compare otherwise, and other keys sort by their own types.
+        if countOf(map(type, keys), str) == len(keys):
+            entry = memo.get((keys, indent))
+            if entry is None:
+                order = sorted(keys)
+                entry = memo[keys, indent] = order, _heads(order, indent)
+            order, heads = entry
+            items = map(value.__getitem__, order)
+        else:
+            pairs = sorted(value.items())  # as json sorts
+            heads = _heads([_json_key(key) for key, _ in pairs], indent)
+            items = [item for _, item in pairs]
         inner = indent + " "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):  # as json sorts
-            if not isinstance(key, str):
-                if key is not None and not isinstance(key, (int, float)):
-                    raise TypeError("keys must be str, int, float, bool or None, "
-                                    f"not {key.__class__.__name__}")
-                key = _json_leaf(key)
-            head = sep + encode_basestring_ascii(key) + ": "
+        for head, item in zip(heads, items):
             leaf = _JSON_LEAVES.get(item.__class__)
             if leaf is None:
                 out.append(head)
-                _write_json(item, inner, out)
+                _write_json(item, inner, out, memo)
             else:
                 out.append(head + leaf(item))
-            sep = "," + inner
         out.append(indent + "}")
     else:
         out.append(_json_leaf(value))
 
 
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _json_cell(cell: str):
+    """json.loads(cell). The C scanner reads a cell that holds one JSON
+    value and nothing else; json.loads decides any other cell: surrounding
+    whitespace, trailing data or an error."""
+    try:
+        value, end = _scan_once(cell, 0)
+        if end == len(cell):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return json.loads(cell)
+
+
 # How a non-empty CSV cell of each kind but text reads back; an integer
 # RTT stays an int.
-_CELL_DECODERS = {"json": json.loads, "int": int,
+_CELL_DECODERS = {"json": _json_cell, "int": int,
                   "bool": {"True": True, "False": False}.__getitem__,
                   "number": lambda cell: (int(cell) if cell.lstrip("-").isdigit()
                                           else float(cell))}
@@ -611,6 +662,8 @@ def load_results(path: str) -> tuple[list[dict], dict]:
         seed, chash = 0, ""
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise ValueError("the CSV file has no header line")
             for row in reader:
                 if None in row.values():
                     raise ValueError(f"line {reader.line_num} has fewer cells "

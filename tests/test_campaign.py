@@ -107,6 +107,13 @@ class Items(list):
     pass
 
 
+class Backwards(str):
+    """A str that sorts in reverse, as json's sort of dict items sees it."""
+
+    def __lt__(self, other):
+        return str.__gt__(self, other)
+
+
 # Strings with non-ASCII, control and lone surrogate characters.
 STRINGS = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=6)
 JSON_KEYS = st.one_of(
@@ -414,6 +421,13 @@ class TestExport:
     @example({"leaf": b"bytes"})
     @example({(1, 2): "tuple key"})
     @example([{3: 1.5, 12: (), True: "a"}, Items(), OrderedDict(b=1, a=2)])
+    # One key set in two insertion orders, the first one at two depths.
+    @example({"a": 1, "b": {"b": 2, "a": {"a": 3, "b": [{"b": 4, "a": 5}]}}})
+    @example([{"a": 1, "b": 2}, {Backwards("a"): 1, Backwards("b"): 2},
+              {Text("b"): 3, Text("a"): 4}])
+    @example([{"1": "a", "10": "b", "2": "c"}, {1: "a", 10: "b", 2: "c"},
+              {1: "a", 2: "b"}, {True: "a", 2: "b"}])
+    @example({"x": {1: "a", "b": 2}, "y": [{1: "a", "b": 2}]})
     def test_writer_writes_what_json_dumps_writes(self, tmp_path, value):
         path = tmp_path / "value.json"
         try:
@@ -424,6 +438,64 @@ class TestExport:
         else:
             campaign.write_json(value, str(path))
             assert path.read_bytes() == expected.encode("ascii")
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(JSON_TREES, JSON_TREES), min_size=1, max_size=4))
+    def test_csv_json_cells_are_what_json_dumps_writes(self, tmp_path, cells):
+        path = tmp_path / "results.csv"
+        path.unlink(missing_ok=True)  # left by an earlier example
+        records = [{"as_id": as_id, "attempts": attempts} for as_id, attempts in cells]
+        try:
+            expected = [[json.dumps(value, sort_keys=True, separators=(",", ":"))
+                         for value in pair] for pair in cells]
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(exc.__class__):
+                export_results(records, str(path), seed=3, config=CampaignConfig())
+            assert not path.exists()
+            return
+        export_results(records, str(path), seed=3, config=CampaignConfig())
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [[row["as_id"], row["attempts"]] for row in rows] == expected
+
+    def test_circular_record_refused_on_csv_export(self, tmp_path):
+        rec = make_record()
+        rec["attempts"] = [{"index": 0}]
+        rec["attempts"].append(rec["attempts"])
+        path = tmp_path / "results.csv"
+        with pytest.raises(ValueError, match="Circular reference"):
+            export_results([make_record(), rec], str(path), seed=3,
+                           config=CampaignConfig())
+        assert not path.exists()
+        # The failed export's markers went with it: the same list, no
+        # longer holding itself, exports.
+        rec["attempts"].pop()
+        export_results([make_record(), rec], str(path), seed=3, config=CampaignConfig())
+        assert load_results(str(path))[0] == [make_record(), rec]
+
+    # json.loads's own RecursionError depends on the depth of its caller's
+    # stack, so the nesting depths stay far from the recursion limit.
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.text(max_size=12),
+        st.builds(lambda pre, value, post: pre + json.dumps(value) + post,
+                  st.sampled_from(["", " ", "\n", "\t", "\ufeff", "x"]), JSON_VALUES,
+                  st.sampled_from(["", " ", "\r\n", "x", "]", "}", "1", ",2", " 3"])),
+        st.sampled_from(["NaN", "-Infinity", "Infinity", "-NaN", "nan", "[NaN]",
+                         '"\\ud800"', "[1,", "{", "", " ", "1e999", "-0"]),
+        st.builds(lambda n, post: "[" * n + "]" * n + post,
+                  st.sampled_from([1, 50, 200, 100_000]), st.sampled_from(["", " ", "]"]))))
+    def test_csv_json_cell_reads_as_json_loads_reads_it(self, cell):
+        try:
+            expected = json.loads(cell)
+        except (ValueError, RecursionError) as exc:
+            with pytest.raises(exc.__class__) as raised:
+                campaign._json_cell(cell)
+            assert str(raised.value) == str(exc)
+        else:
+            got = campaign._json_cell(cell)
+            assert repr(got) == repr(expected)
 
     def test_config_dict_round_trip_preserves_hash(self):
         cfg = small_config(edm_share=0.3, jitter=0.4)
@@ -691,6 +763,23 @@ class TestCliExits:
         return rc
 
     CSV_HEADER = ",".join(campaign.CSV_COLUMNS) + "\n"
+
+    def test_zero_byte_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        path.write_bytes(b"")
+        rc = cli.main(["analyze", "--in", str(path),
+                       "--out", str(tmp_path / "report.json")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no header line" in err
+
+    def test_header_only_csv_is_zero_records(self, tmp_path, capsys):
+        path = str(tmp_path / "results.csv")
+        export_results([], path, seed=3, config=CampaignConfig())
+        assert load_results(path)[0] == []
+        rc = cli.main(["analyze", "--in", path, "--out", str(tmp_path / "report.json")])
+        assert rc == cli.EXIT_OK
+        assert "analyzed 0 records" in capsys.readouterr().out
 
     def test_short_csv_row_exits_2(self, tmp_path, capsys):
         text = self.CSV_HEADER + "0,2026-01-01T00:00:00+00:00\n"
