@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from functools import partial
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import countOf
 from typing import Optional
@@ -23,7 +23,8 @@ from typing import Optional
 from .analysis import (NULLABLE, RECORD_FIELDS, apply_success_filters,
                        latency_ratios, relay_path_bins, validate_records)
 from .dcutr import DcutrConfig, HolePunch, HolePunchResult, PeerRuntime
-from .kernel import RandomStream, Simulation, Topology, check_number, derive_seed
+from .kernel import (RandomStream, Simulation, Topology, check_number, derive_seed,
+                     run_strided)
 from .nat import (Archetype, FilteringBehavior, MappingBehavior, NatConfig,
                   PortAllocation)
 from .net import Network
@@ -227,10 +228,14 @@ def _add_peer_host(net: Network, spec: PeerSpec):
                         nat_leg=spec.nat_leg_ms)
 
 
-def _add_peer(net: Network, spec: PeerSpec) -> PeerRuntime:
-    return PeerRuntime(net, _add_peer_host(net, spec),
-                       port_mapping=spec.port_mapping_active,
-                       mapping_lies=spec.mapping_lies)
+def _join(world: tuple, spec: PeerSpec) -> PeerRuntime:
+    """The peer's runtime in `world`, added on its first trial there."""
+    net, _, peers = world
+    if spec.peer_id not in peers:
+        peers[spec.peer_id] = PeerRuntime(net, _add_peer_host(net, spec),
+                                          port_mapping=spec.port_mapping_active,
+                                          mapping_lies=spec.mapping_lies)
+    return peers[spec.peer_id]
 
 
 def _pick_filter(policy: TransportPolicy, rng: RandomStream) -> Optional[Transport]:
@@ -250,44 +255,48 @@ def _draw_trial(population: Population, config: CampaignConfig, seed: int,
     return client_spec, remote_spec, _pick_filter(config.policy, rng)
 
 
-def _build_world(population: Population, seed: int,
-                 label: str) -> tuple[Network, list[RelayService]]:
-    """A world seeded from (seed, label) holding the relays and their
-    services; peers join it later."""
+def _build_world(population: Population, seed: int, label: str) -> tuple:
+    """A world seeded from (seed, label): its network, the relays' services,
+    and a table of the peers that join it later, by peer id."""
     net = Network(Simulation(seed=derive_seed(seed, label)), Topology())
     services = [RelayService(net, _add_peer_host(net, relay_spec))
                 for relay_spec in population.relays]
-    return net, services
+    return net, services, {}
 
 
 def run_trial(population: Population, config: CampaignConfig, seed: int,
               trial: int) -> dict:
     """One independent trial in a fresh world, fully determined by
     (population seed, campaign seed, trial index)."""
-    client_spec, remote_spec, tf = _draw_trial(population, config, seed, trial)
-    net, services = _build_world(population, seed, f"sim/{trial}")
-    client = _add_peer(net, client_spec)
-    remote = _add_peer(net, remote_spec)
+    world = _build_world(population, seed, f"sim/{trial}")
+    return _trial_in(world, population, config, seed, trial, shared=False)
 
-    # Relay addresses in the order the reservations are confirmed.
-    reserved = []
+
+def _trial_in(world: tuple, population: Population, config: CampaignConfig,
+              seed: int, trial: int, shared: bool) -> dict:
+    """Trial `trial` in `world`: draw its pair, join both peers, reserve
+    the remote on every relay and let 6 s pass. Then start the hole punch
+    and step the clock in 1 s slices until it reports; after 1 000 slices
+    it is cancelled. `shared` says whether the world outlives the trial."""
+    net, services, _ = world
+    client_spec, remote_spec, tf = _draw_trial(population, config, seed, trial)
+    client = _join(world, client_spec)
+    remote = _join(world, remote_spec)
+    confirmed = []
     for svc in services:
         remote.relay.reserve(svc.endpoint,
-                             lambda ok, ep=svc.endpoint: reserved.append((ep, ok)))
+                             lambda ok, ep=svc.endpoint: confirmed.append((ep, ok)))
     # Let the reservation handshakes settle without idling the NAT
     # mappings toward the relays past their TTL.
     net.sim.run(until=net.sim.now + 6_000)
-    relay_addrs = [ep for ep, ok in reserved if ok]
-
-    result = _punch(net, client, remote, relay_addrs, config, tf)
-    return _record(result, client_spec, remote_spec, tf, trial, config)
-
-
-def _punch(net: Network, client: PeerRuntime, remote: PeerRuntime,
-           relay_addrs: list, config: CampaignConfig,
-           tf: Optional[Transport]) -> HolePunchResult:
-    """Start one hole punch and step the clock in 1 s slices until it
-    reports; after 1 000 slices it is cancelled."""
+    if shared:
+        # Relay order, over every reservation the remote holds, earlier
+        # trials' included.
+        relay_addrs = [svc.endpoint for svc in services
+                       if svc.host.id in remote.relay.reservations]
+    else:
+        # Relay addresses in the order the reservations are confirmed.
+        relay_addrs = [ep for ep, ok in confirmed if ok]
     results = []
     punch = HolePunch(net, client, remote, relay_addrs, config.dcutr,
                       transport_filter=tf, on_done=results.append)
@@ -298,7 +307,7 @@ def _punch(net: Network, client: PeerRuntime, remote: PeerRuntime,
         net.sim.run(until=net.sim.now + 1_000)
     if not results:
         punch.cancel()
-    return results[0]
+    return _record(results[0], client_spec, remote_spec, tf, trial, config)
 
 
 def _rtt_fields(prefix: str, rtt: Optional[tuple]) -> dict:
@@ -334,10 +343,8 @@ def _record(result: HolePunchResult, client_spec: PeerSpec, remote_spec: PeerSpe
     }
 
 
-def _worker(args) -> list:
-    config_blob, seed, trials = args
-    config = config_from_dict(json.loads(config_blob))
-    population = generate_population(config.population)
+def _run_trials(args) -> list:
+    population, config, seed, trials = args
     return [run_trial(population, config, seed, t) for t in trials]
 
 
@@ -349,46 +356,12 @@ def run_campaign(config: CampaignConfig, n_trials: int, seed: int,
         raise ValueError("n_trials must be >= 1")
     population = generate_population(config.population)
     if config.persistent_nat:
-        return _run_persistent(population, config, n_trials, seed)
-    workers = min(workers, n_trials)  # no idle worker processes
-    if workers <= 1:
-        return [run_trial(population, config, seed, t) for t in range(n_trials)]
-    blob = json.dumps(config_to_dict(config), sort_keys=True)
-    chunks = [(blob, seed, list(range(w, n_trials, workers)))
-              for w in range(workers)]
-    records: list[dict] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_worker, chunks):
-            records.extend(part)
-    records.sort(key=lambda r: r["trial"])
-    return records
-
-
-def _run_persistent(population: Population, config: CampaignConfig,
-                    n_trials: int, seed: int) -> list[dict]:
-    """Sequential trials in one shared world so NAT device state (mapping
-    tables, denylists) carries across trials. Always single-threaded."""
-    net, services = _build_world(population, seed, "sim/persistent")
-    runtimes: dict[str, PeerRuntime] = {}
-
-    def runtime_for(spec: PeerSpec) -> PeerRuntime:
-        if spec.peer_id not in runtimes:
-            runtimes[spec.peer_id] = _add_peer(net, spec)
-        return runtimes[spec.peer_id]
-
-    records = []
-    for trial in range(n_trials):
-        client_spec, remote_spec, tf = _draw_trial(population, config, seed, trial)
-        client = runtime_for(client_spec)
-        remote = runtime_for(remote_spec)
-        for svc in services:
-            remote.relay.reserve(svc.endpoint, lambda ok: None)
-        net.sim.run(until=net.sim.now + 6_000)
-        relay_addrs = [svc.endpoint for svc in services
-                       if svc.host.id in remote.relay.reservations]
-        result = _punch(net, client, remote, relay_addrs, config, tf)
-        records.append(_record(result, client_spec, remote_spec, tf, trial, config))
-    return records
+        # Sequential trials in one shared world so NAT device state (mapping
+        # tables, denylists) carries across trials. Always single-threaded.
+        world = _build_world(population, seed, "sim/persistent")
+        return [_trial_in(world, population, config, seed, trial, shared=True)
+                for trial in range(n_trials)]
+    return run_strided(_run_trials, (population, config, seed), n_trials, workers)
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -640,12 +613,23 @@ def _json_cell(cell: str):
     return json.loads(cell)
 
 
+def _number_cell(kinds: tuple, cell: str):
+    """The one JSON number that fills `cell`, read by the C scanner, if
+    its type is one of `kinds`; else ValueError."""
+    try:
+        value, end = _scan_once(cell, 0)
+    except (StopIteration, RecursionError):
+        raise ValueError(cell) from None
+    if end != len(cell) or type(value) not in kinds:
+        raise ValueError(cell)
+    return value
+
+
 # How a non-empty CSV cell of each kind but text reads back; an integer
 # RTT stays an int.
-_CELL_DECODERS = {"json": _json_cell, "int": int,
+_CELL_DECODERS = {"json": _json_cell, "int": partial(_number_cell, (int,)),
                   "bool": {"True": True, "False": False}.__getitem__,
-                  "number": lambda cell: (int(cell) if cell.lstrip("-").isdigit()
-                                          else float(cell))}
+                  "number": partial(_number_cell, (int, float))}
 _DECODED = tuple((k, _CELL_DECODERS[cell]) for k, (_, cell, _) in RECORD_FIELDS.items()
                  if cell != "text")
 # The fields whose empty cell reads as absent; a nullable field's reads as null.
@@ -656,10 +640,11 @@ _ABSENT_IF_EMPTY = frozenset(k for k, (presence, _, _) in RECORD_FIELDS.items()
 def load_results(path: str) -> tuple[list[dict], dict]:
     """Read a results file (JSON or CSV) back into records plus metadata.
     A CSV cell decodes as its field's kind in `analysis.RECORD_FIELDS`;
-    a malformed or missing cell raises ValueError."""
+    a malformed or missing cell, or a row whose seed and config hash are
+    not the first row's, raises ValueError."""
     if str(path).endswith(".csv"):
         records = []
-        seed, chash = 0, ""
+        first = None
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
@@ -668,8 +653,12 @@ def load_results(path: str) -> tuple[list[dict], dict]:
                 if None in row.values():
                     raise ValueError(f"line {reader.line_num} has fewer cells "
                                      "than the header")
-                seed = int(row.pop("seed"))
-                chash = row.pop("config_hash")
+                meta = (row.pop("seed"), row.pop("config_hash"))
+                first = first or meta
+                if meta != first:
+                    raise ValueError(f"line {reader.line_num}: seed and config_hash "
+                                     f"{' '.join(meta)} differ from the first "
+                                     f"row's {' '.join(first)}")
                 # A column outside the schema stays for validation to reject.
                 rec = {key: cell or None for key, cell in row.items()
                        if cell or key not in _ABSENT_IF_EMPTY}
@@ -682,7 +671,8 @@ def load_results(path: str) -> tuple[list[dict], dict]:
                     raise ValueError(f"line {reader.line_num}: {key} cell "
                                      f"{cell!r} is malformed") from None
                 records.append(rec)
-        return records, {"seed": seed, "config_hash": chash}
+        seed, chash = first or ("0", "")
+        return records, {"seed": int(seed), "config_hash": chash}
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):

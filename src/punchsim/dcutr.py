@@ -29,6 +29,16 @@ CONNECT_BYTES_PER_ADDR = 8
 SYNC_BYTES = 16
 
 
+def _book_bytes(addrs: dict) -> int:
+    """The size of a message carrying an address book."""
+    return CONNECT_BYTES_BASE + CONNECT_BYTES_PER_ADDR * len(addrs)
+
+
+def _preferred(filter: Optional[Transport]) -> tuple[Transport, ...]:
+    """The transports to try, in order: QUIC then TCP, or only `filter`."""
+    return (Transport.QUIC, Transport.TCP) if filter is None else (filter,)
+
+
 class OutcomeResult(Enum):
     NO_CONNECTION = "NO_CONNECTION"
     NO_STREAM = "NO_STREAM"
@@ -130,9 +140,7 @@ class PeerRuntime:
         """Candidate public addresses, QUIC first: mapped endpoints take
         precedence over relay-observed ones for the same transport."""
         out: dict[Transport, Endpoint] = {}
-        for transport in (Transport.QUIC, Transport.TCP):
-            if filter is not None and transport is not filter:
-                continue
+        for transport in _preferred(filter):
             ep = self.mapped_endpoints.get(transport) or self.observed.get(transport)
             if ep is not None:
                 out[transport] = ep
@@ -233,11 +241,7 @@ class HolePunch:
         self.result.ended = self.sim.now
         self.result.listen_endpoints = [
             (str(ep), tr.value) for tr, ep in self.client.advertised().items()]
-        if self.c_circ is not None:
-            self.c_circ.on_closed = None
-            self.c_circ.close()
-        if self.r_circ is not None:
-            self.r_circ.on_closed = None
+        self._release_circuits()
         self.remote.relay.on_incoming_circuit = None
         for runtime in (self.client, self.remote):
             for port in runtime.ports.values():
@@ -318,8 +322,7 @@ class HolePunch:
 
         def send_identify() -> None:
             addrs = runtime.advertised()
-            circuit.send(("id", addrs),
-                         CONNECT_BYTES_BASE + CONNECT_BYTES_PER_ADDR * len(addrs))
+            circuit.send(("id", addrs), _book_bytes(addrs))
 
         for transport, port in runtime.ports.items():
             def on_obs(observed: Optional[Endpoint], transport=transport,
@@ -346,8 +349,7 @@ class HolePunch:
         """Connection Reversal: the initiator dials the listener's first
         eligible address when the listener looks publicly dialable;
         otherwise (or when that dial fails) the punch stream opens."""
-        candidates = [tr for tr in self._client_addrs
-                      if self.filter is None or tr is self.filter]
+        candidates = [tr for tr in _preferred(self.filter) if tr in self._client_addrs]
         if not (self.client.appears_public() and candidates):
             self._open_stream()
             return
@@ -393,8 +395,7 @@ class HolePunch:
             addrs = self.client.advertised(self.filter)
             rtt_nat = 2.0 * self.net.topology.leg(self.client.host.id)
             self._send_control("listener", self.c_circ,
-                               ("connect-reply", gen, addrs, rtt_nat),
-                               CONNECT_BYTES_BASE + CONNECT_BYTES_PER_ADDR * len(addrs))
+                               ("connect-reply", gen, addrs, rtt_nat), _book_bytes(addrs))
         elif kind == "sync" and self._is_current(tag[1]):
             self._act("listener")
 
@@ -436,9 +437,7 @@ class HolePunch:
     # -- synchronized punch attempts ------------------------------------------------
 
     def _choose_transport(self) -> Optional[Transport]:
-        for transport in (Transport.QUIC, Transport.TCP):
-            if self.filter is not None and transport is not self.filter:
-                continue
+        for transport in _preferred(self.filter):
             if transport in self._remote_addrs and transport in self._client_addrs:
                 return transport
         return None
@@ -455,7 +454,7 @@ class HolePunch:
         self._attempt_rtt = None
         addrs = self.remote.advertised(self.filter)
         self._send_control("initiator", self.r_circ, ("connect", index, addrs),
-                           CONNECT_BYTES_BASE + CONNECT_BYTES_PER_ADDR * len(addrs))
+                           _book_bytes(addrs))
         self._arm("attempt", self._attempt_expired, self.cfg.attempt_deadline_ms)
 
     def _on_connect_reply(self, addrs, rtt_listener_nat: float) -> None:
@@ -546,11 +545,7 @@ class HolePunch:
 
     def _after_success(self) -> None:
         self._enter(Phase.DIRECT)
-        if self.r_circ is not None:
-            self.r_circ.on_closed = None
-        if self.c_circ is not None:
-            self.c_circ.on_closed = None
-            self.c_circ.close()
+        self._release_circuits()
         if not self.cfg.measure_rtts:
             self._finish(OutcomeResult.SUCCESS)
         elif self._client_direct is None:
@@ -560,6 +555,15 @@ class HolePunch:
             self._arm("grace", lambda: self._finish(OutcomeResult.SUCCESS), 2_000.0)
         else:
             self._measure_direct()
+
+    def _release_circuits(self) -> None:
+        """Stop watching both circuits and close the listener's, which
+        frees its relay slot; the relay resets the initiator's."""
+        if self.r_circ is not None:
+            self.r_circ.on_closed = None
+        if self.c_circ is not None:
+            self.c_circ.on_closed = None
+            self.c_circ.close()
 
     def _measure_direct(self) -> None:
         local, remote_ep, _ = self._client_direct
@@ -581,7 +585,7 @@ class HolePunch:
         target = peer_addrs.get(Transport.QUIC)
         if target is None or self.sim.now > until:
             return
-        owner = self.net.hosts.get(target.host.split("#", 1)[0])
+        owner = self.net.owner(target.host)
         check_priming_ttl(self.net.topology, runtime.host.id,
                           owner.id if owner else target.host, self.cfg.priming_ttl)
         runtime.ports[Transport.QUIC].prime(target, count=1, ttl=self.cfg.priming_ttl)

@@ -1,5 +1,6 @@
 """Deterministic discrete-event engine: virtual clock, event queue, seeded
-randomness streams, and the latency/topology model everything else runs on.
+randomness streams, the latency/topology model everything else runs on, and
+the one worker pool that runs self-seeded work in parallel.
 
 All times are milliseconds on a monotonically non-decreasing virtual clock.
 Two runs with the same seed and configuration produce identical event traces.
@@ -11,6 +12,7 @@ import hashlib
 import heapq
 import math
 import random
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Optional
 
 # Floor applied to every latency draw so causality is never violated.
@@ -257,7 +259,7 @@ class Simulation:
         return self._streams[stream_id]
 
     def schedule(self, fn: Callable[[], None], at: float) -> list:
-        if at < self.now:
+        if not at >= self.now:  # a NaN time is refused too
             raise ScheduleInPastError(f"cannot schedule at t={at} (now={self.now})")
         self._seq += 1
         entry = [at, self._seq, fn]
@@ -276,21 +278,32 @@ class Simulation:
         clock would pass ``until``."""
         queue = self._queue
         pop = heapq.heappop
-        if until is None:
-            while queue:
-                at, _, fn = pop(queue)
-                if fn is not None:
-                    self.now = at
-                    fn()
-            return
-        while queue and queue[0][0] <= until:
+        bound = math.inf if until is None else until
+        while queue and queue[0][0] <= bound:
             at, _, fn = pop(queue)
             if fn is not None:
                 self.now = at
                 fn()
-        if until > self.now:
+        if until is not None and until > self.now:
             self.now = until
 
     def pending(self) -> int:
         """Events still to run; cancelled entries do not count."""
         return sum(entry[2] is not None for entry in self._queue)
+
+
+def run_strided(work: Callable[[tuple], list], args: tuple, n: int,
+                workers: int = 1) -> list:
+    """`work(args + (indices,))` over 0..n-1, one result per index, in
+    index order. `workers` processes (never more than n) take the indices
+    by stride, i, i + workers, ..., so results that depend on their index
+    alone merge back exactly."""
+    workers = min(workers, n)  # no idle worker processes
+    if workers <= 1:
+        return work(args + (range(n),))
+    results = [None] * n
+    chunks = [args + (range(w, n, workers),) for w in range(workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for w, part in enumerate(pool.map(work, chunks)):
+            results[w::workers] = part
+    return results

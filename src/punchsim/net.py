@@ -6,12 +6,13 @@ the sender's NAT processes it at t0 + leg(a), the receiver's NAT at
 t0 + L - leg(b), and the receiving host sees it at t0 + L. Only the NAT
 passage times matter for hole-punch synchronization.
 
-Requests and replies: a request's tag is (kind, token, ...) with a token
-from `Simulation.next_token()`; its reply's tag is (one of `REPLY_KINDS`,
-token, ...). The requester files a callback under the token in its host's
-`replies` table (`Host.expect` adds a timeout), and `Host.serve` hands it
-the reply, whether that reached a bound port or came through a circuit,
-and cancels the timeout.
+Every in-sim message is a tag carried by a UDP datagram (`Host.datagram`)
+or, through a relay, by a circuit. Requests and replies: `Host.request`
+sends a request whose tag is (kind, token, ...), with a fresh token from
+`Simulation.next_token()`, and files a callback under the token in the
+host's `replies` table; the reply's tag is (one of `REPLY_KINDS`, token,
+...). `Host.serve` hands it the reply, whether that reached a bound port
+or came through a circuit, and cancels the request's timeout.
 `serve` also answers ("ping", token) with ("pong", token) on either carrier.
 """
 
@@ -59,13 +60,28 @@ class Host:
     def send(self, pkt: Packet) -> None:
         self.net.send(self.id, pkt)
 
-    def expect(self, token: int, on_reply: Callable[[tuple], None],
-               timeout_ms: float, on_timeout: Callable[[], None]) -> None:
-        """Wait for the reply echoing `token`: `on_reply(tag)` if it
-        arrives within `timeout_ms`, else `on_timeout()`."""
-        timer = self.net.sim.schedule_in(lambda: self._expire(token, on_timeout),
-                                         timeout_ms)
+    def datagram(self, src: Endpoint, dst: Endpoint, tag, size: int,
+                 ttl: int = 64) -> bool:
+        """Send `tag` from `src`, one of this host's endpoints, in a UDP
+        datagram. True: it always leaves, though the network may drop it."""
+        self.net.send(self.id, Packet(src=src, dst=dst, kind=PacketKind.UDP_DATAGRAM,
+                                      ttl=ttl, size_bytes=size, tag=tag))
+        return True
+
+    def request(self, send: Callable[[int], bool], on_reply: Callable[[tuple], None],
+                timeout_ms: Optional[float] = None,
+                on_timeout: Optional[Callable[[], None]] = None) -> bool:
+        """`send(token)` a request under a fresh token; False, and nothing
+        waits, if `send` is (its carrier is gone). `on_reply(tag)` gets the
+        reply echoing the token, unless `on_timeout()` runs at `timeout_ms`;
+        without a timeout the reply is awaited while the simulation runs."""
+        token = self.net.sim.next_token()
+        if not send(token):
+            return False
+        timer = None if timeout_ms is None else self.net.sim.schedule_in(
+            lambda: self._expire(token, on_timeout), timeout_ms)
         self.replies[token] = (on_reply, timer)
+        return True
 
     def _expire(self, token: int, on_timeout: Callable[[], None]) -> None:
         del self.replies[token]  # a delivered reply cancelled this timer
@@ -97,8 +113,7 @@ class Host:
             handler(pkt)
 
     def _answer(self, tag: tuple, request: Packet) -> None:
-        self.send(Packet(src=request.dst, dst=request.src, kind=PacketKind.UDP_DATAGRAM,
-                         size_bytes=request.size_bytes, tag=tag))
+        self.datagram(request.dst, request.src, tag, request.size_bytes)
 
 
 class Network:
@@ -130,6 +145,11 @@ class Network:
         if nat is not None:
             self._owner[nat.public_host] = host
         return host
+
+    def owner(self, host_id: str) -> Optional[Host]:
+        """The host that packets addressed to `host_id` reach: that host,
+        or the one behind the NAT whose public name it is."""
+        return self._owner.get(host_id)
 
     def public_endpoint_host(self, host_id: str) -> str:
         """The host-id packets addressed to this host must carry."""

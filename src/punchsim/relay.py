@@ -8,7 +8,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from .net import Host, Network
-from .packets import Endpoint, Packet, PacketKind
+from .packets import Endpoint
 from .transport import PING_BYTES, RttProbe
 
 RELAY_PORT = 1
@@ -47,10 +47,9 @@ class Circuit:
         """Send a payload through the relay; False once the circuit closed."""
         if not self.open:
             return False
-        self.client._send_control(self.relay_ep,
-                                  ("circ", self.cid, tag),
-                                  size_bytes + CIRCUIT_HEADER_BYTES)
-        return True
+        return self.client._send_control(self.relay_ep,
+                                         ("circ", self.cid, tag),
+                                         size_bytes + CIRCUIT_HEADER_BYTES)
 
     def close(self) -> None:
         if self.open:
@@ -90,9 +89,7 @@ class RelayService:
         self._next_cid = 1
 
     def _send(self, dst: Endpoint, tag: tuple, size: int = CONTROL_BYTES) -> None:
-        self.host.send(Packet(src=self.endpoint, dst=dst,
-                              kind=PacketKind.UDP_DATAGRAM, size_bytes=size,
-                              tag=tag))
+        self.host.datagram(self.endpoint, dst, tag, size)
 
     def _live_reservations(self) -> int:
         now = self.net.sim.now
@@ -178,21 +175,18 @@ class RelayClient:
         self.circuits: dict[tuple[str, int], Circuit] = {}
         self.on_incoming_circuit: Optional[Callable[[Circuit], None]] = None
 
-    def _send_control(self, dst: Endpoint, tag: tuple, size: int = CONTROL_BYTES) -> None:
-        self.host.send(Packet(src=self.endpoint, dst=dst,
-                              kind=PacketKind.UDP_DATAGRAM, size_bytes=size,
-                              tag=tag))
+    def _send_control(self, dst: Endpoint, tag: tuple, size: int = CONTROL_BYTES) -> bool:
+        return self.host.datagram(self.endpoint, dst, tag, size)
 
     def reserve(self, relay_ep: Endpoint, on_done: Callable[[bool], None]) -> None:
-        token = self.net.sim.next_token()
-        self._send_control(relay_ep, ("rsv-req", token, self.peer_id))
-
         def on_reply(tag: tuple) -> None:
             if tag[0] == "rsv-ok":
                 self.reservations[relay_ep.host] = tag[2]
             on_done(tag[0] == "rsv-ok")
 
-        self.host.expect(token, on_reply, REQUEST_TIMEOUT_MS, lambda: on_done(False))
+        self.host.request(
+            lambda token: self._send_control(relay_ep, ("rsv-req", token, self.peer_id)),
+            on_reply, REQUEST_TIMEOUT_MS, lambda: on_done(False))
 
     def connect_via(self, listener_id: str, relay_addrs: list[Endpoint],
                     on_done: Callable[[Optional[Circuit]], None]) -> None:
@@ -227,11 +221,12 @@ class RelayClient:
             settle(circuit)
 
         for relay_ep in relay_addrs:
-            token = self.net.sim.next_token()
             # No timeout per request: `settle` closes a circuit that opens
             # late, so the relay frees its slot.
-            self.host.replies[token] = (partial(on_reply, relay_ep), None)
-            self._send_control(relay_ep, ("conn-req", token, listener_id, self.peer_id))
+            self.host.request(
+                lambda token: self._send_control(
+                    relay_ep, ("conn-req", token, listener_id, self.peer_id)),
+                partial(on_reply, relay_ep))
         timeout = self.net.sim.schedule_in(lambda: settle(None), CONNECT_TIMEOUT_MS)
 
     def circuit_ping(self, circuit: Circuit, samples: int,
@@ -248,12 +243,10 @@ class RelayClient:
         as seen by a public observer (Identify's address discovery). The
         probe leaves from the observed port itself so the answer reflects
         that port's translation."""
-        token = self.net.sim.next_token()
-        self.host.send(Packet(src=self.host.endpoint(port), dst=observer_ep,
-                              kind=PacketKind.UDP_DATAGRAM, size_bytes=CONTROL_BYTES,
-                              tag=("obs", token)))
-        self.host.expect(token, lambda tag: on_done(tag[2]), timeout_ms,
-                         lambda: on_done(None))
+        src = self.host.endpoint(port)
+        self.host.request(
+            lambda token: self.host.datagram(src, observer_ep, ("obs", token), CONTROL_BYTES),
+            lambda tag: on_done(tag[2]), timeout_ms, lambda: on_done(None))
 
     def _on_packet(self, pkt: Packet) -> None:
         tag = pkt.tag

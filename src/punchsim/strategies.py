@@ -5,12 +5,11 @@ retries, and low-TTL NAT priming."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .kernel import RandomStream, Topology
+from .kernel import RandomStream, Topology, run_strided
 from .nat import InboundAction, NatConfig, NatState, SessionTableFull
 from .packets import Endpoint, Packet, PacketKind, unchecked_endpoint
 
@@ -191,17 +190,9 @@ def birthday_monte_carlo(plan: BirthdayPlan, nat_config: NatConfig, seed: int,
     Punch i opens its mappings on a fresh NAT with `nat_config`, whose
     ports come from stream ``nat/i``, and probes from the public endpoint
     peer:4242 with stream ``mc/i``. Each punch is self-seeded, so
-    ``workers`` processes, given indices by stride as `run_campaign` gives
-    trials, return the same verdicts as one.
+    ``workers`` processes (`kernel.run_strided`, the pool `run_campaign`
+    uses) return the same verdicts as one.
     """
     if plan.scenario is not BirthdayScenario.EDM_VS_EIM:
         raise ValueError("the Monte Carlo punches the mixed scenario only")
-    workers = min(workers, n)  # no idle worker processes
-    if workers <= 1:
-        return _monte_carlo_punches((plan, nat_config, seed, range(n)))
-    chunks = [(plan, nat_config, seed, range(w, n, workers)) for w in range(workers)]
-    verdicts = [False] * n
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for w, part in enumerate(pool.map(_monte_carlo_punches, chunks)):
-            verdicts[w::workers] = part
-    return verdicts
+    return run_strided(_monte_carlo_punches, (plan, nat_config, seed), n, workers)

@@ -83,6 +83,9 @@ class Port:
         conn.timers[0] = self.net.sim.schedule_in(lambda: self._retransmit(conn),
                                                   self.RETRANSMIT_MS)
 
+    def _send(self, remote: Endpoint, kind: PacketKind, size: int) -> None:
+        self.host.send(Packet(src=self.local, dst=remote, kind=kind, size_bytes=size))
+
     def _settle(self, conn: _Conn, result: DialResult) -> None:
         """End an open connection; callers check that it is open."""
         conn.state = ConnState.ESTABLISHED if result.established else ConnState.FAILED
@@ -108,12 +111,8 @@ class TcpPort(Port):
         self.listening = listening
         super().__init__(net, host, port)
 
-    def _send(self, remote: Endpoint, kind: PacketKind) -> None:
-        self.host.send(Packet(src=self.local, dst=remote, kind=kind,
-                              size_bytes=TCP_SEGMENT_BYTES))
-
     def _first_flight(self, remote: Endpoint) -> None:
-        self._send(remote, PacketKind.TCP_SYN)
+        self._send(remote, PacketKind.TCP_SYN, TCP_SEGMENT_BYTES)
 
     def _on_packet(self, pkt: Packet) -> None:
         conn = self.conns.get(pkt.src)
@@ -127,10 +126,10 @@ class TcpPort(Port):
             if state in _OPEN or (conn is None and self.listening):
                 if conn is None:
                     self.conns[pkt.src] = _Conn(pkt.src, ConnState.ACCEPTING)
-                self._send(pkt.src, PacketKind.TCP_SYNACK)
+                self._send(pkt.src, PacketKind.TCP_SYNACK, TCP_SEGMENT_BYTES)
         elif kind is PacketKind.TCP_SYNACK:
             if state in _OPEN:
-                self._send(pkt.src, PacketKind.TCP_ACK)
+                self._send(pkt.src, PacketKind.TCP_ACK, TCP_SEGMENT_BYTES)
                 self._settle(conn, DialResult(True))
         elif kind is PacketKind.TCP_ACK:
             if state is ConnState.ACCEPTING:
@@ -157,22 +156,16 @@ class QuicPort(Port):
             raise ValueError("count must be >= 1")
         for i in range(count):
             self.net.sim.schedule_in(
-                lambda: self.host.send(Packet(src=self.local, dst=toward,
-                                              kind=PacketKind.UDP_DATAGRAM,
-                                              ttl=ttl, size_bytes=DUMMY_PACKET_BYTES,
-                                              tag="dummy")),
+                lambda: self.host.datagram(self.local, toward, "dummy",
+                                           DUMMY_PACKET_BYTES, ttl),
                 i * DUMMY_SPACING_MS)
 
     def _first_flight(self, remote: Endpoint) -> None:
-        self.host.send(Packet(src=self.local, dst=remote,
-                              kind=PacketKind.QUIC_INITIAL,
-                              size_bytes=QUIC_INITIAL_BYTES))
+        self._send(remote, PacketKind.QUIC_INITIAL, QUIC_INITIAL_BYTES)
 
     def _on_packet(self, pkt: Packet) -> None:
         if pkt.kind is PacketKind.QUIC_INITIAL:
-            self.host.send(Packet(src=self.local, dst=pkt.src,
-                                  kind=PacketKind.QUIC_REPLY,
-                                  size_bytes=QUIC_REPLY_BYTES))
+            self._send(pkt.src, PacketKind.QUIC_REPLY, QUIC_REPLY_BYTES)
             if pkt.src not in self._accepted:
                 self._accepted.add(pkt.src)
                 if self.on_established is not None:
@@ -185,8 +178,8 @@ class QuicPort(Port):
 
 class RttProbe:
     """Sequential pings over any carrier (`send(tag)` is False once it is
-    gone), each awaiting its pong on a fresh token in the host's reply
-    table. Reports the RTTs' mean and stddev, or None if none came back."""
+    gone), each a `Host.request` awaiting its pong. Reports the RTTs' mean
+    and stddev, or None if none came back."""
 
     def __init__(self, net: Network, host: Host, send: Callable[[tuple], bool],
                  samples: int = DEFAULT_RTT_SAMPLES, timeout_ms: float = 2_000.0,
@@ -207,13 +200,12 @@ class RttProbe:
         self._send_next()
 
     def _send_next(self) -> None:
-        if self._sent < self.samples:
-            token = self.net.sim.next_token()
-            if self.send(("ping", token)):
-                self._sent += 1
-                self._sent_at = self.net.sim.now
-                self.host.expect(token, self._on_packet, self.timeout_ms, self._send_next)
-                return
+        if self._sent < self.samples and self.host.request(
+                lambda token: self.send(("ping", token)), self._on_packet,
+                self.timeout_ms, self._send_next):
+            self._sent += 1
+            self._sent_at = self.net.sim.now
+            return
         self.on_done(mean_stddev(self.rtts) if self.rtts else None)
 
     def _on_packet(self, tag: tuple) -> None:
@@ -236,10 +228,5 @@ def measure_rtt(net: Network, host: Host, port: int, target: Endpoint,
     """Direct-path RTT measurement from a bound port; relayed paths are
     measured over their circuit (see the relay module)."""
     src = host.endpoint(port)
-
-    def send(tag: tuple) -> bool:
-        host.send(Packet(src=src, dst=target, kind=PacketKind.UDP_DATAGRAM,
-                         size_bytes=PING_BYTES, tag=tag))
-        return True
-
-    RttProbe(net, host, send, samples=samples, on_done=on_done).start()
+    RttProbe(net, host, lambda tag: host.datagram(src, target, tag, PING_BYTES),
+             samples=samples, on_done=on_done).start()

@@ -13,7 +13,7 @@ import yaml
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from punchsim import campaign, cli
+from punchsim import campaign, cli, kernel
 from punchsim.analysis import (OUTCOMES, RECORD_FIELDS, RTT_FIELDS,
                                MalformedRecord, analyze, latency_ratio_cdf,
                                relay_path_location, validate_records)
@@ -245,10 +245,10 @@ class TestCampaignRuns:
 
             def map(self, fn, chunks):
                 chunks = list(chunks)
-                started.append([len(trials) for _, _, trials in chunks])
+                started.append([len(trials) for *_, trials in chunks])
                 return map(fn, chunks)
 
-        monkeypatch.setattr(campaign, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(kernel, "ProcessPoolExecutor", Recorder)
         cfg = small_config()
         records = run_campaign(cfg, n_trials=3, seed=4, workers=8)
         assert started == [3, [1, 1, 1]]
@@ -342,6 +342,52 @@ class TestExport:
         loaded, meta = load_results(str(path))
         assert loaded == records
         assert meta["seed"] == 9
+
+    @staticmethod
+    def edited_csv(path, row, column, cell):
+        """Set one cell of an exported CSV file, rows counted from the
+        header as 0."""
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[row][campaign.CSV_COLUMNS.index(column)] = cell
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+    @pytest.mark.parametrize("edits", [[("seed", "1")], [("config_hash", "deadbeef")],
+                                       [("seed", "1"), ("config_hash", "deadbeef")]],
+                             ids=["seed", "config-hash", "both"])
+    def test_csv_rows_from_two_campaigns_are_refused(self, tmp_path, capsys, edits):
+        path = str(tmp_path / "results.csv")
+        export_results([make_record(0), make_record(1), make_record(2)], path,
+                       seed=3, config=CampaignConfig())
+        for column, cell in edits:
+            self.edited_csv(path, 1, column, cell)
+        # The first row sets the campaign; the second is the first to differ.
+        with pytest.raises(ValueError, match="^line 3: seed and config_hash "):
+            load_results(path)
+        rc = cli.main(["analyze", "--in", path, "--out", str(tmp_path / "report.json")])
+        assert rc == cli.EXIT_CONFIG
+        assert "line 3: seed and config_hash" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["trial", "rtt_relayed_mean"])
+    @pytest.mark.parametrize("cell", ["\u0663", "1_0", " 7 ", "true", "7x", "[7]"])
+    def test_csv_number_cells_read_strictly(self, tmp_path, field, cell):
+        # int() and float() read the first three; a JSON scan reads "true"
+        # and "[7]" whole and "7x" in part. No export writes any of them.
+        path = str(tmp_path / "results.csv")
+        export_results([make_record()], path, seed=3, config=CampaignConfig())
+        self.edited_csv(path, 1, field, cell)
+        with pytest.raises(ValueError, match=re.escape(
+                f"line 2: {field} cell {cell!r} is malformed")):
+            load_results(path)
+
+    @given(FINITE)
+    def test_every_number_cell_written_reads_back_as_written(self, value):
+        # What `csv` writes for an int or finite float cell, str(value),
+        # reads back as the same value of the same type.
+        assert repr(campaign._CELL_DECODERS["number"](str(value))) == repr(value)
+        if isinstance(value, int):
+            assert repr(campaign._CELL_DECODERS["int"](str(value))) == repr(value)
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -703,7 +749,7 @@ class TestCliExits:
         class NoPool:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("a worker pool was built")
-        monkeypatch.setattr(campaign, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(kernel, "ProcessPoolExecutor", NoPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         (tmp_path / "campaign.yaml").write_text(self.SMALL)
         out = tmp_path / "results.json"

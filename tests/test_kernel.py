@@ -34,6 +34,9 @@ def test_schedule_in_past_rejected():
     assert sim.now == 2.0
     with pytest.raises(ScheduleInPastError):
         sim.schedule(lambda: None, 1.0)
+    # NaN is not at or after any time; queued, it would stall `run`.
+    with pytest.raises(ScheduleInPastError):
+        sim.schedule(lambda: None, float("nan"))
 
 
 def test_clock_monotone():

@@ -82,6 +82,14 @@ class TestDelivery:
         assert b.nat.session_count() == 0
         assert not b.nat.denylist
 
+    def test_owner_maps_both_names_of_a_natted_host(self):
+        net = build_net()
+        a = net.add_host("a", 10.0, nat_config=NatConfig(), nat_leg=1.0)
+        b = net.add_host("b", 20.0)
+        assert net.owner(net.public_endpoint_host("a")) is a
+        assert net.owner("a") is a and net.owner("b") is b
+        assert net.owner("nowhere") is None
+
     def test_full_table_drops_at_the_sender(self):
         net = build_net()
         a = net.add_host("a", 10.0, nat_config=NatConfig(max_sessions=1), nat_leg=1.0)

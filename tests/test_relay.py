@@ -179,6 +179,18 @@ class TestCircuits:
         assert mean == 80.0
         assert std == 0.0
 
+    def test_ping_over_a_closed_circuit_waits_for_nothing(self):
+        net, services, alice, bob = build_world()
+        a_circ, _ = open_circuit(net, alice, bob, services)
+        a_circ.close()
+        pending = net.sim.pending()
+        out = []
+        alice.circuit_ping(a_circ, samples=3, on_done=out.append)
+        # The first send fails, so no reply is filed and no timeout armed.
+        assert out == [None]
+        assert alice.host.replies == {}
+        assert net.sim.pending() == pending
+
     def test_circuit_ping_tokens_name_the_circuit_not_the_object(self):
         worlds = []
         for _ in range(2):

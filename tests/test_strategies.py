@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punchsim import strategies
+from punchsim import kernel
 from punchsim.kernel import RandomStream, Topology
 from punchsim.nat import (FilteringBehavior, MappingBehavior, NatConfig,
                           NatState, PortAllocation)
@@ -198,7 +198,7 @@ class TestMonteCarloDefinition:
                 started.append([list(indices) for *_, indices in chunks])
                 return map(fn, chunks)
 
-        monkeypatch.setattr(strategies, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(kernel, "ProcessPoolExecutor", Recorder)
         serial = birthday_monte_carlo(self.plan, EDM, 11, 7)
         assert birthday_monte_carlo(self.plan, EDM, 11, 7, workers=3) == serial
         assert started == [3, [[0, 3, 6], [1, 4], [2, 5]]]
