@@ -23,10 +23,9 @@ from typing import Optional
 from .analysis import (NULLABLE, RECORD_FIELDS, apply_success_filters,
                        latency_ratios, relay_path_bins, validate_records)
 from .dcutr import DcutrConfig, HolePunch, HolePunchResult, PeerRuntime
-from .kernel import (RandomStream, Simulation, Topology, check_number, derive_seed,
-                     run_strided)
-from .nat import (Archetype, FilteringBehavior, MappingBehavior, NatConfig,
-                  PortAllocation)
+from .kernel import (RandomStream, Simulation, Topology, bounded, check_fields,
+                     check_number, derive_seed, run_strided)
+from .nat import ARCHETYPE_NATS, Archetype, NatConfig
 from .net import Network
 from .relay import RelayService
 from .transport import Transport
@@ -52,17 +51,6 @@ CSV_COLUMNS = [*RECORD_FIELDS, "seed", "config_hash"]
 # writes the others with str(), null as an empty cell.
 _CSV_CELLS = tuple((k, cell == "json") for k, (_, cell, _) in RECORD_FIELDS.items())
 
-ARCHETYPE_NATS = {
-    Archetype.FULL_CONE: dict(mapping=MappingBehavior.EIM,
-                              filtering=FilteringBehavior.EIF),
-    Archetype.RESTRICTED_CONE: dict(mapping=MappingBehavior.EIM,
-                                    filtering=FilteringBehavior.ADF),
-    Archetype.PORT_RESTRICTED_CONE: dict(mapping=MappingBehavior.EIM,
-                                         filtering=FilteringBehavior.APDF),
-    Archetype.SYMMETRIC: dict(mapping=MappingBehavior.APDM,
-                              filtering=FilteringBehavior.APDF,
-                              port_alloc=PortAllocation.RANDOM),
-}
 ARCHETYPE_NAMES = {archetype.value for archetype in Archetype}
 
 
@@ -88,9 +76,9 @@ class PeerSpec:
 
 @dataclass
 class PopulationSpec:
-    n_clients: int = 50
-    n_remotes: int = 50
-    n_relays: int = 2
+    n_clients: int = bounded(50, 1)
+    n_remotes: int = bounded(50, 1)
+    n_relays: int = bounded(2, 1)
     # Archetype shares; must sum to 1.
     shares: dict = field(default_factory=lambda: {
         "FullCone": 0.10, "RestrictedCone": 0.15,
@@ -98,16 +86,15 @@ class PopulationSpec:
     # Overrides the Symmetric share when set (endpoint-dependent mappers
     # are exactly the Symmetric archetype here); cone shares renormalize.
     edm_share: Optional[float] = None
-    port_mapping_prevalence: float = 0.0
-    mapping_lies_share: float = 0.0
+    port_mapping_prevalence: float = bounded(0.0, 0.0, 1.0)
+    mapping_lies_share: float = bounded(0.0, 0.0, 1.0)
     latency_range_ms: tuple = (10.0, 60.0)
-    jitter: float = 0.0  # per-draw latency stddev as a fraction of the mean
-    nat_leg_fraction: float = 0.1
+    jitter: float = bounded(0.0, 0.0)  # per-draw latency stddev as a fraction of the mean
+    nat_leg_fraction: float = bounded(0.1, 0.0)
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_clients", "n_remotes", "n_relays"):
-            check_number(name, getattr(self, name), lo=1, integer=True)
+        check_fields(self)
         if not isinstance(self.shares, dict) or not set(self.shares) <= ARCHETYPE_NAMES:
             raise ValueError(f"shares must map archetypes {sorted(ARCHETYPE_NAMES)} "
                              "to probabilities")
@@ -117,15 +104,11 @@ class PopulationSpec:
             raise ValueError("archetype shares must sum to 1")
         if self.edm_share is not None:
             check_number("edm_share", self.edm_share, 0.0, 1.0)
-        for name in ("port_mapping_prevalence", "mapping_lies_share"):
-            check_number(name, getattr(self, name), 0.0, 1.0)
         low_high = self.latency_range_ms
         if not isinstance(low_high, (tuple, list)) or len(low_high) != 2:
             raise ValueError("latency_range_ms must be a [low, high] pair")
         for value in low_high:
             check_number("latency_range_ms", value, lo=0.0)
-        check_number("jitter", self.jitter, lo=0.0)
-        check_number("nat_leg_fraction", self.nat_leg_fraction, lo=0.0)
 
     def effective_shares(self) -> dict:
         if self.edm_share is None:
@@ -149,12 +132,12 @@ class CampaignConfig:
     population: PopulationSpec = field(default_factory=PopulationSpec)
     policy: TransportPolicy = TransportPolicy.NONE
     persistent_nat: bool = False
-    trial_spacing_s: float = 90.0
+    # Over a day, timestamps pass year 9999 after a few million trials.
+    trial_spacing_s: float = bounded(90.0, 0.0, 86_400.0)
     dcutr: DcutrConfig = field(default_factory=DcutrConfig)
 
     def __post_init__(self):
-        # Over a day, timestamps pass year 9999 after a few million trials.
-        check_number("trial_spacing_s", self.trial_spacing_s, 0.0, 86_400.0)
+        check_fields(self)
 
 
 @dataclass
@@ -169,10 +152,6 @@ class CampaignReport:
     relay_path_bins: dict
     seed: int
     config_hash: str
-
-
-def _nat_for(archetype_name: str) -> NatConfig:
-    return NatConfig(**ARCHETYPE_NATS[Archetype(archetype_name)])
 
 
 def generate_population(spec: PopulationSpec) -> Population:
@@ -203,7 +182,8 @@ def generate_population(spec: PopulationSpec) -> Population:
         mapped = can_map and rng.random() < spec.port_mapping_prevalence
         lies = mapped and rng.random() < spec.mapping_lies_share
         return PeerSpec(
-            peer_id=peer_id, nat=_nat_for(draw_archetype()),
+            peer_id=peer_id,
+            nat=NatConfig(**ARCHETYPE_NATS[Archetype(draw_archetype())]),
             port_mapping_active=mapped, mapping_lies=lies,
             access_latency_ms=mean, latency_stddev_ms=stddev, nat_leg_ms=leg,
             as_id=64512 + index % 64,
@@ -437,6 +417,7 @@ def config_from_dict(raw: dict) -> CampaignConfig:
     for key in DCUTR_ALIASES:
         if key in raw:
             value = raw.pop(key)
+            DcutrConfig(**{key: value})  # the field's own check, since 1 == True
             if dcutr_raw.setdefault(key, value) != value:
                 raise ValueError(f"{key} is {value!r} at the top level but "
                                  f"{dcutr_raw[key]!r} under dcutr")
@@ -645,6 +626,7 @@ def load_results(path: str) -> tuple[list[dict], dict]:
     if str(path).endswith(".csv"):
         records = []
         first = None
+        seed = 0
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
@@ -663,6 +645,8 @@ def load_results(path: str) -> tuple[list[dict], dict]:
                 rec = {key: cell or None for key, cell in row.items()
                        if cell or key not in _ABSENT_IF_EMPTY}
                 try:
+                    key, cell = "seed", meta[0]
+                    seed = _CELL_DECODERS["int"](cell)
                     for key, decode in _DECODED:
                         cell = rec.get(key)
                         if cell is not None:
@@ -671,8 +655,7 @@ def load_results(path: str) -> tuple[list[dict], dict]:
                     raise ValueError(f"line {reader.line_num}: {key} cell "
                                      f"{cell!r} is malformed") from None
                 records.append(rec)
-        seed, chash = first or ("0", "")
-        return records, {"seed": int(seed), "config_hash": chash}
+        return records, {"seed": seed, "config_hash": first[1] if first else ""}
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):

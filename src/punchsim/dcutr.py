@@ -10,18 +10,17 @@ initiator side, then simultaneous dials. Up to three attempts per result.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import partial
 from typing import Callable, Optional
 
-from .kernel import check_number
+from .kernel import bounded, check_fields
 from .net import Host, Network
 from .packets import Endpoint
 from .relay import Circuit, RelayClient
 from .strategies import assign_roles, check_priming_ttl, refined_wait_time
-from .transport import Port, QuicPort, TcpPort, Transport, measure_rtt
+from .transport import MAX_RTT_SAMPLES, Port, QuicPort, TcpPort, Transport, measure_rtt
 
 STREAM_OPEN_BYTES = 32
 CONNECT_BYTES_BASE = 96
@@ -85,31 +84,25 @@ class HolePunchResult:
 
 @dataclass
 class DcutrConfig:
-    stream_timeout_ms: float = 15_000.0
-    attempt_deadline_ms: float = 15_000.0
-    reversal_deadline_ms: float = 5_000.0
-    max_attempts: int = 3
-    rtt_samples: int = 10
+    stream_timeout_ms: float = bounded(15_000.0, 0.0)
+    attempt_deadline_ms: float = bounded(15_000.0, 0.0)
+    reversal_deadline_ms: float = bounded(5_000.0, 0.0)
+    max_attempts: int = bounded(3, 1)
+    rtt_samples: int = bounded(MAX_RTT_SAMPLES, 1, MAX_RTT_SAMPLES)
     refined_wait: bool = False
     alternate_roles: bool = False
     ttl_priming: bool = False
-    priming_ttl: int = 3
-    priming_interval_ms: float = 200.0
-    dummy_count: int = 3
+    priming_ttl: int = bounded(3, 1, 255)
+    # A shorter priming interval may not move the clock at all.
+    priming_interval_ms: float = bounded(200.0, 1.0)
+    dummy_count: int = bounded(3, 1)
     # Test hook: constant offset added to the computed wait time.
     sync_error_ms: float = 0.0
     # Campaign instrumentation pings (to-relay / via-relay / direct-after).
     measure_rtts: bool = True
 
     def __post_init__(self):
-        for name in ("stream_timeout_ms", "attempt_deadline_ms", "reversal_deadline_ms"):
-            check_number(name, getattr(self, name), lo=0.0)
-        check_number("sync_error_ms", self.sync_error_ms)
-        # A shorter priming interval may not move the clock at all.
-        check_number("priming_interval_ms", self.priming_interval_ms, lo=1.0)
-        for name, hi in (("max_attempts", math.inf), ("rtt_samples", 10),
-                         ("priming_ttl", 255), ("dummy_count", math.inf)):
-            check_number(name, getattr(self, name), 1, hi, integer=True)
+        check_fields(self)
 
 
 class PeerRuntime:

@@ -13,6 +13,7 @@ import heapq
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import field, fields
 from typing import Callable, Optional
 
 # Floor applied to every latency draw so causality is never violated.
@@ -32,6 +33,21 @@ def check_number(name: str, value, lo: float = -math.inf, hi: float = math.inf,
             or not lo <= value <= hi or abs(value) == math.inf):
         kind = "an integer" if integer else "a finite number"
         raise ValueError(f"{name} must be {kind} in [{lo}, {hi}], not {value!r}")
+
+
+def bounded(default, lo: float, hi: float = math.inf):
+    """A config dataclass field whose number `check_fields` keeps in [lo, hi]."""
+    return field(default=default, metadata={"lo": lo, "hi": hi})
+
+
+def check_fields(config) -> None:
+    """Check each bool, int and float field of a config dataclass by its annotation."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{f.name} must be true or false, not {value!r}")
+        if f.type in ("int", "float"):
+            check_number(f.name, value, **f.metadata, integer=f.type == "int")
 
 
 class ScheduleInPastError(ValueError):
@@ -148,8 +164,7 @@ class Topology:
     """
 
     def __init__(self, loss_rate: float = 0.0):
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError("loss_rate must be within [0, 1]")
+        check_number("loss_rate", loss_rate, 0.0, 1.0)
         self.loss_rate = loss_rate
         self._access: dict[str, tuple[float, float]] = {}
         self._nat_leg: dict[str, float] = {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .kernel import RandomStream
+from .kernel import RandomStream, bounded, check_fields
 from .packets import Endpoint, Packet, PacketKind, unchecked_endpoint
 
 PORT_SPACE = 65536
@@ -60,37 +60,47 @@ class NatConfig:
     mapping: MappingBehavior = MappingBehavior.EIM
     filtering: FilteringBehavior = FilteringBehavior.APDF
     port_alloc: PortAllocation = PortAllocation.RANDOM
-    mapping_ttl: float = 30_000.0
-    max_sessions: int = 65_536
+    mapping_ttl: float = 30_000.0  # positive, checked below
+    max_sessions: int = bounded(65_536, 1)
     denylist_on_unsolicited: bool = False
-    denylist_duration: float = 60_000.0
+    denylist_duration: float = bounded(60_000.0, 0.0)
     rst_on_unsolicited_tcp: bool = False
     # Inclusive allocation range; the full 16-bit space by default so the
     # uniform-port assumption behind birthday-collision math holds.
     port_range: tuple[int, int] = (0, PORT_SPACE - 1)
 
     def __post_init__(self):
+        check_fields(self)
         if self.mapping_ttl <= 0:
             raise ValueError("mapping_ttl must be positive")
-        if self.max_sessions < 1:
-            raise ValueError("max_sessions must be >= 1")
         lo, hi = self.port_range
         if not 0 <= lo <= hi < PORT_SPACE:
             raise ValueError(f"port_range must be an ordered pair within "
                              f"0..{PORT_SPACE - 1}, got {self.port_range}")
 
 
+# The NAT settings of each archetype; the rest are NatConfig's defaults.
+ARCHETYPE_NATS = {
+    Archetype.FULL_CONE: dict(mapping=MappingBehavior.EIM,
+                              filtering=FilteringBehavior.EIF),
+    Archetype.RESTRICTED_CONE: dict(mapping=MappingBehavior.EIM,
+                                    filtering=FilteringBehavior.ADF),
+    Archetype.PORT_RESTRICTED_CONE: dict(mapping=MappingBehavior.EIM,
+                                         filtering=FilteringBehavior.APDF),
+    Archetype.SYMMETRIC: dict(mapping=MappingBehavior.APDM,
+                              filtering=FilteringBehavior.APDF,
+                              port_alloc=PortAllocation.RANDOM),
+}
+
+
 def archetype(config: NatConfig) -> Archetype:
-    """Classify a config into the conventional NAT archetypes. Any
-    endpoint-dependent mapping defeats address prediction regardless of
-    filtering, so ADM and APDM both classify as Symmetric."""
+    """The `ARCHETYPE_NATS` archetype of a config. Any endpoint-dependent
+    mapping defeats address prediction regardless of filtering, so ADM and
+    APDM both classify as Symmetric; an EIM config, by its filtering."""
     if config.mapping is not MappingBehavior.EIM:
         return Archetype.SYMMETRIC
-    return {
-        FilteringBehavior.EIF: Archetype.FULL_CONE,
-        FilteringBehavior.ADF: Archetype.RESTRICTED_CONE,
-        FilteringBehavior.APDF: Archetype.PORT_RESTRICTED_CONE,
-    }[config.filtering]
+    return next(name for name, nat in ARCHETYPE_NATS.items()
+                if (nat["mapping"], nat["filtering"]) == (config.mapping, config.filtering))
 
 
 @dataclass(slots=True)

@@ -5,11 +5,11 @@ retries, and low-TTL NAT priming."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from enum import Enum
 from typing import Optional
 
-from .kernel import RandomStream, Topology, run_strided
+from .kernel import RandomStream, Topology, bounded, check_fields, run_strided
 from .nat import InboundAction, NatConfig, NatState, SessionTableFull
 from .packets import Endpoint, Packet, PacketKind, unchecked_endpoint
 
@@ -23,16 +23,15 @@ class BirthdayScenario(Enum):
 
 @dataclass
 class BirthdayPlan:
-    m_open: int
-    k_probe: int
-    port_space: int = DEFAULT_PORT_SPACE
+    m_open: int = bounded(MISSING, 1)  # MISSING: no default
+    k_probe: int = bounded(MISSING, 1)
+    port_space: int = bounded(DEFAULT_PORT_SPACE, 1)
     scenario: BirthdayScenario = BirthdayScenario.EDM_VS_EIM
 
     def __post_init__(self):
-        if not 1 <= self.m_open <= self.port_space:
-            raise ValueError("m_open out of range")
-        if not 1 <= self.k_probe <= self.port_space:
-            raise ValueError("k_probe out of range")
+        check_fields(self)
+        if max(self.m_open, self.k_probe) > self.port_space:
+            raise ValueError(f"m_open or k_probe exceeds port_space {self.port_space}")
 
 
 def _log_comb(n: int, k: int) -> float:

@@ -21,7 +21,7 @@ DUMMY_PACKET_BYTES = 30
 DUMMY_SPACING_MS = 5.0
 PING_BYTES = 32
 DEFAULT_DIAL_DEADLINE_MS = 15_000.0
-DEFAULT_RTT_SAMPLES = 10
+MAX_RTT_SAMPLES = 10  # pings per RTT measurement: the most, and the default
 
 
 class Transport(Enum):
@@ -182,10 +182,10 @@ class RttProbe:
     and stddev, or None if none came back."""
 
     def __init__(self, net: Network, host: Host, send: Callable[[tuple], bool],
-                 samples: int = DEFAULT_RTT_SAMPLES, timeout_ms: float = 2_000.0,
+                 samples: int = MAX_RTT_SAMPLES, timeout_ms: float = 2_000.0,
                  on_done: Callable[[Optional[tuple[float, float]]], None] = None):
-        if not 1 <= samples <= 10:
-            raise ValueError("samples must be in 1..10")
+        if not 1 <= samples <= MAX_RTT_SAMPLES:
+            raise ValueError(f"samples must be in 1..{MAX_RTT_SAMPLES}")
         self.net = net
         self.host = host
         self.send = send
@@ -223,7 +223,7 @@ def mean_stddev(values: list[float]) -> tuple[float, float]:
 
 
 def measure_rtt(net: Network, host: Host, port: int, target: Endpoint,
-                samples: int = DEFAULT_RTT_SAMPLES,
+                samples: int = MAX_RTT_SAMPLES,
                 on_done: Callable[[Optional[tuple[float, float]]], None] = None) -> None:
     """Direct-path RTT measurement from a bound port; relayed paths are
     measured over their circuit (see the relay module)."""

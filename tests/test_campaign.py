@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -22,7 +23,8 @@ from punchsim.campaign import (CampaignConfig, PopulationSpec,
                                config_hash, config_to_dict, export_results,
                                generate_population, load_results,
                                run_campaign, run_trial)
-from punchsim.nat import MappingBehavior
+from punchsim.dcutr import DcutrConfig
+from punchsim.nat import MappingBehavior, NatConfig
 from punchsim.strategies import BirthdayPlan, BirthdayScenario, birthday_probability
 
 VALID_OUTCOMES = {"NO_CONNECTION", "NO_STREAM",
@@ -381,6 +383,22 @@ class TestExport:
                 f"line 2: {field} cell {cell!r} is malformed")):
             load_results(path)
 
+    @pytest.mark.parametrize("cell", [" \u0667 ", "1_0", " 7 "])
+    def test_csv_seed_cells_read_strictly(self, tmp_path, capsys, cell):
+        # int() reads these as 7, 10 and 7; the seed column reads as an int cell.
+        path = str(tmp_path / "results.csv")
+        export_results([make_record(0), make_record(1)], path, seed=7,
+                       config=CampaignConfig())
+        assert load_results(path)[1]["seed"] == 7
+        for row in (1, 2):
+            self.edited_csv(path, row, "seed", cell)
+        with pytest.raises(ValueError, match=re.escape(
+                f"line 2: seed cell {cell!r} is malformed")):
+            load_results(path)
+        rc = cli.main(["analyze", "--in", path, "--out", str(tmp_path / "report.json")])
+        assert rc == cli.EXIT_CONFIG
+        assert "seed cell" in capsys.readouterr().err
+
     @given(FINITE)
     def test_every_number_cell_written_reads_back_as_written(self, value):
         # What `csv` writes for an int or finite float cell, str(value),
@@ -624,12 +642,76 @@ class TestConfigHome:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw", [
+        {"refined_wait": 1, "dcutr": {"refined_wait": True}},
+        {"refined_wait": 1},
+        {"ttl_priming": "no", "dcutr": {"ttl_priming": "no"}},
+    ], ids=["equal-to-dcutr-value", "top-level-only", "same-string-under-dcutr"])
+    def test_top_level_switch_must_be_a_bool(self, raw):
+        key = next(iter(raw))
+        with pytest.raises(ValueError, match=f"^{key} must be true or false"):
+            config_from_dict(raw)
+
     def test_default_config_export_layout_unchanged(self):
         blob = config_to_dict(CampaignConfig())
         assert set(blob) == {"population", "policy", "refined_wait",
                              "alternate_roles", "ttl_priming", "persistent_nat",
                              "trial_spacing_s", "dcutr"}
         assert config_hash(CampaignConfig()) == "6fd1505934db1ed4"
+
+
+# Each config dataclass, with the fields it needs beyond its defaults.
+CONFIGS = {PopulationSpec: {}, CampaignConfig: {}, DcutrConfig: {}, NatConfig: {},
+           BirthdayPlan: {"m_open": 1, "k_probe": 1}}
+# For each field no bool, int or float rule covers, a value its class
+# refuses; None marks an enum or a nested config, which its type defines.
+OTHER_FIELDS = {"shares": {"FullCone": 0.5}, "edm_share": 1.5,
+                "latency_range_ms": (10.0,), "port_range": (5_000, 4_000),
+                "population": None, "policy": None, "dcutr": None, "mapping": None,
+                "filtering": None, "port_alloc": None, "scenario": None}
+
+
+def scalar_refusals(f: dataclasses.Field) -> list:
+    """Values a bool, int or float config field must refuse: for a number,
+    non-finite, bool, string and non-integral values and the nearest
+    values outside its `kernel.bounded` range."""
+    if f.type == "bool":
+        return [1, "no", None]
+    lo, hi = f.metadata.get("lo", -math.inf), f.metadata.get("hi", math.inf)
+    bad = [math.nan, math.inf, -math.inf, True, "7"]
+    if f.type == "int":
+        bad += [2.5] + [lo - 1] * (lo > -math.inf) + [hi + 1] * (hi < math.inf)
+    else:
+        bad += [math.nextafter(lo, -math.inf)] * (lo > -math.inf)
+        bad += [math.nextafter(hi, math.inf)] * (hi < math.inf)
+    return bad
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("cls", list(CONFIGS), ids=lambda cls: cls.__name__)
+    def test_every_field_refuses_what_its_rule_refuses(self, cls):
+        base = CONFIGS[cls]
+        cls(**base)
+        for f in dataclasses.fields(cls):
+            if f.type not in ("bool", "int", "float"):
+                assert f.name in OTHER_FIELDS, f"{cls.__name__}.{f.name} has no rule"
+                bad = [] if OTHER_FIELDS[f.name] is None else [OTHER_FIELDS[f.name]]
+                match = re.escape(f.name)
+            else:
+                bad = scalar_refusals(f)
+                match = f"^{f.name} "
+                # A range is inclusive at both ends.
+                for edge in (f.metadata.get("lo"), f.metadata.get("hi")):
+                    if edge not in (None, math.inf):
+                        cls(**{**base, f.name: edge})
+            for value in bad:
+                with pytest.raises(ValueError, match=match):
+                    cls(**{**base, f.name: value})
+
+    def test_other_fields_names_only_fields(self):
+        names = {f.name for cls in CONFIGS for f in dataclasses.fields(cls)
+                 if f.type not in ("bool", "int", "float")}
+        assert names == set(OTHER_FIELDS)
 
 
 class TestCliExits:
@@ -646,6 +728,12 @@ class TestCliExits:
         assert rc == cli.EXIT_OK
         assert "success rate n/a" in capsys.readouterr().out
         assert '"success_rate": null' in report.read_text()
+
+    @staticmethod
+    def forbid_trials(monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(campaign, "run_campaign", no_run)
 
     def simulate_exit(self, tmp_path, capsys, text, trials=5):
         path = tmp_path / "campaign.yaml"
@@ -670,6 +758,26 @@ class TestCliExits:
     ])
     def test_config_that_crashed_the_run_exits_2(self, tmp_path, capsys, text):
         assert self.simulate_exit(tmp_path, capsys, text) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("text, field", [
+        ('persistent_nat: "no"\n', "persistent_nat"),
+        ('dcutr: {refined_wait: "false"}\n', "refined_wait"),
+        ("refined_wait: 1\n", "refined_wait"),
+        ("refined_wait: 1\ndcutr: {refined_wait: true}\n", "refined_wait"),
+        ("population: {seed: 7.5}\n", "seed"),
+        ('population: {seed: "7"}\n', "seed"),
+    ])
+    def test_mistyped_field_exits_2_before_any_trial(self, tmp_path, capsys,
+                                                     monkeypatch, text, field):
+        self.forbid_trials(monkeypatch)
+        path = tmp_path / "campaign.yaml"
+        path.write_text(text)
+        out = tmp_path / "results.json"
+        rc = cli.main(["simulate", "--config", str(path), "--trials", "2",
+                       "--seed", "1", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: invalid config: {field} ")
+        assert not out.exists()
 
     def test_alternating_roles_past_three_attempts(self, tmp_path, capsys):
         text = self.FAILING + "dcutr: {max_attempts: 5, alternate_roles: true}\n"
@@ -711,9 +819,7 @@ class TestCliExits:
                              ids=["out", "report"])
     def test_simulate_checks_its_outputs_before_any_trial(self, tmp_path,
                                                           monkeypatch, out, report):
-        def no_run(*args, **kwargs):
-            raise AssertionError("a trial ran")
-        monkeypatch.setattr(campaign, "run_campaign", no_run)
+        self.forbid_trials(monkeypatch)
         (tmp_path / "campaign.yaml").write_text(self.SMALL)
         args = ["simulate", "--config", str(tmp_path / "campaign.yaml"),
                 "--trials", "2", "--seed", "1", "--out", str(tmp_path / out)]

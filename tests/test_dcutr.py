@@ -2,11 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punchsim.campaign import ARCHETYPE_NATS
 from punchsim.dcutr import (DcutrConfig, HolePunch, OutcomeAttempt,
                             OutcomeResult, PeerRuntime, Phase)
 from punchsim.kernel import Simulation, Topology
-from punchsim.nat import (FilteringBehavior, MappingBehavior, NatConfig,
+from punchsim.nat import (ARCHETYPE_NATS, FilteringBehavior, MappingBehavior, NatConfig,
                           PortAllocation)
 from punchsim.net import Network
 from punchsim.relay import RelayService

@@ -1,3 +1,4 @@
+import math
 from dataclasses import astuple
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from punchsim.kernel import RandomStream
-from punchsim.nat import (Archetype, FilteringBehavior, InboundAction,
+from punchsim.nat import (ARCHETYPE_NATS, Archetype, FilteringBehavior, InboundAction,
                           MappingBehavior, NatConfig, NatState,
                           PortAllocation, SessionTableFull, archetype)
 from punchsim.packets import Endpoint, Packet, PacketKind
@@ -204,6 +205,10 @@ class TestArchetype:
     def test_classification(self, mapping, filtering, expected):
         assert archetype(NatConfig(mapping=mapping, filtering=filtering)) is expected
 
+    @pytest.mark.parametrize("arch", list(Archetype))
+    def test_each_archetype_table_entry_classifies_as_its_archetype(self, arch):
+        assert archetype(NatConfig(**ARCHETYPE_NATS[arch])) is arch
+
 
 def test_hole_punch_enabler():
     # After both peers behind port-restricted NATs send one packet to each
@@ -347,6 +352,13 @@ class TestPortRange:
                                               ("max_sessions", 0)])
     def test_non_positive_ttl_or_table_size_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
+            NatConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("mapping_ttl", math.nan),
+                                              ("max_sessions", 2.5),
+                                              ("denylist_duration", -5)])
+    def test_mistyped_or_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
             NatConfig(**{field: value})
 
     @pytest.mark.parametrize("alloc", list(PortAllocation))

@@ -3,10 +3,9 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
-from punchsim.campaign import ARCHETYPE_NATS
 from punchsim.dcutr import HolePunch, OutcomeAttempt, OutcomeResult, PeerRuntime
 from punchsim.kernel import Simulation, Topology
-from punchsim.nat import NatConfig
+from punchsim.nat import ARCHETYPE_NATS, NatConfig
 from punchsim.net import Network
 from punchsim.packets import Endpoint, Packet, PacketKind
 from punchsim.relay import (CONNECT_TIMEOUT_MS, DEFAULT_DATA_BUDGET_BYTES,

@@ -54,6 +54,17 @@ class TestBirthdayOracle:
         with pytest.raises(ValueError):
             BirthdayPlan(m_open=1, k_probe=70_000)
 
+    @pytest.mark.parametrize("field, value", [("m_open", True), ("k_probe", "5"),
+                                              ("port_space", 2.5)])
+    def test_mistyped_plans_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            BirthdayPlan(**{"m_open": 1, "k_probe": 1, field: value})
+
+    def test_plan_may_open_or_probe_the_whole_space(self):
+        BirthdayPlan(m_open=256, k_probe=256, port_space=256)
+        with pytest.raises(ValueError, match="exceeds port_space 256"):
+            BirthdayPlan(m_open=256, k_probe=257, port_space=256)
+
     @given(m=st.integers(1, 200), k=st.integers(1, 200),
            scenario=st.sampled_from(list(BirthdayScenario)))
     def test_probability_is_a_probability(self, m, k, scenario):
