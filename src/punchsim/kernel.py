@@ -12,8 +12,11 @@ import hashlib
 import heapq
 import math
 import random
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import field, fields
+from enum import Enum
+from math import cos, log, sin, sqrt
 from typing import Callable, Optional
 
 # Floor applied to every latency draw so causality is never violated.
@@ -23,6 +26,7 @@ DEFAULT_HOP_DISTANCE = 6
 # Unbound, so a copied stream draws from its own generator; a bound method
 # cached per stream would be shared by its copies.
 _getrandbits = random.Random.getrandbits
+_TWOPI = 2.0 * math.pi  # as random.py computes it
 
 
 def check_number(name: str, value, lo: float = -math.inf, hi: float = math.inf,
@@ -41,13 +45,20 @@ def bounded(default, lo: float, hi: float = math.inf):
 
 
 def check_fields(config) -> None:
-    """Check each bool, int and float field of a config dataclass by its annotation."""
+    """Check each bool, int, float and Enum field of a config dataclass by
+    its annotation, a string resolved in the module of the class."""
+    names = vars(sys.modules[type(config).__module__])
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "bool" and not isinstance(value, bool):
             raise ValueError(f"{f.name} must be true or false, not {value!r}")
         if f.type in ("int", "float"):
             check_number(f.name, value, **f.metadata, integer=f.type == "int")
+        cls = names.get(f.type)
+        # The data paths compare members by identity, so a member's value
+        # (mapping="EIM") would run as none of them.
+        if isinstance(cls, type) and issubclass(cls, Enum) and not isinstance(value, cls):
+            raise ValueError(f"{f.name} must be a {cls.__name__} member, not {value!r}")
 
 
 class ScheduleInPastError(ValueError):
@@ -75,9 +86,20 @@ class RandomStream:
         self.rng = random.Random(derive_seed(seed, stream_id))
 
     def normal(self, mean: float, stddev: float) -> float:
+        """`Random.gauss(mean, stddev)` for a positive stddev, else `mean`.
+        CPython's gauss body inlined (the same on 3.10-3.13), without
+        its Python frame; `tests/test_kernel.py` pins the draws."""
         if stddev <= 0.0:
             return mean
-        return self.rng.gauss(mean, stddev)
+        rng = self.rng
+        z = rng.gauss_next
+        rng.gauss_next = None
+        if z is None:
+            x2pi = rng.random() * _TWOPI
+            g2rad = sqrt(-2.0 * log(1.0 - rng.random()))
+            z = cos(x2pi) * g2rad
+            rng.gauss_next = sin(x2pi) * g2rad
+        return mean + z * stddev
 
     def uniform(self, a: float, b: float) -> float:
         return self.rng.uniform(a, b)

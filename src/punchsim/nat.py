@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .kernel import RandomStream, bounded, check_fields
-from .packets import Endpoint, Packet, PacketKind, unchecked_endpoint
+from .kernel import RandomStream, bounded, check_fields, check_number
+from .packets import TCP_RST, Endpoint, Packet, unchecked_endpoint
 
 PORT_SPACE = 65536
 
@@ -50,6 +50,15 @@ class InboundAction(Enum):
     REJECT_RST = "reject-rst"
 
 
+# The members as module names, which the data path compares against: on
+# Python 3.10 and 3.11 the Enum metaclass's __getattr__ makes each read
+# like `InboundAction.DROP` several times slower (see packets.py).
+EIM, ADM, APDM = MappingBehavior
+EIF, ADF, APDF = FilteringBehavior
+SEQUENTIAL, RANDOM, PRESERVE = PortAllocation
+DELIVER, DROP, REJECT_RST = InboundAction
+
+
 class SessionTableFull(Exception):
     """Outbound packet dropped because the translation table is at
     capacity; distinct from a filtering drop."""
@@ -74,9 +83,10 @@ class NatConfig:
         if self.mapping_ttl <= 0:
             raise ValueError("mapping_ttl must be positive")
         lo, hi = self.port_range
-        if not 0 <= lo <= hi < PORT_SPACE:
-            raise ValueError(f"port_range must be an ordered pair within "
-                             f"0..{PORT_SPACE - 1}, got {self.port_range}")
+        for end in (lo, hi):
+            check_number("port_range", end, 0, PORT_SPACE - 1, integer=True)
+        if lo > hi:
+            raise ValueError(f"port_range must be an ordered pair, got {self.port_range}")
 
 
 # The NAT settings of each archetype; the rest are NatConfig's defaults.
@@ -161,7 +171,7 @@ class NatState:
 
     def _alloc_port(self, internal: Endpoint, now: float) -> int:
         policy = self.config.port_alloc
-        if policy is PortAllocation.PRESERVE and internal.port not in self._by_port:
+        if policy is PRESERVE and internal.port not in self._by_port:
             return internal.port
         lo, hi = self.config.port_range
         if len(self._by_port) > hi - lo:
@@ -170,7 +180,7 @@ class NatState:
             self._drop_expired(now)
             if all(port in self._by_port for port in range(lo, hi + 1)):
                 raise SessionTableFull(f"{internal}: no free port in {lo}..{hi}")
-        if policy is PortAllocation.SEQUENTIAL:
+        if policy is SEQUENTIAL:
             port = self.next_sequential_port
             while port in self._by_port:
                 port = lo if port >= hi else port + 1
@@ -221,9 +231,9 @@ class NatState:
         src, dst = pkt.src, pkt.dst
         config = self.config
         mode = config.mapping
-        if mode is MappingBehavior.EIM:
+        if mode is EIM:
             key = (src,)
-        elif mode is MappingBehavior.ADM:
+        elif mode is ADM:
             key = (src, dst.host)
         else:
             key = (src, dst)
@@ -260,9 +270,9 @@ class NatState:
         cfg = self.config
         if cfg.denylist_on_unsolicited:
             self.denylist[pkt.src.host] = now + cfg.denylist_duration
-        if cfg.rst_on_unsolicited_tcp and pkt.kind.is_tcp and pkt.kind is not PacketKind.TCP_RST:
-            return InboundAction.REJECT_RST
-        return InboundAction.DROP
+        if cfg.rst_on_unsolicited_tcp and pkt.kind.is_tcp and pkt.kind is not TCP_RST:
+            return REJECT_RST
+        return DROP
 
     def process_inbound(self, pkt: Packet, now: float) -> tuple[InboundAction, Optional[Packet]]:
         """Filter an inbound packet addressed to this device's public host.
@@ -274,7 +284,7 @@ class NatState:
         expiry = self.denylist.get(pkt.src.host)
         if expiry is not None:
             if expiry > now:
-                return InboundAction.DROP, None
+                return DROP, None
             del self.denylist[pkt.src.host]
 
         m = self._by_port.get(pkt.dst.port)
@@ -289,18 +299,18 @@ class NatState:
 
         if not m.static:
             filt = self.config.filtering
-            if filt is FilteringBehavior.ADF:
+            if filt is ADF:
                 since = m.contacted_host_since(pkt.src.host)
                 if since is None or since > now:
                     return self._note_unsolicited(pkt, now), None
-            if filt is FilteringBehavior.APDF:
+            if filt is APDF:
                 since = m.contacted.get(pkt.src)
                 if since is None or since > now:
                     return self._note_unsolicited(pkt, now), None
 
         if now > m.last_activity:
             m.last_activity = now
-        return InboundAction.DELIVER, pkt.readdressed(pkt.src, m.internal)
+        return DELIVER, pkt.readdressed(pkt.src, m.internal)
 
     def expire(self, now: float) -> None:
         """Drop idle mappings and elapsed denylist entries. Mapping idle

@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .kernel import Simulation, Topology, draw_latency
-from .nat import InboundAction, NatConfig, NatState, SessionTableFull
-from .packets import Endpoint, Packet, PacketKind
+from .nat import DELIVER, REJECT_RST, NatConfig, NatState, SessionTableFull
+from .packets import DEFAULT_TTL, TCP_RST, UDP_DATAGRAM, Endpoint, Packet
 
 FIRST_DYNAMIC_PORT = 10_000
 # Tag kinds that answer a request; tag[1] echoes the request's token.
@@ -61,11 +61,11 @@ class Host:
         self.net.send(self.id, pkt)
 
     def datagram(self, src: Endpoint, dst: Endpoint, tag, size: int,
-                 ttl: int = 64) -> bool:
+                 ttl: int = DEFAULT_TTL) -> bool:
         """Send `tag` from `src`, one of this host's endpoints, in a UDP
         datagram. True: it always leaves, though the network may drop it."""
-        self.net.send(self.id, Packet(src=src, dst=dst, kind=PacketKind.UDP_DATAGRAM,
-                                      ttl=ttl, size_bytes=size, tag=tag))
+        # Positional: a keyword call to Packet's __init__ costs about twice as much.
+        self.net.send(self.id, Packet(src, dst, UDP_DATAGRAM, ttl, size, tag))
         return True
 
     def request(self, send: Callable[[int], bool], on_reply: Callable[[tuple], None],
@@ -199,9 +199,8 @@ class Network:
 
     def _at_receiver_nat(self, receiver: Host, pkt: Packet, t_arrival: float) -> None:
         action, translated = receiver.nat.process_inbound(pkt, self.sim.now)
-        if action is InboundAction.DELIVER:
+        if action is DELIVER:
             self.sim.schedule(lambda: receiver._dispatch(translated), t_arrival)
-        elif action is InboundAction.REJECT_RST:
-            rst = Packet(src=pkt.dst, dst=pkt.src, kind=PacketKind.TCP_RST,
-                         size_bytes=40)
+        elif action is REJECT_RST:
+            rst = Packet(src=pkt.dst, dst=pkt.src, kind=TCP_RST, size_bytes=40)
             self.send(receiver.id, rst, skip_sender_nat=True)

@@ -7,6 +7,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
+# The TTL of a packet that sets none: Packet's default, the default of
+# Host.datagram and QuicPort.prime, and the TTL of every Port._send packet.
+DEFAULT_TTL = 64
+
 
 class Endpoint(namedtuple("Endpoint", "host port")):
     """A (host-id, port) pair; the unit NATs translate and filter on.
@@ -48,8 +52,16 @@ class PacketKind(Enum):
 
     @property
     def is_tcp(self) -> bool:
-        return self in (PacketKind.TCP_SYN, PacketKind.TCP_SYNACK,
-                        PacketKind.TCP_ACK, PacketKind.TCP_RST)
+        return self in _TCP_KINDS
+
+
+# The members as module names. On Python 3.10 and 3.11 the Enum metaclass
+# defines __getattr__, which sends every `PacketKind.MEMBER` read through
+# CPython's slow attribute hook, several times the cost of reading a
+# module name; the per-packet paths compare against these names instead.
+(TCP_SYN, TCP_SYNACK, TCP_ACK, TCP_RST, UDP_DATAGRAM, QUIC_INITIAL,
+ QUIC_REPLY) = PacketKind
+_TCP_KINDS = (TCP_SYN, TCP_SYNACK, TCP_ACK, TCP_RST)
 
 
 @dataclass(slots=True)
@@ -59,7 +71,7 @@ class Packet:
     src: Endpoint
     dst: Endpoint
     kind: PacketKind
-    ttl: int = 64
+    ttl: int = DEFAULT_TTL
     size_bytes: int = 0
     tag: object = None
 

@@ -10,8 +10,8 @@ from enum import Enum
 from typing import Optional
 
 from .kernel import RandomStream, Topology, bounded, check_fields, run_strided
-from .nat import InboundAction, NatConfig, NatState, SessionTableFull
-from .packets import Endpoint, Packet, PacketKind, unchecked_endpoint
+from .nat import DELIVER, NatConfig, NatState, SessionTableFull
+from .packets import UDP_DATAGRAM, Endpoint, Packet, unchecked_endpoint
 
 DEFAULT_PORT_SPACE = 65_536
 
@@ -21,12 +21,16 @@ class BirthdayScenario(Enum):
     EDM_VS_EDM = "both-edm"
 
 
+# Module names for the members, as for nat's (see packets.py).
+EDM_VS_EIM, EDM_VS_EDM = BirthdayScenario
+
+
 @dataclass
 class BirthdayPlan:
     m_open: int = bounded(MISSING, 1)  # MISSING: no default
     k_probe: int = bounded(MISSING, 1)
     port_space: int = bounded(DEFAULT_PORT_SPACE, 1)
-    scenario: BirthdayScenario = BirthdayScenario.EDM_VS_EIM
+    scenario: BirthdayScenario = EDM_VS_EIM
 
     def __post_init__(self):
         check_fields(self)
@@ -51,7 +55,7 @@ def birthday_probability(plan: BirthdayPlan) -> float:
     1/S^2 under the uniform-allocation model.
     """
     s, m, k = plan.port_space, plan.m_open, plan.k_probe
-    if plan.scenario is BirthdayScenario.EDM_VS_EIM:
+    if plan.scenario is EDM_VS_EIM:
         if k > s - m:
             return 1.0
         log_miss = _log_comb(s - m, k) - _log_comb(s, k)
@@ -136,7 +140,7 @@ def birthday_punch(plan: BirthdayPlan, edm_nat: NatState, edm_host: str,
     lo, hi = edm_nat.config.port_range
     if hi - lo + 1 != plan.port_space:
         raise ValueError("plan port_space does not match the NAT's range")
-    both_edm = plan.scenario is BirthdayScenario.EDM_VS_EDM
+    both_edm = plan.scenario is EDM_VS_EDM
     # Validate the highest source ports and one packet up front, so a plan
     # too large for them fails before any NAT is touched; every other
     # endpoint below has a port from a checked range and skips validation.
@@ -147,7 +151,7 @@ def birthday_punch(plan: BirthdayPlan, edm_nat: NatState, edm_host: str,
         Endpoint(prober_host, 30_000 + plan.k_probe - 1)
     carrier = Packet(src=peer_external,
                      dst=Endpoint(edm_nat.public_host, lo),
-                     kind=PacketKind.UDP_DATAGRAM)
+                     kind=UDP_DATAGRAM)
     carrier.dst = peer_external  # every opening's target unless both-EDM
     for i in range(plan.m_open):
         if both_edm:
@@ -167,7 +171,7 @@ def birthday_punch(plan: BirthdayPlan, edm_nat: NatState, edm_host: str,
         else:
             probe = carrier
         action, _ = edm_nat.process_inbound(probe, now)
-        if action is InboundAction.DELIVER:
+        if action is DELIVER:
             return True
     return False
 
@@ -192,6 +196,6 @@ def birthday_monte_carlo(plan: BirthdayPlan, nat_config: NatConfig, seed: int,
     ``workers`` processes (`kernel.run_strided`, the pool `run_campaign`
     uses) return the same verdicts as one.
     """
-    if plan.scenario is not BirthdayScenario.EDM_VS_EIM:
+    if plan.scenario is not EDM_VS_EIM:
         raise ValueError("the Monte Carlo punches the mixed scenario only")
     return run_strided(_monte_carlo_punches, (plan, nat_config, seed), n, workers)

@@ -10,7 +10,8 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .net import Host, Network
-from .packets import Endpoint, Packet, PacketKind
+from .packets import (DEFAULT_TTL, QUIC_INITIAL, QUIC_REPLY, TCP_ACK, TCP_RST, TCP_SYN,
+                      TCP_SYNACK, Endpoint, Packet, PacketKind)
 
 TCP_SEGMENT_BYTES = 60
 TCP_SYN_RETRANSMIT_MS = 1_000.0
@@ -42,6 +43,10 @@ class ConnState(Enum):
     FAILED = "failed"
 
 
+# Module names for the per-packet state checks, as for PacketKind's members.
+OPENING, ACCEPTING, ESTABLISHED, FAILED = ConnState
+
+
 @dataclass(slots=True)
 class _Conn:
     remote: Endpoint
@@ -69,7 +74,7 @@ class Port:
 
     def dial(self, remote: Endpoint, deadline_ms: float = DEFAULT_DIAL_DEADLINE_MS,
              on_done: Optional[Callable[[DialResult], None]] = None) -> None:
-        conn = _Conn(remote, ConnState.OPENING, on_done)
+        conn = _Conn(remote, OPENING, on_done)
         self.conns[remote] = conn
         self._first_flight(remote)
         sim = self.net.sim
@@ -84,11 +89,11 @@ class Port:
                                                   self.RETRANSMIT_MS)
 
     def _send(self, remote: Endpoint, kind: PacketKind, size: int) -> None:
-        self.host.send(Packet(src=self.local, dst=remote, kind=kind, size_bytes=size))
+        self.host.send(Packet(self.local, remote, kind, DEFAULT_TTL, size))
 
     def _settle(self, conn: _Conn, result: DialResult) -> None:
         """End an open connection; callers check that it is open."""
-        conn.state = ConnState.ESTABLISHED if result.established else ConnState.FAILED
+        conn.state = ESTABLISHED if result.established else FAILED
         for timer in conn.timers:
             self.net.sim.cancel(timer)
         if conn.on_done is not None:
@@ -97,7 +102,7 @@ class Port:
             self.on_established(conn.remote)
 
 
-_OPEN = (ConnState.OPENING, ConnState.ACCEPTING)
+_OPEN = (OPENING, ACCEPTING)
 
 
 class TcpPort(Port):
@@ -112,27 +117,27 @@ class TcpPort(Port):
         super().__init__(net, host, port)
 
     def _first_flight(self, remote: Endpoint) -> None:
-        self._send(remote, PacketKind.TCP_SYN, TCP_SEGMENT_BYTES)
+        self._send(remote, TCP_SYN, TCP_SEGMENT_BYTES)
 
     def _on_packet(self, pkt: Packet) -> None:
         conn = self.conns.get(pkt.src)
         state = conn.state if conn is not None else None
         kind = pkt.kind
-        if kind is PacketKind.TCP_RST:
+        if kind is TCP_RST:
             if state in _OPEN:
                 self._settle(conn, DialResult(False, "rst"))
-        elif kind is PacketKind.TCP_SYN:
+        elif kind is TCP_SYN:
             # A SYN that crossed ours is a simultaneous open.
             if state in _OPEN or (conn is None and self.listening):
                 if conn is None:
-                    self.conns[pkt.src] = _Conn(pkt.src, ConnState.ACCEPTING)
-                self._send(pkt.src, PacketKind.TCP_SYNACK, TCP_SEGMENT_BYTES)
-        elif kind is PacketKind.TCP_SYNACK:
+                    self.conns[pkt.src] = _Conn(pkt.src, ACCEPTING)
+                self._send(pkt.src, TCP_SYNACK, TCP_SEGMENT_BYTES)
+        elif kind is TCP_SYNACK:
             if state in _OPEN:
-                self._send(pkt.src, PacketKind.TCP_ACK, TCP_SEGMENT_BYTES)
+                self._send(pkt.src, TCP_ACK, TCP_SEGMENT_BYTES)
                 self._settle(conn, DialResult(True))
-        elif kind is PacketKind.TCP_ACK:
-            if state is ConnState.ACCEPTING:
+        elif kind is TCP_ACK:
+            if state is ACCEPTING:
                 self._settle(conn, DialResult(True))
 
 
@@ -149,7 +154,7 @@ class QuicPort(Port):
         super().__init__(net, host, port)
         self._accepted: set[Endpoint] = set()
 
-    def prime(self, toward: Endpoint, count: int = 3, ttl: int = 64) -> None:
+    def prime(self, toward: Endpoint, count: int = 3, ttl: int = DEFAULT_TTL) -> None:
         """Emit dummy datagrams toward the peer to create outbound NAT
         state; with a low TTL they die in the core after passing our NAT."""
         if count < 1:
@@ -161,18 +166,18 @@ class QuicPort(Port):
                 i * DUMMY_SPACING_MS)
 
     def _first_flight(self, remote: Endpoint) -> None:
-        self._send(remote, PacketKind.QUIC_INITIAL, QUIC_INITIAL_BYTES)
+        self._send(remote, QUIC_INITIAL, QUIC_INITIAL_BYTES)
 
     def _on_packet(self, pkt: Packet) -> None:
-        if pkt.kind is PacketKind.QUIC_INITIAL:
-            self._send(pkt.src, PacketKind.QUIC_REPLY, QUIC_REPLY_BYTES)
+        if pkt.kind is QUIC_INITIAL:
+            self._send(pkt.src, QUIC_REPLY, QUIC_REPLY_BYTES)
             if pkt.src not in self._accepted:
                 self._accepted.add(pkt.src)
                 if self.on_established is not None:
                     self.on_established(pkt.src)
-        elif pkt.kind is PacketKind.QUIC_REPLY:
+        elif pkt.kind is QUIC_REPLY:
             conn = self.conns.get(pkt.src)
-            if conn is not None and conn.state is ConnState.OPENING:
+            if conn is not None and conn.state is OPENING:
                 self._settle(conn, DialResult(True))
 
 

@@ -664,11 +664,12 @@ class TestConfigHome:
 CONFIGS = {PopulationSpec: {}, CampaignConfig: {}, DcutrConfig: {}, NatConfig: {},
            BirthdayPlan: {"m_open": 1, "k_probe": 1}}
 # For each field no bool, int or float rule covers, a value its class
-# refuses; None marks an enum or a nested config, which its type defines.
+# refuses; None marks a nested config, which its own class checks. An Enum
+# field refuses its member's string value.
 OTHER_FIELDS = {"shares": {"FullCone": 0.5}, "edm_share": 1.5,
                 "latency_range_ms": (10.0,), "port_range": (5_000, 4_000),
-                "population": None, "policy": None, "dcutr": None, "mapping": None,
-                "filtering": None, "port_alloc": None, "scenario": None}
+                "population": None, "policy": "none", "dcutr": None, "mapping": "EIM",
+                "filtering": "APDF", "port_alloc": "random", "scenario": "mixed"}
 
 
 def scalar_refusals(f: dataclasses.Field) -> list:

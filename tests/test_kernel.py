@@ -89,6 +89,19 @@ def test_randint_empty_range_raises_without_drawing(a, b):
     assert stream.rng.getstate() == state
 
 
+def test_normal_draws_exactly_as_cpython_gauss():
+    # RandomStream.normal inlines Random.gauss, which keeps every second
+    # value in gauss_next; random() draws between them share its state.
+    for seed in range(200):
+        stream = RandomStream(seed, "pin")
+        reference = copy.deepcopy(stream.rng)
+        for i, (mean, stddev) in enumerate([(0.0, 1.0), (30.0, 15.0), (-5.0, 1e-3)] * 17):
+            assert stream.normal(mean, stddev) == reference.gauss(mean, stddev), (seed, i)
+            if i % 3 == 0:
+                assert stream.random() == reference.random(), (seed, i)
+        assert stream.rng.getstate() == reference.getstate()
+
+
 # (n, k) on both sides of each setsize edge of Random.sample: the pool
 # branch takes n <= 21 for k <= 5, n <= 85 for 6 <= k <= 21 and n <= 1045
 # for 86 <= k <= 341; the set branch takes the rest, the punch's

@@ -348,6 +348,13 @@ class TestPortRange:
         with pytest.raises(ValueError, match="port_range"):
             NatConfig(port_range=bad)
 
+    @pytest.mark.parametrize("bad", [(0.5, 10), (0, 10.0), (True, 10), ("0", 10)])
+    def test_non_integer_end_rejected_at_construction(self, bad):
+        # (0.5, 10) used to pass here and fail at the first outbound
+        # packet, with an AttributeError from RandomStream.randint.
+        with pytest.raises(ValueError, match="^port_range must be an integer"):
+            NatConfig(port_range=bad)
+
     @pytest.mark.parametrize("field, value", [("mapping_ttl", 0.0),
                                               ("max_sessions", 0)])
     def test_non_positive_ttl_or_table_size_rejected(self, field, value):
