@@ -9,8 +9,6 @@ import json
 import os
 import sys
 
-import yaml
-
 from . import analysis, campaign
 from .strategies import (BirthdayPlan, BirthdayScenario, PrimingConfigError,
                          birthday_probability)
@@ -24,6 +22,7 @@ class ConfigError(Exception):
 
 
 def _load_config(path: str) -> campaign.CampaignConfig:
+    import yaml  # here, so that only a command that reads a config loads PyYAML
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)

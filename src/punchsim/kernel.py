@@ -13,8 +13,7 @@ import heapq
 import math
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import field, fields
+from dataclasses import field, fields, is_dataclass
 from enum import Enum
 from math import cos, log, sin, sqrt
 from typing import Callable, Optional
@@ -45,8 +44,8 @@ def bounded(default, lo: float, hi: float = math.inf):
 
 
 def check_fields(config) -> None:
-    """Check each bool, int, float and Enum field of a config dataclass by
-    its annotation, a string resolved in the module of the class."""
+    """Check each bool, int, float, Enum and nested-config field of a config
+    dataclass by its annotation, a string resolved in the module of the class."""
     names = vars(sys.modules[type(config).__module__])
     for f in fields(config):
         value = getattr(config, f.name)
@@ -56,9 +55,12 @@ def check_fields(config) -> None:
             check_number(f.name, value, **f.metadata, integer=f.type == "int")
         cls = names.get(f.type)
         # The data paths compare members by identity, so a member's value
-        # (mapping="EIM") would run as none of them.
-        if isinstance(cls, type) and issubclass(cls, Enum) and not isinstance(value, cls):
-            raise ValueError(f"{f.name} must be a {cls.__name__} member, not {value!r}")
+        # (mapping="EIM") would run as none of them; a nested config is read
+        # by attribute, so a dict would fail only once a trial reads it.
+        if (isinstance(cls, type) and (issubclass(cls, Enum) or is_dataclass(cls))
+                and not isinstance(value, cls)):
+            kind = " member" if issubclass(cls, Enum) else ""
+            raise ValueError(f"{f.name} must be a {cls.__name__}{kind}, not {value!r}")
 
 
 class ScheduleInPastError(ValueError):
@@ -338,6 +340,8 @@ def run_strided(work: Callable[[tuple], list], args: tuple, n: int,
     workers = min(workers, n)  # no idle worker processes
     if workers <= 1:
         return work(args + (range(n),))
+    # Imported here, so that a start that runs no pool loads no multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
     results = [None] * n
     chunks = [args + (range(w, n, workers),) for w in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -14,7 +15,7 @@ import yaml
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from punchsim import campaign, cli, kernel
+from punchsim import campaign, cli
 from punchsim.analysis import (OUTCOMES, RECORD_FIELDS, RTT_FIELDS,
                                MalformedRecord, analyze, latency_ratio_cdf,
                                relay_path_location, validate_records)
@@ -250,7 +251,7 @@ class TestCampaignRuns:
                 started.append([len(trials) for *_, trials in chunks])
                 return map(fn, chunks)
 
-        monkeypatch.setattr(kernel, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         cfg = small_config()
         records = run_campaign(cfg, n_trials=3, seed=4, workers=8)
         assert started == [3, [1, 1, 1]]
@@ -664,11 +665,11 @@ class TestConfigHome:
 CONFIGS = {PopulationSpec: {}, CampaignConfig: {}, DcutrConfig: {}, NatConfig: {},
            BirthdayPlan: {"m_open": 1, "k_probe": 1}}
 # For each field no bool, int or float rule covers, a value its class
-# refuses; None marks a nested config, which its own class checks. An Enum
-# field refuses its member's string value.
+# refuses. An Enum field refuses its member's string value, and a nested
+# config a value that is not an instance of its class.
 OTHER_FIELDS = {"shares": {"FullCone": 0.5}, "edm_share": 1.5,
                 "latency_range_ms": (10.0,), "port_range": (5_000, 4_000),
-                "population": None, "policy": "none", "dcutr": None, "mapping": "EIM",
+                "population": {}, "policy": "none", "dcutr": "x", "mapping": "EIM",
                 "filtering": "APDF", "port_alloc": "random", "scenario": "mixed"}
 
 
@@ -696,7 +697,7 @@ class TestConfigFields:
         for f in dataclasses.fields(cls):
             if f.type not in ("bool", "int", "float"):
                 assert f.name in OTHER_FIELDS, f"{cls.__name__}.{f.name} has no rule"
-                bad = [] if OTHER_FIELDS[f.name] is None else [OTHER_FIELDS[f.name]]
+                bad = [OTHER_FIELDS[f.name]]
                 match = re.escape(f.name)
             else:
                 bad = scalar_refusals(f)
@@ -856,7 +857,7 @@ class TestCliExits:
         class NoPool:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("a worker pool was built")
-        monkeypatch.setattr(kernel, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         (tmp_path / "campaign.yaml").write_text(self.SMALL)
         out = tmp_path / "results.json"

@@ -1,10 +1,10 @@
+import concurrent.futures
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punchsim import kernel
 from punchsim.kernel import RandomStream, Topology
 from punchsim.nat import (FilteringBehavior, MappingBehavior, NatConfig,
                           NatState, PortAllocation)
@@ -209,7 +209,7 @@ class TestMonteCarloDefinition:
                 started.append([list(indices) for *_, indices in chunks])
                 return map(fn, chunks)
 
-        monkeypatch.setattr(kernel, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         serial = birthday_monte_carlo(self.plan, EDM, 11, 7)
         assert birthday_monte_carlo(self.plan, EDM, 11, 7, workers=3) == serial
         assert started == [3, [[0, 3, 6], [1, 4], [2, 5]]]
