@@ -314,6 +314,7 @@ def relay_path_bins(filtered: list[dict], bin_width: float = 0.05
         raise ValueError("bin_width must be in (0, 1]")
     n_bins = int(round(1.0 / bin_width))
     bins: dict[str, list[int]] = {}
+    labels: dict[int, str] = {}  # bin index -> label, formatted once
     skipped = 0
     for rec in filtered:
         to_relay = rec.get("rtt_to_relay_mean")
@@ -323,7 +324,9 @@ def relay_path_bins(filtered: list[dict], bin_width: float = 0.05
             continue
         loc = min(1.0, max(0.0, to_relay / relayed))
         idx = min(int(loc / bin_width), n_bins - 1)
-        label = f"{idx * bin_width:.2f}"
+        label = labels.get(idx)
+        if label is None:
+            label = labels[idx] = f"{idx * bin_width:.2f}"
         hit = bins.setdefault(label, [0, 0])
         hit[0] += rec["outcome"] == "SUCCESS"
         hit[1] += 1
@@ -347,11 +350,12 @@ def rtt_accuracy(records: list[dict]) -> dict:
     returned sorted (an empirical CDF); zero-mean records are skipped."""
     out = {}
     for name, prefix in RTT_CLASSES.items():
+        mean_key, stddev_key = f"{prefix}_mean", f"{prefix}_stddev"
         ratios = []
         skipped = 0
         for rec in records:
-            mean = rec.get(f"{prefix}_mean")
-            stddev = rec.get(f"{prefix}_stddev")
+            mean = rec.get(mean_key)
+            stddev = rec.get(stddev_key)
             if mean is None or stddev is None:
                 continue
             if mean == 0.0:

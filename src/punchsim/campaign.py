@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import partial
@@ -247,7 +247,8 @@ def _build_world(population: Population, seed: int, label: str) -> tuple:
 def run_trial(population: Population, config: CampaignConfig, seed: int,
               trial: int) -> dict:
     """One independent trial in a fresh world, fully determined by
-    (population seed, campaign seed, trial index)."""
+    (population seed, campaign seed, trial index). It does not check
+    `config` again, as `run_campaign` does: perfbench times it per trial."""
     world = _build_world(population, seed, f"sim/{trial}")
     return _trial_in(world, population, config, seed, trial, shared=False)
 
@@ -334,6 +335,8 @@ def run_campaign(config: CampaignConfig, n_trials: int, seed: int,
     produce identical records (each trial is self-seeded)."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    for part in (config, config.population, config.dcutr):
+        replace(part)  # checks fields assigned after construction too
     population = generate_population(config.population)
     if config.persistent_nat:
         # Sequential trials in one shared world so NAT device state (mapping
@@ -529,14 +532,22 @@ def _heads(keys: list, indent: str) -> list:
 def _write_json(value, indent: str, out: list, memo: dict) -> None:
     """Append `value` laid out at the depth whose line break and indent
     is `indent`. Dict keys are sorted as they are, then written as
-    strings, as json does: int keys sort as ints. `memo` maps each set
-    of exact `str` keys in insertion order, with its indent, to its
-    sorted keys and their heads."""
+    strings, as json does: int keys sort as ints. json's C encoder, with
+    this depth's item separator, writes a list of more than 8 items of
+    exact leaf types; for fewer, the call costs more than the loop. `memo`
+    maps each set of exact `str` keys in insertion order, with its indent,
+    to its sorted keys and their heads."""
     if isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
         inner = indent + " "
+        if len(value) > 8 and all(map(_JSON_LEAVES.__contains__, map(type, value))):
+            # Leaves only: no cycle to catch, nothing for a default.
+            encoder = c_make_encoder(None, None, encode_basestring_ascii, None, ": ",
+                                     "," + inner, True, False, True)
+            out.append("[" + inner + "".join(encoder(value, 0))[1:-1] + indent + "]")
+            return
         sep = "[" + inner
         for item in value:
             leaf = _JSON_LEAVES.get(item.__class__)

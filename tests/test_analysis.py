@@ -189,6 +189,18 @@ class TestRelayPathLocation:
         }
         assert out["skipped"] == 1
 
+    def test_bins_whose_labels_round_alike_share_a_label(self):
+        # At width 0.004, bins 0 and 1 both print as 0.00.
+        records = [rec(outcome="SUCCESS", to_relay=0.1, relayed=100.0),   # bin 0
+                   rec(outcome="FAILED", to_relay=0.5, relayed=100.0),    # bin 1
+                   rec(outcome="SUCCESS", to_relay=0.9, relayed=100.0),   # bin 2
+                   rec(outcome="SUCCESS", to_relay=0.45, relayed=100.0)]  # bin 1
+        out = relay_path_location(records, bin_width=0.004)
+        assert out["bins"] == {
+            "0.00": {"successes": 2, "total": 3, "rate": 2 / 3},
+            "0.01": {"successes": 1, "total": 1, "rate": 1.0},
+        }
+
     def test_invalid_bin_width_rejected(self):
         with pytest.raises(ValueError):
             relay_path_location([], bin_width=0.0)

@@ -302,6 +302,33 @@ class TestCampaignRuns:
         with pytest.raises(ValueError):
             run_campaign(small_config(), n_trials=0, seed=1)
 
+    @pytest.mark.parametrize("persistent", [False, True], ids=["fresh", "persistent"])
+    @pytest.mark.parametrize("assign, field", [
+        (lambda cfg: setattr(cfg, "trial_spacing_s", -5.0), "trial_spacing_s"),
+        (lambda cfg: setattr(cfg, "population", {"n_clients": 3}), "population"),
+        (lambda cfg: setattr(cfg.population, "n_clients", 0), "n_clients"),
+        (lambda cfg: setattr(cfg.dcutr, "max_attempts", 0), "max_attempts"),
+    ], ids=["trial_spacing_s", "population", "population.n_clients",
+            "dcutr.max_attempts"])
+    def test_fields_assigned_after_construction_are_checked(self, monkeypatch,
+                                                            persistent, assign, field):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        cfg = small_config()
+        cfg.persistent_nat = persistent
+        assign(cfg)
+        monkeypatch.setattr(campaign, "_trial_in", no_trial)
+        with pytest.raises(ValueError, match=f"^{field} "):
+            run_campaign(cfg, n_trials=2, seed=1)
+
+    def test_a_valid_assignment_after_construction_runs(self):
+        cfg = small_config()
+        cfg.policy = TransportPolicy.TCP
+        cfg.dcutr.max_attempts = 1
+        records = run_campaign(cfg, n_trials=5, seed=1)
+        assert {r["protocol_filter"] for r in records} == {"TCP"}
+        assert all(len(r["attempts"]) <= 1 for r in records)
+
 
 class TestAggregation:
     def test_port_mapped_clients_filtered_out(self):
@@ -462,6 +489,43 @@ class TestExport:
             assert list(rec) == list(RECORD_FIELDS)
         assert campaign.CSV_COLUMNS == [*RECORD_FIELDS, "seed", "config_hash"]
 
+    @pytest.mark.parametrize("edit", [
+        lambda rec: rec.pop("trial"), lambda rec: rec.pop("remote"),
+        lambda rec: rec.pop("relay_addrs"),
+        lambda rec: rec.update(dict.fromkeys(RTT_FIELDS)),
+    ], ids=["no-trial", "no-remote", "no-relay_addrs", "null-rtts"])
+    def test_csv_reloads_as_the_json_round_trip(self, tmp_path, edit):
+        records = [make_record(0), make_record(1, "FAILED", relayed=41), make_record(2)]
+        for rec in records[1:]:
+            edit(rec)
+        loaded = {}
+        for suffix in ("json", "csv"):
+            path = str(tmp_path / f"results.{suffix}")
+            export_results(records, path, seed=3, config=CampaignConfig())
+            loaded[suffix] = load_results(path)
+        assert loaded["csv"][0] == loaded["json"][0] == records
+        assert loaded["csv"][1]["seed"] == loaded["json"][1]["seed"] == 3
+
+    def test_malformed_seed_in_the_first_row_only_is_malformed(self, tmp_path):
+        path = str(tmp_path / "results.csv")
+        export_results([make_record(0), make_record(1)], path, seed=7,
+                       config=CampaignConfig())
+        self.edited_csv(path, 1, "seed", "7x")
+        with pytest.raises(ValueError, match=re.escape(
+                "line 2: seed cell '7x' is malformed")):
+            load_results(path)
+
+    @pytest.mark.parametrize("row", [2, 3])
+    def test_a_later_row_with_another_seed_is_refused(self, tmp_path, row):
+        # Seed cells are compared as text, before either is decoded.
+        path = str(tmp_path / "results.csv")
+        export_results([make_record(i) for i in range(3)], path, seed=7,
+                       config=CampaignConfig())
+        self.edited_csv(path, row, "seed", "07")
+        with pytest.raises(ValueError, match=f"^line {row + 1}: seed and config_hash "
+                           "07 [0-9a-f]+ differ from the first row's 7 "):
+            load_results(path)
+
     def test_string_as_id_and_absent_fields_export_to_csv(self, tmp_path):
         rec = make_record()
         rec["as_id"] = "AS64512"
@@ -503,6 +567,23 @@ class TestExport:
         else:
             campaign.write_json(value, str(path))
             assert path.read_bytes() == expected.encode("ascii")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.recursive(
+        st.lists(TREE_LEAVES, min_size=1, max_size=20)
+        | st.lists(TREE_LEAVES, min_size=1, max_size=20).map(tuple)
+        | st.lists(TREE_LEAVES, min_size=9, max_size=20).map(Items),
+        lambda kids: st.lists(kids, max_size=3)
+        | st.dictionaries(STRINGS, kids, max_size=3), max_leaves=4))
+    # json's C encoder writes a long list of exact leaf types.
+    @example([0.5, math.nan, math.inf, -math.inf, -0.0, 1e300, True, None, 2**70, "\u00e9"])
+    @example({"a": [Level.LOW] * 9 + [Ratio(0.5)], "b": [[1] * 9, list(range(10))]})
+    def test_writer_writes_lists_of_leaves_as_json_dumps(self, tmp_path, value):
+        path = tmp_path / "value.json"
+        expected = json.dumps(value, sort_keys=True, indent=1) + "\n"
+        campaign.write_json(value, str(path))
+        assert path.read_bytes() == expected.encode("ascii")
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
