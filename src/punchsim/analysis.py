@@ -185,7 +185,8 @@ def identify_networks(records: list[dict]) -> list[dict]:
     public_ips = [_public_ips(rec) for rec in records]
     for client, indices in by_client.items():
         uf = _UnionFind()
-        context_ips: dict[tuple, list[str]] = {}
+        # (as_id, private-address set) -> its single IPs, each kept once.
+        context_ips: dict[tuple, dict[str, None]] = {}
         for i in indices:
             ips = public_ips[i]
             if not ips:
@@ -198,10 +199,11 @@ def identify_networks(records: list[dict]) -> list[dict]:
             if len(ips) == 1:
                 key = (records[i]["as_id"],
                        frozenset(records[i]["private_addrs"]))
-                context_ips.setdefault(key, []).append(ips[0])
-        for ips in context_ips.values():
-            for ip in ips[1:]:
-                uf.union(ips[0], ip)
+                context_ips.setdefault(key, {})[ips[0]] = None
+        for group in context_ips.values():
+            first, *rest = group
+            for ip in rest:
+                uf.union(first, ip)
 
         labels: dict[str, int] = {}
         for i in indices:

@@ -28,7 +28,7 @@ from .kernel import (RandomStream, Simulation, Topology, bounded, check_fields,
 from .nat import ARCHETYPE_NATS, Archetype, NatConfig
 from .net import Network
 from .relay import RelayService
-from .transport import Transport
+from .transport import QUIC, TCP, Transport
 
 CAMPAIGN_EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
 
@@ -59,6 +59,10 @@ class TransportPolicy(Enum):
     RANDOM = "random"
     TCP = "TCP"
     QUIC = "QUIC"
+
+
+# Module names for the members `_pick_filter` reads once per trial (see packets.py).
+POLICY_NONE, POLICY_RANDOM = TransportPolicy.NONE, TransportPolicy.RANDOM
 
 
 @dataclass
@@ -219,10 +223,10 @@ def _join(world: tuple, spec: PeerSpec) -> PeerRuntime:
 
 
 def _pick_filter(policy: TransportPolicy, rng: RandomStream) -> Optional[Transport]:
-    if policy is TransportPolicy.NONE:
+    if policy is POLICY_NONE:
         return None
-    if policy is TransportPolicy.RANDOM:
-        return Transport.TCP if rng.random() < 0.5 else Transport.QUIC
+    if policy is POLICY_RANDOM:
+        return TCP if rng.random() < 0.5 else QUIC
     return Transport(policy.value)
 
 

@@ -20,7 +20,8 @@ from .net import Host, Network
 from .packets import Endpoint
 from .relay import Circuit, RelayClient
 from .strategies import assign_roles, check_priming_ttl, refined_wait_time
-from .transport import MAX_RTT_SAMPLES, Port, QuicPort, TcpPort, Transport, measure_rtt
+from .transport import (MAX_RTT_SAMPLES, QUIC, TCP, Port, QuicPort, TcpPort, Transport,
+                        measure_rtt)
 
 STREAM_OPEN_BYTES = 32
 CONNECT_BYTES_BASE = 96
@@ -35,7 +36,7 @@ def _book_bytes(addrs: dict) -> int:
 
 def _preferred(filter: Optional[Transport]) -> tuple[Transport, ...]:
     """The transports to try, in order: QUIC then TCP, or only `filter`."""
-    return (Transport.QUIC, Transport.TCP) if filter is None else (filter,)
+    return (QUIC, TCP) if filter is None else (filter,)
 
 
 class OutcomeResult(Enum):
@@ -47,12 +48,21 @@ class OutcomeResult(Enum):
     SUCCESS = "SUCCESS"
 
 
+# The members as module names, as for PacketKind's (see packets.py): a
+# trial compares against them at every step.
+NO_CONNECTION, NO_STREAM, CONNECTION_REVERSED, CANCELLED, FAILED, SUCCESS = OutcomeResult
+
+
 class OutcomeAttempt(Enum):
     PROTOCOL_ERROR = "PROTOCOL_ERROR"
     CANCELLED = "CANCELLED"
     TIMEOUT = "TIMEOUT"
     FAILED = "FAILED"
     SUCCESS = "SUCCESS"
+
+
+(ATTEMPT_PROTOCOL_ERROR, ATTEMPT_CANCELLED, ATTEMPT_TIMEOUT, ATTEMPT_FAILED,
+ ATTEMPT_SUCCESS) = OutcomeAttempt
 
 
 @dataclass
@@ -116,8 +126,8 @@ class PeerRuntime:
         self.peer_id = host.id
         self.relay = RelayClient(net, host)
         # TCP binds first; port numbers follow the binding order.
-        self.ports: dict[Transport, Port] = {Transport.TCP: TcpPort(net, host),
-                                             Transport.QUIC: QuicPort(net, host)}
+        self.ports: dict[Transport, Port] = {TCP: TcpPort(net, host),
+                                             QUIC: QuicPort(net, host)}
         self.port_mapping_active = port_mapping
         # Public endpoints of its own ports, as a relay observed them.
         self.observed: dict[Transport, Endpoint] = {}
@@ -156,6 +166,9 @@ class Phase(IntEnum):
     DONE = 8
 
 
+CIRCUIT, IDENTIFY, REVERSAL, STREAM, MEASURE, ATTEMPT, DIRECT, DONE = Phase
+
+
 class HolePunch:
     """One hole-punch probe between a client (listener side) and a remote
     (initiator side), driven entirely by simulator events.
@@ -181,7 +194,7 @@ class HolePunch:
             relay_addrs=[str(ep) for ep in relay_addrs],
             port_mapping_active=client.port_mapping_active,
             started=self.sim.now)
-        self.phase = Phase.CIRCUIT
+        self.phase = CIRCUIT
         # timer name -> (last phase it covers, kernel handle)
         self._timers: dict[str, tuple[Phase, list]] = {}
         self.c_circ: Optional[Circuit] = None
@@ -198,7 +211,7 @@ class HolePunch:
 
     @property
     def done(self) -> bool:
-        return self.phase is Phase.DONE
+        return self.phase is DONE
 
     # -- phases and their timers ---------------------------------------------
 
@@ -229,7 +242,7 @@ class HolePunch:
                                       on_done=self._on_client_circuit)
 
     def _finish(self, outcome: OutcomeResult) -> None:
-        self._enter(Phase.DONE)
+        self._enter(DONE)
         self.result.outcome = outcome
         self.result.ended = self.sim.now
         self.result.listen_endpoints = [
@@ -245,15 +258,14 @@ class HolePunch:
     def cancel(self) -> None:
         """Explicit abort, e.g. at the campaign's time bound."""
         if not self.done:
-            self._abort(OutcomeAttempt.CANCELLED, OutcomeResult.CANCELLED,
-                        OutcomeResult.CANCELLED)
+            self._abort(ATTEMPT_CANCELLED, CANCELLED, CANCELLED)
 
     def _abort(self, attempt_outcome: OutcomeAttempt, in_attempt: OutcomeResult,
                otherwise: OutcomeResult) -> None:
         """End the punch now. An attempt in flight is recorded as
         `attempt_outcome`, without its relayed RTT, and the punch ends
         `in_attempt`; outside ATTEMPT it ends `otherwise`."""
-        if self.phase is not Phase.ATTEMPT:
+        if self.phase is not ATTEMPT:
             self._finish(otherwise)
             return
         self.result.attempts.append(HolePunchAttempt(self._attempt, attempt_outcome))
@@ -262,20 +274,20 @@ class HolePunch:
     # -- circuit establishment -------------------------------------------------
 
     def _on_client_circuit(self, circuit: Optional[Circuit]) -> None:
-        if self.phase is not Phase.CIRCUIT:
+        if self.phase is not CIRCUIT:
             # The punch ended first; free the relay's slot.
             if circuit is not None:
                 circuit.close()
             return
         if circuit is None:
-            self._finish(OutcomeResult.NO_CONNECTION)
+            self._finish(NO_CONNECTION)
             return
-        self._enter(Phase.IDENTIFY)
+        self._enter(IDENTIFY)
         self.c_circ = circuit
         circuit.on_message = self._client_message
         circuit.on_closed = self._on_circuit_closed
         self._arm("stream", self._stream_deadline, self.cfg.stream_timeout_ms,
-                  last=Phase.STREAM)
+                  last=STREAM)
         self._observe_and_identify(self.client, circuit)
 
     def _on_remote_circuit(self, circuit: Circuit) -> None:
@@ -297,16 +309,15 @@ class HolePunch:
             self._remote_message(tag, size)
 
     def _on_circuit_closed(self, reason: str) -> None:
-        self._abort(OutcomeAttempt.PROTOCOL_ERROR, OutcomeResult.FAILED,
-                    OutcomeResult.NO_STREAM)
+        self._abort(ATTEMPT_PROTOCOL_ERROR, FAILED, NO_STREAM)
 
     def _stream_deadline(self) -> None:
         """No stream-ack reached the initiator in time. A reversal dial
         that landed at the listener still counts as reversed."""
         if self._client_direct is not None:
-            self._finish(OutcomeResult.CONNECTION_REVERSED)
+            self._finish(CONNECTION_REVERSED)
         else:
-            self._finish(OutcomeResult.NO_STREAM)
+            self._finish(NO_STREAM)
 
     # -- identify --------------------------------------------------------------
 
@@ -350,15 +361,15 @@ class HolePunch:
         target = self._client_addrs[transport]
 
         def on_dial(res) -> None:
-            if self.phase is not Phase.REVERSAL:
+            if self.phase is not REVERSAL:
                 return
             if res.established:
                 self.result.direct_endpoints_used = [str(target)]
-                self._finish(OutcomeResult.CONNECTION_REVERSED)
+                self._finish(CONNECTION_REVERSED)
             else:
                 self._open_stream()
 
-        self._enter(Phase.REVERSAL)
+        self._enter(REVERSAL)
         self.remote.ports[transport].dial(target, self.cfg.reversal_deadline_ms, on_dial)
 
     # -- stream open and measurements ---------------------------------------------
@@ -368,7 +379,7 @@ class HolePunch:
         circuit.send(tag, size)
 
     def _open_stream(self) -> None:
-        self._enter(Phase.STREAM)
+        self._enter(STREAM)
         self._send_control("initiator", self.r_circ, ("stream-open",), STREAM_OPEN_BYTES)
 
     def _client_message(self, tag: tuple, size: int) -> None:
@@ -407,19 +418,19 @@ class HolePunch:
             self._on_connect_reply(tag[2], tag[3])
 
     def _measure_then_punch(self) -> None:
-        self._enter(Phase.MEASURE)
+        self._enter(MEASURE)
         if not self.cfg.measure_rtts:
             self._start_attempt(1)
             return
 
         def got_to_relay(rtt) -> None:
-            if self.phase is Phase.MEASURE:
+            if self.phase is MEASURE:
                 self.result.rtt_to_relay = rtt
                 self.client.relay.circuit_ping(self.c_circ, self.cfg.rtt_samples,
                                                got_relayed)
 
         def got_relayed(rtt) -> None:
-            if self.phase is Phase.MEASURE:
+            if self.phase is MEASURE:
                 self.result.rtt_relayed = rtt
                 self._start_attempt(1)
 
@@ -438,10 +449,10 @@ class HolePunch:
     def _is_current(self, index: int) -> bool:
         """Whether a message about attempt `index` is for the attempt in
         flight; one sent for an earlier attempt may arrive late."""
-        return self.phase is Phase.ATTEMPT and index == self._attempt
+        return self.phase is ATTEMPT and index == self._attempt
 
     def _start_attempt(self, index: int) -> None:
-        self._enter(Phase.ATTEMPT)
+        self._enter(ATTEMPT)
         self._attempt = index
         self._attempt_started = self.sim.now
         self._attempt_rtt = None
@@ -465,14 +476,13 @@ class HolePunch:
             self._prime("initiator", until=self.sim.now + wait)
         # The initiator dials at its instant even if the listener's dial
         # already won the attempt.
-        self._arm("act", lambda: self._act("initiator"), wait, last=Phase.DIRECT)
+        self._arm("act", lambda: self._act("initiator"), wait, last=DIRECT)
         self._arm("attempt", self._attempt_expired, wait + self.cfg.attempt_deadline_ms)
 
     def _attempt_expired(self) -> None:
         """The attempt timer: TIMEOUT while no connect-reply came back,
         FAILED once the dials had their time."""
-        self._end_attempt(OutcomeAttempt.TIMEOUT if self._attempt_rtt is None
-                          else OutcomeAttempt.FAILED)
+        self._end_attempt(ATTEMPT_TIMEOUT if self._attempt_rtt is None else ATTEMPT_FAILED)
 
     def _side(self, side: str) -> tuple[PeerRuntime, dict[Transport, Endpoint]]:
         """One side's runtime and the addresses it holds for its peer."""
@@ -491,7 +501,7 @@ class HolePunch:
         roles = ("listener", "initiator")  # (QUIC client, QUIC server)
         if self.cfg.alternate_roles:
             roles = assign_roles(self._attempt, roles)
-        if transport is Transport.TCP or side == roles[0]:
+        if transport is TCP or side == roles[0]:
             port.dial(target, self.cfg.attempt_deadline_ms)
         else:  # the QUIC server primes its NAT
             port.prime(target, count=self.cfg.dummy_count, ttl=64)
@@ -503,10 +513,10 @@ class HolePunch:
         rtt = (self._attempt_rtt, 0.0) if self._attempt_rtt is not None else None
         self.result.attempts.append(
             HolePunchAttempt(self._attempt, outcome, rtt, transport))
-        if outcome is OutcomeAttempt.SUCCESS:
+        if outcome is ATTEMPT_SUCCESS:
             self._after_success()
         elif self._attempt >= self.cfg.max_attempts:
-            self._finish(OutcomeResult.FAILED)
+            self._finish(FAILED)
         else:
             self._start_attempt(self._attempt + 1)
 
@@ -521,7 +531,7 @@ class HolePunch:
     def _on_established(self, runtime: PeerRuntime, port_obj,
                         transport: Transport, remote_ep: Endpoint) -> None:
         if runtime is self.client:
-            if self.phase is Phase.DIRECT:
+            if self.phase is DIRECT:
                 if self._client_direct is None:  # in the grace window
                     self._client_direct = (port_obj.local, remote_ep, transport)
                     self._disarm("grace")
@@ -530,22 +540,22 @@ class HolePunch:
             self._client_direct = (port_obj.local, remote_ep, transport)
         # Before the attempts this is a reversal dial landing, which the
         # stream deadline reads; after a success the attempt is settled.
-        if self.phase is not Phase.ATTEMPT:
+        if self.phase is not ATTEMPT:
             return
         if not self.result.direct_endpoints_used:
             self.result.direct_endpoints_used = [str(remote_ep)]
-        self._end_attempt(OutcomeAttempt.SUCCESS, transport)
+        self._end_attempt(ATTEMPT_SUCCESS, transport)
 
     def _after_success(self) -> None:
-        self._enter(Phase.DIRECT)
+        self._enter(DIRECT)
         self._release_circuits()
         if not self.cfg.measure_rtts:
-            self._finish(OutcomeResult.SUCCESS)
+            self._finish(SUCCESS)
         elif self._client_direct is None:
             # One side established first; the other's handshake packet is
             # still in flight. Give it a grace window before giving up on
             # the direct-path measurement.
-            self._arm("grace", lambda: self._finish(OutcomeResult.SUCCESS), 2_000.0)
+            self._arm("grace", lambda: self._finish(SUCCESS), 2_000.0)
         else:
             self._measure_direct()
 
@@ -562,9 +572,9 @@ class HolePunch:
         local, remote_ep, _ = self._client_direct
 
         def got_direct(rtt) -> None:
-            if self.phase is Phase.DIRECT:
+            if self.phase is DIRECT:
                 self.result.rtt_direct_after = rtt
-                self._finish(OutcomeResult.SUCCESS)
+                self._finish(SUCCESS)
 
         measure_rtt(self.net, self.client.host, local.port, remote_ep,
                     samples=self.cfg.rtt_samples, on_done=got_direct)
@@ -575,12 +585,12 @@ class HolePunch:
         """One low-TTL dummy toward the peer's QUIC address, repeated every
         `priming_interval_ms` until `until`."""
         runtime, peer_addrs = self._side(side)
-        target = peer_addrs.get(Transport.QUIC)
+        target = peer_addrs.get(QUIC)
         if target is None or self.sim.now > until:
             return
         owner = self.net.owner(target.host)
         check_priming_ttl(self.net.topology, runtime.host.id,
                           owner.id if owner else target.host, self.cfg.priming_ttl)
-        runtime.ports[Transport.QUIC].prime(target, count=1, ttl=self.cfg.priming_ttl)
+        runtime.ports[QUIC].prime(target, count=1, ttl=self.cfg.priming_ttl)
         self._arm("prime-" + side, lambda: self._prime(side, until),
-                  self.cfg.priming_interval_ms, last=Phase.DIRECT)
+                  self.cfg.priming_interval_ms, last=DIRECT)

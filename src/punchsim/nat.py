@@ -5,6 +5,17 @@ endpoint-dependent mapping, the three filtering levels, port allocation
 policies, idle expiry of mappings, and two pathologies observed on real
 gateways: denylisting of sources whose inbound traffic precedes any
 outbound packet, and RST rejection of unsolicited TCP.
+
+The data path is `NatState.process_outbound` and `process_inbound`. Each
+runs its common case inline: a RANDOM port for a new mapping while the
+table is smaller than the port range, and the drop of an unsolicited
+packet under a config that neither denylists nor answers with a RST;
+`_alloc_port` and `_note_unsolicited` keep the other cases. Both read the
+config on every call, since a `NatConfig` may change. The benchmark's
+tracer (perfbench/tracer.py) sees the NAT only through calls, so a fast
+path must keep them: every passage goes through one of the two methods,
+every port draw through a `RandomStream` method, and every copy through
+`Packet.readdressed`.
 """
 
 from __future__ import annotations
@@ -169,11 +180,14 @@ class NatState:
         for m in [m for m in self._by_port.values() if self._expired(m, now)]:
             self._drop_mapping(m)
 
-    def _alloc_port(self, internal: Endpoint, now: float) -> int:
+    def _alloc_port(self, internal: Endpoint, lo: int, hi: int, now: float) -> Optional[int]:
+        """The port PRESERVE or SEQUENTIAL picks, or None when the port is
+        drawn at random (RANDOM, and PRESERVE's fallback), as
+        `process_outbound` does. A table as large as the range first
+        gives back its expired mappings, and raises if none is free."""
         policy = self.config.port_alloc
         if policy is PRESERVE and internal.port not in self._by_port:
             return internal.port
-        lo, hi = self.config.port_range
         if len(self._by_port) > hi - lo:
             # Only a table at least as large as the range can have used it
             # up; expired mappings give their ports back first.
@@ -186,13 +200,7 @@ class NatState:
                 port = lo if port >= hi else port + 1
             self.next_sequential_port = lo if port >= hi else port + 1
             return port
-        # RANDOM, and the PRESERVE fallback
-        randint = self.rng.randint
-        by_port = self._by_port
-        port = randint(lo, hi)
-        while port in by_port:
-            port = randint(lo, hi)
-        return port
+        return None
 
     def session_count(self) -> int:
         """Dynamic mappings in the table, in O(1). Expiry is lazy, so this
@@ -252,10 +260,19 @@ class NatState:
                     self._drop_expired(now)
                     if self._sessions >= config.max_sessions:
                         raise SessionTableFull(str(src))
-                port = self._alloc_port(src, now)
+                lo, hi = config.port_range
+                by_port = self._by_port
+                port = None
+                if config.port_alloc is not RANDOM or len(by_port) > hi - lo:
+                    port = self._alloc_port(src, lo, hi, now)
+                if port is None:
+                    rng = self.rng
+                    port = rng.randint(lo, hi)
+                    while port in by_port:
+                        port = rng.randint(lo, hi)
                 # NatConfig checked the range the port comes from.
                 external = unchecked_endpoint((self.public_host, port))
-                self._by_key[key] = self._by_port[port] = NatMapping(
+                self._by_key[key] = by_port[port] = NatMapping(
                     src, external, key, {dst: now}, now, now)
                 self._sessions += 1
                 return pkt.readdressed(external, dst)
@@ -267,6 +284,8 @@ class NatState:
         return pkt.readdressed(m.external, dst)
 
     def _note_unsolicited(self, pkt: Packet, now: float) -> InboundAction:
+        """The side effects of an unsolicited packet that a config turns
+        on: denylisting its source, answering TCP with a RST."""
         cfg = self.config
         if cfg.denylist_on_unsolicited:
             self.denylist[pkt.src.host] = now + cfg.denylist_duration
@@ -294,19 +313,18 @@ class NatState:
                 m = None
             elif m.created > now:
                 m = None
+            elif not m.static:
+                filt = self.config.filtering
+                if filt is not EIF:
+                    since = (m.contacted.get(pkt.src) if filt is APDF
+                             else m.contacted_host_since(pkt.src.host))
+                    if since is None or since > now:
+                        m = None
         if m is None:
-            return self._note_unsolicited(pkt, now), None
-
-        if not m.static:
-            filt = self.config.filtering
-            if filt is ADF:
-                since = m.contacted_host_since(pkt.src.host)
-                if since is None or since > now:
-                    return self._note_unsolicited(pkt, now), None
-            if filt is APDF:
-                since = m.contacted.get(pkt.src)
-                if since is None or since > now:
-                    return self._note_unsolicited(pkt, now), None
+            cfg = self.config
+            if cfg.denylist_on_unsolicited or cfg.rst_on_unsolicited_tcp:
+                return self._note_unsolicited(pkt, now), None
+            return DROP, None
 
         if now > m.last_activity:
             m.last_activity = now

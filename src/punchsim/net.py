@@ -14,6 +14,14 @@ host's `replies` table; the reply's tag is (one of `REPLY_KINDS`, token,
 ...). `Host.serve` hands it the reply, whether that reached a bound port
 or came through a circuit, and cancels the request's timeout.
 `serve` also answers ("ping", token) with ("pong", token) on either carrier.
+
+The benchmark's tracer (perfbench/tracer.py) sees this layer only through
+calls, so a fast path here must keep them: every event goes through
+`Simulation.schedule` as a punchsim lambda or bound method, every latency
+or loss draw through a `RandomStream` method, every packet a host builds
+through `Packet.__post_init__`, every send through `Network.send`, and
+every delivery through `Host._dispatch`. `tests/test_hook_counts.py`
+pins how often each is called.
 """
 
 from __future__ import annotations
@@ -109,8 +117,10 @@ class Host:
 
     def _dispatch(self, pkt: Packet) -> None:
         handler = self.handlers.get(pkt.dst.port)
-        if handler is not None and not self.serve(pkt.tag, self._answer, pkt):
-            handler(pkt)
+        if handler is not None:
+            tag = pkt.tag
+            if type(tag) is not tuple or not self.serve(tag, self._answer, pkt):
+                handler(pkt)
 
     def _answer(self, tag: tuple, request: Packet) -> None:
         self.datagram(request.dst, request.src, tag, request.size_bytes)
@@ -175,7 +185,9 @@ class Network:
         if receiver is None:
             return
         topo = self.topology
-        mean, stddev, hops = topo.route(from_host, receiver.id)
+        # Topology.route's cache, read here without its call frame.
+        mean, stddev, hops = (topo._routes.get((from_host, receiver.id))
+                              or topo.route(from_host, receiver.id))
         if pkt.ttl < hops:
             self.dropped_in_core += 1
             return

@@ -47,9 +47,9 @@ class Circuit:
         """Send a payload through the relay; False once the circuit closed."""
         if not self.open:
             return False
-        return self.client._send_control(self.relay_ep,
-                                         ("circ", self.cid, tag),
-                                         size_bytes + CIRCUIT_HEADER_BYTES)
+        client = self.client
+        return client.host.datagram(client.endpoint, self.relay_ep, ("circ", self.cid, tag),
+                                    size_bytes + CIRCUIT_HEADER_BYTES)
 
     def close(self) -> None:
         if self.open:
@@ -99,40 +99,9 @@ class RelayService:
         tag = pkt.tag
         if not isinstance(tag, tuple):
             return
-        now = self.net.sim.now
-        if tag[0] == "obs":
-            self._send(pkt.src, ("obsr", tag[1], pkt.src))
-        elif tag[0] == "rsv-req":
-            token, peer_id = tag[1], tag[2]
-            if self._live_reservations() >= self.capacity and peer_id not in self.reservations:
-                self._send(pkt.src, ("rsv-refused", token))
-                return
-            expires = now + DEFAULT_RESERVATION_MS
-            rsv = self.reservations.get(peer_id)
-            if rsv is None:
-                self.reservations[peer_id] = Reservation(pkt.src, expires)
-            else:
-                # Refreshed in place: its open circuits count against it.
-                rsv.client_endpoint, rsv.expires = pkt.src, expires
-            self._send(pkt.src, ("rsv-ok", token, expires))
-        elif tag[0] == "conn-req":
-            token, listener_id, dialer_id = tag[1], tag[2], tag[3]
-            rsv = self.reservations.get(listener_id)
-            if rsv is None or rsv.expires <= now or rsv.active_conns >= self.relayed_conn_limit:
-                self._send(pkt.src, ("conn-refused", token))
-                return
-            cid = self._next_cid
-            self._next_cid += 1
-            rsv.active_conns += 1
-            self._circuits[cid] = {
-                "sides": {pkt.src: rsv.client_endpoint,
-                          rsv.client_endpoint: pkt.src},
-                "used": {pkt.src: 0, rsv.client_endpoint: 0},
-                "rsv": rsv,
-            }
-            self._send(pkt.src, ("conn-ok", token, cid))
-            self._send(rsv.client_endpoint, ("conn-in", cid, dialer_id))
-        elif tag[0] == "circ":
+        kind = tag[0]
+        # Circuit payloads first: they are most of a relay's traffic.
+        if kind == "circ":
             cid, payload = tag[1], tag[2]
             circ = self._circuits.get(cid)
             if circ is None:
@@ -146,7 +115,40 @@ class RelayService:
                 self._close_circuit(cid, "budget-exhausted")
                 return
             self._send(other, ("circ", cid, payload), pkt.size_bytes)
-        elif tag[0] == "circ-close":
+        elif kind == "obs":
+            self._send(pkt.src, ("obsr", tag[1], pkt.src))
+        elif kind == "rsv-req":
+            token, peer_id = tag[1], tag[2]
+            if self._live_reservations() >= self.capacity and peer_id not in self.reservations:
+                self._send(pkt.src, ("rsv-refused", token))
+                return
+            expires = self.net.sim.now + DEFAULT_RESERVATION_MS
+            rsv = self.reservations.get(peer_id)
+            if rsv is None:
+                self.reservations[peer_id] = Reservation(pkt.src, expires)
+            else:
+                # Refreshed in place: its open circuits count against it.
+                rsv.client_endpoint, rsv.expires = pkt.src, expires
+            self._send(pkt.src, ("rsv-ok", token, expires))
+        elif kind == "conn-req":
+            token, listener_id, dialer_id = tag[1], tag[2], tag[3]
+            rsv = self.reservations.get(listener_id)
+            if (rsv is None or rsv.expires <= self.net.sim.now
+                    or rsv.active_conns >= self.relayed_conn_limit):
+                self._send(pkt.src, ("conn-refused", token))
+                return
+            cid = self._next_cid
+            self._next_cid += 1
+            rsv.active_conns += 1
+            self._circuits[cid] = {
+                "sides": {pkt.src: rsv.client_endpoint,
+                          rsv.client_endpoint: pkt.src},
+                "used": {pkt.src: 0, rsv.client_endpoint: 0},
+                "rsv": rsv,
+            }
+            self._send(pkt.src, ("conn-ok", token, cid))
+            self._send(rsv.client_endpoint, ("conn-in", cid, dialer_id))
+        elif kind == "circ-close":
             self._close_circuit(tag[1], "closed", notify=pkt.src)
 
     def _close_circuit(self, cid: int, reason: str,

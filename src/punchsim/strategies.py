@@ -5,7 +5,7 @@ retries, and low-TTL NAT priming."""
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING, dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -54,6 +54,7 @@ def birthday_probability(plan: BirthdayPlan) -> float:
     specific source/destination port pair, independent with probability
     1/S^2 under the uniform-allocation model.
     """
+    replace(plan)  # checks fields assigned after construction too
     s, m, k = plan.port_space, plan.m_open, plan.k_probe
     if plan.scenario is EDM_VS_EIM:
         if k > s - m:
@@ -136,6 +137,9 @@ def birthday_punch(plan: BirthdayPlan, edm_nat: NatState, edm_host: str,
     In the both-EDM scenario the EDM side must guess the peer's mapped
     port, so each opening targets a uniformly random port, and the probes
     themselves leave through the prober's own endpoint-dependent NAT.
+
+    The plan is not checked again here, once per punch, as `run_trial`
+    does not check its config; `birthday_monte_carlo` checks it once.
     """
     lo, hi = edm_nat.config.port_range
     if hi - lo + 1 != plan.port_space:
@@ -196,6 +200,7 @@ def birthday_monte_carlo(plan: BirthdayPlan, nat_config: NatConfig, seed: int,
     ``workers`` processes (`kernel.run_strided`, the pool `run_campaign`
     uses) return the same verdicts as one.
     """
+    replace(plan)  # checks fields assigned after construction too
     if plan.scenario is not EDM_VS_EIM:
         raise ValueError("the Monte Carlo punches the mixed scenario only")
     return run_strided(_monte_carlo_punches, (plan, nat_config, seed), n, workers)

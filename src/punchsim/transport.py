@@ -30,6 +30,10 @@ class Transport(Enum):
     QUIC = "QUIC"
 
 
+# Module names for the members, as for PacketKind's (see packets.py).
+TCP, QUIC = Transport
+
+
 @dataclass
 class DialResult:
     established: bool
@@ -89,7 +93,7 @@ class Port:
                                                   self.RETRANSMIT_MS)
 
     def _send(self, remote: Endpoint, kind: PacketKind, size: int) -> None:
-        self.host.send(Packet(self.local, remote, kind, DEFAULT_TTL, size))
+        self.net.send(self.host.id, Packet(self.local, remote, kind, DEFAULT_TTL, size))
 
     def _settle(self, conn: _Conn, result: DialResult) -> None:
         """End an open connection; callers check that it is open."""

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from punchsim.analysis import (MULTI_NETWORK, ZERO_PUBLIC, MalformedRecord,
-                               analyze, apply_success_filters, cdf_at,
+                               _UnionFind, analyze, apply_success_filters, cdf_at,
                                identify_networks, latency_ratio_cdf,
                                relay_path_location, rtt_accuracy,
                                success_rate_series, validate_records)
@@ -73,6 +73,19 @@ class TestIdentifyNetworks:
                             ("192.168.0.7", "3.3.3.3"), ("192.168.0.7", "1.1.1.1"),
                             ("172.16.0.1", "2.2.2.2")]])
         assert {r["network"] for r in out} == {"c1/net-0"}
+
+    def test_repeated_ips_of_one_lan_make_one_union(self, monkeypatch):
+        # Seen 6 times on IP 1, then twice on IP 2, behind the same LAN:
+        # one network, and each IP of the LAN is joined to the first once.
+        unions = []
+        inner = _UnionFind.union
+        monkeypatch.setattr(_UnionFind, "union",
+                            lambda uf, a, b: unions.append((a, b)) or inner(uf, a, b))
+        out = identify_networks([
+            rec(ips=(ip,), ts=f"2026-01-0{day}T00:00:00+00:00")
+            for day, ip in enumerate(["1.1.1.1"] * 6 + ["2.2.2.2"] * 2, start=1)])
+        assert {r["network"] for r in out} == {"c1/net-0"}
+        assert unions == [("1.1.1.1", "2.2.2.2")]
 
     def test_zero_public_label(self):
         out = identify_networks([rec(ips=())])

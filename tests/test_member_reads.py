@@ -11,7 +11,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 
-from punchsim import nat, net, packets, strategies, transport
+from punchsim import campaign, dcutr, nat, net, packets, strategies, transport
 from punchsim.campaign import CampaignConfig, PopulationSpec, TransportPolicy, run_campaign
 from punchsim.kernel import RandomStream, Simulation, Topology
 from punchsim.nat import InboundAction, NatConfig, NatState
@@ -32,6 +32,14 @@ DATA_PATH = {
     strategies.birthday_punch,
 }
 DATA_PATH_CODE = {fn.__code__ for fn in DATA_PATH}
+# Functions that run several times per trial.
+PER_TRIAL = {
+    dcutr._preferred, vars(dcutr.HolePunch)["done"].fget, dcutr.PeerRuntime.__init__,
+    dcutr.HolePunch._on_client_circuit, dcutr.HolePunch._is_current,
+    dcutr.HolePunch._act, dcutr.HolePunch._on_established,
+    campaign._pick_filter,
+}
+PER_TRIAL_CODE = {fn.__code__ for fn in PER_TRIAL}
 
 
 def name_of(code) -> str:
@@ -63,8 +71,12 @@ def member_reads():
             meta.__getattribute__ = own
 
 
+def reads_in(codes: set, reads: Counter) -> dict:
+    return {name_of(code): n for code, n in reads.items() if code in codes}
+
+
 def data_path_reads(reads: Counter) -> dict:
-    return {name_of(code): n for code, n in reads.items() if code in DATA_PATH_CODE}
+    return reads_in(DATA_PATH_CODE, reads)
 
 
 def test_the_counter_sees_a_member_read():
@@ -107,3 +119,15 @@ def test_a_punch_reads_as_many_members_at_any_size():
     small, large = punch_reads(16), punch_reads(256)
     assert data_path_reads(large) == {}
     assert sum(large.values()) == sum(small.values())
+
+
+def test_a_trial_reads_no_member_in_its_per_trial_functions():
+    # Each transport filter policy, so `_pick_filter` takes every branch.
+    with member_reads() as reads:
+        for policy in TransportPolicy:
+            config = CampaignConfig(
+                population=PopulationSpec(n_clients=6, n_remotes=6, jitter=0.5,
+                                          port_mapping_prevalence=0.2, seed=3),
+                policy=policy)
+            run_campaign(config, n_trials=12, seed=7)
+    assert reads_in(PER_TRIAL_CODE, reads) == {}

@@ -105,6 +105,18 @@ class TestCircuits:
         assert got_b == [(("hello",), 100)]
         assert got_a == [(("world",), 50)]
 
+    def test_a_payload_that_is_not_a_tuple_reaches_the_application(self):
+        """`Host.serve` answers pings and replies, which are tuples; any
+        other payload is the application's, as on a bound port."""
+        net, services, alice, bob = build_world()
+        a_circ, incoming = open_circuit(net, alice, bob, services)
+        got = []
+        incoming[0].on_message = lambda tag, size: got.append((tag, size))
+        a_circ.send("raw", 10)
+        a_circ.send(7, 20)
+        net.sim.run(until=net.sim.now + 2_000)
+        assert got == [("raw", 10), (7, 20)]
+
     def test_circuit_close_resets_other_side(self):
         net, services, alice, bob = build_world()
         a_circ, incoming = open_circuit(net, alice, bob, services)

@@ -60,6 +60,17 @@ class TestBirthdayOracle:
         with pytest.raises(ValueError, match=f"^{field} "):
             BirthdayPlan(**{"m_open": 1, "k_probe": 1, field: value})
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("k_probe", 0, "^k_probe "), ("m_open", 70_000, "exceeds port_space")])
+    def test_a_plan_assigned_after_construction_is_checked(self, field, value, match):
+        # Unchecked, these gave -0.0 and 1.0.
+        plan = BirthdayPlan(m_open=4, k_probe=4)
+        setattr(plan, field, value)
+        with pytest.raises(ValueError, match=match):
+            birthday_probability(plan)
+        with pytest.raises(ValueError, match=match):
+            birthday_monte_carlo(plan, EDM, 1, 1)
+
     def test_plan_may_open_or_probe_the_whole_space(self):
         BirthdayPlan(m_open=256, k_probe=256, port_space=256)
         with pytest.raises(ValueError, match="exceeds port_space 256"):
@@ -158,7 +169,7 @@ class TestBirthdayMonteCarlo:
 def sampled_punch_hits(seed, i, m, k, lo=0, hi=65_535):
     """A second oracle for the mixed scenario that builds no NAT: m
     distinct mapped ports, drawn from punch i's NAT stream as
-    `NatState._alloc_port` draws them (redrawing a taken port), meet k
+    `NatState.process_outbound` draws them (redrawing a taken port), meet k
     distinct probes, drawn from its probe stream as `birthday_punch` draws
     them."""
     nat_rng = RandomStream(seed, f"nat/{i}")
