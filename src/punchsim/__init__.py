@@ -18,7 +18,7 @@ from .campaign import (
     load_results,
     run_campaign,
 )
-from . import analysis
+from . import analysis, results
 
 __all__ = [
     "RandomStream", "Simulation", "Topology", "derive_seed",
@@ -29,5 +29,5 @@ __all__ = [
     "BirthdayPlan", "BirthdayScenario", "birthday_probability", "birthday_punch",
     "CampaignConfig", "CampaignReport", "PopulationSpec", "TransportPolicy",
     "aggregate", "export_results", "load_results", "run_campaign",
-    "analysis",
+    "analysis", "results",
 ]

@@ -3,135 +3,20 @@ identification, filtered success-rate time series with a trend line,
 relay-path-location binning, RTT measurement accuracy, and the
 direct-vs-relayed latency ratio distribution.
 
-Input records follow the results-file schema, `RECORD_FIELDS`; files
-produced elsewhere can be converted to it externally.
+Input records follow the results-file schema, `results.RECORD_FIELDS`;
+files produced elsewhere can be converted to it externally.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from datetime import datetime
 from typing import Optional
 
-OUTCOMES = {"UNKNOWN", "NO_CONNECTION", "NO_STREAM", "CONNECTION_REVERSED",
-            "CANCELLED", "FAILED", "SUCCESS"}
+from .results import RTT_CLASSES, validate_records
+
 ZERO_PUBLIC = "zero-public"
 MULTI_NETWORK = "multi-network"
-
-RTT_CLASSES = {"to_relay": "rtt_to_relay", "via_relay": "rtt_relayed",
-               "direct_after": "rtt_direct_after"}
-RTT_FIELDS = tuple(f"{prefix}_{stat}" for prefix in RTT_CLASSES.values()
-                   for stat in ("mean", "stddev"))
-
-# The results-file record schema, in CSV column order: per field, its
-# presence rule, its CSV cell kind (text, json, int, bool or number) and
-# its type rule, which `_type_error` checks. A required field is in every
-# record; an optional or a nullable one may be left out, and its empty CSV
-# cell reads as absent, or as null for a nullable one. No other key is
-# allowed.
-REQUIRED, OPTIONAL, NULLABLE = "required", "optional", "nullable"
-RECORD_FIELDS = {
-    "trial": (OPTIONAL, "int", "integer"),
-    "timestamp": (REQUIRED, "text", "string"),
-    "client": (REQUIRED, "text", "string"),
-    "remote": (OPTIONAL, "text", "string"),
-    "as_id": (REQUIRED, "json", "id"),
-    "private_addrs": (REQUIRED, "json", "strings"),
-    "public_endpoints": (REQUIRED, "json", "endpoints"),
-    "port_mapping_active": (REQUIRED, "bool", "boolean"),
-    "protocol_filter": (NULLABLE, "text", "transport"),
-    "outcome": (REQUIRED, "text", "string"),
-    "attempts": (REQUIRED, "json", "list"),
-    **dict.fromkeys(RTT_FIELDS, (NULLABLE, "number", "number")),
-    "relay_addrs": (OPTIONAL, "json", "list"),
-}
-_REQUIRED = tuple(k for k, (presence, _, _) in RECORD_FIELDS.items() if presence == REQUIRED)
-_KNOWN = frozenset(RECORD_FIELDS)
-# The fields under each type rule, in column order.
-_RULES = {rule: tuple(k for k, (_, _, r) in RECORD_FIELDS.items() if r == rule)
-          for _, _, rule in RECORD_FIELDS.values()}
-_LISTS = _RULES["list"] + _RULES["strings"] + _RULES["endpoints"]
-_FLOAT_MAX = sys.float_info.max  # a larger int RTT overflows a division
-
-
-class MalformedRecord(ValueError):
-    """An input record failed validation; carries its position."""
-
-    def __init__(self, index: int, reason: str):
-        super().__init__(f"record {index}: {reason}")
-        self.index = index
-        self.reason = reason
-
-
-def _type_error(rec: dict) -> Optional[str]:
-    """Why a record's fields break their type rules in `RECORD_FIELDS`,
-    or None. Absent optional fields pass; only the transport and number
-    rules take null."""
-    for key in _RULES["string"]:
-        value = rec.get(key, "absent")
-        if not isinstance(value, str):
-            return f"{key} must be a string"
-        if not value:  # its empty CSV cell would read back as absent
-            return f"{key} must not be empty"
-    for key in _RULES["integer"]:
-        if type(rec.get(key, 0)) is not int:  # a bool is not a trial index
-            return f"{key} must be an integer"
-    for key in _RULES["transport"]:
-        if rec.get(key) not in (None, "TCP", "QUIC"):
-            return f"{key} must be TCP, QUIC or null"
-    for key in _RULES["boolean"]:
-        if not isinstance(rec.get(key, False), bool):
-            return f"{key} must be a boolean"
-    for key in _RULES["id"]:
-        if not isinstance(rec.get(key, 0), (int, str)):
-            return f"{key} must be an integer or a string"
-    for key in _LISTS:
-        if not isinstance(rec.get(key, []), list):
-            return f"{key} must be a list"
-    for key in _RULES["strings"]:
-        for entry in rec.get(key, ()):
-            if not isinstance(entry, str):
-                return f"{key} entries must be strings"
-    for key in _RULES["endpoints"]:
-        for entry in rec.get(key, ()):
-            if not (isinstance(entry, str)
-                    or (isinstance(entry, (list, tuple)) and len(entry) == 2
-                        and isinstance(entry[0], str) and isinstance(entry[1], str))):
-                return f"{key} entries must be strings or [str, str] pairs"
-    for key in _RULES["number"]:
-        value = rec.get(key)
-        if value is not None and not (type(value) in (int, float)
-                                      and -_FLOAT_MAX <= value <= _FLOAT_MAX):
-            return f"{key} must be a number (finite) or null"
-    return None
-
-
-def validate_records(records: list[dict]) -> None:
-    """Check each record against `RECORD_FIELDS`: required fields present,
-    no other key, every type rule kept, a known outcome and an ISO 8601
-    timestamp. Raises `MalformedRecord` at the first record that fails."""
-    if not isinstance(records, list):
-        raise MalformedRecord(0, "records must be a list")
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise MalformedRecord(i, "not an object")
-        for key in _REQUIRED:
-            if key not in rec:
-                raise MalformedRecord(i, f"missing field {key!r}")
-        if not _KNOWN.issuperset(rec):
-            # repr, not sorting: a long CSV row files its extra cells under None.
-            unknown = ", ".join(repr(key) for key in rec if key not in _KNOWN)
-            raise MalformedRecord(i, f"fields outside the record schema: {unknown}")
-        reason = _type_error(rec)
-        if reason is not None:
-            raise MalformedRecord(i, reason)
-        if rec["outcome"] not in OUTCOMES:
-            raise MalformedRecord(i, f"unknown outcome {rec['outcome']!r}")
-        try:
-            datetime.fromisoformat(rec["timestamp"])
-        except (TypeError, ValueError):
-            raise MalformedRecord(i, "timestamp not parseable") from None
 
 
 def _public_ips(rec: dict) -> list[str]:

@@ -1,33 +1,29 @@
 """Measurement campaign harness: population generation, batched trial
-execution, aggregation, and result export.
+execution, aggregation, and the results files of a campaign: the format a
+path takes, and the seed and config they carry. `results` holds the format.
 
 Each trial pairs one client (the dialer of the relayed connection, which
 makes it the hole-punch listener) with one private remote peer reachable
 only through relays, runs the coordinator, and flattens the outcome into
-a plain record suitable for JSON/CSV export and downstream analysis.
-"""
+a record of `results.RECORD_FIELDS`."""
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from functools import partial
-from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import countOf
 from typing import Optional
 
-from .analysis import (NULLABLE, RECORD_FIELDS, apply_success_filters,
-                       latency_ratios, relay_path_bins, validate_records)
+from .analysis import apply_success_filters, latency_ratios, relay_path_bins
 from .dcutr import DcutrConfig, HolePunch, HolePunchResult, PeerRuntime
 from .kernel import (RandomStream, Simulation, Topology, bounded, check_fields,
                      check_number, derive_seed, run_strided)
 from .nat import ARCHETYPE_NATS, Archetype, NatConfig
 from .net import Network
 from .relay import RelayService
+from .results import read_csv, validate_records, write_csv, write_json
 from .transport import QUIC, TCP, Transport
 
 CAMPAIGN_EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
@@ -45,11 +41,6 @@ FIELD_BASELINES = {
     "quic_share": {"value": 0.80, "reproducible": False},
     "rtt_accuracy_within_10pct": {"value": 0.90, "reproducible": False},
 }
-
-CSV_COLUMNS = [*RECORD_FIELDS, "seed", "config_hash"]
-# Per record field in column order, whether its CSV cell holds JSON; `csv`
-# writes the others with str(), null as an empty cell.
-_CSV_CELLS = tuple((k, cell == "json") for k, (_, cell, _) in RECORD_FIELDS.items())
 
 ARCHETYPE_NAMES = {archetype.value for archetype in Archetype}
 
@@ -304,7 +295,7 @@ def _rtt_fields(prefix: str, rtt: Optional[tuple]) -> dict:
 def _record(result: HolePunchResult, client_spec: PeerSpec, remote_spec: PeerSpec,
             tf: Optional[Transport], trial: int, config: CampaignConfig) -> dict:
     ts = CAMPAIGN_EPOCH + timedelta(seconds=trial * config.trial_spacing_s)
-    return {  # in `analysis.RECORD_FIELDS` order
+    return {  # in `results.RECORD_FIELDS` order
         "trial": trial,
         "timestamp": ts.isoformat(),
         "client": client_spec.peer_id,
@@ -442,30 +433,12 @@ def config_hash(config: CampaignConfig) -> str:
 
 def export_results(records: list[dict], path: str, seed: int,
                    config: CampaignConfig) -> None:
-    """Write records as JSON (single document) or CSV (one row per record,
-    `as_id` and nested fields JSON-encoded) based on the path suffix."""
-    chash = config_hash(config)
+    """Write records with the campaign's seed and config hash: as CSV for a
+    .csv path, else as one JSON document of `seed`, `config_hash`, `config`
+    and `records`, both in the layout of `results`."""
     if str(path).endswith(".csv"):
-        # A JSON cell is json.dumps(cell, sort_keys=True, separators=(",", ":")),
-        # through the C encoder that call builds, built once per file. Its
-        # markers dict, which detects circular references, ends with the export.
-        encoder = c_make_encoder({}, json.JSONEncoder().default, encode_basestring_ascii,
-                                 None, ":", ",", True, False, True)
-        rows = [CSV_COLUMNS]
-        for rec in records:
-            # `seed` and `config_hash` name columns too: the file's
-            # metadata must not overwrite a record's own.
-            if not RECORD_FIELDS.keys() >= rec.keys():
-                unknown = ", ".join(repr(k) for k in rec if k not in RECORD_FIELDS)
-                raise ValueError(f"record has fields outside the record "
-                                 f"schema: {unknown}")
-            rows.append([("".join(encoder(rec[k], 0)) if is_json else rec[k])
-                         if k in rec else "" for k, is_json in _CSV_CELLS]
-                        + [seed, chash])
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-        return
-    write_json({"seed": seed, "config_hash": chash,
+        return write_csv(records, path, seed, config_hash(config))
+    write_json({"seed": seed, "config_hash": config_hash(config),
                 "config": config_to_dict(config), "records": records}, path)
 
 
@@ -473,205 +446,12 @@ def export_report(report: CampaignReport, path: str) -> None:
     write_json(asdict(report), path)
 
 
-def write_json(value, path: str) -> None:
-    """Write `value` to `path` byte for byte as `json.dumps` with
-    `sort_keys=True` and an indent of 1 writes it, plus a newline: the
-    layout of every JSON file punchsim writes. That indent turns json's C
-    encoder off; this writer costs about half its pure-Python one. Each
-    set of exact `str` dict keys is sorted and encoded once per file and
-    depth."""
-    out: list[str] = []
-    _write_json(value, "\n", out, {})
-    out.append("\n")
-    with open(path, "w") as fh:
-        fh.write("".join(out))
-
-
-# json's names for the floats that float.__repr__ writes as nan, inf and -inf.
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(value: float) -> str:
-    text = float.__repr__(value)
-    return _NON_FINITE.get(text, text)
-
-
-# json's encoding of each scalar type.
-_JSON_LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
-                float: _json_float, type(None): {None: "null"}.__getitem__,
-                bool: {True: "true", False: "false"}.__getitem__}
-
-
-def _json_leaf(value) -> str:
-    """json's encoding of a scalar. A subclass of str, int or float (an
-    `IntEnum`, say) is written as its base type, as json writes it."""
-    for kind in (value.__class__, str, int, float):
-        if kind in _JSON_LEAVES and isinstance(value, kind):
-            return _JSON_LEAVES[kind](value)
-    raise TypeError(f"Object of type {value.__class__.__name__} "
-                    "is not JSON serializable")
-
-
-def _json_key(key) -> str:
-    """A dict key as json writes it: a str as it is, an int, float, bool or
-    None as its JSON text."""
-    if isinstance(key, str):
-        return key
-    if key is not None and not isinstance(key, (int, float)):
-        raise TypeError("keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return _json_leaf(key)
-
-
-def _heads(keys: list, indent: str) -> list:
-    """What precedes each value of a dict at `indent` whose sorted keys,
-    as strings, are `keys`: "{" or ",", the line break and indent, the
-    encoded key and ": "."""
-    sep = "," + indent + " "
-    heads = [sep + encode_basestring_ascii(key) + ": " for key in keys]
-    heads[0] = "{" + heads[0][1:]
-    return heads
-
-
-def _write_json(value, indent: str, out: list, memo: dict) -> None:
-    """Append `value` laid out at the depth whose line break and indent
-    is `indent`. Dict keys are sorted as they are, then written as
-    strings, as json does: int keys sort as ints. json's C encoder, with
-    this depth's item separator, writes a list of more than 8 items of
-    exact leaf types; for fewer, the call costs more than the loop. `memo`
-    maps each set of exact `str` keys in insertion order, with its indent,
-    to its sorted keys and their heads."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + " "
-        if len(value) > 8 and all(map(_JSON_LEAVES.__contains__, map(type, value))):
-            # Leaves only: no cycle to catch, nothing for a default.
-            encoder = c_make_encoder(None, None, encode_basestring_ascii, None, ": ",
-                                     "," + inner, True, False, True)
-            out.append("[" + inner + "".join(encoder(value, 0))[1:-1] + indent + "]")
-            return
-        sep = "[" + inner
-        for item in value:
-            leaf = _JSON_LEAVES.get(item.__class__)
-            if leaf is None:
-                out.append(sep)
-                _write_json(item, inner, out, memo)
-            else:
-                out.append(sep + leaf(item))
-            sep = "," + inner
-        out.append(indent + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        keys = tuple(value)
-        # Exact str keys sort the same way in every dict; a str subclass
-        # may compare otherwise, and other keys sort by their own types.
-        if countOf(map(type, keys), str) == len(keys):
-            entry = memo.get((keys, indent))
-            if entry is None:
-                order = sorted(keys)
-                entry = memo[keys, indent] = order, _heads(order, indent)
-            order, heads = entry
-            items = map(value.__getitem__, order)
-        else:
-            pairs = sorted(value.items())  # as json sorts
-            heads = _heads([_json_key(key) for key, _ in pairs], indent)
-            items = [item for _, item in pairs]
-        inner = indent + " "
-        for head, item in zip(heads, items):
-            leaf = _JSON_LEAVES.get(item.__class__)
-            if leaf is None:
-                out.append(head)
-                _write_json(item, inner, out, memo)
-            else:
-                out.append(head + leaf(item))
-        out.append(indent + "}")
-    else:
-        out.append(_json_leaf(value))
-
-
-_scan_once = json.JSONDecoder().scan_once
-
-
-def _json_cell(cell: str):
-    """json.loads(cell). The C scanner reads a cell that holds one JSON
-    value and nothing else; json.loads decides any other cell: surrounding
-    whitespace, trailing data or an error."""
-    try:
-        value, end = _scan_once(cell, 0)
-        if end == len(cell):
-            return value
-    except (StopIteration, ValueError, RecursionError):
-        pass
-    return json.loads(cell)
-
-
-def _number_cell(kinds: tuple, cell: str):
-    """The one JSON number that fills `cell`, read by the C scanner, if
-    its type is one of `kinds`; else ValueError."""
-    try:
-        value, end = _scan_once(cell, 0)
-    except (StopIteration, RecursionError):
-        raise ValueError(cell) from None
-    if end != len(cell) or type(value) not in kinds:
-        raise ValueError(cell)
-    return value
-
-
-# How a non-empty CSV cell of each kind but text reads back; an integer
-# RTT stays an int.
-_CELL_DECODERS = {"json": _json_cell, "int": partial(_number_cell, (int,)),
-                  "bool": {"True": True, "False": False}.__getitem__,
-                  "number": partial(_number_cell, (int, float))}
-_DECODED = tuple((k, _CELL_DECODERS[cell]) for k, (_, cell, _) in RECORD_FIELDS.items()
-                 if cell != "text")
-# The fields whose empty cell reads as absent; a nullable field's reads as null.
-_ABSENT_IF_EMPTY = frozenset(k for k, (presence, _, _) in RECORD_FIELDS.items()
-                             if presence != NULLABLE)
-
-
 def load_results(path: str) -> tuple[list[dict], dict]:
-    """Read a results file (JSON or CSV) back into records plus metadata.
-    A CSV cell decodes as its field's kind in `analysis.RECORD_FIELDS`;
-    a malformed or missing cell, or a row whose seed and config hash are
-    not the first row's, raises ValueError."""
+    """The records of a file that `export_results` wrote, and its `seed` and
+    `config_hash`, with `config` for JSON. The JSON document is read as UTF-8."""
     if str(path).endswith(".csv"):
-        records = []
-        first = None
-        seed = 0
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ValueError("the CSV file has no header line")
-            for row in reader:
-                if None in row.values():
-                    raise ValueError(f"line {reader.line_num} has fewer cells "
-                                     "than the header")
-                meta = (row.pop("seed"), row.pop("config_hash"))
-                first = first or meta
-                if meta != first:
-                    raise ValueError(f"line {reader.line_num}: seed and config_hash "
-                                     f"{' '.join(meta)} differ from the first "
-                                     f"row's {' '.join(first)}")
-                # A column outside the schema stays for validation to reject.
-                rec = {key: cell or None for key, cell in row.items()
-                       if cell or key not in _ABSENT_IF_EMPTY}
-                try:
-                    key, cell = "seed", meta[0]
-                    seed = _CELL_DECODERS["int"](cell)
-                    for key, decode in _DECODED:
-                        cell = rec.get(key)
-                        if cell is not None:
-                            rec[key] = decode(cell)
-                except (KeyError, ValueError):
-                    raise ValueError(f"line {reader.line_num}: {key} cell "
-                                     f"{cell!r} is malformed") from None
-                records.append(rec)
-        return records, {"seed": seed, "config_hash": first[1] if first else ""}
-    with open(path) as fh:
+        return read_csv(path)
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("a results document must be a JSON object")

@@ -9,7 +9,7 @@ import json
 import os
 import sys
 
-from . import analysis, campaign
+from . import analysis, campaign, results
 from .strategies import (BirthdayPlan, BirthdayScenario, PrimingConfigError,
                          birthday_probability)
 
@@ -24,7 +24,8 @@ class ConfigError(Exception):
 def _load_config(path: str) -> campaign.CampaignConfig:
     import yaml  # here, so that only a command that reads a config loads PyYAML
     try:
-        with open(path) as fh:
+        # PyYAML, not the locale, decodes the bytes; a bad one is a YAMLError.
+        with open(path, "rb") as fh:
             data = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
@@ -111,9 +112,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         report = analysis.analyze(records, min_per_client=args.min_per_client,
                                   bin_width=args.bin_width)
-    except analysis.MalformedRecord as exc:
+    except results.MalformedRecord as exc:
         raise ConfigError(str(exc)) from exc
-    _write(campaign.write_json, report, args.out)
+    _write(results.write_json, report, args.out)
     print(f"analyzed {report['n_records']} records "
           f"({report['n_networks']} networks); wrote {args.out}")
     return EXIT_OK

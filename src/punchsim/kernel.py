@@ -254,18 +254,9 @@ class Topology:
 
 
 def draw_latency(rng: RandomStream, mean: float, stddev: float) -> float:
-    """A one-way latency draw: max(MIN_LATENCY_MS, N(mean, stddev)).
-    The only definition; `sample_latency` and `Network.send` share it."""
+    """A one-way latency draw: max(MIN_LATENCY_MS, N(mean, stddev))."""
     latency = rng.normal(mean, stddev)
     return latency if latency > MIN_LATENCY_MS else MIN_LATENCY_MS
-
-
-def sample_latency(topology: Topology, a: str, b: str, rng: RandomStream) -> float:
-    """One-way latency draw for a packet traversing a -> b, with mean and
-    stddev from the pair override if present, else the sum of both
-    hosts' access parameters."""
-    mean, stddev = topology.pair_params(a, b)
-    return draw_latency(rng, mean, stddev)
 
 
 class Simulation:

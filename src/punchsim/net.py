@@ -65,9 +65,6 @@ class Host:
     def endpoint(self, port: int) -> Endpoint:
         return Endpoint(self.id, port)
 
-    def send(self, pkt: Packet) -> None:
-        self.net.send(self.id, pkt)
-
     def datagram(self, src: Endpoint, dst: Endpoint, tag, size: int,
                  ttl: int = DEFAULT_TTL) -> bool:
         """Send `tag` from `src`, one of this host's endpoints, in a UDP
@@ -160,11 +157,6 @@ class Network:
         """The host that packets addressed to `host_id` reach: that host,
         or the one behind the NAT whose public name it is."""
         return self._owner.get(host_id)
-
-    def public_endpoint_host(self, host_id: str) -> str:
-        """The host-id packets addressed to this host must carry."""
-        host = self.hosts[host_id]
-        return host.nat.public_host if host.nat is not None else host.id
 
     def send(self, from_host: str, pkt: Packet, skip_sender_nat: bool = False) -> None:
         """Inject a packet into the fabric. Drops (filtering, TTL, loss,

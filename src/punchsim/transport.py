@@ -115,11 +115,6 @@ class TcpPort(Port):
 
     RETRANSMIT_MS = TCP_SYN_RETRANSMIT_MS
 
-    def __init__(self, net: Network, host: Host, port: Optional[int] = None,
-                 listening: bool = True):
-        self.listening = listening
-        super().__init__(net, host, port)
-
     def _first_flight(self, remote: Endpoint) -> None:
         self._send(remote, TCP_SYN, TCP_SEGMENT_BYTES)
 
@@ -132,7 +127,7 @@ class TcpPort(Port):
                 self._settle(conn, DialResult(False, "rst"))
         elif kind is TCP_SYN:
             # A SYN that crossed ours is a simultaneous open.
-            if state in _OPEN or (conn is None and self.listening):
+            if state in _OPEN or conn is None:
                 if conn is None:
                     self.conns[pkt.src] = _Conn(pkt.src, ACCEPTING)
                 self._send(pkt.src, TCP_SYNACK, TCP_SEGMENT_BYTES)

@@ -2,11 +2,11 @@ import math
 
 import pytest
 
-from punchsim.analysis import (MULTI_NETWORK, ZERO_PUBLIC, MalformedRecord,
-                               _UnionFind, analyze, apply_success_filters, cdf_at,
-                               identify_networks, latency_ratio_cdf,
-                               relay_path_location, rtt_accuracy,
-                               success_rate_series, validate_records)
+from punchsim.analysis import (MULTI_NETWORK, ZERO_PUBLIC, _UnionFind, analyze,
+                               apply_success_filters, cdf_at, identify_networks,
+                               latency_ratio_cdf, relay_path_location, rtt_accuracy,
+                               success_rate_series)
+from punchsim.results import MalformedRecord, validate_records
 
 
 def rec(client="c1", ts="2026-01-01T00:00:00+00:00", ips=("1.1.1.1",),

@@ -15,10 +15,8 @@ import yaml
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from punchsim import campaign, cli
-from punchsim.analysis import (OUTCOMES, RECORD_FIELDS, RTT_FIELDS,
-                               MalformedRecord, analyze, latency_ratio_cdf,
-                               relay_path_location, validate_records)
+from punchsim import campaign, cli, results
+from punchsim.analysis import analyze, latency_ratio_cdf, relay_path_location
 from punchsim.campaign import (CampaignConfig, PopulationSpec,
                                TransportPolicy, aggregate, config_from_dict,
                                config_hash, config_to_dict, export_results,
@@ -26,6 +24,8 @@ from punchsim.campaign import (CampaignConfig, PopulationSpec,
                                run_campaign, run_trial)
 from punchsim.dcutr import DcutrConfig
 from punchsim.nat import MappingBehavior, NatConfig
+from punchsim.results import (OUTCOMES, RECORD_FIELDS, RTT_FIELDS, MalformedRecord,
+                              validate_records)
 from punchsim.strategies import BirthdayPlan, BirthdayScenario, birthday_probability
 
 VALID_OUTCOMES = {"NO_CONNECTION", "NO_STREAM",
@@ -379,7 +379,7 @@ class TestExport:
         header as 0."""
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        rows[row][campaign.CSV_COLUMNS.index(column)] = cell
+        rows[row][results.CSV_COLUMNS.index(column)] = cell
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
 
@@ -431,9 +431,9 @@ class TestExport:
     def test_every_number_cell_written_reads_back_as_written(self, value):
         # What `csv` writes for an int or finite float cell, str(value),
         # reads back as the same value of the same type.
-        assert repr(campaign._CELL_DECODERS["number"](str(value))) == repr(value)
+        assert repr(results._CELL_DECODERS["number"](str(value))) == repr(value)
         if isinstance(value, int):
-            assert repr(campaign._CELL_DECODERS["int"](str(value))) == repr(value)
+            assert repr(results._CELL_DECODERS["int"](str(value))) == repr(value)
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -487,7 +487,7 @@ class TestExport:
         for rec in [run_trial(population, cfg, 1, 0),
                     *run_campaign(cfg, n_trials=3, seed=1)]:
             assert list(rec) == list(RECORD_FIELDS)
-        assert campaign.CSV_COLUMNS == [*RECORD_FIELDS, "seed", "config_hash"]
+        assert results.CSV_COLUMNS == [*RECORD_FIELDS, "seed", "config_hash"]
 
     @pytest.mark.parametrize("edit", [
         lambda rec: rec.pop("trial"), lambda rec: rec.pop("remote"),
@@ -563,9 +563,9 @@ class TestExport:
             expected = json.dumps(value, sort_keys=True, indent=1) + "\n"
         except (TypeError, ValueError):
             with pytest.raises((TypeError, ValueError)):
-                campaign.write_json(value, str(path))
+                results.write_json(value, str(path))
         else:
-            campaign.write_json(value, str(path))
+            results.write_json(value, str(path))
             assert path.read_bytes() == expected.encode("ascii")
 
     @settings(max_examples=150, deadline=None,
@@ -582,7 +582,7 @@ class TestExport:
     def test_writer_writes_lists_of_leaves_as_json_dumps(self, tmp_path, value):
         path = tmp_path / "value.json"
         expected = json.dumps(value, sort_keys=True, indent=1) + "\n"
-        campaign.write_json(value, str(path))
+        results.write_json(value, str(path))
         assert path.read_bytes() == expected.encode("ascii")
 
     @settings(max_examples=80, deadline=None,
@@ -637,10 +637,10 @@ class TestExport:
             expected = json.loads(cell)
         except (ValueError, RecursionError) as exc:
             with pytest.raises(exc.__class__) as raised:
-                campaign._json_cell(cell)
+                results._json_cell(cell)
             assert str(raised.value) == str(exc)
         else:
-            got = campaign._json_cell(cell)
+            got = results._json_cell(cell)
             assert repr(got) == repr(expected)
 
     def test_config_dict_round_trip_preserves_hash(self):
@@ -862,6 +862,14 @@ class TestCliExits:
         assert capsys.readouterr().err.startswith(f"error: invalid config: {field} ")
         assert not out.exists()
 
+    def test_config_byte_outside_its_encoding_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "campaign.yaml"
+        path.write_bytes(self.SMALL.encode()[:-1] + b"  # r\xe9seau\n")  # Latin-1
+        rc = cli.main(["simulate", "--config", str(path), "--trials", "2",
+                       "--seed", "1", "--out", str(tmp_path / "results.json")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: config file is not valid YAML")
+
     def test_alternating_roles_past_three_attempts(self, tmp_path, capsys):
         text = self.FAILING + "dcutr: {max_attempts: 5, alternate_roles: true}\n"
         assert self.simulate_exit(tmp_path, capsys, text) == cli.EXIT_OK
@@ -997,7 +1005,7 @@ class TestCliExits:
         assert "Traceback" not in capsys.readouterr().err
         return rc
 
-    CSV_HEADER = ",".join(campaign.CSV_COLUMNS) + "\n"
+    CSV_HEADER = ",".join(results.CSV_COLUMNS) + "\n"
 
     def test_zero_byte_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "results.csv"

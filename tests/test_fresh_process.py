@@ -1,5 +1,6 @@
 """Properties that only a fresh interpreter shows: what a start imports,
-and records that do not depend on the interpreter's hash seed."""
+records that do not depend on the interpreter's hash seed, and files read
+and written as UTF-8 under a locale whose encoding is ASCII."""
 
 import json
 import os
@@ -49,6 +50,29 @@ for persistent in (False, True):
 print(" ".join(digests))
 """
 
+# A config with a non-ASCII comment, a JSON results file with a non-ASCII
+# client in raw UTF-8, and a CSV round trip of that client. The code itself
+# is ASCII: the child decodes its argv with the locale's codec.
+NON_ASCII_FILES = """
+import codecs, json, locale
+from punchsim import campaign, cli
+with open("campaign.yaml", "wb") as fh:
+    fh.write("population: {n_clients: 2, n_remotes: 2, n_relays: 1}  # r\\u00e9seau\\n".encode())
+assert cli.main(["simulate", "--config", "campaign.yaml", "--trials", "3",
+                 "--seed", "1", "--out", "results.json"]) == 0
+records, _ = campaign.load_results("results.json")
+records[0]["client"] = "caf\\u00e9"
+with open("utf8.json", "wb") as fh:
+    fh.write(json.dumps({"seed": 1, "config_hash": "", "records": records},
+                        ensure_ascii=False).encode())
+assert cli.main(["analyze", "--in", "utf8.json", "--out", "from-json.json"]) == 0
+campaign.export_results(records, "results.csv", seed=1, config=campaign.CampaignConfig())
+assert campaign.load_results("results.csv")[0] == records
+assert cli.main(["analyze", "--in", "results.csv", "--out", "from-csv.json"]) == 0
+print(codecs.lookup(locale.getpreferredencoding(False)).name)
+"""
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
 
 def test_start_loads_no_yaml_and_no_worker_pool(tmp_path):
     # PyYAML loads on the first config read, the pool on the first run
@@ -63,3 +87,9 @@ def test_exports_equal_under_different_hash_seeds(tmp_path):
         runs.append(run_python(EXPORT_DIGESTS, tmp_path / hash_seed,
                                PYTHONHASHSEED=hash_seed))
     assert runs[0] == runs[1]
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    assert run_python(NON_ASCII_FILES, tmp_path, **ASCII_LOCALE) == "ascii"
+    with open(tmp_path / "results.csv", "rb") as fh:
+        assert "café".encode() in fh.read()

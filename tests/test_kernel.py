@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from punchsim.kernel import (RandomStream, ScheduleInPastError, Simulation,
-                             Topology, sample_latency)
+                             Topology, draw_latency)
 
 
 def test_schedule_fires_once_at_time():
@@ -155,20 +155,20 @@ def _topo():
 def test_latency_degenerate_sum():
     topo = _topo()
     rng = RandomStream(1, "lat")
-    assert sample_latency(topo, "a", "b", rng) == 30.0
+    assert draw_latency(rng, *topo.pair_params("a", "b")) == 30.0
 
 
 def test_pair_override_precedence():
     topo = _topo()
     topo.set_pair_params("a", "b", 50.0, 0.0)
     rng = RandomStream(1, "lat")
-    assert sample_latency(topo, "a", "b", rng) == 50.0
+    assert draw_latency(rng, *topo.pair_params("a", "b")) == 50.0
 
 
 def test_unknown_host_rejected():
     topo = _topo()
     with pytest.raises(KeyError):
-        sample_latency(topo, "a", "zzz", RandomStream(1, "lat"))
+        draw_latency(RandomStream(1, "lat"), *topo.pair_params("a", "zzz"))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -191,7 +191,7 @@ def test_latency_distribution_moments():
     topo.add_host("a", 50.0, 25.0)
     topo.add_host("b", 50.0, 25.0)
     rng = RandomStream(7, "lat")
-    draws = [sample_latency(topo, "a", "b", rng) for _ in range(10_000)]
+    draws = [draw_latency(rng, *topo.pair_params("a", "b")) for _ in range(10_000)]
     mean = sum(draws) / len(draws)
     std = math.sqrt(sum((d - mean) ** 2 for d in draws) / (len(draws) - 1))
     assert abs(mean - 100.0) < 2.0

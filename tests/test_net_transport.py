@@ -31,7 +31,7 @@ def learn_external(net, host, port, stun_host, stun_port):
     endpoint it saw (the sender's external endpoint)."""
     seen = []
     net.hosts[stun_host].handlers[stun_port] = lambda pkt: seen.append(pkt.src)
-    net.hosts[host].send(udp(Endpoint(host, port), Endpoint(stun_host, stun_port)))
+    net.send(host, udp(Endpoint(host, port), Endpoint(stun_host, stun_port)))
     net.sim.run()
     return seen[-1]
 
@@ -43,7 +43,7 @@ class TestDelivery:
         b = net.add_host("b", 20.0)
         sink = Sink()
         b.bind(sink, 80)
-        a.send(udp(Endpoint("a", 1), Endpoint("b", 80)))
+        net.send(a.id, udp(Endpoint("a", 1), Endpoint("b", 80)))
         net.sim.run()
         assert len(sink.received) == 1
         assert net.sim.now == 30.0
@@ -54,7 +54,7 @@ class TestDelivery:
         b = net.add_host("b", 20.0)
         sink = Sink()
         b.bind(sink, 80)
-        a.send(udp(Endpoint("a", 1), Endpoint("b", 80), ttl=3))
+        net.send(a.id, udp(Endpoint("a", 1), Endpoint("b", 80), ttl=3))
         net.sim.run()
         assert sink.received == []
         assert net.dropped_in_core == 1
@@ -66,7 +66,7 @@ class TestDelivery:
         b = net.add_host("b", 20.0)
         sink = Sink()
         b.bind(sink, 80)
-        a.send(udp(Endpoint("a", 1), Endpoint("b", 80), ttl=64))
+        net.send(a.id, udp(Endpoint("a", 1), Endpoint("b", 80), ttl=64))
         net.sim.run()
         assert len(sink.received) == 1
 
@@ -75,8 +75,8 @@ class TestDelivery:
         net = build_net()
         a = net.add_host("a", 10.0, nat_config=NatConfig(), nat_leg=1.0)
         b = net.add_host("b", 20.0, nat_config=NatConfig(), nat_leg=1.0)
-        b_pub = net.public_endpoint_host("b")
-        a.send(udp(Endpoint("a", 1), Endpoint(b_pub, 4000), ttl=3))
+        b_pub = net.hosts["b"].nat.public_host
+        net.send(a.id, udp(Endpoint("a", 1), Endpoint(b_pub, 4000), ttl=3))
         net.sim.run()
         assert a.nat.session_count() == 1
         assert b.nat.session_count() == 0
@@ -86,7 +86,7 @@ class TestDelivery:
         net = build_net()
         a = net.add_host("a", 10.0, nat_config=NatConfig(), nat_leg=1.0)
         b = net.add_host("b", 20.0)
-        assert net.owner(net.public_endpoint_host("a")) is a
+        assert net.owner(a.nat.public_host) is a
         assert net.owner("a") is a and net.owner("b") is b
         assert net.owner("nowhere") is None
 
@@ -97,7 +97,7 @@ class TestDelivery:
         sink = Sink()
         b.bind(sink, 80)
         for port in (1, 2):  # one mapping per internal endpoint
-            a.send(udp(Endpoint("a", port), Endpoint("b", 80)))
+            net.send(a.id, udp(Endpoint("a", port), Endpoint("b", 80)))
         net.sim.run()
         assert len(sink.received) == 1
         assert net.dropped_session_full == 1
@@ -105,7 +105,7 @@ class TestDelivery:
     def test_unroutable_destination_is_dropped(self):
         net = build_net()
         a = net.add_host("a", 10.0)
-        a.send(udp(Endpoint("a", 1), Endpoint("nowhere", 80)))
+        net.send(a.id, udp(Endpoint("a", 1), Endpoint("nowhere", 80)))
         assert net.sim.pending() == 0
         assert net.dropped_session_full == net.dropped_in_core == 0
 
@@ -125,7 +125,7 @@ class TestDelivery:
         sink = Sink()
         b.bind(sink, 80)
         for _ in range(2_000):
-            a.send(udp(Endpoint("a", 1), Endpoint("b", 80)))
+            net.send(a.id, udp(Endpoint("a", 1), Endpoint("b", 80)))
         net.sim.run()
         assert abs(len(sink.received) / 2_000 - 0.7) < 0.03
 
@@ -140,7 +140,7 @@ def test_override_changed_after_packets_flowed_takes_effect():
     def send_and_run(ttl=64):
         """The packet's latency, or None when it was dropped."""
         t0, before = net.sim.now, len(arrivals)
-        a.send(udp(Endpoint("a", 1), Endpoint("b", 80), ttl=ttl))
+        net.send(a.id, udp(Endpoint("a", 1), Endpoint("b", 80), ttl=ttl))
         net.sim.run()
         return arrivals[-1] - t0 if len(arrivals) > before else None
 
@@ -216,8 +216,8 @@ def test_routes_match_the_topology(hosts, overrides, sends, loss, seed):
                 expected_nat.append(("process_inbound", b,
                                      max(t0, t_arrival - topo.leg(b))))
             expected_arrivals.append((k, b, t_arrival))
-        dst = Endpoint(net.public_endpoint_host(b), 80)
-        net.hosts[a].send(udp(Endpoint(a, 1000 + k), dst, ttl=ttl, tag=k))
+        dst = Endpoint(b if net.hosts[b].nat is None else net.hosts[b].nat.public_host, 80)
+        net.send(a, udp(Endpoint(a, 1000 + k), dst, ttl=ttl, tag=k))
 
     for k, (i, j, ttl) in enumerate(sends):
         net.sim.schedule(lambda k=k, i=i, j=j, ttl=ttl: send(k, i, j, ttl), 10.0 * k)
@@ -234,7 +234,7 @@ class TestTcp:
         net.add_host("a", 10.0)
         net.add_host("b", 20.0)
         listener = TcpPort(net, net.hosts["b"], port=443)
-        dialer = TcpPort(net, net.hosts["a"], listening=False)
+        dialer = TcpPort(net, net.hosts["a"])
         results = []
         dialer.dial(Endpoint("b", 443), on_done=results.append)
         net.sim.run()
@@ -263,9 +263,9 @@ class TestTcp:
         net.add_host("a", 10.0)
         net.add_host("b", 20.0,
                      nat_config=NatConfig(rst_on_unsolicited_tcp=True))
-        dialer = TcpPort(net, net.hosts["a"], listening=False)
+        dialer = TcpPort(net, net.hosts["a"])
         results = []
-        b_pub = net.public_endpoint_host("b")
+        b_pub = net.hosts["b"].nat.public_host
         dialer.dial(Endpoint(b_pub, 40_000), on_done=results.append)
         net.sim.run(until=20_000)
         assert results and not results[0].established
@@ -281,11 +281,11 @@ def test_settled_dials_leave_nothing_queued():
     net.add_host("c", 20.0, nat_config=NatConfig(rst_on_unsolicited_tcp=True))
     TcpPort(net, net.hosts["b"], port=443)
     QuicPort(net, net.hosts["b"], port=4433)
-    tcp = TcpPort(net, net.hosts["a"], listening=False)
+    tcp = TcpPort(net, net.hosts["a"])
     quic = QuicPort(net, net.hosts["a"])
     established, refused, quic_done = [], [], []
     tcp.dial(Endpoint("b", 443), on_done=established.append)
-    tcp.dial(Endpoint(net.public_endpoint_host("c"), 40_000), on_done=refused.append)
+    tcp.dial(Endpoint(net.hosts["c"].nat.public_host, 40_000), on_done=refused.append)
     quic.dial(Endpoint("b", 4433), on_done=quic_done.append)
     # Every dial settles within 100 ms, before any retransmit is due.
     net.sim.run(until=400.0)
@@ -388,7 +388,7 @@ class TestRtt:
         net.add_host("b", 20.0, nat_config=NatConfig())
         port = net.hosts["a"].bind(lambda pkt: None)
         out = []
-        b_pub = net.public_endpoint_host("b")
+        b_pub = net.hosts["b"].nat.public_host
         measure_rtt(net, net.hosts["a"], port, Endpoint(b_pub, 40_000),
                     samples=3, on_done=out.append)
         net.sim.run(until=30_000)

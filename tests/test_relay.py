@@ -222,10 +222,10 @@ class TestStrayTraffic:
         relay_ep = services[0].endpoint
         bob_ep = services[0].reservations["bob"].client_endpoint
         for tag in (None, "dummy"):
-            alice.host.send(Packet(src=alice.endpoint, dst=relay_ep,
-                                   kind=PacketKind.UDP_DATAGRAM, tag=tag))
-            net.hosts["relay-0"].send(Packet(src=relay_ep, dst=bob_ep,
-                                             kind=PacketKind.UDP_DATAGRAM, tag=tag))
+            net.send(alice.host.id, Packet(src=alice.endpoint, dst=relay_ep,
+                                           kind=PacketKind.UDP_DATAGRAM, tag=tag))
+            net.send("relay-0", Packet(src=relay_ep, dst=bob_ep,
+                                       kind=PacketKind.UDP_DATAGRAM, tag=tag))
         net.sim.run(until=net.sim.now + 1_000)
         got = []
         incoming[0].on_message = lambda tag, size: got.append(tag)
