@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulator for relay-assisted NAT
 hole punching, plus the batch analysis pipeline for its measurements."""
 
-from .kernel import RandomStream, Simulation, Topology, derive_seed
+from .kernel import RandomStream, Simulation, derive_seed
 from .nat import FilteringBehavior, MappingBehavior, NatConfig, NatState, PortAllocation
 from .net import Host, Network
 from .relay import RelayClient, RelayService
@@ -21,7 +21,7 @@ from .campaign import (
 from . import analysis, results
 
 __all__ = [
-    "RandomStream", "Simulation", "Topology", "derive_seed",
+    "RandomStream", "Simulation", "derive_seed",
     "FilteringBehavior", "MappingBehavior", "NatConfig", "NatState", "PortAllocation",
     "Host", "Network", "RelayClient", "RelayService", "Transport",
     "DcutrConfig", "HolePunch", "HolePunchResult", "OutcomeAttempt", "OutcomeResult",

@@ -272,14 +272,6 @@ def latency_ratio_cdf(records: list[dict]) -> dict:
             "n": len(ratios)}
 
 
-def cdf_at(sorted_values: list[float], x: float) -> float:
-    """Empirical CDF of a pre-sorted sample evaluated at x."""
-    if not sorted_values:
-        raise ValueError("empty sample")
-    import bisect
-    return bisect.bisect_right(sorted_values, x) / len(sorted_values)
-
-
 def analyze(records: list[dict], min_per_client: int = 0,
             bin_width: float = 0.05) -> dict:
     """Full pipeline over raw records; returns one JSON-serializable

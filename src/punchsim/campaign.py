@@ -18,8 +18,8 @@ from typing import Optional
 
 from .analysis import apply_success_filters, latency_ratios, relay_path_bins
 from .dcutr import DcutrConfig, HolePunch, HolePunchResult, PeerRuntime
-from .kernel import (RandomStream, Simulation, Topology, bounded, check_fields,
-                     check_number, derive_seed, run_strided)
+from .kernel import (RandomStream, Simulation, bounded, check_fields, check_number,
+                     derive_seed, run_strided)
 from .nat import ARCHETYPE_NATS, Archetype, NatConfig
 from .net import Network
 from .relay import RelayService
@@ -27,20 +27,6 @@ from .results import read_csv, validate_records, write_csv, write_json
 from .transport import QUIC, TCP, Transport
 
 CAMPAIGN_EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
-
-# Reference figures measured on a live peer-to-peer deployment at network
-# scale. They reflect that deployment's real NAT vendor mix, latency
-# distribution, and client churn, none of which a desk-scale simulated
-# population reproduces; simulations therefore validate directional
-# properties (first-attempt dominance, transport parity, reversal lift)
-# rather than these absolute numbers.
-FIELD_BASELINES = {
-    "overall_success_rate": {"value": 0.70, "stddev": 0.071,
-                             "reproducible": False},
-    "first_attempt_share": {"value": 0.976, "reproducible": False},
-    "quic_share": {"value": 0.80, "reproducible": False},
-    "rtt_accuracy_within_10pct": {"value": 0.90, "reproducible": False},
-}
 
 ARCHETYPE_NAMES = {archetype.value for archetype in Archetype}
 
@@ -233,7 +219,7 @@ def _draw_trial(population: Population, config: CampaignConfig, seed: int,
 def _build_world(population: Population, seed: int, label: str) -> tuple:
     """A world seeded from (seed, label): its network, the relays' services,
     and a table of the peers that join it later, by peer id."""
-    net = Network(Simulation(seed=derive_seed(seed, label)), Topology())
+    net = Network(Simulation(seed=derive_seed(seed, label)))
     services = [RelayService(net, _add_peer_host(net, relay_spec))
                 for relay_spec in population.relays]
     return net, services, {}
@@ -448,10 +434,11 @@ def export_report(report: CampaignReport, path: str) -> None:
 
 def load_results(path: str) -> tuple[list[dict], dict]:
     """The records of a file that `export_results` wrote, and its `seed` and
-    `config_hash`, with `config` for JSON. The JSON document is read as UTF-8."""
+    `config_hash`, with `config` for JSON. The JSON document is read as UTF-8,
+    with or without a byte-order mark."""
     if str(path).endswith(".csv"):
         return read_csv(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("a results document must be a JSON object")

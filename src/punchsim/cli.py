@@ -71,7 +71,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         records = campaign.run_campaign(config, n_trials=args.trials,
                                         seed=args.seed, workers=args.workers)
-    except PrimingConfigError as exc:  # it needs the topology to show
+    except PrimingConfigError as exc:  # it needs a built network to show
         raise ConfigError(f"invalid config: {exc}") from exc
     _write(campaign.export_results, records, args.out, seed=args.seed, config=config)
     print(f"wrote {len(records)} records to {args.out}")

@@ -397,7 +397,7 @@ class HolePunch:
             if self.cfg.ttl_priming and self._is_current(gen):
                 self._prime("listener", until=self.sim.now + 2_000.0)
             addrs = self.client.advertised(self.filter)
-            rtt_nat = 2.0 * self.net.topology.leg(self.client.host.id)
+            rtt_nat = 2.0 * self.client.host.leg
             self._send_control("listener", self.c_circ,
                                ("connect-reply", gen, addrs, rtt_nat), _book_bytes(addrs))
         elif kind == "sync" and self._is_current(tag[1]):
@@ -466,7 +466,7 @@ class HolePunch:
         rtt = self.sim.now - self._attempt_started
         self._attempt_rtt = rtt
         if self.cfg.refined_wait:
-            rtt_initiator_nat = 2.0 * self.net.topology.leg(self.remote.host.id)
+            rtt_initiator_nat = 2.0 * self.remote.host.leg
             wait = refined_wait_time(rtt, rtt_listener_nat, rtt_initiator_nat)
         else:
             wait = rtt / 2.0
@@ -588,9 +588,7 @@ class HolePunch:
         target = peer_addrs.get(QUIC)
         if target is None or self.sim.now > until:
             return
-        owner = self.net.owner(target.host)
-        check_priming_ttl(self.net.topology, runtime.host.id,
-                          owner.id if owner else target.host, self.cfg.priming_ttl)
+        check_priming_ttl(self.net, runtime.host.id, target.host, self.cfg.priming_ttl)
         runtime.ports[QUIC].prime(target, count=1, ttl=self.cfg.priming_ttl)
         self._arm("prime-" + side, lambda: self._prime(side, until),
                   self.cfg.priming_interval_ms, last=DIRECT)

@@ -1,6 +1,6 @@
 """Deterministic discrete-event engine: virtual clock, event queue, seeded
-randomness streams, the latency/topology model everything else runs on, and
-the one worker pool that runs self-seeded work in parallel.
+randomness streams, the latency draw every packet takes, and the one worker
+pool that runs self-seeded work in parallel.
 
 All times are milliseconds on a monotonically non-decreasing virtual clock.
 Two runs with the same seed and configuration produce identical event traces.
@@ -20,8 +20,6 @@ from typing import Callable, Optional
 
 # Floor applied to every latency draw so causality is never violated.
 MIN_LATENCY_MS = 0.01
-# Hops between two distinct hosts without a `set_hop_distance` override.
-DEFAULT_HOP_DISTANCE = 6
 # Unbound, so a copied stream draws from its own generator; a bound method
 # cached per stream would be shared by its copies.
 _getrandbits = random.Random.getrandbits
@@ -167,90 +165,6 @@ class RandomStream:
 
     def shuffle(self, seq) -> None:
         self.rng.shuffle(seq)
-
-
-class Topology:
-    """Star topology: per-host access latency, summed per pair, with
-    optional per-pair overrides.
-
-    Each host has a one-way access latency (mean ms, stddev ms) and a NAT
-    leg: the one-way latency between the host and its own NAT (a fraction
-    of the access latency; 0 for public hosts). Only the relative timing
-    of NAT passage depends on the leg. Both are fixed by `add_host`.
-    The hop distance is a symmetric hop count between distinct hosts,
-    used solely for TTL semantics: a host's own NAT sits at hop 1, the
-    remote NAT effectively at hop ``hop_distance``. ``loss_rate`` is an
-    independent Bernoulli drop probability per traversal.
-
-    `route(a, b)` is computed once per pair and cached. Pair and hop
-    overrides change only through `set_pair_params` and
-    `set_hop_distance`, and each change clears that cache.
-    """
-
-    def __init__(self, loss_rate: float = 0.0):
-        check_number("loss_rate", loss_rate, 0.0, 1.0)
-        self.loss_rate = loss_rate
-        self._access: dict[str, tuple[float, float]] = {}
-        self._nat_leg: dict[str, float] = {}
-        self._pair_override: dict[tuple[str, str], tuple[float, float]] = {}
-        self._hop_override: dict[tuple[str, str], int] = {}
-        self._routes: dict[tuple[str, str], tuple[float, float, int]] = {}
-
-    def add_host(self, host: str, mean: float, stddev: float = 0.0,
-                 nat_leg: float = 0.0) -> None:
-        if host in self._access:
-            raise ValueError(f"duplicate host {host!r}")
-        if mean < 0 or stddev < 0 or nat_leg < 0:
-            raise ValueError("latency parameters must be non-negative")
-        self._access[host] = (mean, stddev)
-        if nat_leg:
-            self._nat_leg[host] = nat_leg
-
-    def set_pair_params(self, a: str, b: str, mean: float, stddev: float) -> None:
-        """Override the one-way latency between a and b (either order)."""
-        if mean < 0 or stddev < 0:
-            raise ValueError("latency parameters must be non-negative")
-        self._pair_override[self._pair_key(a, b)] = (mean, stddev)
-        self._routes.clear()
-
-    def set_hop_distance(self, a: str, b: str, hops: int) -> None:
-        """Override the hop count between distinct hosts a and b."""
-        if a == b or hops < 1:
-            raise ValueError("hop overrides need two distinct hosts and hops >= 1")
-        self._hop_override[self._pair_key(a, b)] = hops
-        self._routes.clear()
-
-    def _pair_key(self, a: str, b: str) -> tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
-
-    def pair_params(self, a: str, b: str) -> tuple[float, float]:
-        """(mean, stddev) of the one-way latency between a and b."""
-        for host in (a, b):
-            if host not in self._access:
-                raise KeyError(f"unknown host {host!r}")
-        override = self._pair_override.get(self._pair_key(a, b))
-        if override is not None:
-            return override
-        ma, sa = self._access[a]
-        mb, sb = self._access[b]
-        return ma + mb, sa + sb
-
-    def hop_distance(self, a: str, b: str) -> int:
-        if a == b:
-            return 0
-        return self._hop_override.get(self._pair_key(a, b), DEFAULT_HOP_DISTANCE)
-
-    def leg(self, host: str) -> float:
-        return self._nat_leg.get(host, 0.0)
-
-    def route(self, a: str, b: str) -> tuple[float, float, int]:
-        """(mean, stddev, hops) of the path a -> b, computed once per
-        pair until a parameter changes."""
-        route = self._routes.get((a, b))
-        if route is None:
-            mean, stddev = self.pair_params(a, b)
-            route = self._routes[(a, b)] = (mean, stddev, self.hop_distance(a, b))
-        return route
 
 
 def draw_latency(rng: RandomStream, mean: float, stddev: float) -> float:

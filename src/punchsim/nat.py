@@ -330,9 +330,3 @@ class NatState:
             m.last_activity = now
         return DELIVER, pkt.readdressed(pkt.src, m.internal)
 
-    def expire(self, now: float) -> None:
-        """Drop idle mappings and elapsed denylist entries. Mapping idle
-        strictly longer than the TTL is removed; a denylist entry is
-        removed at its expiry time inclusive."""
-        self._drop_expired(now)
-        self.denylist = {h: t for h, t in self.denylist.items() if t > now}

@@ -1,6 +1,14 @@
 """Host and network layer: routes packets between hosts through their NAT
 devices with latency, hop/TTL, and loss semantics.
 
+The fabric is a star. Each host has an access latency (mean and stddev,
+ms) and a NAT leg: the one-way latency between the host and its own NAT
+(0 for a public host). A packet's one-way latency is one draw of
+`draw_latency` with the sender's and the receiver's access latencies
+summed. Distinct hosts are `HOP_DISTANCE` hops apart, used only for TTL:
+a host's own NAT sits at hop 1. `loss_rate` drops each packet
+independently.
+
 Timing model for a packet sent at t0 from a to b with one-way draw L:
 the sender's NAT processes it at t0 + leg(a), the receiver's NAT at
 t0 + L - leg(b), and the receiving host sees it at t0 + L. Only the NAT
@@ -28,11 +36,13 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .kernel import Simulation, Topology, draw_latency
+from .kernel import Simulation, check_number, draw_latency
 from .nat import DELIVER, REJECT_RST, NatConfig, NatState, SessionTableFull
 from .packets import DEFAULT_TTL, TCP_RST, UDP_DATAGRAM, Endpoint, Packet
 
 FIRST_DYNAMIC_PORT = 10_000
+# Hops between two distinct hosts; a packet whose TTL is lower dies in the core.
+HOP_DISTANCE = 6
 # Tag kinds that answer a request; tag[1] echoes the request's token.
 REPLY_KINDS = frozenset({"pong", "obsr", "rsv-ok", "rsv-refused", "conn-ok",
                          "conn-refused"})
@@ -43,10 +53,12 @@ class Host:
     behind a NAT device."""
 
     def __init__(self, network: "Network", host_id: str, nat: Optional[NatState],
-                 leg: float = 0.0):
+                 mean_latency: float, stddev_latency: float, leg: float):
         self.net = network
         self.id = host_id
         self.nat = nat
+        self.mean_latency = mean_latency  # one-way access latency, ms
+        self.stddev_latency = stddev_latency
         self.leg = leg  # one-way latency to its own NAT
         self.handlers: dict[int, Callable[[Packet], None]] = {}
         # token -> (on_reply, timeout handle or None)
@@ -126,9 +138,10 @@ class Host:
 class Network:
     """One simulation instance's hosts plus the routing fabric."""
 
-    def __init__(self, sim: Simulation, topology: Topology):
+    def __init__(self, sim: Simulation, loss_rate: float = 0.0):
+        check_number("loss_rate", loss_rate, 0.0, 1.0)
         self.sim = sim
-        self.topology = topology
+        self.loss_rate = loss_rate
         self.hosts: dict[str, Host] = {}
         self._owner: dict[str, Host] = {}  # addressable host-id -> host
         self._latency_rng = sim.stream("latency")
@@ -140,13 +153,14 @@ class Network:
                  nat_leg: float = 0.0) -> Host:
         if host_id in self.hosts:
             raise ValueError(f"duplicate host {host_id!r}")
+        if mean_latency < 0 or stddev_latency < 0 or nat_leg < 0:
+            raise ValueError("latency parameters must be non-negative")
         nat = None
         if nat_config is not None:
             nat = NatState(nat_config, public_host=f"{host_id}#nat",
                            rng=self.sim.stream(f"nat/{host_id}"))
-        leg = nat_leg if nat is not None else 0.0
-        self.topology.add_host(host_id, mean_latency, stddev_latency, nat_leg=leg)
-        host = Host(self, host_id, nat, self.topology.leg(host_id))
+        host = Host(self, host_id, nat, mean_latency, stddev_latency,
+                    nat_leg if nat is not None else 0.0)
         self.hosts[host_id] = host
         self._owner[host_id] = host
         if nat is not None:
@@ -176,18 +190,17 @@ class Network:
         receiver = self._owner.get(dst_host)
         if receiver is None:
             return
-        topo = self.topology
-        # Topology.route's cache, read here without its call frame.
-        mean, stddev, hops = (topo._routes.get((from_host, receiver.id))
-                              or topo.route(from_host, receiver.id))
-        if pkt.ttl < hops:
+        if pkt.ttl < (HOP_DISTANCE if receiver is not sender else 0):
             self.dropped_in_core += 1
             return
         # The loss stream is made on first use: a lossless run never seeds it.
-        if topo.loss_rate > 0.0 and sim.stream("loss").random() < topo.loss_rate:
+        loss_rate = self.loss_rate
+        if loss_rate > 0.0 and sim.stream("loss").random() < loss_rate:
             return
 
-        latency = draw_latency(self._latency_rng, mean, stddev)
+        latency = draw_latency(self._latency_rng,
+                               sender.mean_latency + receiver.mean_latency,
+                               sender.stddev_latency + receiver.stddev_latency)
         if skip_sender_nat and sender.nat is not None:
             # The packet originates at the NAT box itself, one access leg
             # closer to the destination than the host.

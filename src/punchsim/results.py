@@ -206,7 +206,8 @@ def read_csv(path: str) -> tuple[list[dict], dict]:
     records = []
     first = None
     seed = 0
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig: a spreadsheet may re-save the file with a byte-order mark.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError("the CSV file has no header line")

@@ -9,8 +9,9 @@ from dataclasses import MISSING, dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .kernel import RandomStream, Topology, bounded, check_fields, run_strided
+from .kernel import RandomStream, bounded, check_fields, run_strided
 from .nat import DELIVER, NatConfig, NatState, SessionTableFull
+from .net import HOP_DISTANCE, Network
 from .packets import UDP_DATAGRAM, Endpoint, Packet, unchecked_endpoint
 
 DEFAULT_PORT_SPACE = 65_536
@@ -99,14 +100,15 @@ def assign_roles(attempt_index: int, base: tuple) -> tuple:
     return base if attempt_index % 2 == 1 else (base[1], base[0])
 
 
-def dial_arrival_skew(topology: Topology, initiator: str, listener: str,
+def dial_arrival_skew(initiator_leg_ms: float, listener_leg_ms: float,
                       wait_ms: float, relay_one_way_ms: float) -> float:
     """Absolute difference between the times the two synchronized dials
-    pass their own NATs, given the initiator waits ``wait_ms`` after
-    sending its go signal through a relay path with the given one-way
-    latency. Zero means the dials cross symmetrically."""
-    t_pass_initiator = wait_ms + topology.leg(initiator)
-    t_pass_listener = relay_one_way_ms + topology.leg(listener)
+    pass their own NATs, given each peer's NAT leg, and that the initiator
+    waits ``wait_ms`` after sending its go signal through a relay path
+    with the given one-way latency. Zero means the dials cross
+    symmetrically."""
+    t_pass_initiator = wait_ms + initiator_leg_ms
+    t_pass_listener = relay_one_way_ms + listener_leg_ms
     return abs(t_pass_initiator - t_pass_listener)
 
 
@@ -114,12 +116,15 @@ class PrimingConfigError(ValueError):
     """Low-TTL priming packets would reach the remote NAT."""
 
 
-def check_priming_ttl(topology: Topology, from_host: str, to_host: str,
+def check_priming_ttl(net: Network, from_host: str, to_host: str,
                       ttl: int) -> None:
-    if ttl >= topology.hop_distance(from_host, to_host):
+    """Raise unless a packet from `from_host` with this TTL dies before
+    the host that `to_host` names (a host, or its NAT's public name)."""
+    owner = net.owner(to_host)
+    hops = 0 if owner is not None and owner.id == from_host else HOP_DISTANCE
+    if ttl >= hops:
         raise PrimingConfigError(
-            f"ttl={ttl} reaches the remote side at hop distance "
-            f"{topology.hop_distance(from_host, to_host)}")
+            f"ttl={ttl} reaches the remote side at hop distance {hops}")
 
 
 def birthday_punch(plan: BirthdayPlan, edm_nat: NatState, edm_host: str,

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from punchsim.analysis import (MULTI_NETWORK, ZERO_PUBLIC, _UnionFind, analyze,
-                               apply_success_filters, cdf_at, identify_networks,
+                               apply_success_filters, identify_networks,
                                latency_ratio_cdf, relay_path_location, rtt_accuracy,
                                success_rate_series)
 from punchsim.results import MalformedRecord, validate_records
@@ -243,11 +243,6 @@ class TestRttDistributions:
         assert out["ratios"] == [0.5, 2.0]
         assert out["fraction_over_one"] == 0.5
         assert out["n"] == 2
-
-    def test_cdf_at(self):
-        assert cdf_at([1.0, 2.0, 3.0], 2.0) == pytest.approx(2 / 3)
-        with pytest.raises(ValueError):
-            cdf_at([], 1.0)
 
 
 class TestFiltersAndPipeline:

@@ -373,6 +373,19 @@ class TestExport:
         assert loaded == records
         assert meta["seed"] == 9
 
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_byte_order_mark_is_read_past(self, tmp_path, suffix):
+        # A spreadsheet may re-save a results file with a UTF-8 byte-order mark.
+        path = tmp_path / f"results{suffix}"
+        export_results([make_record(0), make_record(1), make_record(2)], str(path),
+                       seed=3, config=CampaignConfig())
+        marked = tmp_path / f"marked{suffix}"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        loaded, meta = load_results(str(marked))
+        assert (loaded, meta) == load_results(str(path))
+        assert [rec["trial"] for rec in loaded] == [0, 1, 2]
+        assert (meta["seed"], meta["config_hash"]) == (3, config_hash(CampaignConfig()))
+
     @staticmethod
     def edited_csv(path, row, column, cell):
         """Set one cell of an exported CSV file, rows counted from the

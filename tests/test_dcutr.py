@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from punchsim.dcutr import (DcutrConfig, HolePunch, OutcomeAttempt,
                             OutcomeResult, PeerRuntime, Phase)
-from punchsim.kernel import Simulation, Topology
+from punchsim.kernel import Simulation
 from punchsim.nat import (ARCHETYPE_NATS, FilteringBehavior, MappingBehavior, NatConfig,
                           PortAllocation)
 from punchsim.net import Network
@@ -20,7 +20,7 @@ SYMMETRIC = dict(mapping=MappingBehavior.APDM,
 def build_world(client_nat=CONE, remote_nat=CONE, client_mapping=False,
                 mapping_lies=False, seed=3, client_lat=10.0, remote_lat=20.0,
                 client_leg=1.0, remote_leg=2.0, loss=0.0, relay_kwargs=None):
-    net = Network(Simulation(seed=seed), Topology(loss_rate=loss))
+    net = Network(Simulation(seed=seed), loss_rate=loss)
     net.add_host("relay", 5.0)
     svc = RelayService(net, net.hosts["relay"], **(relay_kwargs or {}))
     net.add_host("client", client_lat,

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 from punchsim import campaign, dcutr, nat, net, packets, strategies, transport
 from punchsim.campaign import CampaignConfig, PopulationSpec, TransportPolicy, run_campaign
-from punchsim.kernel import RandomStream, Simulation, Topology
+from punchsim.kernel import RandomStream, Simulation
 from punchsim.nat import InboundAction, NatConfig, NatState
 from punchsim.packets import Endpoint
 from punchsim.strategies import BirthdayPlan, birthday_punch
@@ -95,7 +95,7 @@ def test_a_campaign_reads_no_member_on_the_data_path():
         run_campaign(config, n_trials=12, seed=7)
         # A NAT that answers an unsolicited SYN with a RST, which no
         # campaign archetype does.
-        network = net.Network(Simulation(seed=1), Topology())
+        network = net.Network(Simulation(seed=1))
         network.add_host("a", 10.0)
         network.add_host("b", 20.0, nat_config=NatConfig(rst_on_unsolicited_tcp=True))
         results = []

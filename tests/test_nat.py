@@ -70,7 +70,7 @@ class TestMapping:
             nat.process_outbound(udp(INT, DST2), 1.0)
 
     def test_full_table_of_expired_mappings_admits_new_mapping(self):
-        # Expiry is lazy: nothing calls expire() between packets, so the
+        # Expiry is lazy: no sweep runs between packets, so the
         # capacity check itself must not count idle mappings past the TTL.
         nat = make_nat(mapping=MappingBehavior.APDM, mapping_ttl=1000,
                        max_sessions=4)
@@ -166,7 +166,11 @@ class TestDenylist:
         nat = make_nat(denylist_on_unsolicited=True, denylist_duration=1_000)
         nat.process_inbound(udp(DST1, Endpoint("pub", 40_000)), 0.0)
         assert "x" in nat.denylist
-        nat.expire(1_000.0)
+        ext = nat.process_outbound(udp(INT, DST1), 1.0).src
+        # A solicited reply at exactly the expiry time passes, and the
+        # entry goes (an unsolicited one would denylist "x" again).
+        action, _ = nat.process_inbound(udp(DST1, ext), 1_000.0)
+        assert action is InboundAction.DELIVER
         assert "x" not in nat.denylist
 
 
@@ -174,7 +178,6 @@ class TestExpiry:
     def test_idle_mapping_removed_past_ttl(self):
         nat = make_nat(mapping_ttl=30_000)
         ext = nat.process_outbound(udp(INT, DST1), 0.0).src
-        nat.expire(30_001.0)
         action, _ = nat.process_inbound(udp(DST1, ext), 30_001.0)
         assert action is InboundAction.DROP
 
@@ -182,14 +185,12 @@ class TestExpiry:
         nat = make_nat(mapping_ttl=30_000)
         nat.process_outbound(udp(INT, DST1), 0.0)
         ext = nat.process_outbound(udp(INT, DST1), 29_999.0).src
-        nat.expire(30_000.0)
         action, _ = nat.process_inbound(udp(DST1, ext), 30_000.0)
         assert action is InboundAction.DELIVER
 
     def test_idle_exactly_ttl_retained(self):
         nat = make_nat(mapping_ttl=30_000)
         ext = nat.process_outbound(udp(INT, DST1), 0.0).src
-        nat.expire(30_000.0)
         action, _ = nat.process_inbound(udp(DST1, ext), 30_000.0)
         assert action is InboundAction.DELIVER
 
@@ -260,7 +261,6 @@ STATIC_PORTS = [40_000, 40_001, 40_002, 6000, 5000]
 _steps = st.lists(st.one_of(
     st.tuples(st.just("out"), st.sampled_from(INTERNALS), st.sampled_from(DESTS)),
     st.tuples(st.just("in"), st.sampled_from(DESTS), st.integers(PORT_LO, PORT_HI)),
-    st.tuples(st.just("expire")),
     st.tuples(st.just("static"), st.sampled_from(INTERNALS),
               st.sampled_from(STATIC_PORTS)),
 ).flatmap(lambda step: st.tuples(st.just(step), st.floats(0.0, 800.0))),
@@ -301,8 +301,6 @@ def test_table_invariants_hold_under_random_traffic(mapping, port_alloc,
                 assert nat.session_count() == max_sessions
         elif step[0] == "in":
             nat.process_inbound(udp(step[1], Endpoint("pub", step[2])), now)
-        elif step[0] == "expire":
-            nat.expire(now)
         else:
             nat.install_static_mapping(step[1], step[2])
         _check_tables(nat)

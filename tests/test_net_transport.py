@@ -2,16 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punchsim.kernel import MIN_LATENCY_MS, RandomStream, Simulation, Topology
+from punchsim.kernel import MIN_LATENCY_MS, RandomStream, Simulation
 from punchsim.nat import FilteringBehavior, MappingBehavior, NatConfig
-from punchsim.net import Network
+from punchsim.net import HOP_DISTANCE, Network
 from punchsim.packets import Endpoint, Packet, PacketKind
 from punchsim.transport import QuicPort, RttProbe, TcpPort, measure_rtt
 
 
 def build_net(seed=1, loss=0.0):
-    topo = Topology(loss_rate=loss)
-    return Network(Simulation(seed=seed), topo)
+    return Network(Simulation(seed=seed), loss_rate=loss)
 
 
 def udp(src, dst, **kw):
@@ -61,7 +60,6 @@ class TestDelivery:
 
     def test_high_ttl_passes_default_hops(self):
         net = build_net()
-        net.topology.set_hop_distance("a", "b", 4)
         a = net.add_host("a", 10.0)
         b = net.add_host("b", 20.0)
         sink = Sink()
@@ -81,6 +79,56 @@ class TestDelivery:
         assert a.nat.session_count() == 1
         assert b.nat.session_count() == 0
         assert not b.nat.denylist
+
+    def test_ttl_boundary_is_hop_distance(self):
+        net = build_net()
+        a = net.add_host("a", 10.0)
+        b = net.add_host("b", 20.0)
+        sink = Sink()
+        b.bind(sink, 80)
+        for ttl in (HOP_DISTANCE - 1, HOP_DISTANCE):
+            net.send(a.id, udp(Endpoint("a", 1), Endpoint("b", 80), ttl=ttl, tag=ttl))
+        net.sim.run()
+        assert [pkt.tag for pkt in sink.received] == [HOP_DISTANCE]
+        assert net.dropped_in_core == 1
+
+    def test_packet_to_itself_crosses_no_hop(self):
+        net = build_net()
+        a = net.add_host("a", 10.0)
+        sink = Sink()
+        a.bind(sink, 80)
+        net.send(a.id, udp(Endpoint("a", 1), Endpoint("a", 80), ttl=1))
+        net.sim.run()
+        assert len(sink.received) == 1 and net.dropped_in_core == 0
+        assert net.sim.now == 20.0  # its access latency, out and back
+
+    def test_public_host_has_no_nat_leg(self):
+        net = build_net()
+        a = net.add_host("a", 10.0, 2.0, nat_leg=3.0)
+        b = net.add_host("b", 20.0, 1.0, nat_config=NatConfig(), nat_leg=3.0)
+        assert (a.mean_latency, a.stddev_latency, a.leg) == (10.0, 2.0, 0.0)
+        assert (b.mean_latency, b.stddev_latency, b.leg) == (20.0, 1.0, 3.0)
+
+    def test_rst_leaves_from_the_receiver_nat(self):
+        # The SYN passes b's NAT one leg before it would reach b (t=26);
+        # the NAT's RST starts there, one leg closer to a (26 + 30 - 4).
+        net = build_net()
+        a = net.add_host("a", 10.0)
+        b = net.add_host("b", 20.0, nat_config=NatConfig(rst_on_unsolicited_tcp=True),
+                         nat_leg=4.0)
+        arrivals = []
+        a.bind(lambda pkt: arrivals.append((pkt.kind, net.sim.now)), 1)
+        net.send(a.id, Packet(src=Endpoint("a", 1), dst=Endpoint(b.nat.public_host, 80),
+                              kind=PacketKind.TCP_SYN))
+        net.sim.run()
+        assert arrivals == [(PacketKind.TCP_RST, 52.0)]
+
+    def test_unknown_host_rejected(self):
+        net = build_net()
+        net.add_host("b", 20.0)
+        with pytest.raises(KeyError):
+            net.send("zzz", udp(Endpoint("zzz", 1), Endpoint("b", 80)))
+        assert net.sim.pending() == 0
 
     def test_owner_maps_both_names_of_a_natted_host(self):
         net = build_net()
@@ -118,6 +166,17 @@ class TestDelivery:
         with pytest.raises(ValueError, match="already bound"):
             a.bind(Sink(), 80)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: build_net(loss=1.5), "loss_rate"),
+        (lambda: build_net().add_host("c", -1.0), "non-negative"),
+        (lambda: build_net().add_host("c", 5.0, -1.0), "non-negative"),
+        (lambda: build_net().add_host("c", 5.0, nat_config=NatConfig(), nat_leg=-1.0),
+         "non-negative"),
+    ], ids=["loss-rate", "negative-mean", "negative-stddev", "negative-leg"])
+    def test_bad_parameters_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_loss_rate_drops_fraction(self):
         net = build_net(seed=5, loss=0.3)
         a = net.add_host("a", 10.0)
@@ -130,50 +189,24 @@ class TestDelivery:
         assert abs(len(sink.received) / 2_000 - 0.7) < 0.03
 
 
-def test_override_changed_after_packets_flowed_takes_effect():
-    net = build_net()
-    a = net.add_host("a", 10.0)
-    b = net.add_host("b", 20.0)
-    arrivals = []
-    b.bind(lambda pkt: arrivals.append(net.sim.now), 80)
-
-    def send_and_run(ttl=64):
-        """The packet's latency, or None when it was dropped."""
-        t0, before = net.sim.now, len(arrivals)
-        net.send(a.id, udp(Endpoint("a", 1), Endpoint("b", 80), ttl=ttl))
-        net.sim.run()
-        return arrivals[-1] - t0 if len(arrivals) > before else None
-
-    assert send_and_run() == 30.0
-    net.topology.set_pair_params("b", "a", 50.0, 0.0)
-    assert send_and_run() == 50.0
-    assert send_and_run(ttl=5) is None and net.dropped_in_core == 1
-    net.topology.set_hop_distance("a", "b", 5)
-    assert send_and_run(ttl=5) == 50.0
-
-
 _hosts = st.lists(st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 10.0),
                             st.one_of(st.none(), st.floats(0.0, 5.0))),
                   min_size=2, max_size=5)
-# (at send index, a, b, ("pair", mean, stddev) or ("hops", n))
-_overrides = st.lists(st.tuples(
-    st.integers(0, 15), st.integers(0, 4), st.integers(0, 4),
-    st.one_of(st.tuples(st.just("pair"), st.floats(0.0, 60.0), st.floats(0.0, 10.0)),
-              st.tuples(st.just("hops"), st.integers(1, 9)))), max_size=6)
 _sends = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 9)),
                   min_size=1, max_size=20)
 
 
 @settings(max_examples=300, deadline=None)
-@given(hosts=_hosts, overrides=_overrides, sends=_sends,
+@given(hosts=_hosts, sends=_sends,
        loss=st.sampled_from([0.0, 0.2, 0.5]), seed=st.integers(0, 1000))
-def test_routes_match_the_topology(hosts, overrides, sends, loss, seed):
+def test_sends_match_the_latency_model(hosts, sends, loss, seed):
     """Arrival times, NAT passage times, core drops and loss drops equal
-    a reference computed from `pair_params`, `hop_distance` and `leg`
-    with the same streams, while overrides change between packets."""
+    a reference computed from each host's latency and NAT leg and from
+    `HOP_DISTANCE`, with the same streams. A packet a host sends itself
+    crosses no hop."""
     net = build_net(seed=seed, loss=loss)
-    topo = net.topology
     names = [f"h{i}" for i in range(len(hosts))]
+    params = dict(zip(names, hosts))
     nat_times = []  # (kind, host, time the packet passed the NAT)
     arrivals = []   # (send index, receiver, arrival time)
     for name, (mean, stddev, leg) in zip(names, hosts):
@@ -196,25 +229,19 @@ def test_routes_match_the_topology(hosts, overrides, sends, loss, seed):
 
     def send(k, i, j, ttl):
         nonlocal core_drops
-        for at, x, y, change in overrides:
-            x, y = names[x % len(names)], names[y % len(names)]
-            if at == k and x != y:
-                if change[0] == "pair":
-                    topo.set_pair_params(x, y, change[1], change[2])
-                else:
-                    topo.set_hop_distance(x, y, change[1])
         a, b = names[i % len(names)], names[j % len(names)]
+        (mean_a, stddev_a, leg_a), (mean_b, stddev_b, leg_b) = params[a], params[b]
         t0 = net.sim.now
-        if net.hosts[a].nat is not None:
-            expected_nat.append(("process_outbound", a, t0 + topo.leg(a)))
-        if ttl < topo.hop_distance(a, b):
+        if leg_a is not None:
+            expected_nat.append(("process_outbound", a, t0 + leg_a))
+        if ttl < (HOP_DISTANCE if a != b else 0):
             core_drops += 1
         elif not (loss > 0.0 and loss_rng.random() < loss):
-            mean, stddev = topo.pair_params(a, b)
-            t_arrival = t0 + max(MIN_LATENCY_MS, latency_rng.normal(mean, stddev))
-            if net.hosts[b].nat is not None:
+            draw = latency_rng.normal(mean_a + mean_b, stddev_a + stddev_b)
+            t_arrival = t0 + max(MIN_LATENCY_MS, draw)
+            if leg_b is not None:
                 expected_nat.append(("process_inbound", b,
-                                     max(t0, t_arrival - topo.leg(b))))
+                                     max(t0, t_arrival - leg_b)))
             expected_arrivals.append((k, b, t_arrival))
         dst = Endpoint(b if net.hosts[b].nat is None else net.hosts[b].nat.public_host, 80)
         net.send(a, udp(Endpoint(a, 1000 + k), dst, ttl=ttl, tag=k))

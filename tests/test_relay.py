@@ -4,7 +4,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
 from punchsim.dcutr import HolePunch, OutcomeAttempt, OutcomeResult, PeerRuntime
-from punchsim.kernel import Simulation, Topology
+from punchsim.kernel import Simulation
 from punchsim.nat import ARCHETYPE_NATS, NatConfig
 from punchsim.net import Network
 from punchsim.packets import Endpoint, Packet, PacketKind
@@ -14,7 +14,7 @@ from punchsim.transport import TcpPort, Transport, measure_rtt
 
 
 def build_world(seed=1, relay_kwargs=None, n_relays=1):
-    net = Network(Simulation(seed=seed), Topology())
+    net = Network(Simulation(seed=seed))
     services = []
     for i in range(n_relays):
         net.add_host(f"relay-{i}", 5.0)
@@ -71,7 +71,7 @@ class TestReservation:
         assert reserve(net, bob, services[0]) == [True]
 
     def test_relay_must_be_public(self):
-        net = Network(Simulation(seed=1), Topology())
+        net = Network(Simulation(seed=1))
         net.add_host("natted", 10.0, nat_config=NatConfig())
         try:
             RelayService(net, net.hosts["natted"])
@@ -329,7 +329,7 @@ class RelayWorld(RuleBasedStateMachine):
                 seed=st.integers(0, 1_000))
     def build(self, budget, nats, seed):
         self.budget = budget
-        self.net = Network(Simulation(seed=seed), Topology())
+        self.net = Network(Simulation(seed=seed))
         self.services = []
         for i in range(2):
             host = self.net.add_host(f"relay-{i}", 5.0 * (i + 1))

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punchsim.kernel import RandomStream, Topology
+from punchsim.kernel import RandomStream, Simulation
 from punchsim.nat import (FilteringBehavior, MappingBehavior, NatConfig,
                           NatState, PortAllocation)
-from punchsim.packets import Endpoint
+from punchsim.net import HOP_DISTANCE, Network
+from punchsim.packets import Endpoint, Packet, PacketKind
 from punchsim.strategies import (BirthdayPlan, BirthdayScenario,
                                  PrimingConfigError, assign_roles,
                                  birthday_monte_carlo, birthday_probability,
@@ -267,15 +268,10 @@ class TestRefinedWait:
     @given(leg_l=st.floats(0.0, 50.0), leg_i=st.floats(0.0, 50.0),
            relay_ow=st.floats(0.1, 200.0))
     def test_skew_never_worse_than_baseline(self, leg_l, leg_i, relay_ow):
-        topo = Topology()
-        topo.add_host("listener", 10.0, 0.0, nat_leg=leg_l)
-        topo.add_host("initiator", 10.0, 0.0, nat_leg=leg_i)
         rtt = 2.0 * relay_ow
         refined = refined_wait_time(rtt, 2.0 * leg_l, 2.0 * leg_i)
-        skew_refined = dial_arrival_skew(topo, "initiator", "listener",
-                                         refined, relay_ow)
-        skew_base = dial_arrival_skew(topo, "initiator", "listener",
-                                      rtt / 2.0, relay_ow)
+        skew_refined = dial_arrival_skew(leg_i, leg_l, refined, relay_ow)
+        skew_base = dial_arrival_skew(leg_i, leg_l, rtt / 2.0, relay_ow)
         assert skew_refined <= skew_base + 1e-9
 
 
@@ -291,9 +287,33 @@ class TestRolesAndPriming:
             assign_roles(0, ("a", "b"))
 
     def test_priming_ttl_guard(self):
-        topo = Topology()
-        topo.add_host("a", 10.0, 0.0)
-        topo.add_host("b", 10.0, 0.0)
-        check_priming_ttl(topo, "a", "b", ttl=3)  # below default 6 hops
-        with pytest.raises(PrimingConfigError):
-            check_priming_ttl(topo, "a", "b", ttl=6)
+        net = Network(Simulation(seed=1))
+        net.add_host("a", 10.0, 0.0)
+        b = net.add_host("b", 10.0, 0.0, nat_config=NatConfig())
+        # The peer by its host id or by its NAT's public name: 6 hops away.
+        for to_host in ("b", b.nat.public_host):
+            check_priming_ttl(net, "a", to_host, ttl=3)
+            with pytest.raises(PrimingConfigError):
+                check_priming_ttl(net, "a", to_host, ttl=6)
+
+    def test_priming_ttl_guard_agrees_with_the_network(self):
+        # The guard passes a TTL exactly when the network drops that
+        # packet in the core, for a peer and for the sender itself.
+        net = Network(Simulation(seed=1))
+        a = net.add_host("a", 10.0, 0.0)
+        a.bind(lambda pkt: None, 80)
+        b = net.add_host("b", 10.0, 0.0)
+        b.bind(lambda pkt: None, 80)
+        for to_host in ("a", "b"):
+            for ttl in range(1, HOP_DISTANCE + 2):
+                before = net.dropped_in_core
+                net.send("a", Packet(Endpoint("a", 1), Endpoint(to_host, 80),
+                                     PacketKind.UDP_DATAGRAM, ttl))
+                dropped = net.dropped_in_core > before
+                try:
+                    check_priming_ttl(net, "a", to_host, ttl)
+                    guarded = True
+                except PrimingConfigError:
+                    guarded = False
+                assert guarded == dropped, (to_host, ttl)
+        net.sim.run()
