@@ -153,13 +153,13 @@ def generate_population(spec: PopulationSpec) -> Population:
                 return name
         return names[-1]
 
-    def draw_latency() -> tuple[float, float, float]:
+    def draw_access() -> tuple[float, float, float]:
         lo, hi = spec.latency_range_ms
         mean = rng.uniform(lo, hi)
         return mean, spec.jitter * mean, spec.nat_leg_fraction * mean
 
     def make_peer(peer_id: str, index: int, can_map: bool) -> PeerSpec:
-        mean, stddev, leg = draw_latency()
+        mean, stddev, leg = draw_access()
         mapped = can_map and rng.random() < spec.port_mapping_prevalence
         lies = mapped and rng.random() < spec.mapping_lies_share
         return PeerSpec(
@@ -176,7 +176,7 @@ def generate_population(spec: PopulationSpec) -> Population:
                for i in range(spec.n_remotes)]
     relays = []
     for i in range(spec.n_relays):
-        mean, stddev, _ = draw_latency()
+        mean, stddev, _ = draw_access()
         relays.append(PeerSpec(peer_id=f"relay-{i:02d}", nat=None,
                                access_latency_ms=mean,
                                latency_stddev_ms=stddev, nat_leg_ms=0.0))

@@ -10,8 +10,7 @@ import os
 import sys
 
 from . import analysis, campaign, results
-from .strategies import (BirthdayPlan, BirthdayScenario, PrimingConfigError,
-                         birthday_probability)
+from .strategies import BirthdayPlan, BirthdayScenario, birthday_probability
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,11 +67,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for path in (args.out, args.report):
         if path:
             _check_writable(path)
-    try:
-        records = campaign.run_campaign(config, n_trials=args.trials,
-                                        seed=args.seed, workers=args.workers)
-    except PrimingConfigError as exc:  # it needs a built network to show
-        raise ConfigError(f"invalid config: {exc}") from exc
+    records = campaign.run_campaign(config, n_trials=args.trials,
+                                    seed=args.seed, workers=args.workers)
     _write(campaign.export_results, records, args.out, seed=args.seed, config=config)
     print(f"wrote {len(records)} records to {args.out}")
     if args.report:

@@ -16,10 +16,10 @@ from functools import partial
 from typing import Callable, Optional
 
 from .kernel import bounded, check_fields
-from .net import Host, Network
+from .net import HOP_DISTANCE, Host, Network
 from .packets import Endpoint
 from .relay import Circuit, RelayClient
-from .strategies import assign_roles, check_priming_ttl, refined_wait_time
+from .strategies import assign_roles, refined_wait_time
 from .transport import (MAX_RTT_SAMPLES, QUIC, TCP, Port, QuicPort, TcpPort, Transport,
                         measure_rtt)
 
@@ -102,7 +102,8 @@ class DcutrConfig:
     refined_wait: bool = False
     alternate_roles: bool = False
     ttl_priming: bool = False
-    priming_ttl: int = bounded(3, 1, 255)
+    # A priming packet goes to the peer, so it must die before its hop distance.
+    priming_ttl: int = bounded(3, 1, HOP_DISTANCE - 1)
     # A shorter priming interval may not move the clock at all.
     priming_interval_ms: float = bounded(200.0, 1.0)
     dummy_count: int = bounded(3, 1)
@@ -504,7 +505,7 @@ class HolePunch:
         if transport is TCP or side == roles[0]:
             port.dial(target, self.cfg.attempt_deadline_ms)
         else:  # the QUIC server primes its NAT
-            port.prime(target, count=self.cfg.dummy_count, ttl=64)
+            port.prime(target, count=self.cfg.dummy_count)
 
     def _end_attempt(self, outcome: OutcomeAttempt,
                      transport: Optional[Transport] = None) -> None:
@@ -588,7 +589,6 @@ class HolePunch:
         target = peer_addrs.get(QUIC)
         if target is None or self.sim.now > until:
             return
-        check_priming_ttl(self.net, runtime.host.id, target.host, self.cfg.priming_ttl)
         runtime.ports[QUIC].prime(target, count=1, ttl=self.cfg.priming_ttl)
         self._arm("prime-" + side, lambda: self._prime(side, until),
                   self.cfg.priming_interval_ms, last=DIRECT)

@@ -1,6 +1,6 @@
 """Deterministic discrete-event engine: virtual clock, event queue, seeded
-randomness streams, the latency draw every packet takes, and the one worker
-pool that runs self-seeded work in parallel.
+randomness streams, config-field checks, and the one worker pool that runs
+self-seeded work in parallel.
 
 All times are milliseconds on a monotonically non-decreasing virtual clock.
 Two runs with the same seed and configuration produce identical event traces.
@@ -18,8 +18,6 @@ from enum import Enum
 from math import cos, log, sin, sqrt
 from typing import Callable, Optional
 
-# Floor applied to every latency draw so causality is never violated.
-MIN_LATENCY_MS = 0.01
 # Unbound, so a copied stream draws from its own generator; a bound method
 # cached per stream would be shared by its copies.
 _getrandbits = random.Random.getrandbits
@@ -165,12 +163,6 @@ class RandomStream:
 
     def shuffle(self, seq) -> None:
         self.rng.shuffle(seq)
-
-
-def draw_latency(rng: RandomStream, mean: float, stddev: float) -> float:
-    """A one-way latency draw: max(MIN_LATENCY_MS, N(mean, stddev))."""
-    latency = rng.normal(mean, stddev)
-    return latency if latency > MIN_LATENCY_MS else MIN_LATENCY_MS
 
 
 class Simulation:

@@ -3,11 +3,12 @@ devices with latency, hop/TTL, and loss semantics.
 
 The fabric is a star. Each host has an access latency (mean and stddev,
 ms) and a NAT leg: the one-way latency between the host and its own NAT
-(0 for a public host). A packet's one-way latency is one draw of
-`draw_latency` with the sender's and the receiver's access latencies
-summed. Distinct hosts are `HOP_DISTANCE` hops apart, used only for TTL:
-a host's own NAT sits at hop 1. `loss_rate` drops each packet
-independently.
+(0 for a public host). A packet's one-way latency is one normal draw
+with the sender's and the receiver's access latencies summed, floored at
+`MIN_LATENCY_MS`. Distinct hosts are `HOP_DISTANCE` hops apart, used only
+for TTL: a host's own NAT sits at hop 1. `loss_rate` drops each packet
+independently. Each host id and each NAT's public name (`<id>#nat`)
+names one host.
 
 Timing model for a packet sent at t0 from a to b with one-way draw L:
 the sender's NAT processes it at t0 + leg(a), the receiver's NAT at
@@ -36,11 +37,13 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .kernel import Simulation, check_number, draw_latency
+from .kernel import Simulation, check_number
 from .nat import DELIVER, REJECT_RST, NatConfig, NatState, SessionTableFull
 from .packets import DEFAULT_TTL, TCP_RST, UDP_DATAGRAM, Endpoint, Packet
 
 FIRST_DYNAMIC_PORT = 10_000
+# Floor applied to every latency draw so causality is never violated.
+MIN_LATENCY_MS = 0.01
 # Hops between two distinct hosts; a packet whose TTL is lower dies in the core.
 HOP_DISTANCE = 6
 # Tag kinds that answer a request; tag[1] echoes the request's token.
@@ -151,26 +154,23 @@ class Network:
     def add_host(self, host_id: str, mean_latency: float = 10.0,
                  stddev_latency: float = 0.0, nat_config: Optional[NatConfig] = None,
                  nat_leg: float = 0.0) -> Host:
-        if host_id in self.hosts:
-            raise ValueError(f"duplicate host {host_id!r}")
+        public_name = None if nat_config is None else f"{host_id}#nat"
+        for name in (host_id, public_name):
+            if name in self._owner:  # a host id or a NAT's public name
+                raise ValueError(f"duplicate host {name!r}")
         if mean_latency < 0 or stddev_latency < 0 or nat_leg < 0:
             raise ValueError("latency parameters must be non-negative")
         nat = None
         if nat_config is not None:
-            nat = NatState(nat_config, public_host=f"{host_id}#nat",
+            nat = NatState(nat_config, public_host=public_name,
                            rng=self.sim.stream(f"nat/{host_id}"))
         host = Host(self, host_id, nat, mean_latency, stddev_latency,
                     nat_leg if nat is not None else 0.0)
         self.hosts[host_id] = host
         self._owner[host_id] = host
         if nat is not None:
-            self._owner[nat.public_host] = host
+            self._owner[public_name] = host
         return host
-
-    def owner(self, host_id: str) -> Optional[Host]:
-        """The host that packets addressed to `host_id` reach: that host,
-        or the one behind the NAT whose public name it is."""
-        return self._owner.get(host_id)
 
     def send(self, from_host: str, pkt: Packet, skip_sender_nat: bool = False) -> None:
         """Inject a packet into the fabric. Drops (filtering, TTL, loss,
@@ -198,9 +198,10 @@ class Network:
         if loss_rate > 0.0 and sim.stream("loss").random() < loss_rate:
             return
 
-        latency = draw_latency(self._latency_rng,
-                               sender.mean_latency + receiver.mean_latency,
-                               sender.stddev_latency + receiver.stddev_latency)
+        latency = self._latency_rng.normal(sender.mean_latency + receiver.mean_latency,
+                                           sender.stddev_latency + receiver.stddev_latency)
+        if not latency > MIN_LATENCY_MS:  # a NaN draw is floored too
+            latency = MIN_LATENCY_MS
         if skip_sender_nat and sender.nat is not None:
             # The packet originates at the NAT box itself, one access leg
             # closer to the destination than the host.

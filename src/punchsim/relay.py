@@ -8,7 +8,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from .net import Host, Network
-from .packets import Endpoint
+from .packets import Endpoint, Packet
 from .transport import PING_BYTES, RttProbe
 
 RELAY_PORT = 1
@@ -119,11 +119,14 @@ class RelayService:
             self._send(pkt.src, ("obsr", tag[1], pkt.src))
         elif kind == "rsv-req":
             token, peer_id = tag[1], tag[2]
-            if self._live_reservations() >= self.capacity and peer_id not in self.reservations:
+            now = self.net.sim.now
+            rsv = self.reservations.get(peer_id)
+            # At capacity, only the refresh of a live reservation is admitted.
+            if ((rsv is None or rsv.expires <= now)
+                    and self._live_reservations() >= self.capacity):
                 self._send(pkt.src, ("rsv-refused", token))
                 return
-            expires = self.net.sim.now + DEFAULT_RESERVATION_MS
-            rsv = self.reservations.get(peer_id)
+            expires = now + DEFAULT_RESERVATION_MS
             if rsv is None:
                 self.reservations[peer_id] = Reservation(pkt.src, expires)
             else:

@@ -85,7 +85,8 @@ def _type_error(rec: dict) -> Optional[str]:
         if not isinstance(rec.get(key, False), bool):
             return f"{key} must be a boolean"
     for key in _RULES["id"]:
-        if not isinstance(rec.get(key, 0), (int, str)):
+        value = rec.get(key, 0)  # a bool is not an id, as for "integer"
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
             return f"{key} must be an integer or a string"
     for key in _LISTS:
         if not isinstance(rec.get(key, []), list):

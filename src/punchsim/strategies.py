@@ -1,6 +1,7 @@
 """Pluggable traversal strategies: birthday-paradox probing with an
-analytic oracle, refined asymmetric wait time, role alternation on
-retries, and low-TTL NAT priming."""
+analytic oracle, refined asymmetric wait time and the dial skew it
+corrects, and role alternation on retries. Low-TTL NAT priming runs in
+`dcutr`, whose config keeps its TTL below `net.HOP_DISTANCE`."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from typing import Optional
 
 from .kernel import RandomStream, bounded, check_fields, run_strided
 from .nat import DELIVER, NatConfig, NatState, SessionTableFull
-from .net import HOP_DISTANCE, Network
 from .packets import UDP_DATAGRAM, Endpoint, Packet, unchecked_endpoint
 
 DEFAULT_PORT_SPACE = 65_536
@@ -110,21 +110,6 @@ def dial_arrival_skew(initiator_leg_ms: float, listener_leg_ms: float,
     t_pass_initiator = wait_ms + initiator_leg_ms
     t_pass_listener = relay_one_way_ms + listener_leg_ms
     return abs(t_pass_initiator - t_pass_listener)
-
-
-class PrimingConfigError(ValueError):
-    """Low-TTL priming packets would reach the remote NAT."""
-
-
-def check_priming_ttl(net: Network, from_host: str, to_host: str,
-                      ttl: int) -> None:
-    """Raise unless a packet from `from_host` with this TTL dies before
-    the host that `to_host` names (a host, or its NAT's public name)."""
-    owner = net.owner(to_host)
-    hops = 0 if owner is not None and owner.id == from_host else HOP_DISTANCE
-    if ttl >= hops:
-        raise PrimingConfigError(
-            f"ttl={ttl} reaches the remote side at hop distance {hops}")
 
 
 def birthday_punch(plan: BirthdayPlan, edm_nat: NatState, edm_host: str,

@@ -78,7 +78,7 @@ def valid_records(draw):
         "public_endpoints": draw(st.lists(
             st.text() | st.lists(st.text(), min_size=2, max_size=2), max_size=3)),
         "private_addrs": draw(st.lists(st.text(), max_size=3)),
-        "as_id": draw(st.integers() | st.text() | st.booleans()),
+        "as_id": draw(st.integers() | st.text()),
         "outcome": draw(st.sampled_from(sorted(OUTCOMES))),
         "attempts": draw(st.lists(JSON_VALUES, max_size=3)),
         "port_mapping_active": draw(st.booleans()),
@@ -862,6 +862,7 @@ class TestCliExits:
         ("refined_wait: 1\ndcutr: {refined_wait: true}\n", "refined_wait"),
         ("population: {seed: 7.5}\n", "seed"),
         ('population: {seed: "7"}\n', "seed"),
+        ("dcutr: {ttl_priming: true, priming_ttl: 6}\n", "priming_ttl"),
     ])
     def test_mistyped_field_exits_2_before_any_trial(self, tmp_path, capsys,
                                                      monkeypatch, text, field):
@@ -1149,6 +1150,7 @@ class TestCliExits:
                 ("protocol_filter", "UDP", "protocol_filter must be TCP, QUIC or null"),
                 ("port_mapping_active", 1, "port_mapping_active must be a boolean"),
                 ("as_id", 1.5, "as_id must be an integer or a string"),
+                ("as_id", True, "as_id must be an integer or a string"),
                 ("private_addrs", [1], "private_addrs entries must be strings")]:
             rec = make_record()
             rec[field] = value

@@ -1,13 +1,11 @@
 import copy
-import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punchsim.kernel import (MIN_LATENCY_MS, RandomStream, ScheduleInPastError,
-                             Simulation, draw_latency)
+from punchsim.kernel import RandomStream, ScheduleInPastError, Simulation
 
 
 def test_schedule_fires_once_at_time():
@@ -143,22 +141,6 @@ def test_sample_out_of_range_raises_without_drawing(n, k):
     with pytest.raises(ValueError):
         random.Random().sample(range(n), k)
     assert stream.rng.getstate() == state
-
-
-def test_latency_degenerate_sum():
-    rng = RandomStream(1, "lat")
-    assert draw_latency(rng, 10.0 + 20.0, 0.0) == 30.0
-    assert draw_latency(rng, 0.0, 0.0) == MIN_LATENCY_MS
-
-
-def test_latency_distribution_moments():
-    # Law-of-large-numbers check against the configured normal distribution.
-    rng = RandomStream(7, "lat")
-    draws = [draw_latency(rng, 50.0 + 50.0, 25.0 + 25.0) for _ in range(10_000)]
-    mean = sum(draws) / len(draws)
-    std = math.sqrt(sum((d - mean) ** 2 for d in draws) / (len(draws) - 1))
-    assert abs(mean - 100.0) < 2.0
-    assert abs(std - 50.0) < 3.0
 
 
 # -- kernel invariants under random schedules ---------------------------------

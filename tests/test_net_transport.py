@@ -1,10 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punchsim.kernel import MIN_LATENCY_MS, RandomStream, Simulation
+from punchsim.kernel import RandomStream, Simulation
 from punchsim.nat import FilteringBehavior, MappingBehavior, NatConfig
-from punchsim.net import HOP_DISTANCE, Network
+from punchsim.net import HOP_DISTANCE, MIN_LATENCY_MS, Network
 from punchsim.packets import Endpoint, Packet, PacketKind
 from punchsim.transport import QuicPort, RttProbe, TcpPort, measure_rtt
 
@@ -130,13 +132,77 @@ class TestDelivery:
             net.send("zzz", udp(Endpoint("zzz", 1), Endpoint("b", 80)))
         assert net.sim.pending() == 0
 
-    def test_owner_maps_both_names_of_a_natted_host(self):
+    def test_both_names_of_a_natted_host_reach_it(self):
+        # Its NAT's public name reaches it from outside; its own id does
+        # not, and a name no host holds reaches nothing.
         net = build_net()
         a = net.add_host("a", 10.0, nat_config=NatConfig(), nat_leg=1.0)
+        a.nat.install_static_mapping(Endpoint("a", 80), 80)
         b = net.add_host("b", 20.0)
-        assert net.owner(a.nat.public_host) is a
-        assert net.owner("a") is a and net.owner("b") is b
-        assert net.owner("nowhere") is None
+        sinks = {"a": Sink(), "b": Sink()}
+        a.bind(sinks["a"], 80)
+        b.bind(sinks["b"], 80)
+        net.send("b", udp(Endpoint("b", 1), Endpoint(a.nat.public_host, 80), tag=1))
+        net.send("b", udp(Endpoint("b", 1), Endpoint("a", 80), tag=2))
+        net.send("a", udp(Endpoint("a", 1), Endpoint("b", 80), tag=3))
+        net.send("a", udp(Endpoint("a", 1), Endpoint("nowhere", 80), tag=4))
+        net.sim.run()
+        assert [p.tag for p in sinks["a"].received] == [1]
+        assert [p.tag for p in sinks["b"].received] == [3]
+
+    def test_host_id_that_names_a_nat_is_refused(self):
+        net = build_net()
+        a = net.add_host("a", 10.0, nat_config=NatConfig(), nat_leg=1.0)
+        a.nat.install_static_mapping(Endpoint("a", 80), 80)
+        sink = Sink()
+        a.bind(sink, 80)
+        with pytest.raises(ValueError, match="duplicate host 'a#nat'"):
+            net.add_host(a.nat.public_host, 5.0)
+        net.add_host("b", 20.0)
+        net.send("b", udp(Endpoint("b", 1), Endpoint(a.nat.public_host, 80)))
+        net.sim.run()
+        assert len(sink.received) == 1 and list(net.hosts) == ["a", "b"]
+
+    def test_nat_name_that_names_a_host_is_refused(self):
+        net = build_net()
+        first = net.add_host("a#nat", 10.0)
+        sink = Sink()
+        first.bind(sink, 80)
+        with pytest.raises(ValueError, match="duplicate host 'a#nat'"):
+            net.add_host("a", 10.0, nat_config=NatConfig(), nat_leg=1.0)
+        net.add_host("b", 20.0)
+        net.send("b", udp(Endpoint("b", 1), Endpoint("a#nat", 80)))
+        net.sim.run()
+        assert len(sink.received) == 1 and list(net.hosts) == ["a#nat", "b"]
+
+    @pytest.mark.parametrize("means, arrival", [
+        ((0.0, 0.0), MIN_LATENCY_MS),  # floored
+        ((12.5, 7.25), 19.75),          # stddev 0: exactly the mean sum
+    ], ids=["zero-latency", "zero-stddev"])
+    def test_degenerate_latency_arrives_at_its_floor_or_mean_sum(self, means, arrival):
+        net = build_net()
+        net.add_host("a", means[0], 0.0)
+        b = net.add_host("b", means[1], 0.0)
+        b.bind(Sink(), 80)
+        net.send("a", udp(Endpoint("a", 1), Endpoint("b", 80)))
+        net.sim.run()
+        assert net.sim.now == arrival
+
+    def test_arrival_delay_moments(self):
+        # Law-of-large-numbers check against N(50 + 50, 25 + 25), floored.
+        net = build_net(seed=7)
+        net.add_host("a", 50.0, 25.0)
+        b = net.add_host("b", 50.0, 25.0)
+        delays = []
+        b.bind(lambda pkt: delays.append(net.sim.now), 80)
+        for _ in range(10_000):
+            net.send("a", udp(Endpoint("a", 1), Endpoint("b", 80)))
+        net.sim.run()
+        assert len(delays) == 10_000 and min(delays) >= MIN_LATENCY_MS
+        mean = sum(delays) / len(delays)
+        std = math.sqrt(sum((d - mean) ** 2 for d in delays) / (len(delays) - 1))
+        assert abs(mean - 100.0) < 2.0
+        assert abs(std - 50.0) < 3.0
 
     def test_full_table_drops_at_the_sender(self):
         net = build_net()

@@ -70,6 +70,16 @@ class TestReservation:
         assert reserve(net, bob, services[0]) == [True]
         assert reserve(net, bob, services[0]) == [True]
 
+    def test_expired_reservation_is_not_refreshed_at_capacity(self):
+        # bob took alice's slot after hers expired; her refresh is a new
+        # reservation, and the relay is full.
+        net, services, alice, bob = build_world(relay_kwargs={"capacity": 1})
+        assert reserve(net, alice, services[0]) == [True]
+        net.sim.run(until=net.sim.now + DEFAULT_RESERVATION_MS)
+        assert reserve(net, bob, services[0]) == [True]
+        assert reserve(net, alice, services[0]) == [False]
+        assert services[0]._live_reservations() == 1
+
     def test_relay_must_be_public(self):
         net = Network(Simulation(seed=1))
         net.add_host("natted", 10.0, nat_config=NatConfig())
@@ -366,8 +376,9 @@ class RelayWorld(RuleBasedStateMachine):
     @rule(peer=st.integers(0, 2), relay=st.integers(0, 1))
     def reserve(self, peer, relay):
         svc, client = self.services[relay], self.peers[peer].relay
+        rsv = svc.reservations.get(client.peer_id)
         admitted = (svc._live_reservations() < svc.capacity
-                    or client.peer_id in svc.reservations)
+                    or (rsv is not None and rsv.expires > self.net.sim.now))
         out = []
         client.reserve(svc.endpoint, out.append)
         self._run(6_000)
@@ -443,6 +454,10 @@ class RelayWorld(RuleBasedStateMachine):
             held = [c["rsv"] for c in svc._circuits.values()]
             for rsv in [*svc.reservations.values(), *held]:
                 assert rsv.active_conns == sum(r is rsv for r in held)
+
+    @invariant()
+    def live_reservations_within_capacity(self):
+        assert all(svc._live_reservations() <= svc.capacity for svc in self.services)
 
     @invariant()
     def each_dial_settles_once(self):

@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from punchsim.dcutr import DcutrConfig
 from punchsim.kernel import RandomStream, Simulation
 from punchsim.nat import (FilteringBehavior, MappingBehavior, NatConfig,
                           NatState, PortAllocation)
 from punchsim.net import HOP_DISTANCE, Network
 from punchsim.packets import Endpoint, Packet, PacketKind
-from punchsim.strategies import (BirthdayPlan, BirthdayScenario,
-                                 PrimingConfigError, assign_roles,
+from punchsim.strategies import (BirthdayPlan, BirthdayScenario, assign_roles,
                                  birthday_monte_carlo, birthday_probability,
                                  birthday_punch, both_edm_pair_share,
-                                 check_priming_ttl, dial_arrival_skew,
-                                 expected_gain, mixed_pair_share,
-                                 refined_wait_time)
+                                 dial_arrival_skew, expected_gain,
+                                 mixed_pair_share, refined_wait_time)
 
 # The mixed scenario's endpoint-dependent NAT over the full port space.
 EDM = NatConfig(mapping=MappingBehavior.APDM,
@@ -286,34 +285,23 @@ class TestRolesAndPriming:
         with pytest.raises(ValueError):
             assign_roles(0, ("a", "b"))
 
-    def test_priming_ttl_guard(self):
+    def test_priming_ttl_bound_agrees_with_the_network(self):
+        # DcutrConfig accepts a priming TTL exactly when a packet with that
+        # TTL, sent to a peer by its host id or its NAT's public name, dies
+        # in the core.
         net = Network(Simulation(seed=1))
         net.add_host("a", 10.0, 0.0)
         b = net.add_host("b", 10.0, 0.0, nat_config=NatConfig())
-        # The peer by its host id or by its NAT's public name: 6 hops away.
         for to_host in ("b", b.nat.public_host):
-            check_priming_ttl(net, "a", to_host, ttl=3)
-            with pytest.raises(PrimingConfigError):
-                check_priming_ttl(net, "a", to_host, ttl=6)
-
-    def test_priming_ttl_guard_agrees_with_the_network(self):
-        # The guard passes a TTL exactly when the network drops that
-        # packet in the core, for a peer and for the sender itself.
-        net = Network(Simulation(seed=1))
-        a = net.add_host("a", 10.0, 0.0)
-        a.bind(lambda pkt: None, 80)
-        b = net.add_host("b", 10.0, 0.0)
-        b.bind(lambda pkt: None, 80)
-        for to_host in ("a", "b"):
             for ttl in range(1, HOP_DISTANCE + 2):
                 before = net.dropped_in_core
                 net.send("a", Packet(Endpoint("a", 1), Endpoint(to_host, 80),
                                      PacketKind.UDP_DATAGRAM, ttl))
                 dropped = net.dropped_in_core > before
                 try:
-                    check_priming_ttl(net, "a", to_host, ttl)
-                    guarded = True
-                except PrimingConfigError:
-                    guarded = False
-                assert guarded == dropped, (to_host, ttl)
+                    DcutrConfig(priming_ttl=ttl)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == dropped, (to_host, ttl)
         net.sim.run()
