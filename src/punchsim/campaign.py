@@ -193,7 +193,7 @@ def _join(world: tuple, spec: PeerSpec) -> PeerRuntime:
     """The peer's runtime in `world`, added on its first trial there."""
     net, _, peers = world
     if spec.peer_id not in peers:
-        peers[spec.peer_id] = PeerRuntime(net, _add_peer_host(net, spec),
+        peers[spec.peer_id] = PeerRuntime(_add_peer_host(net, spec),
                                           port_mapping=spec.port_mapping_active,
                                           mapping_lies=spec.mapping_lies)
     return peers[spec.peer_id]
@@ -220,7 +220,7 @@ def _build_world(population: Population, seed: int, label: str) -> tuple:
     """A world seeded from (seed, label): its network, the relays' services,
     and a table of the peers that join it later, by peer id."""
     net = Network(Simulation(seed=derive_seed(seed, label)))
-    services = [RelayService(net, _add_peer_host(net, relay_spec))
+    services = [RelayService(_add_peer_host(net, relay_spec))
                 for relay_spec in population.relays]
     return net, services, {}
 
@@ -260,7 +260,7 @@ def _trial_in(world: tuple, population: Population, config: CampaignConfig,
         # Relay addresses in the order the reservations are confirmed.
         relay_addrs = [ep for ep, ok in confirmed if ok]
     results = []
-    punch = HolePunch(net, client, remote, relay_addrs, config.dcutr,
+    punch = HolePunch(client, remote, relay_addrs, config.dcutr,
                       transport_filter=tf, on_done=results.append)
     punch.start()
     for _ in range(1_000):
@@ -332,7 +332,7 @@ def run_campaign(config: CampaignConfig, n_trials: int, seed: int,
 
 
 def aggregate(records: list[dict], seed: int = 0, config_hash: str = "",
-              min_per_client: int = 0, bin_width: float = 0.05) -> CampaignReport:
+              min_per_client: int = 0) -> CampaignReport:
     """Campaign summary over validated records and the standard success
     filters of the analysis module (`analysis.apply_success_filters`),
     with relay-path bins from `analysis.relay_path_bins`."""
@@ -361,7 +361,7 @@ def aggregate(records: list[dict], seed: int = 0, config_hash: str = "",
 
     rtt_ratios = [round(ratio, 6) for ratio in latency_ratios(successes)]
 
-    bins, _skipped = relay_path_bins(filtered, bin_width)
+    bins, _skipped = relay_path_bins(filtered)
     relay_path = {label: {"successes": s, "total": n}
                   for label, (s, n) in bins.items()}
 

@@ -10,6 +10,7 @@ import os
 import sys
 
 from . import analysis, campaign, results
+from .nat import PORT_SPACE
 from .strategies import BirthdayPlan, BirthdayScenario, birthday_probability
 
 EXIT_OK = 0
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="ports probed by the other side")
     orc.add_argument("--scenario", required=True,
                      choices=[s.value for s in BirthdayScenario])
-    orc.add_argument("--space", type=int, default=65536)
+    orc.add_argument("--space", type=int, default=PORT_SPACE)
     orc.set_defaults(func=_cmd_oracle)
 
     ana = sub.add_parser("analyze", help="analyze a results file")

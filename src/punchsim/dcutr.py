@@ -16,7 +16,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from .kernel import bounded, check_fields
-from .net import HOP_DISTANCE, Host, Network
+from .net import HOP_DISTANCE, Host
 from .packets import Endpoint
 from .relay import Circuit, RelayClient
 from .strategies import assign_roles, refined_wait_time
@@ -120,15 +120,11 @@ class PeerRuntime:
     """A peer's live protocol state: relay client, one bound port per
     transport, and its address book."""
 
-    def __init__(self, net: Network, host: Host, port_mapping: bool = False,
-                 mapping_lies: bool = False):
-        self.net = net
+    def __init__(self, host: Host, port_mapping: bool = False, mapping_lies: bool = False):
         self.host = host
-        self.peer_id = host.id
-        self.relay = RelayClient(net, host)
+        self.relay = RelayClient(host)
         # TCP binds first; port numbers follow the binding order.
-        self.ports: dict[Transport, Port] = {TCP: TcpPort(net, host),
-                                             QUIC: QuicPort(net, host)}
+        self.ports: dict[Transport, Port] = {TCP: TcpPort(host), QUIC: QuicPort(host)}
         self.port_mapping_active = port_mapping
         # Public endpoints of its own ports, as a relay observed them.
         self.observed: dict[Transport, Endpoint] = {}
@@ -178,12 +174,11 @@ class HolePunch:
     so a timer that fires is always current. A relay message may arrive
     late, so `connect-reply` and `sync` name their attempt."""
 
-    def __init__(self, net: Network, client: PeerRuntime, remote: PeerRuntime,
+    def __init__(self, client: PeerRuntime, remote: PeerRuntime,
                  relay_addrs: list[Endpoint], cfg: Optional[DcutrConfig] = None,
                  transport_filter: Optional[Transport] = None,
                  on_done: Callable[[HolePunchResult], None] = None):
-        self.net = net
-        self.sim = net.sim
+        self.sim = client.host.net.sim
         self.cfg = cfg or DcutrConfig()
         self.client = client
         self.remote = remote
@@ -191,7 +186,7 @@ class HolePunch:
         self.filter = transport_filter
         self.on_done = on_done
         self.result = HolePunchResult(
-            client=client.peer_id, remote=remote.peer_id,
+            client=client.host.id, remote=remote.host.id,
             relay_addrs=[str(ep) for ep in relay_addrs],
             port_mapping_active=client.port_mapping_active,
             started=self.sim.now)
@@ -239,7 +234,7 @@ class HolePunch:
 
     def start(self) -> None:
         self.remote.relay.on_incoming_circuit = self._on_remote_circuit
-        self.client.relay.connect_via(self.remote.peer_id, self.relay_addrs,
+        self.client.relay.connect_via(self.remote.host.id, self.relay_addrs,
                                       on_done=self._on_client_circuit)
 
     def _finish(self, outcome: OutcomeResult) -> None:
@@ -435,9 +430,8 @@ class HolePunch:
                 self.result.rtt_relayed = rtt
                 self._start_attempt(1)
 
-        measure_rtt(self.net, self.client.host, self.client.relay.port,
-                    self.c_circ.relay_ep, samples=self.cfg.rtt_samples,
-                    on_done=got_to_relay)
+        measure_rtt(self.client.host, self.client.relay.port, self.c_circ.relay_ep,
+                    samples=self.cfg.rtt_samples, on_done=got_to_relay)
 
     # -- synchronized punch attempts ------------------------------------------------
 
@@ -577,7 +571,7 @@ class HolePunch:
                 self.result.rtt_direct_after = rtt
                 self._finish(SUCCESS)
 
-        measure_rtt(self.net, self.client.host, local.port, remote_ep,
+        measure_rtt(self.client.host, local.port, remote_ep,
                     samples=self.cfg.rtt_samples, on_done=got_direct)
 
     # -- low-TTL priming ---------------------------------------------------------------

@@ -19,10 +19,12 @@ Every in-sim message is a tag carried by a UDP datagram (`Host.datagram`)
 or, through a relay, by a circuit. Requests and replies: `Host.request`
 sends a request whose tag is (kind, token, ...), with a fresh token from
 `Simulation.next_token()`, and files a callback under the token in the
-host's `replies` table; the reply's tag is (one of `REPLY_KINDS`, token,
-...). `Host.serve` hands it the reply, whether that reached a bound port
-or came through a circuit, and cancels the request's timeout.
-`serve` also answers ("ping", token) with ("pong", token) on either carrier.
+host's `replies` table; every reply's tag is (`REPLY`, token, ...), the
+request's kind left to the callback. `Host.serve` hands it the reply,
+whether that reached a bound port or came through a circuit, and cancels
+the request's timeout. `serve` also answers ("ping", token) with
+(`REPLY`, token) on either carrier. A layer above takes only its `Host`
+and reaches the network as `host.net`.
 
 The benchmark's tracer (perfbench/tracer.py) sees this layer only through
 calls, so a fast path here must keep them: every event goes through
@@ -46,9 +48,8 @@ FIRST_DYNAMIC_PORT = 10_000
 MIN_LATENCY_MS = 0.01
 # Hops between two distinct hosts; a packet whose TTL is lower dies in the core.
 HOP_DISTANCE = 6
-# Tag kinds that answer a request; tag[1] echoes the request's token.
-REPLY_KINDS = frozenset({"pong", "obsr", "rsv-ok", "rsv-refused", "conn-ok",
-                         "conn-refused"})
+# The tag kind of every answer to a request; tag[1] echoes the request's token.
+REPLY = "reply"
 
 
 class Host:
@@ -108,15 +109,16 @@ class Host:
         on_timeout()
 
     def serve(self, tag, answer: Callable[[tuple, object], None], via) -> bool:
-        """Answer a ping with `answer(pong_tag, via)`, or hand a reply to
-        the callback its token names (a reply nobody waits for is dropped).
-        False when `tag` is neither, so the message is the application's."""
+        """Answer a ping with `answer((REPLY, token), via)`, or hand a
+        `REPLY` tag to the callback its token names (a reply nobody waits
+        for is dropped). False when `tag` is neither, so the message is
+        the application's."""
         if type(tag) is not tuple:
             return False
         kind = tag[0]
         if kind == "ping":
-            answer(("pong",) + tag[1:], via)
-        elif kind in REPLY_KINDS:
+            answer((REPLY,) + tag[1:], via)
+        elif kind == REPLY:
             waiting = self.replies.pop(tag[1], None)
             if waiting is not None:
                 on_reply, timer = waiting
@@ -158,8 +160,9 @@ class Network:
         for name in (host_id, public_name):
             if name in self._owner:  # a host id or a NAT's public name
                 raise ValueError(f"duplicate host {name!r}")
-        if mean_latency < 0 or stddev_latency < 0 or nat_leg < 0:
-            raise ValueError("latency parameters must be non-negative")
+        check_number("mean_latency", mean_latency, 0.0)
+        check_number("stddev_latency", stddev_latency, 0.0)
+        check_number("nat_leg", nat_leg, 0.0)
         nat = None
         if nat_config is not None:
             nat = NatState(nat_config, public_host=public_name,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
-from .net import Host, Network
+from .net import REPLY, Host
 from .packets import Endpoint, Packet
 from .transport import PING_BYTES, RttProbe
 
@@ -18,7 +18,7 @@ DEFAULT_RELAYED_CONN_LIMIT = 16
 DEFAULT_RESERVATION_CAPACITY = 128
 CONTROL_BYTES = 24
 CIRCUIT_HEADER_BYTES = 8
-# How long a client waits for a reply (reservation, address, pong); for a circuit.
+# How long a client awaits a `net.REPLY` (reservation, address, ping); for a circuit.
 REQUEST_TIMEOUT_MS = 5_000.0
 CONNECT_TIMEOUT_MS = 10_000.0
 
@@ -67,15 +67,16 @@ class Circuit:
 class RelayService:
     """Circuit v2-style relay running on a public host. Forwards circuit
     payloads unmodified; only reservation and budget limits can terminate
-    a relayed connection."""
+    a relayed connection. A request is answered (`REPLY`, token, value):
+    the observed endpoint, the reservation's expiry or the circuit id, and
+    None for a refusal."""
 
-    def __init__(self, net: Network, host: Host,
-                 capacity: int = DEFAULT_RESERVATION_CAPACITY,
+    def __init__(self, host: Host, capacity: int = DEFAULT_RESERVATION_CAPACITY,
                  data_budget_bytes: int = DEFAULT_DATA_BUDGET_BYTES,
                  relayed_conn_limit: int = DEFAULT_RELAYED_CONN_LIMIT):
         if host.nat is not None:
             raise ValueError("relays must be public peers")
-        self.net = net
+        self.net = host.net
         self.host = host
         self.port = host.bind(self._on_packet, RELAY_PORT)
         self.endpoint = Endpoint(host.id, self.port)
@@ -116,7 +117,7 @@ class RelayService:
                 return
             self._send(other, ("circ", cid, payload), pkt.size_bytes)
         elif kind == "obs":
-            self._send(pkt.src, ("obsr", tag[1], pkt.src))
+            self._send(pkt.src, (REPLY, tag[1], pkt.src))
         elif kind == "rsv-req":
             token, peer_id = tag[1], tag[2]
             now = self.net.sim.now
@@ -124,7 +125,7 @@ class RelayService:
             # At capacity, only the refresh of a live reservation is admitted.
             if ((rsv is None or rsv.expires <= now)
                     and self._live_reservations() >= self.capacity):
-                self._send(pkt.src, ("rsv-refused", token))
+                self._send(pkt.src, (REPLY, token, None))
                 return
             expires = now + DEFAULT_RESERVATION_MS
             if rsv is None:
@@ -132,13 +133,13 @@ class RelayService:
             else:
                 # Refreshed in place: its open circuits count against it.
                 rsv.client_endpoint, rsv.expires = pkt.src, expires
-            self._send(pkt.src, ("rsv-ok", token, expires))
+            self._send(pkt.src, (REPLY, token, expires))
         elif kind == "conn-req":
             token, listener_id, dialer_id = tag[1], tag[2], tag[3]
             rsv = self.reservations.get(listener_id)
             if (rsv is None or rsv.expires <= self.net.sim.now
                     or rsv.active_conns >= self.relayed_conn_limit):
-                self._send(pkt.src, ("conn-refused", token))
+                self._send(pkt.src, (REPLY, token, None))
                 return
             cid = self._next_cid
             self._next_cid += 1
@@ -149,7 +150,7 @@ class RelayService:
                 "used": {pkt.src: 0, rsv.client_endpoint: 0},
                 "rsv": rsv,
             }
-            self._send(pkt.src, ("conn-ok", token, cid))
+            self._send(pkt.src, (REPLY, token, cid))
             self._send(rsv.client_endpoint, ("conn-in", cid, dialer_id))
         elif kind == "circ-close":
             self._close_circuit(tag[1], "closed", notify=pkt.src)
@@ -169,10 +170,9 @@ class RelayClient:
     """Peer-side relay protocol endpoint: holds reservations, dials and
     accepts circuits, answers circuit-level pings."""
 
-    def __init__(self, net: Network, host: Host):
-        self.net = net
+    def __init__(self, host: Host):
+        self.net = host.net
         self.host = host
-        self.peer_id = host.id
         self.port = host.bind(self._on_packet)
         self.endpoint = Endpoint(host.id, self.port)
         self.reservations: dict[str, float] = {}  # relay-id -> expires
@@ -185,12 +185,13 @@ class RelayClient:
 
     def reserve(self, relay_ep: Endpoint, on_done: Callable[[bool], None]) -> None:
         def on_reply(tag: tuple) -> None:
-            if tag[0] == "rsv-ok":
-                self.reservations[relay_ep.host] = tag[2]
-            on_done(tag[0] == "rsv-ok")
+            expires = tag[2]  # None: refused
+            if expires is not None:
+                self.reservations[relay_ep.host] = expires
+            on_done(expires is not None)
 
         self.host.request(
-            lambda token: self._send_control(relay_ep, ("rsv-req", token, self.peer_id)),
+            lambda token: self._send_control(relay_ep, ("rsv-req", token, self.host.id)),
             on_reply, REQUEST_TIMEOUT_MS, lambda: on_done(False))
 
     def connect_via(self, listener_id: str, relay_addrs: list[Endpoint],
@@ -216,12 +217,13 @@ class RelayClient:
 
         def on_reply(relay_ep: Endpoint, tag: tuple) -> None:
             nonlocal refused
-            if tag[0] == "conn-refused":
+            cid = tag[2]  # None: refused
+            if cid is None:
                 refused += 1
                 if refused == len(relay_addrs):
                     settle(None)
                 return
-            circuit = Circuit(self, relay_ep, tag[2], peer_id=listener_id)
+            circuit = Circuit(self, relay_ep, cid, peer_id=listener_id)
             self.circuits[(relay_ep.host, circuit.cid)] = circuit
             settle(circuit)
 
@@ -230,7 +232,7 @@ class RelayClient:
             # late, so the relay frees its slot.
             self.host.request(
                 lambda token: self._send_control(
-                    relay_ep, ("conn-req", token, listener_id, self.peer_id)),
+                    relay_ep, ("conn-req", token, listener_id, self.host.id)),
                 partial(on_reply, relay_ep))
         timeout = self.net.sim.schedule_in(lambda: settle(None), CONNECT_TIMEOUT_MS)
 
@@ -238,7 +240,7 @@ class RelayClient:
                      on_done: Callable[[Optional[tuple[float, float]]], None]) -> None:
         """RTT of the relayed path via sequential pings through the
         circuit; the far end's RelayClient answers them."""
-        RttProbe(self.net, self.host, lambda tag: circuit.send(tag, PING_BYTES),
+        RttProbe(self.host, lambda tag: circuit.send(tag, PING_BYTES),
                  samples=samples, timeout_ms=REQUEST_TIMEOUT_MS, on_done=on_done).start()
 
     def observe_via(self, observer_ep: Endpoint, port: int,

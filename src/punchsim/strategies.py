@@ -11,10 +11,8 @@ from enum import Enum
 from typing import Optional
 
 from .kernel import RandomStream, bounded, check_fields, run_strided
-from .nat import DELIVER, NatConfig, NatState, SessionTableFull
+from .nat import DELIVER, PORT_SPACE, NatConfig, NatState
 from .packets import UDP_DATAGRAM, Endpoint, Packet, unchecked_endpoint
-
-DEFAULT_PORT_SPACE = 65_536
 
 
 class BirthdayScenario(Enum):
@@ -30,7 +28,7 @@ EDM_VS_EIM, EDM_VS_EDM = BirthdayScenario
 class BirthdayPlan:
     m_open: int = bounded(MISSING, 1)  # MISSING: no default
     k_probe: int = bounded(MISSING, 1)
-    port_space: int = bounded(DEFAULT_PORT_SPACE, 1)
+    port_space: int = bounded(PORT_SPACE, 1)
     scenario: BirthdayScenario = EDM_VS_EIM
 
     def __post_init__(self):
@@ -151,7 +149,7 @@ def birthday_punch(plan: BirthdayPlan, edm_nat: NatState, edm_host: str,
         if both_edm:
             carrier.dst = unchecked_endpoint((peer_external.host, rng.randint(lo, hi)))
         carrier.src = unchecked_endpoint((edm_host, 20_000 + i))
-        # SessionTableFull propagates
+        # nat.SessionTableFull propagates
         edm_nat.process_outbound(carrier, now)
 
     probe_ports = rng.sample(range(lo, hi + 1), plan.k_probe)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from .net import Host, Network
+from .net import Host
 from .packets import (DEFAULT_TTL, QUIC_INITIAL, QUIC_REPLY, TCP_ACK, TCP_RST, TCP_SYN,
                       TCP_SYNACK, Endpoint, Packet, PacketKind)
 
@@ -67,8 +67,8 @@ class Port:
 
     RETRANSMIT_MS: float
 
-    def __init__(self, net: Network, host: Host, port: Optional[int] = None):
-        self.net = net
+    def __init__(self, host: Host, port: Optional[int] = None):
+        self.net = host.net
         self.host = host
         self.port = host.bind(self._on_packet, port)
         self.local = host.endpoint(self.port)
@@ -149,8 +149,8 @@ class QuicPort(Port):
 
     RETRANSMIT_MS = QUIC_RETRANSMIT_MS
 
-    def __init__(self, net: Network, host: Host, port: Optional[int] = None):
-        super().__init__(net, host, port)
+    def __init__(self, host: Host, port: Optional[int] = None):
+        super().__init__(host, port)
         self._accepted: set[Endpoint] = set()
 
     def prime(self, toward: Endpoint, count: int = 3, ttl: int = DEFAULT_TTL) -> None:
@@ -182,15 +182,15 @@ class QuicPort(Port):
 
 class RttProbe:
     """Sequential pings over any carrier (`send(tag)` is False once it is
-    gone), each a `Host.request` awaiting its pong. Reports the RTTs' mean
-    and stddev, or None if none came back."""
+    gone), each a `Host.request` awaiting its `net.REPLY`. Reports the RTTs'
+    mean and stddev, or None if none came back."""
 
-    def __init__(self, net: Network, host: Host, send: Callable[[tuple], bool],
+    def __init__(self, host: Host, send: Callable[[tuple], bool],
                  samples: int = MAX_RTT_SAMPLES, timeout_ms: float = 2_000.0,
                  on_done: Callable[[Optional[tuple[float, float]]], None] = None):
         if not 1 <= samples <= MAX_RTT_SAMPLES:
             raise ValueError(f"samples must be in 1..{MAX_RTT_SAMPLES}")
-        self.net = net
+        self.net = host.net
         self.host = host
         self.send = send
         self.samples = samples
@@ -226,11 +226,10 @@ def mean_stddev(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def measure_rtt(net: Network, host: Host, port: int, target: Endpoint,
-                samples: int = MAX_RTT_SAMPLES,
+def measure_rtt(host: Host, port: int, target: Endpoint, samples: int = MAX_RTT_SAMPLES,
                 on_done: Callable[[Optional[tuple[float, float]]], None] = None) -> None:
     """Direct-path RTT measurement from a bound port; relayed paths are
     measured over their circuit (see the relay module)."""
     src = host.endpoint(port)
-    RttProbe(net, host, lambda tag: host.datagram(src, target, tag, PING_BYTES),
+    RttProbe(host, lambda tag: host.datagram(src, target, tag, PING_BYTES),
              samples=samples, on_done=on_done).start()

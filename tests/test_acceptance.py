@@ -27,13 +27,13 @@ def punch_world(client_nat, remote_nat, client_lat, remote_lat,
                 client_leg, remote_leg, relay_lat=5.0, seed=9):
     net = Network(Simulation(seed=seed))
     net.add_host("relay", relay_lat)
-    svc = RelayService(net, net.hosts["relay"])
+    svc = RelayService(net.hosts["relay"])
     net.add_host("client", client_lat, nat_config=client_nat,
                  nat_leg=client_leg)
     net.add_host("remote", remote_lat, nat_config=remote_nat,
                  nat_leg=remote_leg)
-    client = PeerRuntime(net, net.hosts["client"])
-    remote = PeerRuntime(net, net.hosts["remote"])
+    client = PeerRuntime(net.hosts["client"])
+    remote = PeerRuntime(net.hosts["remote"])
     remote.relay.reserve(svc.endpoint, lambda ok: None)
     net.sim.run(until=net.sim.now + 6_000)
     return net, svc, client, remote
@@ -41,7 +41,7 @@ def punch_world(client_nat, remote_nat, client_lat, remote_lat,
 
 def run_punch(net, client, remote, relay_addrs, cfg, tf):
     out = []
-    HolePunch(net, client, remote, relay_addrs, cfg,
+    HolePunch(client, remote, relay_addrs, cfg,
               transport_filter=tf, on_done=out.append).start()
     net.sim.run(until=net.sim.now + 600_000)
     assert out, "hole punch never finished"

@@ -22,17 +22,17 @@ def build_world(client_nat=CONE, remote_nat=CONE, client_mapping=False,
                 client_leg=1.0, remote_leg=2.0, loss=0.0, relay_kwargs=None):
     net = Network(Simulation(seed=seed), loss_rate=loss)
     net.add_host("relay", 5.0)
-    svc = RelayService(net, net.hosts["relay"], **(relay_kwargs or {}))
+    svc = RelayService(net.hosts["relay"], **(relay_kwargs or {}))
     net.add_host("client", client_lat,
                  nat_config=NatConfig(**client_nat) if client_nat else None,
                  nat_leg=client_leg)
     net.add_host("remote", remote_lat,
                  nat_config=NatConfig(**remote_nat) if remote_nat else None,
                  nat_leg=remote_leg)
-    client = PeerRuntime(net, net.hosts["client"],
+    client = PeerRuntime(net.hosts["client"],
                          port_mapping=client_mapping,
                          mapping_lies=mapping_lies)
-    remote = PeerRuntime(net, net.hosts["remote"])
+    remote = PeerRuntime(net.hosts["remote"])
     remote.relay.reserve(svc.endpoint, lambda ok: None)
     net.sim.run(until=net.sim.now + 6_000)
     return net, svc, client, remote
@@ -41,7 +41,7 @@ def build_world(client_nat=CONE, remote_nat=CONE, client_mapping=False,
 def run_punch(net, client, remote, relay_addrs, cfg=None, tf=None,
               horizon_ms=600_000):
     out = []
-    hp = HolePunch(net, client, remote, relay_addrs, cfg,
+    hp = HolePunch(client, remote, relay_addrs, cfg,
                    transport_filter=tf, on_done=out.append)
     hp.start()
     net.sim.run(until=net.sim.now + horizon_ms)
@@ -104,7 +104,7 @@ class TestEarlyOutcomes:
 
     def test_unresponsive_remote_is_no_stream(self):
         net, svc, client, remote = build_world()
-        hp = HolePunch(net, client, remote, [svc.endpoint],
+        hp = HolePunch(client, remote, [svc.endpoint],
                        on_done=lambda r: None)
         hp.start()
         # The remote's application never picks up incoming circuits.
@@ -117,7 +117,7 @@ class TestEarlyOutcomes:
         # is lost on the way to the initiator.
         net, svc, client, remote = build_world(seed=2, loss=0.02)
         out = []
-        hp = HolePunch(net, client, remote, [svc.endpoint],
+        hp = HolePunch(client, remote, [svc.endpoint],
                        on_done=out.append)
         hp.start()
         while hp.phase is Phase.CIRCUIT:
@@ -130,7 +130,7 @@ class TestEarlyOutcomes:
     def test_cancel_before_attempts(self):
         net, svc, client, remote = build_world()
         out = []
-        hp = HolePunch(net, client, remote, [svc.endpoint],
+        hp = HolePunch(client, remote, [svc.endpoint],
                        on_done=out.append)
         hp.start()
         net.sim.run(until=net.sim.now + 100)
@@ -141,7 +141,7 @@ class TestEarlyOutcomes:
     def test_circuit_opening_after_a_cancel_is_closed(self):
         net, svc, client, remote = build_world()
         out = []
-        hp = HolePunch(net, client, remote, [svc.endpoint],
+        hp = HolePunch(client, remote, [svc.endpoint],
                        on_done=out.append)
         hp.start()
         net.sim.run(until=net.sim.now + 1)
@@ -155,7 +155,7 @@ class TestEarlyOutcomes:
     def test_cancel_during_rtt_probe_leaves_rtts_unset(self):
         net, svc, client, remote = build_world()
         out = []
-        hp = HolePunch(net, client, remote, [svc.endpoint],
+        hp = HolePunch(client, remote, [svc.endpoint],
                        on_done=out.append)
         hp.start()
         while hp.phase is not Phase.MEASURE and net.sim.now < 60_000:
@@ -253,7 +253,7 @@ class TestReversal:
 
         net, svc, client, remote = world()
         landed = []
-        hp = HolePunch(net, client, remote, [svc.endpoint], on_done=landed.append)
+        hp = HolePunch(client, remote, [svc.endpoint], on_done=landed.append)
         hp.start()
         while hp.phase is Phase.CIRCUIT:
             net.sim.run(until=net.sim.now + 1)
@@ -384,7 +384,7 @@ def test_punch_ends_once_with_consistent_attempts(client_nat, remote_nat,
         live_timers.extend(e for e in net.sim._queue if e[2] is not None
                            and getattr(e[2], "__module__", "") == "punchsim.dcutr")
 
-    hp = HolePunch(net, client, remote, [svc.endpoint], transport_filter=tf,
+    hp = HolePunch(client, remote, [svc.endpoint], transport_filter=tf,
                    on_done=on_done)
     hp.start()
     if cancel_at is not None:

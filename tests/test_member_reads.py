@@ -99,7 +99,7 @@ def test_a_campaign_reads_no_member_on_the_data_path():
         network.add_host("a", 10.0)
         network.add_host("b", 20.0, nat_config=NatConfig(rst_on_unsolicited_tcp=True))
         results = []
-        TcpPort(network, network.hosts["a"]).dial(
+        TcpPort(network.hosts["a"]).dial(
             Endpoint(network.hosts["b"].nat.public_host, 40_000), on_done=results.append)
         network.sim.run(until=20_000)
     assert results[0].reason == "rst"

@@ -234,11 +234,14 @@ class TestDelivery:
 
     @pytest.mark.parametrize("build, message", [
         (lambda: build_net(loss=1.5), "loss_rate"),
-        (lambda: build_net().add_host("c", -1.0), "non-negative"),
-        (lambda: build_net().add_host("c", 5.0, -1.0), "non-negative"),
+        (lambda: build_net().add_host("c", -1.0), "mean_latency"),
+        (lambda: build_net().add_host("c", 5.0, -1.0), "stddev_latency"),
         (lambda: build_net().add_host("c", 5.0, nat_config=NatConfig(), nat_leg=-1.0),
-         "non-negative"),
-    ], ids=["loss-rate", "negative-mean", "negative-stddev", "negative-leg"])
+         "nat_leg"),
+        (lambda: build_net().add_host("c", math.nan), "mean_latency"),
+        (lambda: build_net().add_host("c", 10.0, math.inf), "stddev_latency"),
+    ], ids=["loss-rate", "negative-mean", "negative-stddev", "negative-leg", "nan-mean",
+            "infinite-stddev"])
     def test_bad_parameters_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -326,8 +329,8 @@ class TestTcp:
         net = build_net()
         net.add_host("a", 10.0)
         net.add_host("b", 20.0)
-        listener = TcpPort(net, net.hosts["b"], port=443)
-        dialer = TcpPort(net, net.hosts["a"])
+        listener = TcpPort(net.hosts["b"], port=443)
+        dialer = TcpPort(net.hosts["a"])
         results = []
         dialer.dial(Endpoint("b", 443), on_done=results.append)
         net.sim.run()
@@ -341,8 +344,8 @@ class TestTcp:
         net.add_host("b", 20.0, nat_config=cfg)
         net.add_host("stun", 5.0)
         net.hosts["stun"].bind(lambda pkt: None, 1)
-        pa = TcpPort(net, net.hosts["a"])
-        pb = TcpPort(net, net.hosts["b"])
+        pa = TcpPort(net.hosts["a"])
+        pb = TcpPort(net.hosts["b"])
         ext_a = learn_external(net, "a", pa.port, "stun", 1)
         ext_b = learn_external(net, "b", pb.port, "stun", 1)
         res_a, res_b = [], []
@@ -356,7 +359,7 @@ class TestTcp:
         net.add_host("a", 10.0)
         net.add_host("b", 20.0,
                      nat_config=NatConfig(rst_on_unsolicited_tcp=True))
-        dialer = TcpPort(net, net.hosts["a"])
+        dialer = TcpPort(net.hosts["a"])
         results = []
         b_pub = net.hosts["b"].nat.public_host
         dialer.dial(Endpoint(b_pub, 40_000), on_done=results.append)
@@ -372,10 +375,10 @@ def test_settled_dials_leave_nothing_queued():
     net.add_host("a", 10.0)
     net.add_host("b", 20.0)
     net.add_host("c", 20.0, nat_config=NatConfig(rst_on_unsolicited_tcp=True))
-    TcpPort(net, net.hosts["b"], port=443)
-    QuicPort(net, net.hosts["b"], port=4433)
-    tcp = TcpPort(net, net.hosts["a"])
-    quic = QuicPort(net, net.hosts["a"])
+    TcpPort(net.hosts["b"], port=443)
+    QuicPort(net.hosts["b"], port=4433)
+    tcp = TcpPort(net.hosts["a"])
+    quic = QuicPort(net.hosts["a"])
     established, refused, quic_done = [], [], []
     tcp.dial(Endpoint("b", 443), on_done=established.append)
     tcp.dial(Endpoint(net.hosts["c"].nat.public_host, 40_000), on_done=refused.append)
@@ -395,8 +398,8 @@ class TestQuic:
                      nat_config=NatConfig(filtering=server_filtering))
         net.add_host("stun", 5.0)
         net.hosts["stun"].bind(lambda pkt: None, 1)
-        server = QuicPort(net, net.hosts["server"])
-        client = QuicPort(net, net.hosts["client"])
+        server = QuicPort(net.hosts["server"])
+        client = QuicPort(net.hosts["client"])
         ext_server = learn_external(net, "server", server.port, "stun", 1)
         return net, client, server, ext_server
 
@@ -434,8 +437,8 @@ class TestQuic:
         net = build_net()
         net.add_host("a", 10.0)
         net.add_host("b", 20.0)
-        pa = QuicPort(net, net.hosts["a"])
-        pb = QuicPort(net, net.hosts["b"])
+        pa = QuicPort(net.hosts["a"])
+        pb = QuicPort(net.hosts["b"])
         ra, rb = [], []
         pa.dial(pb.local, on_done=ra.append)
         pb.dial(pa.local, on_done=rb.append)
@@ -451,7 +454,7 @@ class TestRtt:
         net.hosts["b"].bind(lambda pkt: None, 7)
         port = net.hosts["a"].bind(lambda pkt: None)
         out = []
-        measure_rtt(net, net.hosts["a"], port, Endpoint("b", 7),
+        measure_rtt(net.hosts["a"], port, Endpoint("b", 7),
                     samples=10, on_done=out.append)
         net.sim.run()
         mean, std = out[0]
@@ -465,7 +468,7 @@ class TestRtt:
         net.hosts["b"].bind(lambda pkt: None, 7)
         port = net.hosts["a"].bind(lambda pkt: None)
         out = []
-        measure_rtt(net, net.hosts["a"], port, Endpoint("b", 7),
+        measure_rtt(net.hosts["a"], port, Endpoint("b", 7),
                     samples=1, on_done=out.append)
         assert net.sim.pending() == 2  # the ping and its timeout
         net.sim.run(until=60.0)
@@ -482,7 +485,7 @@ class TestRtt:
         port = net.hosts["a"].bind(lambda pkt: None)
         out = []
         b_pub = net.hosts["b"].nat.public_host
-        measure_rtt(net, net.hosts["a"], port, Endpoint(b_pub, 40_000),
+        measure_rtt(net.hosts["a"], port, Endpoint(b_pub, 40_000),
                     samples=3, on_done=out.append)
         net.sim.run(until=30_000)
         assert out == [None]
@@ -492,7 +495,7 @@ class TestRtt:
         net = build_net()
         host = net.add_host("a", 10.0)
         with pytest.raises(ValueError, match="samples"):
-            RttProbe(net, host, lambda tag: True, samples=samples)
+            RttProbe(host, lambda tag: True, samples=samples)
 
     def test_fresh_worlds_issue_the_same_probe_token(self):
         # Probe tokens come from the simulation, not from process-wide
@@ -502,7 +505,7 @@ class TestRtt:
             net = build_net()
             host = net.add_host("a", 10.0)
             sent = []
-            RttProbe(net, host, lambda tag: sent.append(tag) or True,
+            RttProbe(host, lambda tag: sent.append(tag) or True,
                      on_done=lambda rtt: None).start()
             worlds.append((sent, set(host.replies)))
         assert worlds[0] == worlds[1]

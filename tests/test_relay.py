@@ -18,12 +18,12 @@ def build_world(seed=1, relay_kwargs=None, n_relays=1):
     services = []
     for i in range(n_relays):
         net.add_host(f"relay-{i}", 5.0)
-        services.append(RelayService(net, net.hosts[f"relay-{i}"],
+        services.append(RelayService(net.hosts[f"relay-{i}"],
                                      **(relay_kwargs or {})))
     net.add_host("alice", 10.0, nat_config=NatConfig(), nat_leg=1.0)
     net.add_host("bob", 20.0, nat_config=NatConfig(), nat_leg=2.0)
-    alice = RelayClient(net, net.hosts["alice"])
-    bob = RelayClient(net, net.hosts["bob"])
+    alice = RelayClient(net.hosts["alice"])
+    bob = RelayClient(net.hosts["bob"])
     return net, services, alice, bob
 
 
@@ -39,7 +39,7 @@ def open_circuit(net, dialer, listener, services):
     circuits = []
     listener.on_incoming_circuit = circuits.append
     out = []
-    dialer.connect_via(listener.peer_id, [s.endpoint for s in services],
+    dialer.connect_via(listener.host.id, [s.endpoint for s in services],
                        on_done=out.append)
     net.sim.run(until=net.sim.now + 6_000)
     return out[0], circuits
@@ -84,7 +84,7 @@ class TestReservation:
         net = Network(Simulation(seed=1))
         net.add_host("natted", 10.0, nat_config=NatConfig())
         try:
-            RelayService(net, net.hosts["natted"])
+            RelayService(net.hosts["natted"])
             assert False, "expected ValueError"
         except ValueError:
             pass
@@ -221,7 +221,7 @@ class TestCircuits:
             worlds.append((a_circ, set(alice.host.replies)))
         (first, waiting), (second, waiting_again) = worlds
         assert first is not second
-        # One pong awaited, on a token from the simulation's own counter.
+        # One ping's reply awaited, on a token from the simulation's own counter.
         assert waiting == waiting_again and len(waiting) == 1
 
 
@@ -274,7 +274,7 @@ class TestStrayTraffic:
 class TestObserve:
     def test_observe_via_reports_nat_external_endpoint(self):
         net, services, alice, bob = build_world()
-        port_obj = TcpPort(net, net.hosts["alice"])
+        port_obj = TcpPort(net.hosts["alice"])
         out = []
         alice.observe_via(services[0].endpoint, port_obj.port, out.append)
         net.sim.run(until=net.sim.now + 6_000)
@@ -301,7 +301,7 @@ class TestObserve:
         handler = host.handlers[alice.port]
         observed, rtts = [], []
         alice.observe_via(services[0].endpoint, alice.port, observed.append)
-        measure_rtt(net, host, alice.port, services[0].endpoint, samples=3,
+        measure_rtt(host, alice.port, services[0].endpoint, samples=3,
                     on_done=rtts.append)
         net.sim.run(until=net.sim.now + 10_000)
         assert observed[0].host == "alice#nat"
@@ -343,14 +343,14 @@ class RelayWorld(RuleBasedStateMachine):
         self.services = []
         for i in range(2):
             host = self.net.add_host(f"relay-{i}", 5.0 * (i + 1))
-            self.services.append(RelayService(self.net, host, capacity=2,
+            self.services.append(RelayService(host, capacity=2,
                                               data_budget_bytes=budget,
                                               relayed_conn_limit=2))
         self.peers = []
         for i, nat in enumerate(nats):
             host = self.net.add_host(f"peer-{i}", 10.0 * (i + 1),
                                      nat_config=NatConfig(**nat), nat_leg=1.0)
-            peer = PeerRuntime(self.net, host)
+            peer = PeerRuntime(host)
             peer.relay.on_incoming_circuit = self._track
             self.peers.append(peer)
         self.dials = []     # per connect_via, what it settled with
@@ -376,7 +376,7 @@ class RelayWorld(RuleBasedStateMachine):
     @rule(peer=st.integers(0, 2), relay=st.integers(0, 1))
     def reserve(self, peer, relay):
         svc, client = self.services[relay], self.peers[peer].relay
-        rsv = svc.reservations.get(client.peer_id)
+        rsv = svc.reservations.get(client.host.id)
         admitted = (svc._live_reservations() < svc.capacity
                     or (rsv is not None and rsv.expires > self.net.sim.now))
         out = []
@@ -399,7 +399,7 @@ class RelayWorld(RuleBasedStateMachine):
             results.append(circuit)
             if circuit is not None:
                 self._track(circuit)
-        dialer.relay.connect_via(listener.peer_id,
+        dialer.relay.connect_via(listener.host.id,
                                  [self.services[i].endpoint for i in relays], settled)
         self._run(CONNECT_TIMEOUT_MS + 1_000)
 
@@ -429,7 +429,7 @@ class RelayWorld(RuleBasedStateMachine):
             live_timers.extend(e for e in self.net.sim._queue if e[2] is not None
                                and getattr(e[2], "__module__", "") == "punchsim.dcutr")
 
-        hp = HolePunch(self.net, client, remote,
+        hp = HolePunch(client, remote,
                        [self.services[i].endpoint for i in relays],
                        transport_filter=tf, on_done=on_done)
         hp.start()
