@@ -178,6 +178,8 @@ class HolePunch:
                  relay_addrs: list[Endpoint], cfg: Optional[DcutrConfig] = None,
                  transport_filter: Optional[Transport] = None,
                  on_done: Callable[[HolePunchResult], None] = None):
+        if remote.host.net is not client.host.net:
+            raise ValueError(f"{client.host.id} and {remote.host.id} are on different networks")
         self.sim = client.host.net.sim
         self.cfg = cfg or DcutrConfig()
         self.client = client

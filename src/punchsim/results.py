@@ -6,11 +6,11 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from collections import namedtuple
 from datetime import datetime
 from functools import partial
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import countOf
-from typing import Optional
 
 OUTCOMES = {"UNKNOWN", "NO_CONNECTION", "NO_STREAM", "CONNECTION_REVERSED",
             "CANCELLED", "FAILED", "SUCCESS"}
@@ -21,32 +21,26 @@ RTT_FIELDS = tuple(f"{prefix}_{stat}" for prefix in RTT_CLASSES.values()
                    for stat in ("mean", "stddev"))
 
 # The results-file record schema, in CSV column order: per field, its
-# presence rule, its CSV cell kind (text, json, int, bool or number) and
-# its type rule, which `_type_error` checks. A required field is in every
+# presence rule and its type rule in `RULES`. A required field is in every
 # record; an optional or a nullable one may be left out, and its empty CSV
-# cell reads as absent, or as null for a nullable one. No other key is
-# allowed.
+# cell reads as absent, or as null for a nullable one. No other key is allowed.
 REQUIRED, OPTIONAL, NULLABLE = "required", "optional", "nullable"
 RECORD_FIELDS = {
-    "trial": (OPTIONAL, "int", "integer"),
-    "timestamp": (REQUIRED, "text", "string"),
-    "client": (REQUIRED, "text", "string"),
-    "remote": (OPTIONAL, "text", "string"),
-    "as_id": (REQUIRED, "json", "id"),
-    "private_addrs": (REQUIRED, "json", "strings"),
-    "public_endpoints": (REQUIRED, "json", "endpoints"),
-    "port_mapping_active": (REQUIRED, "bool", "boolean"),
-    "protocol_filter": (NULLABLE, "text", "transport"),
-    "outcome": (REQUIRED, "text", "string"),
-    "attempts": (REQUIRED, "json", "list"),
-    **dict.fromkeys(RTT_FIELDS, (NULLABLE, "number", "number")),
-    "relay_addrs": (OPTIONAL, "json", "list"),
+    "trial": (OPTIONAL, "integer"),
+    "timestamp": (REQUIRED, "string"),
+    "client": (REQUIRED, "string"),
+    "remote": (OPTIONAL, "string"),
+    "as_id": (REQUIRED, "id"),
+    "private_addrs": (REQUIRED, "strings"),
+    "public_endpoints": (REQUIRED, "endpoints"),
+    "port_mapping_active": (REQUIRED, "boolean"),
+    "protocol_filter": (NULLABLE, "transport"),
+    "outcome": (REQUIRED, "string"),
+    "attempts": (REQUIRED, "list"),
+    **dict.fromkeys(RTT_FIELDS, (NULLABLE, "number")),
+    "relay_addrs": (OPTIONAL, "list"),
 }
-_REQUIRED = tuple(k for k, (presence, _, _) in RECORD_FIELDS.items() if presence == REQUIRED)
-# The fields under each type rule, in column order.
-_RULES = {rule: tuple(k for k, (_, _, r) in RECORD_FIELDS.items() if r == rule)
-          for _, _, rule in RECORD_FIELDS.values()}
-_LISTS = _RULES["list"] + _RULES["strings"] + _RULES["endpoints"]
+_REQUIRED = tuple(k for k, (presence, _) in RECORD_FIELDS.items() if presence == REQUIRED)
 _FLOAT_MAX = sys.float_info.max  # a larger int RTT overflows a division
 
 
@@ -63,101 +57,6 @@ def _outside_schema(rec: dict) -> str:
     named by repr, not sorted: a long CSV row files its extra cells under None."""
     unknown = ", ".join(repr(key) for key in rec if key not in RECORD_FIELDS)
     return f"fields outside the record schema: {unknown}"
-
-
-def _type_error(rec: dict) -> Optional[str]:
-    """Why a record's fields break their type rules in `RECORD_FIELDS`,
-    or None. Absent optional fields pass; only the transport and number
-    rules take null."""
-    for key in _RULES["string"]:
-        value = rec.get(key, "absent")
-        if not isinstance(value, str):
-            return f"{key} must be a string"
-        if not value:  # its empty CSV cell would read back as absent
-            return f"{key} must not be empty"
-    for key in _RULES["integer"]:
-        if type(rec.get(key, 0)) is not int:  # a bool is not a trial index
-            return f"{key} must be an integer"
-    for key in _RULES["transport"]:
-        if rec.get(key) not in (None, "TCP", "QUIC"):
-            return f"{key} must be TCP, QUIC or null"
-    for key in _RULES["boolean"]:
-        if not isinstance(rec.get(key, False), bool):
-            return f"{key} must be a boolean"
-    for key in _RULES["id"]:
-        value = rec.get(key, 0)  # a bool is not an id, as for "integer"
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            return f"{key} must be an integer or a string"
-    for key in _LISTS:
-        if not isinstance(rec.get(key, []), list):
-            return f"{key} must be a list"
-    for key in _RULES["strings"]:
-        for entry in rec.get(key, ()):
-            if not isinstance(entry, str):
-                return f"{key} entries must be strings"
-    for key in _RULES["endpoints"]:
-        for entry in rec.get(key, ()):
-            if not (isinstance(entry, str)
-                    or (isinstance(entry, (list, tuple)) and len(entry) == 2
-                        and isinstance(entry[0], str) and isinstance(entry[1], str))):
-                return f"{key} entries must be strings or [str, str] pairs"
-    for key in _RULES["number"]:
-        value = rec.get(key)
-        if value is not None and not (type(value) in (int, float)
-                                      and -_FLOAT_MAX <= value <= _FLOAT_MAX):
-            return f"{key} must be a number (finite) or null"
-    return None
-
-
-def validate_records(records: list[dict]) -> None:
-    """Check each record against `RECORD_FIELDS`: required fields present,
-    no other key, every type rule kept, a known outcome and an ISO 8601
-    timestamp. Raises `MalformedRecord` at the first record that fails."""
-    if not isinstance(records, list):
-        raise MalformedRecord(0, "records must be a list")
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise MalformedRecord(i, "not an object")
-        for key in _REQUIRED:
-            if key not in rec:
-                raise MalformedRecord(i, f"missing field {key!r}")
-        if not RECORD_FIELDS.keys() >= rec.keys():
-            raise MalformedRecord(i, _outside_schema(rec))
-        reason = _type_error(rec)
-        if reason is not None:
-            raise MalformedRecord(i, reason)
-        if rec["outcome"] not in OUTCOMES:
-            raise MalformedRecord(i, f"unknown outcome {rec['outcome']!r}")
-        try:
-            datetime.fromisoformat(rec["timestamp"])
-        except (TypeError, ValueError):
-            raise MalformedRecord(i, "timestamp not parseable") from None
-
-
-CSV_COLUMNS = [*RECORD_FIELDS, "seed", "config_hash"]
-# Per record field in column order, whether its CSV cell holds JSON; `csv`
-# writes the others with str(), null as an empty cell.
-_CSV_CELLS = tuple((k, cell == "json") for k, (_, cell, _) in RECORD_FIELDS.items())
-
-
-def write_csv(records: list[dict], path: str, seed: int, config_hash: str) -> None:
-    """One row per record in `CSV_COLUMNS` order, each ending in the file's
-    `seed` and `config_hash`. A JSON cell is json.dumps(cell, sort_keys=True,
-    separators=(",", ":")), through the C encoder that call builds, built once
-    per file: its markers dict, which detects circular references, ends with it."""
-    encoder = c_make_encoder({}, json.JSONEncoder().default, encode_basestring_ascii,
-                             None, ":", ",", True, False, True)
-    rows = [CSV_COLUMNS]
-    for rec in records:
-        # `seed` and `config_hash` name columns too: the file's
-        # metadata must not overwrite a record's own.
-        if not RECORD_FIELDS.keys() >= rec.keys():
-            raise ValueError(f"record has {_outside_schema(rec)}")
-        rows.append([("".join(encoder(rec[k], 0)) if is_json else rec[k])
-                     if k in rec else "" for k, is_json in _CSV_CELLS]
-                    + [seed, config_hash])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
 
 
 _scan_once = json.JSONDecoder().scan_once
@@ -188,55 +87,155 @@ def _number_cell(kinds: tuple, cell: str):
     return value
 
 
-# How a non-empty CSV cell of each kind but text reads back; an integer
-# RTT stays an int.
-_CELL_DECODERS = {"json": _json_cell, "int": partial(_number_cell, (int,)),
-                  "bool": {"True": True, "False": False}.__getitem__,
-                  "number": partial(_number_cell, (int, float))}
-_DECODED = tuple((k, _CELL_DECODERS[cell]) for k, (_, cell, _) in RECORD_FIELDS.items()
-                 if cell != "text")
-# The fields whose empty cell reads as absent; a nullable field's reads as null.
-_ABSENT_IF_EMPTY = frozenset(k for k, (presence, _, _) in RECORD_FIELDS.items()
-                             if presence != NULLABLE)
+def _strings(value):
+    if not isinstance(value, list):
+        return "must be a list"
+    for entry in value:
+        if not isinstance(entry, str):
+            return "entries must be strings"
+    return None
+
+
+def _endpoints(value):
+    if not isinstance(value, list):
+        return "must be a list"
+    for entry in value:
+        if not (isinstance(entry, str) or isinstance(entry, (list, tuple)) and len(entry) == 2
+                and isinstance(entry[0], str) and isinstance(entry[1], str)):
+            return "entries must be strings or [str, str] pairs"
+    return None
+
+
+# Each type rule's `check(value)`, which returns why a present value breaks
+# the rule, after the field's name, or None, and its CSV codec: `decode(cell)`
+# reads a non-empty cell back, None for a text cell. A JSON cell (`_json_cell`)
+# is written as compact JSON, any other with str(); null is an empty cell.
+Rule = namedtuple("Rule", "check decode")
+RULES = {
+    "integer": Rule(lambda v: None if type(v) is int else "must be an integer",
+                    partial(_number_cell, (int,))),  # a bool is not a trial index
+    # An empty text cell reads back as absent.
+    "string": Rule(lambda v: ("must be a string" if not isinstance(v, str)
+                              else None if v else "must not be empty"), None),
+    "transport": Rule(lambda v: None if v in (None, "TCP", "QUIC")
+                      else "must be TCP, QUIC or null", None),
+    "boolean": Rule(lambda v: None if isinstance(v, bool) else "must be a boolean",
+                    {"True": True, "False": False}.__getitem__),
+    "id": Rule(lambda v: None if isinstance(v, (int, str)) and not isinstance(v, bool)
+               else "must be an integer or a string", _json_cell),
+    "strings": Rule(_strings, _json_cell),
+    "endpoints": Rule(_endpoints, _json_cell),
+    "list": Rule(lambda v: None if isinstance(v, list) else "must be a list", _json_cell),
+    # A finite int or float; a number cell holding an int reads back as one.
+    "number": Rule(lambda v: None if v is None or (type(v) in (int, float)
+                                                   and -_FLOAT_MAX <= v <= _FLOAT_MAX)
+                   else "must be a number (finite) or null", partial(_number_cell, (int, float))),
+}
+
+
+def validate_records(records: list[dict]) -> None:
+    """Check each record against `RECORD_FIELDS`: required fields present,
+    no other key, each field's type rule kept, a known outcome and an ISO
+    8601 timestamp. Raises `MalformedRecord` at the first record that fails,
+    naming the first of its own fields, in its order, that breaks its rule."""
+    if not isinstance(records, list):
+        raise MalformedRecord(0, "records must be a list")
+    checks = {key: RULES[rule].check for key, (_, rule) in RECORD_FIELDS.items()}
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise MalformedRecord(i, "not an object")
+        for key in _REQUIRED:
+            if key not in rec:
+                raise MalformedRecord(i, f"missing field {key!r}")
+        if not RECORD_FIELDS.keys() >= rec.keys():
+            raise MalformedRecord(i, _outside_schema(rec))
+        for key, value in rec.items():
+            reason = checks[key](value)
+            if reason is not None:
+                raise MalformedRecord(i, f"{key} {reason}")
+        if rec["outcome"] not in OUTCOMES:
+            raise MalformedRecord(i, f"unknown outcome {rec['outcome']!r}")
+        try:
+            datetime.fromisoformat(rec["timestamp"])
+        except (TypeError, ValueError):
+            raise MalformedRecord(i, "timestamp not parseable") from None
+
+
+CSV_COLUMNS = [*RECORD_FIELDS, "seed", "config_hash"]
+
+
+def write_csv(records: list[dict], path: str, seed: int, config_hash: str) -> None:
+    """One row per record in `CSV_COLUMNS` order, each ending in the file's
+    `seed` and `config_hash`. A JSON cell is json.dumps(cell, sort_keys=True,
+    separators=(",", ":")), through the C encoder that call builds, built once
+    per file: its markers dict, which detects circular references, ends with it."""
+    encoder = c_make_encoder({}, json.JSONEncoder().default, encode_basestring_ascii,
+                             None, ":", ",", True, False, True)
+    cells = [(k, RULES[rule].decode is _json_cell) for k, (_, rule) in RECORD_FIELDS.items()]
+    rows = [CSV_COLUMNS]
+    for rec in records:
+        # `seed` and `config_hash` name columns too: the file's
+        # metadata must not overwrite a record's own.
+        if not RECORD_FIELDS.keys() >= rec.keys():
+            raise ValueError(f"record has {_outside_schema(rec)}")
+        rows.append([("".join(encoder(rec[k], 0)) if is_json else rec[k])
+                     if k in rec else "" for k, is_json in cells]
+                    + [seed, config_hash])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def read_csv(path: str) -> tuple[list[dict], dict]:
-    """The records, `seed` and `config_hash` of a CSV file. A cell decodes as
-    its field's kind; a malformed or missing cell, or a row whose seed and
-    config hash are not the first row's, raises ValueError."""
+    """The records, `seed` and `config_hash` of a CSV file, read by header
+    name, blank lines skipped. A cell decodes by its field's rule; a column
+    outside the schema reads as nullable text, for validation to reject, and
+    cells past the header's go under the key None. A short row, a malformed
+    cell or a row of another seed or config hash raises ValueError."""
     records = []
-    first = None
-    seed = 0
+    first = seed = None
     # utf-8-sig: a spreadsheet may re-save the file with a byte-order mark.
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError("the CSV file has no header line")
+        width = len(header)
+        columns = {name: at for at, name in enumerate(header)}  # a repeated name: its last cell
+        plan = []  # per column: key, position, decoder, and whether an empty cell is null
+        for key, at in columns.items():
+            if key not in ("seed", "config_hash"):
+                presence, rule = RECORD_FIELDS.get(key, (NULLABLE, "string"))
+                plan.append((key, at, RULES[rule].decode, presence == NULLABLE))
         for row in reader:
-            if None in row.values():
-                raise ValueError(f"line {reader.line_num} has fewer cells "
-                                 "than the header")
-            meta = (row.pop("seed"), row.pop("config_hash"))
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) < width:
+                raise ValueError(f"line {line} has fewer cells than the header")
+            meta = row[columns["seed"]], row[columns["config_hash"]]
             first = first or meta
             if meta != first:
-                raise ValueError(f"line {reader.line_num}: seed and config_hash "
-                                 f"{' '.join(meta)} differ from the first "
-                                 f"row's {' '.join(first)}")
-            # A column outside the schema stays for validation to reject.
-            rec = {key: cell or None for key, cell in row.items()
-                   if cell or key not in _ABSENT_IF_EMPTY}
+                raise ValueError(f"line {line}: seed and config_hash {' '.join(meta)} "
+                                 f"differ from the first row's {' '.join(first)}")
+            rec = {}
             try:
-                key, cell = "seed", meta[0]
-                seed = _CELL_DECODERS["int"](cell)
-                for key, decode in _DECODED:
-                    cell = rec.get(key)
-                    if cell is not None:
-                        rec[key] = decode(cell)
+                if seed is None:  # every row's seed cell is the first row's
+                    key, cell = "seed", meta[0]
+                    seed = RULES["integer"].decode(cell)
+                for key, at, decode, keeps_empty in plan:
+                    cell = row[at]
+                    if cell:
+                        rec[key] = cell if decode is None else decode(cell)
+                    elif keeps_empty:
+                        rec[key] = None
             except (KeyError, ValueError):
-                raise ValueError(f"line {reader.line_num}: {key} cell "
-                                 f"{cell!r} is malformed") from None
+                raise ValueError(f"line {line}: {key} cell {cell!r} "
+                                 "is malformed") from None
+            if len(row) > width:
+                rec[None] = row[width:]
             records.append(rec)
-    return records, {"seed": seed, "config_hash": first[1] if first else ""}
+    return records, {"seed": 0 if seed is None else seed,
+                     "config_hash": first[1] if first else ""}
 
 
 def write_json(value, path: str) -> None:

@@ -9,6 +9,7 @@ import re
 from collections import OrderedDict
 from datetime import timedelta, timezone
 from enum import IntEnum
+from functools import partial
 
 import pytest
 import yaml
@@ -153,6 +154,53 @@ CONFIG_FIELDS = {
     "population": [*config_to_dict(CampaignConfig())["population"], "bogus"],
     "dcutr": [*config_to_dict(CampaignConfig())["dcutr"], "bogus"],
 }
+
+
+# A reference CSV reading rule, on `csv.DictReader` rows: each field's empty
+# cell dropped unless it is nullable or outside the schema, then the cells
+# decoded in schema order. `results.read_csv` must read every file as it does.
+DICT_READER_CELLS = {
+    "trial": partial(results._number_cell, (int,)), "as_id": results._json_cell,
+    "private_addrs": results._json_cell, "public_endpoints": results._json_cell,
+    "port_mapping_active": {"True": True, "False": False}.__getitem__,
+    "attempts": results._json_cell,
+    **dict.fromkeys(RTT_FIELDS, partial(results._number_cell, (int, float))),
+    "relay_addrs": results._json_cell}
+KEPT_IF_EMPTY = {"protocol_filter", *RTT_FIELDS}
+
+
+def dict_reader_csv(path):
+    records = []
+    first = None
+    seed = 0
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValueError("the CSV file has no header line")
+        for row in reader:
+            if None in row.values():
+                raise ValueError(f"line {reader.line_num} has fewer cells "
+                                 "than the header")
+            meta = (row.pop("seed"), row.pop("config_hash"))
+            first = first or meta
+            if meta != first:
+                raise ValueError(f"line {reader.line_num}: seed and config_hash "
+                                 f"{' '.join(meta)} differ from the first "
+                                 f"row's {' '.join(first)}")
+            rec = {key: cell or None for key, cell in row.items()
+                   if cell or key in KEPT_IF_EMPTY or key not in RECORD_FIELDS}
+            try:
+                key, cell = "seed", meta[0]
+                seed = DICT_READER_CELLS["trial"](cell)
+                for key, decode in DICT_READER_CELLS.items():
+                    cell = rec.get(key)
+                    if cell is not None:
+                        rec[key] = decode(cell)
+            except (KeyError, ValueError):
+                raise ValueError(f"line {reader.line_num}: {key} cell "
+                                 f"{cell!r} is malformed") from None
+            records.append(rec)
+    return records, {"seed": seed, "config_hash": first[1] if first else ""}
 
 
 @st.composite
@@ -444,9 +492,9 @@ class TestExport:
     def test_every_number_cell_written_reads_back_as_written(self, value):
         # What `csv` writes for an int or finite float cell, str(value),
         # reads back as the same value of the same type.
-        assert repr(results._CELL_DECODERS["number"](str(value))) == repr(value)
+        assert repr(results.RULES["number"].decode(str(value))) == repr(value)
         if isinstance(value, int):
-            assert repr(results._CELL_DECODERS["int"](str(value))) == repr(value)
+            assert repr(results.RULES["integer"].decode(str(value))) == repr(value)
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1118,6 +1166,47 @@ class TestCliExits:
         rc = self.analyze_exit(tmp_path, capsys, text, suffix)
         assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG)
 
+    @staticmethod
+    def rearranged_csv(text, data):
+        """The CSV text, maybe mutated as `mutated_csv` mutates it, with its
+        columns permuted in every row, cells maybe added past the end of one
+        row, and blank lines put in anywhere."""
+        if data.draw(st.booleans()):
+            text = TestCliExits.mutated_csv(text, data)
+        rows = list(csv.reader(io.StringIO(text)))
+        width = len(rows[0])
+        order = data.draw(st.permutations(range(width)))
+        rows = [[row[i] for i in order if i < len(row)] + row[width:] for row in rows]
+        rows[data.draw(st.integers(0, len(rows) - 1))] += data.draw(
+            st.lists(st.text(max_size=4), max_size=2))
+        for _ in range(data.draw(st.integers(0, 3))):
+            rows.insert(data.draw(st.integers(0, len(rows))), [])
+        out = io.StringIO()
+        csv.writer(out).writerows(rows)
+        return out.getvalue()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_reader_reads_as_the_dict_reader_did(self, tmp_path, data):
+        # Same records (in the same key order), seed and config hash, or
+        # the same exception class, naming the same line.
+        path = str(tmp_path / "results.csv")
+        export_results([make_record(0), make_record(1, "FAILED")], path, seed=1,
+                       config=CampaignConfig())
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = self.rearranged_csv(fh.read(), data)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        outcome = {}
+        for name, read in (("reference", dict_reader_csv), ("reader", results.read_csv)):
+            try:
+                outcome[name] = repr(read(path))
+            except (KeyError, ValueError, csv.Error) as exc:
+                line = re.match(r"line \d+", str(exc))
+                outcome[name] = exc.__class__, line and line.group()
+        assert outcome["reader"] == outcome["reference"]
+
     def test_non_object_record_exits_2(self, tmp_path, capsys):
         doc = '{"seed": 1, "config_hash": "", "records": [1]}'
         assert self.analyze_exit(tmp_path, capsys, doc) == cli.EXIT_CONFIG
@@ -1161,6 +1250,16 @@ class TestCliExits:
         rec["public_endpoints"] = ["client-00000#nat:4001"]
         del rec["remote"], rec["relay_addrs"], rec["rtt_relayed_mean"]
         aggregate([rec])
+
+    def test_validation_names_the_first_bad_field_in_the_record_order(self):
+        rec = make_record()
+        rec.update(trial="0", client=7)
+        with pytest.raises(MalformedRecord, match="record 0: trial must be an integer"):
+            validate_records([rec])
+        del rec["trial"]
+        rec["trial"] = "0"  # now after client
+        with pytest.raises(MalformedRecord, match="record 0: client must be a string"):
+            validate_records([rec])
 
     def test_validation_rejects_non_list_and_non_object_records(self):
         with pytest.raises(MalformedRecord, match="record 1: not an object"):

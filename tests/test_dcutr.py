@@ -88,6 +88,14 @@ class TestBasePunch:
         assert len(res.attempts) == 3
         assert all(a.outcome is OutcomeAttempt.FAILED for a in res.attempts)
 
+    def test_peers_on_two_networks_are_refused(self):
+        # A punch runs on one network's clock and packets; a remote on
+        # another network could never be reached from it.
+        _, svc, client, _ = build_world()
+        _, _, _, remote = build_world(seed=4)
+        with pytest.raises(ValueError, match="client and remote are on different networks"):
+            HolePunch(client, remote, [svc.endpoint])
+
 
 class TestEarlyOutcomes:
     def test_no_relays_is_no_connection(self):

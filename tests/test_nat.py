@@ -211,6 +211,60 @@ class TestArchetype:
         assert archetype(NatConfig(**ARCHETYPE_NATS[arch])) is arch
 
 
+# The servers of an RFC 5780 behaviour-discovery run: two hosts, A and B,
+# each answering on ports p1, p2 and p3.
+A1, A2, B1, B3 = (Endpoint("A", 3478), Endpoint("A", 3479),
+                  Endpoint("B", 3478), Endpoint("B", 3480))
+
+
+def discover(config, kind, seed):
+    """The mapping and filtering behaviour of a NAT, found as RFC 5780
+    §4.3 and §4.4 find them: from the outside, by what arrives where.
+    Every probe goes out within the mapping TTL of the one before."""
+    step = config.mapping_ttl / 8
+    nat = NatState(config, "pub", RandomStream(seed, "nat"))
+    # §4.3: one internal endpoint sends to (A,p1), (A,p2) and (B,p1).
+    seen = [nat.process_outbound(Packet(src=INT, dst=dst, kind=kind), i * step).src
+            for i, dst in enumerate((A1, A2, B1))]
+    mapping = {(1, True): MappingBehavior.EIM, (2, True): MappingBehavior.ADM,
+               (3, False): MappingBehavior.APDM}.get((len(set(seen)), seen[0] == seen[1]))
+    # §4.4: after a send to (A,p1), a fresh NAT is sent to from (A,p2) and (B,p3).
+    nat = NatState(config, "pub", RandomStream(seed, "nat"))
+    out = nat.process_outbound(Packet(src=INT, dst=A1, kind=kind), 0.0)
+    delivered = tuple(
+        nat.process_inbound(Packet(src=src, dst=out.src, kind=kind), (i + 1) * step)[0]
+        is InboundAction.DELIVER for i, src in enumerate((A2, B3)))
+    filtering = {(True, True): FilteringBehavior.EIF, (True, False): FilteringBehavior.ADF,
+                 (False, False): FilteringBehavior.APDF}.get(delivered)
+    return mapping, filtering
+
+
+@settings(max_examples=150, deadline=None)
+@given(mapping=st.sampled_from(list(MappingBehavior)),
+       filtering=st.sampled_from(list(FilteringBehavior)),
+       port_alloc=st.sampled_from(list(PortAllocation)),
+       denylist=st.booleans(), rst=st.booleans(),
+       ttl=st.floats(0.001, 1e6), lo=st.integers(0, 65533), width=st.integers(2, 200),
+       kind=st.sampled_from([PacketKind.UDP_DATAGRAM, PacketKind.TCP_SYN,
+                             PacketKind.QUIC_INITIAL]),
+       seed=st.integers(0, 2**32))
+def test_rfc5780_discovery_finds_the_configured_behaviour(mapping, filtering, port_alloc,
+                                                          denylist, rst, ttl, lo, width,
+                                                          kind, seed):
+    config = NatConfig(mapping=mapping, filtering=filtering, port_alloc=port_alloc,
+                       denylist_on_unsolicited=denylist, rst_on_unsolicited_tcp=rst,
+                       mapping_ttl=ttl, port_range=(lo, min(lo + width, 65535)))
+    assert discover(config, kind, seed) == (mapping, filtering)
+    # An EIM NAT is the archetype of its filtering; an endpoint-dependent
+    # mapping makes any NAT Symmetric, whose entry maps endpoint-dependently.
+    entry = ARCHETYPE_NATS[archetype(config)]
+    if mapping is MappingBehavior.EIM:
+        assert (entry["mapping"], entry["filtering"]) == (mapping, filtering)
+    else:
+        assert archetype(config) is Archetype.SYMMETRIC
+        assert entry["mapping"] is not MappingBehavior.EIM
+
+
 def test_hole_punch_enabler():
     # After both peers behind port-restricted NATs send one packet to each
     # other's true external endpoints, traffic flows in both directions.
