@@ -14,8 +14,9 @@ packet under a config that neither denylists nor answers with a RST;
 config on every call, since a `NatConfig` may change. The benchmark's
 tracer (perfbench/tracer.py) sees the NAT only through calls, so a fast
 path must keep them: every passage goes through one of the two methods,
-every port draw through a `RandomStream` method, and every copy through
-`Packet.readdressed`.
+and every port draw through a `RandomStream` method. As a NAT device does,
+both rewrite the header of the packet they pass in place and keep no
+reference to it.
 """
 
 from __future__ import annotations
@@ -181,13 +182,14 @@ class NatState:
             self._drop_mapping(m)
 
     def _alloc_port(self, internal: Endpoint, lo: int, hi: int, now: float) -> Optional[int]:
-        """The port PRESERVE or SEQUENTIAL picks, or None when the port is
-        drawn at random (RANDOM, and PRESERVE's fallback), as
-        `process_outbound` does. A table as large as the range first
-        gives back its expired mappings, and raises if none is free."""
+        """The port PRESERVE or SEQUENTIAL picks, or None for a random draw
+        (RANDOM, and PRESERVE's fallback for a taken or out-of-range port).
+        A table as large as the range first gives back its expired
+        mappings, and raises if none is free."""
         policy = self.config.port_alloc
-        if policy is PRESERVE and internal.port not in self._by_port:
-            return internal.port
+        port = internal.port
+        if policy is PRESERVE and lo <= port <= hi and port not in self._by_port:
+            return port
         if len(self._by_port) > hi - lo:
             # Only a table at least as large as the range can have used it
             # up; expired mappings give their ports back first.
@@ -233,8 +235,8 @@ class NatState:
         a full table first drops its expired mappings (RFC 4787 §4.3).
         Also raised when every port in ``port_range`` is taken.
 
-        Keeps no reference to ``pkt`` and always returns a new packet, so
-        a caller may readdress ``pkt`` in place and pass it again.
+        Rewrites ``pkt.src`` in place and returns ``pkt``, keeping no
+        reference to it, so a caller may readdress it and pass it again.
         """
         src, dst = pkt.src, pkt.dst
         config = self.config
@@ -275,13 +277,15 @@ class NatState:
                 self._by_key[key] = by_port[port] = NatMapping(
                     src, external, key, {dst: now}, now, now)
                 self._sessions += 1
-                return pkt.readdressed(external, dst)
+                pkt.src = external
+                return pkt
         contacted = m.contacted
         if dst not in contacted:
             contacted[dst] = now
         if now > m.last_activity:
             m.last_activity = now
-        return pkt.readdressed(m.external, dst)
+        pkt.src = m.external
+        return pkt
 
     def _note_unsolicited(self, pkt: Packet, now: float) -> InboundAction:
         """The side effects of an unsolicited packet that a config turns
@@ -296,9 +300,9 @@ class NatState:
     def process_inbound(self, pkt: Packet, now: float) -> tuple[InboundAction, Optional[Packet]]:
         """Filter an inbound packet addressed to this device's public host.
 
-        Returns (DELIVER, translated packet), (DROP, None), or
-        (REJECT_RST, None). Like `process_outbound`, it keeps no reference
-        to ``pkt``, and the translated packet is a new one.
+        Returns (DELIVER, pkt) with ``pkt.dst`` rewritten in place, or
+        (DROP, None) or (REJECT_RST, None) with ``pkt`` left as it was;
+        like `process_outbound`, it keeps no reference to ``pkt``.
         """
         expiry = self.denylist.get(pkt.src.host)
         if expiry is not None:
@@ -328,5 +332,6 @@ class NatState:
 
         if now > m.last_activity:
             m.last_activity = now
-        return DELIVER, pkt.readdressed(pkt.src, m.internal)
+        pkt.dst = m.internal
+        return DELIVER, pkt
 

@@ -80,16 +80,3 @@ class Packet:
             raise ValueError("ttl must be >= 1")
         if self.size_bytes < 0:
             raise ValueError("size_bytes must be >= 0")
-
-    def readdressed(self, src: Endpoint, dst: Endpoint) -> Packet:
-        """A copy with new addresses, as a NAT rewrites it. The other
-        fields were validated when this packet was built, so the copy
-        skips `__post_init__`."""
-        pkt = object.__new__(Packet)
-        pkt.src = src
-        pkt.dst = dst
-        pkt.kind = self.kind
-        pkt.ttl = self.ttl
-        pkt.size_bytes = self.size_bytes
-        pkt.tag = self.tag
-        return pkt

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 from .kernel import RandomStream, bounded, check_fields, run_strided
@@ -110,6 +111,15 @@ def dial_arrival_skew(initiator_leg_ms: float, listener_leg_ms: float,
     return abs(t_pass_initiator - t_pass_listener)
 
 
+@lru_cache(maxsize=8)
+def _sources(host: str, first_port: int, count: int) -> tuple:
+    """The endpoints host:first_port .. first_port + count - 1, in port
+    order, shared by every punch with the same sources. The highest is
+    validated first, so a count past the port space fails on it."""
+    return tuple(Endpoint(host, port)
+                 for port in range(first_port + count - 1, first_port - 1, -1))[::-1]
+
+
 def birthday_punch(plan: BirthdayPlan, edm_nat: NatState, edm_host: str,
                    peer_external: Endpoint, rng: RandomStream,
                    prober_nat: Optional[NatState] = None,
@@ -133,24 +143,23 @@ def birthday_punch(plan: BirthdayPlan, edm_nat: NatState, edm_host: str,
     if hi - lo + 1 != plan.port_space:
         raise ValueError("plan port_space does not match the NAT's range")
     both_edm = plan.scenario is EDM_VS_EDM
-    # Validate the highest source ports and one packet up front, so a plan
-    # too large for them fails before any NAT is touched; every other
-    # endpoint below has a port from a checked range and skips validation.
-    # The packet carries every opening and direct probe, readdressed in
-    # place: the NAT keeps no reference to the packet it gets.
-    Endpoint(edm_host, 20_000 + plan.m_open - 1)
+    # Openings leave from ports 20 000 + i and probes from 30 000 + j: a
+    # plan too large for them fails here, before any NAT is touched.
+    sources = _sources(edm_host, 20_000, plan.m_open)
     if prober_nat is not None:
-        Endpoint(prober_host, 30_000 + plan.k_probe - 1)
+        prober_sources = _sources(prober_host, 30_000, plan.k_probe)
+    # One packet carries every opening and direct probe, readdressed in
+    # place before each pass, as the NAT rewrites it and keeps no reference.
     carrier = Packet(src=peer_external,
                      dst=Endpoint(edm_nat.public_host, lo),
                      kind=UDP_DATAGRAM)
     carrier.dst = peer_external  # every opening's target unless both-EDM
-    for i in range(plan.m_open):
+    outbound = edm_nat.process_outbound
+    for src in sources:
         if both_edm:
             carrier.dst = unchecked_endpoint((peer_external.host, rng.randint(lo, hi)))
-        carrier.src = unchecked_endpoint((edm_host, 20_000 + i))
-        # nat.SessionTableFull propagates
-        edm_nat.process_outbound(carrier, now)
+        carrier.src = src
+        outbound(carrier, now)  # nat.SessionTableFull propagates
 
     probe_ports = rng.sample(range(lo, hi + 1), plan.k_probe)
     public_host = edm_nat.public_host
@@ -158,11 +167,9 @@ def birthday_punch(plan: BirthdayPlan, edm_nat: NatState, edm_host: str,
     for j, dst_port in enumerate(probe_ports):
         carrier.dst = unchecked_endpoint((public_host, dst_port))
         if prober_nat is not None:
-            carrier.src = unchecked_endpoint((prober_host, 30_000 + j))
-            probe = prober_nat.process_outbound(carrier, now)
-        else:
-            probe = carrier
-        action, _ = edm_nat.process_inbound(probe, now)
+            carrier.src = prober_sources[j]
+            prober_nat.process_outbound(carrier, now)
+        action, _ = edm_nat.process_inbound(carrier, now)
         if action is DELIVER:
             return True
     return False

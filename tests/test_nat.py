@@ -63,6 +63,13 @@ class TestMapping:
         p2 = nat.process_outbound(udp(other, DST1), 1.0)
         assert p2.src.port != 5000
 
+    def test_preserve_keeps_to_the_port_range(self):
+        nat = make_nat(port_alloc=PortAllocation.PRESERVE, port_range=(100, 200))
+        inside = Endpoint("lan", 150)
+        assert nat.process_outbound(udp(inside, DST1), 0.0).src.port == 150
+        # lan:5000 lies outside the range, so its port is drawn inside it.
+        assert 100 <= nat.process_outbound(udp(INT, DST1), 1.0).src.port <= 200
+
     def test_session_table_full_is_distinct_signal(self):
         nat = make_nat(mapping=MappingBehavior.APDM, max_sessions=1)
         nat.process_outbound(udp(INT, DST1), 0.0)
@@ -219,8 +226,9 @@ A1, A2, B1, B3 = (Endpoint("A", 3478), Endpoint("A", 3479),
 
 def discover(config, kind, seed):
     """The mapping and filtering behaviour of a NAT, found as RFC 5780
-    §4.3 and §4.4 find them: from the outside, by what arrives where.
-    Every probe goes out within the mapping TTL of the one before."""
+    §4.3 and §4.4 find them: from the outside, by what arrives where,
+    and the external ports seen on the way. Every probe goes out within
+    the mapping TTL of the one before."""
     step = config.mapping_ttl / 8
     nat = NatState(config, "pub", RandomStream(seed, "nat"))
     # §4.3: one internal endpoint sends to (A,p1), (A,p2) and (B,p1).
@@ -236,7 +244,7 @@ def discover(config, kind, seed):
         is InboundAction.DELIVER for i, src in enumerate((A2, B3)))
     filtering = {(True, True): FilteringBehavior.EIF, (True, False): FilteringBehavior.ADF,
                  (False, False): FilteringBehavior.APDF}.get(delivered)
-    return mapping, filtering
+    return mapping, filtering, {ep.port for ep in seen} | {out.src.port}
 
 
 @settings(max_examples=150, deadline=None)
@@ -254,7 +262,10 @@ def test_rfc5780_discovery_finds_the_configured_behaviour(mapping, filtering, po
     config = NatConfig(mapping=mapping, filtering=filtering, port_alloc=port_alloc,
                        denylist_on_unsolicited=denylist, rst_on_unsolicited_tcp=rst,
                        mapping_ttl=ttl, port_range=(lo, min(lo + width, 65535)))
-    assert discover(config, kind, seed) == (mapping, filtering)
+    found_mapping, found_filtering, ports = discover(config, kind, seed)
+    assert (found_mapping, found_filtering) == (mapping, filtering)
+    # Every policy maps into the range, PRESERVE too (internal port 5000).
+    assert all(config.port_range[0] <= port <= config.port_range[1] for port in ports)
     # An EIM NAT is the archetype of its filtering; an endpoint-dependent
     # mapping makes any NAT Symmetric, whose entry maps endpoint-dependently.
     entry = ARCHETYPE_NATS[archetype(config)]
@@ -361,9 +372,9 @@ def test_table_invariants_hold_under_random_traffic(mapping, port_alloc,
 
 
 class TestPacketsAreNotKept:
-    """The NAT keeps no reference to the packet it gets and returns a new
-    one, so a caller may readdress its packet in place and pass it again
-    (`strategies.birthday_punch` does)."""
+    """The NAT rewrites the header of the packet it passes in place and
+    keeps no reference to it, so a caller may readdress its packet and
+    pass it again (`strategies.birthday_punch` does)."""
 
     @staticmethod
     def tables(nat):
@@ -373,24 +384,34 @@ class TestPacketsAreNotKept:
     @pytest.mark.parametrize("mapping", list(MappingBehavior))
     def test_readdressing_the_input_changes_nothing(self, mapping):
         nat = make_nat(mapping=mapping, filtering=FilteringBehavior.APDF)
-        pkt = udp(INT, DST1)
-        out = nat.process_outbound(pkt, 0.0)
-        sent, tables = (out.src, out.dst), self.tables(nat)
+        pkt = udp(INT, DST1, ttl=9, size_bytes=40, tag=("ping", 7))
+        assert nat.process_outbound(pkt, 0.0) is pkt
+        external, tables = pkt.src, self.tables(nat)
+        assert external.host == "pub" and pkt.dst == DST1
+        assert (pkt.ttl, pkt.size_bytes, pkt.tag) == (9, 40, ("ping", 7))
         pkt.src, pkt.dst = Endpoint("lan", 6000), DST2
-        assert (out.src, out.dst) == (sent[0], DST1)
         assert self.tables(nat) == tables
-        # APDF lets the reply from DST1 in and drops the one from DST2.
+        # APDF lets the reply from DST1 in, its destination rewritten, and
+        # drops the one from DST2 as it came.
         for src, expected in ((DST1, InboundAction.DELIVER),
                               (DST2, InboundAction.DROP)):
-            pkt = udp(src, sent[0])
+            pkt = udp(src, external)
             action, delivered = nat.process_inbound(pkt, 1.0)
             assert action is expected
+            if expected is InboundAction.DELIVER:
+                assert delivered is pkt and (pkt.src, pkt.dst) == (src, INT)
+            else:
+                assert delivered is None and (pkt.src, pkt.dst) == (src, external)
             tables = self.tables(nat)
             pkt.src, pkt.dst = Endpoint("z", 1), Endpoint("pub", 1)
-            if delivered is not None:
-                assert delivered is not pkt
-                assert (delivered.src, delivered.dst) == (src, INT)
             assert self.tables(nat) == tables
+
+    def test_a_rejected_packet_keeps_its_header(self):
+        # The network answers it with a RST from its own addresses.
+        nat = make_nat(rst_on_unsolicited_tcp=True)
+        pkt = Packet(src=DST1, dst=Endpoint("pub", 7), kind=PacketKind.TCP_SYN)
+        assert nat.process_inbound(pkt, 0.0) == (InboundAction.REJECT_RST, None)
+        assert (pkt.src, pkt.dst) == (DST1, Endpoint("pub", 7))
 
 
 class TestPortRange:

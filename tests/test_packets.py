@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 
 import pytest
@@ -51,17 +50,3 @@ class TestPacket:
             Packet(src=ep, dst=ep, kind=PacketKind.UDP_DATAGRAM, ttl=0)
         with pytest.raises(ValueError):
             Packet(src=ep, dst=ep, kind=PacketKind.UDP_DATAGRAM, size_bytes=-1)
-
-    def test_readdressed_copies_every_other_field(self):
-        pkt = Packet(src=Endpoint("a", 1), dst=Endpoint("b", 2),
-                     kind=PacketKind.TCP_SYN, ttl=3, size_bytes=40,
-                     tag=("ping", 7))
-        src, dst = Endpoint("c", 3), Endpoint("d", 4)
-        out = pkt.readdressed(src, dst)
-        assert out is not pkt
-        assert (out.src, out.dst) == (src, dst)
-        for f in dataclasses.fields(Packet):
-            if f.name not in ("src", "dst"):
-                assert getattr(out, f.name) == getattr(pkt, f.name), f.name
-        assert out.tag is pkt.tag
-        assert (pkt.src, pkt.dst) == (Endpoint("a", 1), Endpoint("b", 2))

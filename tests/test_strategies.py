@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from punchsim.nat import (FilteringBehavior, MappingBehavior, NatConfig,
                           NatState, PortAllocation)
 from punchsim.net import HOP_DISTANCE, Network
 from punchsim.packets import Endpoint, Packet, PacketKind
+from punchsim import strategies
 from punchsim.strategies import (BirthdayPlan, BirthdayScenario, assign_roles,
                                  birthday_monte_carlo, birthday_probability,
                                  birthday_punch, both_edm_pair_share,
@@ -164,6 +166,36 @@ class TestBirthdayMonteCarlo:
                            RandomStream(1, "mc"), prober_nat=prober)
         assert nat.session_count() == 0
         assert prober.session_count() == 0
+
+    def test_cold_and_warm_source_cache_punch_alike(self):
+        # The opening and probe sources come from a cache; a punch that
+        # builds them (cold) and one that reuses them (warm) must leave the
+        # same verdicts and NAT tables, in both scenarios.
+        def punches(clear):
+            runs = []
+            for i in range(12):
+                if clear:
+                    strategies._sources.cache_clear()
+                both_edm = i % 2 == 1
+                space = 64 if both_edm else 256
+                plan = BirthdayPlan(m_open=16, k_probe=16, port_space=space,
+                                    scenario=BirthdayScenario.EDM_VS_EDM if both_edm
+                                    else BirthdayScenario.EDM_VS_EIM)
+                nat = edm_nat(space, seed=3, label=f"e{i}")
+                prober = edm_nat(space, seed=3, label=f"p{i}") if both_edm else None
+                peer = Endpoint(prober.public_host, 0) if both_edm else Endpoint("peer", 1)
+                hit = birthday_punch(plan, nat, "edm-host", peer,
+                                     RandomStream(3, f"mc/{i}"), prober_nat=prober)
+                runs.append((hit, [sorted(map(astuple, n._by_port.values()))
+                                   for n in (nat, prober) if n is not None]))
+            return runs
+
+        cold = punches(clear=True)
+        assert strategies._sources.cache_info().hits == 0
+        warm = punches(clear=False)
+        assert strategies._sources.cache_info().hits > 0
+        assert cold == warm
+        assert {hit for hit, _ in cold} == {True, False}
 
 
 def sampled_punch_hits(seed, i, m, k, lo=0, hi=65_535):
