@@ -23,17 +23,6 @@ from .strategies import assign_roles, refined_wait_time
 from .transport import (MAX_RTT_SAMPLES, QUIC, TCP, Port, QuicPort, TcpPort, Transport,
                         measure_rtt)
 
-STREAM_OPEN_BYTES = 32
-CONNECT_BYTES_BASE = 96
-CONNECT_BYTES_PER_ADDR = 8
-SYNC_BYTES = 16
-
-
-def _book_bytes(addrs: dict) -> int:
-    """The size of a message carrying an address book."""
-    return CONNECT_BYTES_BASE + CONNECT_BYTES_PER_ADDR * len(addrs)
-
-
 def _preferred(filter: Optional[Transport]) -> tuple[Transport, ...]:
     """The transports to try, in order: QUIC then TCP, or only `filter`."""
     return (QUIC, TCP) if filter is None else (filter,)
@@ -82,14 +71,11 @@ class HolePunchResult:
     outcome: Optional[OutcomeResult] = None  # set when the punch ends
     port_mapping_active: bool = False
     listen_endpoints: list[tuple[str, str]] = field(default_factory=list)
-    direct_endpoints_used: list[str] = field(default_factory=list)
     rtt_to_relay: Optional[tuple[float, float]] = None
     rtt_relayed: Optional[tuple[float, float]] = None
     rtt_direct_after: Optional[tuple[float, float]] = None
     started: float = 0.0
     ended: float = 0.0
-    # Control-plane accounting over the relay, bytes per direction.
-    control_bytes: dict = field(default_factory=lambda: {"initiator": 0, "listener": 0})
 
 
 @dataclass
@@ -284,8 +270,7 @@ class HolePunch:
         self.c_circ = circuit
         circuit.on_message = self._client_message
         circuit.on_closed = self._on_circuit_closed
-        self._arm("stream", self._stream_deadline, self.cfg.stream_timeout_ms,
-                  last=STREAM)
+        self._arm("stream", self._stream_deadline, self.cfg.stream_timeout_ms, last=STREAM)
         self._observe_and_identify(self.client, circuit)
 
     def _on_remote_circuit(self, circuit: Circuit) -> None:
@@ -293,9 +278,9 @@ class HolePunch:
         remote can see one incoming circuit per relay. Adopt whichever one
         the client's first message actually arrives on; the client closes
         the losers itself."""
-        circuit.on_message = lambda tag, size: self._remote_adopt(circuit, tag, size)
+        circuit.on_message = lambda tag: self._remote_adopt(circuit, tag)
 
-    def _remote_adopt(self, circuit: Circuit, tag: tuple, size: int) -> None:
+    def _remote_adopt(self, circuit: Circuit, tag: tuple) -> None:
         if self.done:
             return
         if self.r_circ is None:
@@ -304,7 +289,7 @@ class HolePunch:
             circuit.on_closed = self._on_circuit_closed
             self._observe_and_identify(self.remote, circuit)
         if circuit is self.r_circ:
-            self._remote_message(tag, size)
+            self._remote_message(tag)
 
     def _on_circuit_closed(self, reason: str) -> None:
         self._abort(ATTEMPT_PROTOCOL_ERROR, FAILED, NO_STREAM)
@@ -321,11 +306,6 @@ class HolePunch:
 
     def _observe_and_identify(self, runtime: PeerRuntime, circuit: Circuit) -> None:
         pending = {"n": len(runtime.ports)}
-
-        def send_identify() -> None:
-            addrs = runtime.advertised()
-            circuit.send(("id", addrs), _book_bytes(addrs))
-
         for transport, port in runtime.ports.items():
             def on_obs(observed: Optional[Endpoint], transport=transport,
                        local=port.local) -> None:
@@ -335,7 +315,7 @@ class HolePunch:
                     runtime.observed[transport] = observed
                 pending["n"] -= 1
                 if pending["n"] == 0:
-                    send_identify()
+                    circuit.send(("id", runtime.advertised()))
 
             runtime.relay.observe_via(circuit.relay_ep, port.port, on_obs)
 
@@ -362,7 +342,6 @@ class HolePunch:
             if self.phase is not REVERSAL:
                 return
             if res.established:
-                self.result.direct_endpoints_used = [str(target)]
                 self._finish(CONNECTION_REVERSED)
             else:
                 self._open_stream()
@@ -372,15 +351,11 @@ class HolePunch:
 
     # -- stream open and measurements ---------------------------------------------
 
-    def _send_control(self, side: str, circuit: Circuit, tag: tuple, size: int) -> None:
-        self.result.control_bytes[side] += size
-        circuit.send(tag, size)
-
     def _open_stream(self) -> None:
         self._enter(STREAM)
-        self._send_control("initiator", self.r_circ, ("stream-open",), STREAM_OPEN_BYTES)
+        self.r_circ.send(("stream-open",))
 
-    def _client_message(self, tag: tuple, size: int) -> None:
+    def _client_message(self, tag: tuple) -> None:
         """Messages arriving at the listener (client) side; none arrives
         after DONE, since finishing closes `c_circ`."""
         kind = tag[0]
@@ -388,20 +363,18 @@ class HolePunch:
             self._remote_addrs = tag[1]
             self._peer_identified()
         elif kind == "stream-open":
-            self._send_control("listener", self.c_circ, ("stream-ack",), STREAM_OPEN_BYTES)
+            self.c_circ.send(("stream-ack",))
         elif kind == "connect":
             gen = tag[1]
             self._remote_addrs = tag[2] or self._remote_addrs
             if self.cfg.ttl_priming and self._is_current(gen):
                 self._prime("listener", until=self.sim.now + 2_000.0)
             addrs = self.client.advertised(self.filter)
-            rtt_nat = 2.0 * self.client.host.leg
-            self._send_control("listener", self.c_circ,
-                               ("connect-reply", gen, addrs, rtt_nat), _book_bytes(addrs))
+            self.c_circ.send(("connect-reply", gen, addrs, 2.0 * self.client.host.leg))
         elif kind == "sync" and self._is_current(tag[1]):
             self._act("listener")
 
-    def _remote_message(self, tag: tuple, size: int) -> None:
+    def _remote_message(self, tag: tuple) -> None:
         """Messages arriving at the initiator (remote) side. `r_circ` stays
         open past DONE until the relay resets it, so late ones arrive."""
         if self.done:
@@ -453,9 +426,7 @@ class HolePunch:
         self._attempt = index
         self._attempt_started = self.sim.now
         self._attempt_rtt = None
-        addrs = self.remote.advertised(self.filter)
-        self._send_control("initiator", self.r_circ, ("connect", index, addrs),
-                           _book_bytes(addrs))
+        self.r_circ.send(("connect", index, self.remote.advertised(self.filter)))
         self._arm("attempt", self._attempt_expired, self.cfg.attempt_deadline_ms)
 
     def _on_connect_reply(self, addrs, rtt_listener_nat: float) -> None:
@@ -468,7 +439,7 @@ class HolePunch:
         else:
             wait = rtt / 2.0
         wait = max(0.0, wait + self.cfg.sync_error_ms)
-        self._send_control("initiator", self.r_circ, ("sync", self._attempt), SYNC_BYTES)
+        self.r_circ.send(("sync", self._attempt))
         if self.cfg.ttl_priming:
             self._prime("initiator", until=self.sim.now + wait)
         # The initiator dials at its instant even if the listener's dial
@@ -539,8 +510,6 @@ class HolePunch:
         # stream deadline reads; after a success the attempt is settled.
         if self.phase is not ATTEMPT:
             return
-        if not self.result.direct_endpoints_used:
-            self.result.direct_endpoints_used = [str(remote_ep)]
         self._end_attempt(ATTEMPT_SUCCESS, transport)
 
     def _after_success(self) -> None:

@@ -15,16 +15,17 @@ the sender's NAT processes it at t0 + leg(a), the receiver's NAT at
 t0 + L - leg(b), and the receiving host sees it at t0 + L. Only the NAT
 passage times matter for hole-punch synchronization.
 
-Every in-sim message is a tag carried by a UDP datagram (`Host.datagram`)
-or, through a relay, by a circuit. Requests and replies: `Host.request`
-sends a request whose tag is (kind, token, ...), with a fresh token from
-`Simulation.next_token()`, and files a callback under the token in the
-host's `replies` table; every reply's tag is (`REPLY`, token, ...), the
-request's kind left to the callback. `Host.serve` hands it the reply,
-whether that reached a bound port or came through a circuit, and cancels
-the request's timeout. `serve` also answers ("ping", token) with
-(`REPLY`, token) on either carrier. A layer above takes only its `Host`
-and reaches the network as `host.net`.
+Every in-sim message is a tag, a row of `packets.MESSAGES` that gives its
+size, carried by a UDP datagram (`Host.datagram`) or through a relay's
+circuit. Requests and replies: `Host.request` sends a request whose tag
+is (kind, token, ...), with a fresh token from `Simulation.next_token()`,
+and files a callback under the token in the host's `replies` table; every
+reply's tag is (`REPLY`, token, ...), the request's kind left to the
+callback. `Host.serve` hands it the reply, whether that reached a bound
+port or came through a circuit, and cancels the request's timeout.
+`serve` also answers ("ping", token) with (`REPLY`, token) on either
+carrier. A layer above takes only its `Host` and reaches the network as
+`host.net`.
 
 The benchmark's tracer (perfbench/tracer.py) sees this layer only through
 calls, so a fast path here must keep them: every event goes through
@@ -41,15 +42,14 @@ from typing import Callable, Optional
 
 from .kernel import Simulation, check_number
 from .nat import DELIVER, REJECT_RST, NatConfig, NatState, SessionTableFull
-from .packets import DEFAULT_TTL, TCP_RST, UDP_DATAGRAM, Endpoint, Packet
+from .packets import (DEFAULT_TTL, REPLY, SEGMENT_BYTES, TCP_RST, UDP_DATAGRAM, Endpoint,
+                      Packet, message_bytes)
 
 FIRST_DYNAMIC_PORT = 10_000
 # Floor applied to every latency draw so causality is never violated.
 MIN_LATENCY_MS = 0.01
 # Hops between two distinct hosts; a packet whose TTL is lower dies in the core.
 HOP_DISTANCE = 6
-# The tag kind of every answer to a request; tag[1] echoes the request's token.
-REPLY = "reply"
 
 
 class Host:
@@ -81,12 +81,11 @@ class Host:
     def endpoint(self, port: int) -> Endpoint:
         return Endpoint(self.id, port)
 
-    def datagram(self, src: Endpoint, dst: Endpoint, tag, size: int,
-                 ttl: int = DEFAULT_TTL) -> bool:
-        """Send `tag` from `src`, one of this host's endpoints, in a UDP
+    def datagram(self, src: Endpoint, dst: Endpoint, tag, ttl: int = DEFAULT_TTL) -> bool:
+        """Send message `tag` from `src`, one of this host's endpoints, in a UDP
         datagram. True: it always leaves, though the network may drop it."""
         # Positional: a keyword call to Packet's __init__ costs about twice as much.
-        self.net.send(self.id, Packet(src, dst, UDP_DATAGRAM, ttl, size, tag))
+        self.net.send(self.id, Packet(src, dst, UDP_DATAGRAM, ttl, message_bytes(tag), tag))
         return True
 
     def request(self, send: Callable[[int], bool], on_reply: Callable[[tuple], None],
@@ -108,8 +107,8 @@ class Host:
         del self.replies[token]  # a delivered reply cancelled this timer
         on_timeout()
 
-    def serve(self, tag, answer: Callable[[tuple, object], None], via) -> bool:
-        """Answer a ping with `answer((REPLY, token), via)`, or hand a
+    def serve(self, tag, answer: Callable[[object, tuple], None], via) -> bool:
+        """Answer a ping with `answer(via, (REPLY, token))`, or hand a
         `REPLY` tag to the callback its token names (a reply nobody waits
         for is dropped). False when `tag` is neither, so the message is
         the application's."""
@@ -117,7 +116,7 @@ class Host:
             return False
         kind = tag[0]
         if kind == "ping":
-            answer((REPLY,) + tag[1:], via)
+            answer(via, (REPLY,) + tag[1:])
         elif kind == REPLY:
             waiting = self.replies.pop(tag[1], None)
             if waiting is not None:
@@ -136,8 +135,8 @@ class Host:
             if type(tag) is not tuple or not self.serve(tag, self._answer, pkt):
                 handler(pkt)
 
-    def _answer(self, tag: tuple, request: Packet) -> None:
-        self.datagram(request.dst, request.src, tag, request.size_bytes)
+    def _answer(self, request: Packet, tag: tuple) -> None:
+        self.datagram(request.dst, request.src, tag)
 
 
 class Network:
@@ -223,5 +222,5 @@ class Network:
         if action is DELIVER:
             self.sim.schedule(lambda: receiver._dispatch(translated), t_arrival)
         elif action is REJECT_RST:
-            rst = Packet(src=pkt.dst, dst=pkt.src, kind=TCP_RST, size_bytes=40)
+            rst = Packet(pkt.dst, pkt.src, TCP_RST, DEFAULT_TTL, SEGMENT_BYTES[TCP_RST])
             self.send(receiver.id, rst, skip_sender_nat=True)

@@ -1,4 +1,7 @@
-"""Wire-level primitives shared by the NAT and transport layers."""
+"""Wire-level primitives shared by the NAT and transport layers, and the
+one table of in-sim messages. A packet's size follows from its kind
+(`SEGMENT_BYTES`) or, for a UDP datagram, from the message it carries
+(`MESSAGES`, read by `message_bytes`), so no sender passes a size."""
 
 from __future__ import annotations
 
@@ -49,6 +52,7 @@ class PacketKind(Enum):
     UDP_DATAGRAM = "UDP_DATAGRAM"
     QUIC_INITIAL = "QUIC_INITIAL"
     QUIC_REPLY = "QUIC_REPLY"
+    __hash__ = object.__hash__  # by identity, in C: Enum's is a Python call per segment
 
     @property
     def is_tcp(self) -> bool:
@@ -62,6 +66,47 @@ class PacketKind(Enum):
 (TCP_SYN, TCP_SYNACK, TCP_ACK, TCP_RST, UDP_DATAGRAM, QUIC_INITIAL,
  QUIC_REPLY) = PacketKind
 _TCP_KINDS = (TCP_SYN, TCP_SYNACK, TCP_ACK, TCP_RST)
+# A segment's size in bytes; a UDP datagram's follows from its message.
+SEGMENT_BYTES = {TCP_SYN: 60, TCP_SYNACK: 60, TCP_ACK: 60, TCP_RST: 40,
+                 QUIC_INITIAL: 1_200, QUIC_REPLY: 300}
+
+REPLY = "reply"  # the kind of every answer to a request; tag[1] echoes its token
+
+
+def _book(field: int):  # the size rule of a message whose tag[field] is an address book
+    return lambda tag: 96 + 8 * len(tag[field])
+
+
+# Message kind -> its size in bytes, or a rule that computes it from the
+# tag. The relay kinds model circuit-relay v2's HopMessage and StopMessage;
+# the circuit payloads, identify and DCUtR's CONNECT and SYNC.
+MESSAGES = {
+    "ping": 32,  # (ping, token), on a port or through a circuit
+    REPLY: lambda tag: 32 if len(tag) == 2 else 24,  # (reply, token[, a relay's value])
+    "obs": 24,  # (obs, token): which endpoint sent this?
+    "rsv-req": 24,  # (rsv-req, token, peer id): HOP RESERVE
+    "conn-req": 24,  # (conn-req, token, listener, dialer): HOP CONNECT
+    "conn-in": 24,  # (conn-in, cid, dialer): STOP CONNECT
+    "circ": 8,  # (circ, cid, payload): the frame's header; its payload adds its own
+    "circ-close": 24,  # (circ-close, cid)
+    "circ-reset": 24,  # (circ-reset, cid, reason)
+    "dummy": 30,  # a bare string: a QUIC server's NAT-priming datagram
+    "id": _book(1),  # (id, addrs): identify
+    "stream-open": 32,  # (stream-open,): the initiator opens the punch stream
+    "stream-ack": 32,  # (stream-ack,)
+    "connect": _book(2),  # (connect, attempt, addrs)
+    "connect-reply": _book(2),  # (connect-reply, attempt, addrs, listener's NAT RTT)
+    "sync": 16,  # (sync, attempt)
+}
+
+
+def message_bytes(tag) -> int:
+    """The wire size of `tag`, a circuit frame's payload included; KeyError for no row."""
+    size = 0
+    if type(tag) is tuple and tag[0] == "circ":
+        size, tag = MESSAGES["circ"], tag[2]
+    rule = MESSAGES[tag if type(tag) is str else tag[0]]
+    return size + (rule if type(rule) is int else rule(tag))
 
 
 @dataclass(slots=True)

@@ -1,5 +1,7 @@
 """Precursor protocols: relay reservations, limited relayed connections
-(circuits) with pings through them, and observed-address exchange."""
+(circuits) with pings through them, and observed-address exchange. Each
+message is a row of `packets.MESSAGES`, and the relay charges each side's
+data budget the table size of the payloads it forwards."""
 
 from __future__ import annotations
 
@@ -7,18 +9,16 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
-from .net import REPLY, Host
-from .packets import Endpoint, Packet
-from .transport import PING_BYTES, RttProbe
+from .net import Host
+from .packets import MESSAGES, REPLY, Endpoint, Packet
+from .transport import RttProbe
 
 RELAY_PORT = 1
 DEFAULT_RESERVATION_MS = 3_600_000.0
 DEFAULT_DATA_BUDGET_BYTES = 4_096
 DEFAULT_RELAYED_CONN_LIMIT = 16
 DEFAULT_RESERVATION_CAPACITY = 128
-CONTROL_BYTES = 24
-CIRCUIT_HEADER_BYTES = 8
-# How long a client awaits a `net.REPLY` (reservation, address, ping); for a circuit.
+# How long a client awaits a `packets.REPLY` (reservation, address, ping); for a circuit.
 REQUEST_TIMEOUT_MS = 5_000.0
 CONNECT_TIMEOUT_MS = 10_000.0
 
@@ -40,22 +40,19 @@ class Circuit:
         self.cid = cid
         self.peer_id = peer_id
         self.open = True
-        self.on_message: Optional[Callable[[tuple, int], None]] = None
+        self.on_message: Optional[Callable[[tuple], None]] = None
         self.on_closed: Optional[Callable[[str], None]] = None
 
-    def send(self, tag: tuple, size_bytes: int) -> bool:
+    def send(self, tag) -> bool:
         """Send a payload through the relay; False once the circuit closed."""
         if not self.open:
             return False
-        client = self.client
-        return client.host.datagram(client.endpoint, self.relay_ep, ("circ", self.cid, tag),
-                                    size_bytes + CIRCUIT_HEADER_BYTES)
+        return self.client._send_control(self.relay_ep, ("circ", self.cid, tag))
 
     def close(self) -> None:
         if self.open:
             self.open = False
-            self.client._send_control(self.relay_ep, ("circ-close", self.cid),
-                                      CONTROL_BYTES)
+            self.client._send_control(self.relay_ep, ("circ-close", self.cid))
 
     def _closed(self, reason: str) -> None:
         if self.open:
@@ -89,8 +86,8 @@ class RelayService:
         self._circuits: dict[int, dict] = {}
         self._next_cid = 1
 
-    def _send(self, dst: Endpoint, tag: tuple, size: int = CONTROL_BYTES) -> None:
-        self.host.datagram(self.endpoint, dst, tag, size)
+    def _send(self, dst: Endpoint, tag: tuple) -> None:
+        self.host.datagram(self.endpoint, dst, tag)
 
     def _live_reservations(self) -> int:
         now = self.net.sim.now
@@ -103,19 +100,18 @@ class RelayService:
         kind = tag[0]
         # Circuit payloads first: they are most of a relay's traffic.
         if kind == "circ":
-            cid, payload = tag[1], tag[2]
+            cid = tag[1]
             circ = self._circuits.get(cid)
             if circ is None:
                 return
             other = circ["sides"].get(pkt.src)
             if other is None:
                 return
-            size = pkt.size_bytes - CIRCUIT_HEADER_BYTES
-            circ["used"][pkt.src] += size
+            circ["used"][pkt.src] += pkt.size_bytes - MESSAGES["circ"]
             if circ["used"][pkt.src] > self.data_budget_bytes:
                 self._close_circuit(cid, "budget-exhausted")
                 return
-            self._send(other, ("circ", cid, payload), pkt.size_bytes)
+            self._send(other, tag)
         elif kind == "obs":
             self._send(pkt.src, (REPLY, tag[1], pkt.src))
         elif kind == "rsv-req":
@@ -180,8 +176,8 @@ class RelayClient:
         self.circuits: dict[tuple[str, int], Circuit] = {}
         self.on_incoming_circuit: Optional[Callable[[Circuit], None]] = None
 
-    def _send_control(self, dst: Endpoint, tag: tuple, size: int = CONTROL_BYTES) -> bool:
-        return self.host.datagram(self.endpoint, dst, tag, size)
+    def _send_control(self, dst: Endpoint, tag: tuple) -> bool:
+        return self.host.datagram(self.endpoint, dst, tag)
 
     def reserve(self, relay_ep: Endpoint, on_done: Callable[[bool], None]) -> None:
         def on_reply(tag: tuple) -> None:
@@ -240,8 +236,8 @@ class RelayClient:
                      on_done: Callable[[Optional[tuple[float, float]]], None]) -> None:
         """RTT of the relayed path via sequential pings through the
         circuit; the far end's RelayClient answers them."""
-        RttProbe(self.host, lambda tag: circuit.send(tag, PING_BYTES),
-                 samples=samples, timeout_ms=REQUEST_TIMEOUT_MS, on_done=on_done).start()
+        RttProbe(self.host, circuit.send, samples=samples, timeout_ms=REQUEST_TIMEOUT_MS,
+                 on_done=on_done).start()
 
     def observe_via(self, observer_ep: Endpoint, port: int,
                     on_done: Callable[[Optional[Endpoint]], None],
@@ -252,7 +248,7 @@ class RelayClient:
         that port's translation."""
         src = self.host.endpoint(port)
         self.host.request(
-            lambda token: self.host.datagram(src, observer_ep, ("obs", token), CONTROL_BYTES),
+            lambda token: self.host.datagram(src, observer_ep, ("obs", token)),
             lambda tag: on_done(tag[2]), timeout_ms, lambda: on_done(None))
 
     def _on_packet(self, pkt: Packet) -> None:
@@ -270,10 +266,9 @@ class RelayClient:
             if circuit is None or not circuit.open:
                 return
             payload = tag[2]
-            size = pkt.size_bytes - CIRCUIT_HEADER_BYTES
-            if (not self.host.serve(payload, circuit.send, size)
+            if (not self.host.serve(payload, Circuit.send, circuit)
                     and circuit.on_message is not None):
-                circuit.on_message(payload, size)
+                circuit.on_message(payload)
         elif kind == "circ-reset":
             circuit = self.circuits.get((pkt.src.host, tag[1]))
             if circuit is not None:

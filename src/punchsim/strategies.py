@@ -149,11 +149,9 @@ def birthday_punch(plan: BirthdayPlan, edm_nat: NatState, edm_host: str,
     if prober_nat is not None:
         prober_sources = _sources(prober_host, 30_000, plan.k_probe)
     # One packet carries every opening and direct probe, readdressed in
-    # place before each pass, as the NAT rewrites it and keeps no reference.
-    carrier = Packet(src=peer_external,
-                     dst=Endpoint(edm_nat.public_host, lo),
-                     kind=UDP_DATAGRAM)
-    carrier.dst = peer_external  # every opening's target unless both-EDM
+    # place before each pass, as the NAT rewrites it and keeps no reference;
+    # it is built toward the peer, every opening's target unless both-EDM.
+    carrier = Packet(src=peer_external, dst=peer_external, kind=UDP_DATAGRAM)
     outbound = edm_nat.process_outbound
     for src in sources:
         if both_edm:

@@ -10,17 +10,12 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .net import Host
-from .packets import (DEFAULT_TTL, QUIC_INITIAL, QUIC_REPLY, TCP_ACK, TCP_RST, TCP_SYN,
-                      TCP_SYNACK, Endpoint, Packet, PacketKind)
+from .packets import (DEFAULT_TTL, QUIC_INITIAL, QUIC_REPLY, SEGMENT_BYTES, TCP_ACK, TCP_RST,
+                      TCP_SYN, TCP_SYNACK, Endpoint, Packet, PacketKind)
 
-TCP_SEGMENT_BYTES = 60
 TCP_SYN_RETRANSMIT_MS = 1_000.0
-QUIC_INITIAL_BYTES = 1_200
-QUIC_REPLY_BYTES = 300
 QUIC_RETRANSMIT_MS = 500.0
-DUMMY_PACKET_BYTES = 30
 DUMMY_SPACING_MS = 5.0
-PING_BYTES = 32
 DEFAULT_DIAL_DEADLINE_MS = 15_000.0
 MAX_RTT_SAMPLES = 10  # pings per RTT measurement: the most, and the default
 
@@ -92,8 +87,8 @@ class Port:
         conn.timers[0] = self.net.sim.schedule_in(lambda: self._retransmit(conn),
                                                   self.RETRANSMIT_MS)
 
-    def _send(self, remote: Endpoint, kind: PacketKind, size: int) -> None:
-        self.net.send(self.host.id, Packet(self.local, remote, kind, DEFAULT_TTL, size))
+    def _send(self, remote: Endpoint, kind: PacketKind) -> None:
+        self.net.send(self.host.id, Packet(self.local, remote, kind, DEFAULT_TTL, SEGMENT_BYTES[kind]))
 
     def _settle(self, conn: _Conn, result: DialResult) -> None:
         """End an open connection; callers check that it is open."""
@@ -116,7 +111,7 @@ class TcpPort(Port):
     RETRANSMIT_MS = TCP_SYN_RETRANSMIT_MS
 
     def _first_flight(self, remote: Endpoint) -> None:
-        self._send(remote, TCP_SYN, TCP_SEGMENT_BYTES)
+        self._send(remote, TCP_SYN)
 
     def _on_packet(self, pkt: Packet) -> None:
         conn = self.conns.get(pkt.src)
@@ -130,10 +125,10 @@ class TcpPort(Port):
             if state in _OPEN or conn is None:
                 if conn is None:
                     self.conns[pkt.src] = _Conn(pkt.src, ACCEPTING)
-                self._send(pkt.src, TCP_SYNACK, TCP_SEGMENT_BYTES)
+                self._send(pkt.src, TCP_SYNACK)
         elif kind is TCP_SYNACK:
             if state in _OPEN:
-                self._send(pkt.src, TCP_ACK, TCP_SEGMENT_BYTES)
+                self._send(pkt.src, TCP_ACK)
                 self._settle(conn, DialResult(True))
         elif kind is TCP_ACK:
             if state is ACCEPTING:
@@ -160,16 +155,15 @@ class QuicPort(Port):
             raise ValueError("count must be >= 1")
         for i in range(count):
             self.net.sim.schedule_in(
-                lambda: self.host.datagram(self.local, toward, "dummy",
-                                           DUMMY_PACKET_BYTES, ttl),
+                lambda: self.host.datagram(self.local, toward, "dummy", ttl),
                 i * DUMMY_SPACING_MS)
 
     def _first_flight(self, remote: Endpoint) -> None:
-        self._send(remote, QUIC_INITIAL, QUIC_INITIAL_BYTES)
+        self._send(remote, QUIC_INITIAL)
 
     def _on_packet(self, pkt: Packet) -> None:
         if pkt.kind is QUIC_INITIAL:
-            self._send(pkt.src, QUIC_REPLY, QUIC_REPLY_BYTES)
+            self._send(pkt.src, QUIC_REPLY)
             if pkt.src not in self._accepted:
                 self._accepted.add(pkt.src)
                 if self.on_established is not None:
@@ -182,7 +176,7 @@ class QuicPort(Port):
 
 class RttProbe:
     """Sequential pings over any carrier (`send(tag)` is False once it is
-    gone), each a `Host.request` awaiting its `net.REPLY`. Reports the RTTs'
+    gone), each a `Host.request` awaiting its `packets.REPLY`. Reports the RTTs'
     mean and stddev, or None if none came back."""
 
     def __init__(self, host: Host, send: Callable[[tuple], bool],
@@ -231,5 +225,5 @@ def measure_rtt(host: Host, port: int, target: Endpoint, samples: int = MAX_RTT_
     """Direct-path RTT measurement from a bound port; relayed paths are
     measured over their circuit (see the relay module)."""
     src = host.endpoint(port)
-    RttProbe(host, lambda tag: host.datagram(src, target, tag, PING_BYTES),
+    RttProbe(host, lambda tag: host.datagram(src, target, tag),
              samples=samples, on_done=on_done).start()

@@ -4,8 +4,10 @@ import pytest
 
 from punchsim.analysis import (MULTI_NETWORK, ZERO_PUBLIC, _UnionFind, analyze,
                                apply_success_filters, identify_networks,
-                               latency_ratio_cdf, relay_path_location, rtt_accuracy,
-                               success_rate_series)
+                               latency_ratio_cdf, latency_ratios, relay_path_bins,
+                               relay_path_location, rtt_accuracy, success_rate_series)
+from punchsim.campaign import (CampaignConfig, PopulationSpec, TransportPolicy,
+                               generate_population, run_campaign)
 from punchsim.results import MalformedRecord, validate_records
 
 
@@ -266,3 +268,70 @@ class TestFiltersAndPipeline:
         assert report["latency_ratio_cdf"]["ratios"] == [0.5]
         assert math.isclose(
             report["rtt_accuracy"]["to_relay"]["ratios"][0], 0.05)
+
+
+# -- the RTT analyses against the latency model that produced them -------------
+
+
+@pytest.fixture(scope="module")
+def modelled():
+    """Records of a one-relay campaign whose jitter (stddev half the mean)
+    reaches the latency floor, each with the access means of its client
+    c, the relay r and its remote m. A one-way draw has mean (sender's +
+    receiver's), so a ping to the relay takes 2(c+r) on average, one
+    through the circuit 2(c+r) + 2(r+m), and one direct 2(c+m)."""
+    config = CampaignConfig(
+        population=PopulationSpec(n_clients=40, n_remotes=40, n_relays=1,
+                                  jitter=0.5, seed=7),
+        policy=TransportPolicy.RANDOM)
+    population = generate_population(config.population)
+    access = {peer.peer_id: peer.access_latency_ms
+              for peer in population.clients + population.remotes}
+    r = population.relays[0].access_latency_ms
+    return [(record, access[record["client"]], r, access[record["remote"]])
+            for record in run_campaign(config, 600, seed=7)]
+
+
+class TestAgainstTheLatencyModel:
+    # The noise of a 10-ping mean at this jitter puts some records past
+    # one bin of their truth; at most these shares may be.
+    BIN_WIDTH = 0.1
+    MISBINNED = 0.10
+    RATIO_MISSES = 0.15
+
+    @pytest.mark.parametrize("field,model", [
+        ("rtt_to_relay_mean", lambda c, r, m: 2 * (c + r)),
+        ("rtt_relayed_mean", lambda c, r, m: 2 * (c + r) + 2 * (r + m)),
+        ("rtt_direct_after_mean", lambda c, r, m: 2 * (c + m)),
+    ], ids=["to-relay", "relayed", "direct-after"])
+    def test_rtt_means_are_unbiased(self, modelled, field, model):
+        ratios = [rec[field] / model(c, r, m) for rec, c, r, m in modelled
+                  if rec[field] is not None]
+        n = len(ratios)
+        mean = sum(ratios) / n
+        se = math.sqrt(sum((x - mean) ** 2 for x in ratios) / (n - 1) / n)
+        assert n >= 300
+        assert abs(mean - 1.0) < 6 * se, (mean, se)
+
+    def test_relay_path_bins_place_records_at_the_true_location(self, modelled):
+        placed = misbinned = 0
+        for rec, c, r, m in modelled:
+            bins, skipped = relay_path_bins([rec], self.BIN_WIDTH)
+            if skipped:
+                continue
+            (label,) = bins
+            true_bin = int((c + r) / (c + 2 * r + m) / self.BIN_WIDTH)
+            placed += 1
+            misbinned += abs(round(float(label) / self.BIN_WIDTH) - true_bin) > 1
+        assert placed >= 500
+        assert misbinned <= self.MISBINNED * placed
+
+    def test_latency_ratios_match_the_true_ratio(self, modelled):
+        measured = misses = 0
+        for rec, c, r, m in modelled:
+            ratio = latency_ratios([rec])
+            if ratio:
+                measured += 1
+                misses += abs(ratio[0] - (c + m) / (c + 2 * r + m)) > self.BIN_WIDTH
+        assert measured >= 300
+        assert misses <= self.RATIO_MISSES * measured

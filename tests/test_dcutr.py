@@ -60,7 +60,6 @@ class TestBasePunch:
         assert res.rtt_to_relay is not None
         assert res.rtt_relayed is not None
         assert res.rtt_direct_after is not None
-        assert res.direct_endpoints_used
 
     def test_direct_rtt_beats_relayed_rtt(self):
         net, svc, client, remote = build_world()
@@ -73,12 +72,6 @@ class TestBasePunch:
                            tf=Transport.TCP)
         assert res.outcome is OutcomeResult.SUCCESS
         assert res.attempts[0].transport_used is Transport.TCP
-
-    def test_control_bytes_stay_under_budget(self):
-        net, svc, client, remote = build_world()
-        _, res = run_punch(net, client, remote, [svc.endpoint])
-        assert 0 < res.control_bytes["initiator"] < 500
-        assert 0 < res.control_bytes["listener"] < 500
 
     def test_symmetric_remote_quic_fails_all_attempts(self):
         net, svc, client, remote = build_world(remote_nat=SYMMETRIC)
@@ -227,7 +220,6 @@ class TestReversal:
         _, res = run_punch(net, client, remote, [svc.endpoint])
         assert res.outcome is OutcomeResult.CONNECTION_REVERSED
         assert res.attempts == []
-        assert res.direct_endpoints_used
 
     def test_mapped_client_gets_reversed(self):
         net, svc, client, remote = build_world(client_mapping=True)
@@ -276,7 +268,6 @@ class TestReversal:
         _, res = run_punch(net, client, remote, [svc.endpoint], cfg=cfg)
         assert res.outcome is OutcomeResult.CONNECTION_REVERSED
         assert res.ended < landed[0].ended
-        assert res.direct_endpoints_used == []  # the dial itself never settled
 
 
 class TestAttemptMachinery:

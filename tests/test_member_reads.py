@@ -28,7 +28,8 @@ DATA_PATH = {
     transport.Port._send, transport.TcpPort._first_flight,
     transport.QuicPort._first_flight, transport.TcpPort._on_packet,
     transport.QuicPort._on_packet,
-    vars(packets.PacketKind)["is_tcp"].fget,
+    vars(packets.PacketKind)["is_tcp"].fget, packets.message_bytes,
+    *(rule for rule in packets.MESSAGES.values() if callable(rule)),
     strategies.birthday_punch,
 }
 DATA_PATH_CODE = {fn.__code__ for fn in DATA_PATH}

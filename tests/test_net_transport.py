@@ -119,11 +119,11 @@ class TestDelivery:
         b = net.add_host("b", 20.0, nat_config=NatConfig(rst_on_unsolicited_tcp=True),
                          nat_leg=4.0)
         arrivals = []
-        a.bind(lambda pkt: arrivals.append((pkt.kind, net.sim.now)), 1)
+        a.bind(lambda pkt: arrivals.append((pkt.kind, pkt.size_bytes, net.sim.now)), 1)
         net.send(a.id, Packet(src=Endpoint("a", 1), dst=Endpoint(b.nat.public_host, 80),
                               kind=PacketKind.TCP_SYN))
         net.sim.run()
-        assert arrivals == [(PacketKind.TCP_RST, 52.0)]
+        assert arrivals == [(PacketKind.TCP_RST, 40, 52.0)]
 
     def test_unknown_host_rejected(self):
         net = build_net()

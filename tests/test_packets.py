@@ -2,7 +2,7 @@ import pickle
 
 import pytest
 
-from punchsim.packets import Endpoint, Packet, PacketKind
+from punchsim.packets import MESSAGES, REPLY, Endpoint, Packet, PacketKind, message_bytes
 
 
 class TestEndpoint:
@@ -50,3 +50,28 @@ class TestPacket:
             Packet(src=ep, dst=ep, kind=PacketKind.UDP_DATAGRAM, ttl=0)
         with pytest.raises(ValueError):
             Packet(src=ep, dst=ep, kind=PacketKind.UDP_DATAGRAM, size_bytes=-1)
+
+
+class TestMessages:
+    BOOK = {"QUIC": Endpoint("h", 1), "TCP": Endpoint("h", 2)}
+
+    @pytest.mark.parametrize("tag,size", [
+        (("obs", 1), 24), (("rsv-req", 1, "p"), 24), (("conn-req", 1, "a", "b"), 24),
+        (("conn-in", 1, "b"), 24), (("circ-close", 1), 24), (("circ-reset", 1, "closed"), 24),
+        ((REPLY, 1, None), 24), (("ping", 1), 32), ((REPLY, 1), 32), ("dummy", 30),
+        (("id", BOOK), 112), (("id", {}), 96), (("connect", 1, BOOK), 112),
+        (("connect-reply", 1, {"QUIC": Endpoint("h", 1)}, 0.0), 104),
+        (("stream-open",), 32), (("stream-ack",), 32), (("sync", 1), 16),
+        (("circ", 1, ("sync", 1)), 24), (("circ", 1, ("ping", 1)), 40),
+        (("circ", 1, "dummy"), 38),
+    ])
+    def test_size_follows_from_the_tag(self, tag, size):
+        assert message_bytes(tag) == size
+
+    def test_sixteen_kinds(self):
+        assert len(MESSAGES) == 16
+
+    @pytest.mark.parametrize("tag", ["raw", ("hello",), ("circ", 1, ("x",))])
+    def test_a_kind_with_no_row_raises(self, tag):
+        with pytest.raises(KeyError):
+            message_bytes(tag)

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
@@ -7,7 +8,7 @@ from punchsim.dcutr import HolePunch, OutcomeAttempt, OutcomeResult, PeerRuntime
 from punchsim.kernel import Simulation
 from punchsim.nat import ARCHETYPE_NATS, NatConfig
 from punchsim.net import Network
-from punchsim.packets import Endpoint, Packet, PacketKind
+from punchsim.packets import Endpoint, Packet, PacketKind, message_bytes
 from punchsim.relay import (CONNECT_TIMEOUT_MS, DEFAULT_DATA_BUDGET_BYTES,
                             DEFAULT_RESERVATION_MS, RelayClient, RelayService)
 from punchsim.transport import TcpPort, Transport, measure_rtt
@@ -107,13 +108,16 @@ class TestCircuits:
         assert b_circ.peer_id == "alice"
 
         got_a, got_b = [], []
-        a_circ.on_message = lambda tag, size: got_a.append((tag, size))
-        b_circ.on_message = lambda tag, size: got_b.append((tag, size))
-        a_circ.send(("hello",), 100)
-        b_circ.send(("world",), 50)
+        a_circ.on_message = got_a.append
+        b_circ.on_message = got_b.append
+        used = services[0]._circuits[a_circ.cid]["used"]
+        a_circ.send(("stream-open",))
+        b_circ.send(("sync", 1))
         net.sim.run(until=net.sim.now + 2_000)
-        assert got_b == [(("hello",), 100)]
-        assert got_a == [(("world",), 50)]
+        assert got_b == [("stream-open",)]
+        assert got_a == [("sync", 1)]
+        # The relay charges each side its payloads' table sizes, not the frames'.
+        assert sorted(used.values()) == [16, 32]
 
     def test_a_payload_that_is_not_a_tuple_reaches_the_application(self):
         """`Host.serve` answers pings and replies, which are tuples; any
@@ -121,11 +125,19 @@ class TestCircuits:
         net, services, alice, bob = build_world()
         a_circ, incoming = open_circuit(net, alice, bob, services)
         got = []
-        incoming[0].on_message = lambda tag, size: got.append((tag, size))
-        a_circ.send("raw", 10)
-        a_circ.send(7, 20)
+        incoming[0].on_message = got.append
+        a_circ.send("dummy")
         net.sim.run(until=net.sim.now + 2_000)
-        assert got == [("raw", 10), (7, 20)]
+        assert got == ["dummy"]
+
+    def test_a_payload_with_no_message_kind_raises_at_its_sender(self):
+        net, services, alice, bob = build_world()
+        a_circ, _ = open_circuit(net, alice, bob, services)
+        queued = net.sim.pending()
+        for payload in ("raw", ("hello",)):
+            with pytest.raises(KeyError):
+                a_circ.send(payload)
+        assert net.sim.pending() == queued  # nothing was sent
 
     def test_circuit_close_resets_other_side(self):
         net, services, alice, bob = build_world()
@@ -138,16 +150,18 @@ class TestCircuits:
         assert not incoming[0].open
 
     def test_data_budget_terminates_circuit(self):
+        # A CONNECT with an empty address book is 96 bytes, its frame 104:
+        # the budget charges the payload, so the first one fits exactly.
         net, services, alice, bob = build_world(
-            relay_kwargs={"data_budget_bytes": 250})
+            relay_kwargs={"data_budget_bytes": 96})
         a_circ, incoming = open_circuit(net, alice, bob, services)
         got_b, closed_a = [], []
-        incoming[0].on_message = lambda tag, size: got_b.append(size)
+        incoming[0].on_message = got_b.append
         a_circ.on_closed = closed_a.append
-        a_circ.send(("chunk", 1), 200)
-        a_circ.send(("chunk", 2), 200)  # exceeds the 250-byte budget
+        a_circ.send(("connect", 1, {}))
+        a_circ.send(("connect", 2, {}))  # exceeds the 96-byte budget
         net.sim.run(until=net.sim.now + 2_000)
-        assert got_b == [200]
+        assert got_b == [("connect", 1, {})]
         assert closed_a == ["budget-exhausted"]
 
     def test_relayed_conn_limit(self):
@@ -238,10 +252,10 @@ class TestStrayTraffic:
                                        kind=PacketKind.UDP_DATAGRAM, tag=tag))
         net.sim.run(until=net.sim.now + 1_000)
         got = []
-        incoming[0].on_message = lambda tag, size: got.append(tag)
-        a_circ.send(("after",), 10)
+        incoming[0].on_message = got.append
+        a_circ.send(("sync", 1))
         net.sim.run(until=net.sim.now + 1_000)
-        assert got == [("after",)] and a_circ.open and incoming[0].open
+        assert got == [("sync", 1)] and a_circ.open and incoming[0].open
 
     def test_payload_from_a_rebound_endpoint_is_dropped(self):
         # Alice idles past her NAT's mapping TTL, so her next payload
@@ -249,9 +263,9 @@ class TestStrayTraffic:
         net, services, alice, bob = build_world()
         a_circ, incoming = open_circuit(net, alice, bob, services)
         got = []
-        incoming[0].on_message = lambda tag, size: got.append(tag)
+        incoming[0].on_message = got.append
         net.sim.run(until=net.sim.now + NatConfig().mapping_ttl + 1_000)
-        a_circ.send(("stale",), 10)
+        a_circ.send(("sync", 1))
         net.sim.run(until=net.sim.now + 1_000)
         assert got == []
         circuit = services[0]._circuits[a_circ.cid]
@@ -264,7 +278,7 @@ class TestStrayTraffic:
         a_circ, incoming = open_circuit(net, alice, bob, services)
         b_circ = incoming[0]
         a_circ.close()
-        b_circ.send(("late",), 10)
+        b_circ.send(("sync", 1))
         b_circ.close()
         net.sim.run(until=net.sim.now + 1_000)
         assert services[0]._circuits == {}
@@ -366,8 +380,8 @@ class RelayWorld(RuleBasedStateMachine):
         self.received[circuit] = 0
         circuit.on_closed = self.resets[circuit].append
 
-        def got(tag, size):
-            self.received[circuit] += size
+        def got(tag):
+            self.received[circuit] += message_bytes(tag)
         circuit.on_message = got
 
     def _run(self, ms):
@@ -407,8 +421,8 @@ class RelayWorld(RuleBasedStateMachine):
     @rule(data=st.data())
     def exhaust(self, data):
         circuit = data.draw(st.sampled_from([c for c in self.resets if c.open]))
-        for i in range(50):  # 5 000 bytes pass every budget here
-            if not circuit.send(("chunk", i), 100):
+        for i in range(50):  # 4 800 bytes pass every budget here
+            if not circuit.send(("connect", i, {})):
                 break
             self._run(200)
 
