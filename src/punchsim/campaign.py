@@ -225,13 +225,25 @@ def _build_world(population: Population, seed: int, label: str) -> tuple:
     return net, services, {}
 
 
+def _close_world(world: tuple) -> None:
+    """Free `world` by reference counting once no trial will run in it
+    again: its peers forget their circuits and connections and the
+    network its events, bindings and hosts."""
+    net, _, peers = world
+    for runtime in peers.values():
+        runtime.close()
+    net.close()
+
+
 def run_trial(population: Population, config: CampaignConfig, seed: int,
               trial: int) -> dict:
     """One independent trial in a fresh world, fully determined by
     (population seed, campaign seed, trial index). It does not check
     `config` again, as `run_campaign` does: perfbench times it per trial."""
     world = _build_world(population, seed, f"sim/{trial}")
-    return _trial_in(world, population, config, seed, trial, shared=False)
+    record = _trial_in(world, population, config, seed, trial, shared=False)
+    _close_world(world)
+    return record
 
 
 def _trial_in(world: tuple, population: Population, config: CampaignConfig,
@@ -323,8 +335,10 @@ def run_campaign(config: CampaignConfig, n_trials: int, seed: int,
         # Sequential trials in one shared world so NAT device state (mapping
         # tables, denylists) carries across trials. Always single-threaded.
         world = _build_world(population, seed, "sim/persistent")
-        return [_trial_in(world, population, config, seed, trial, shared=True)
-                for trial in range(n_trials)]
+        records = [_trial_in(world, population, config, seed, trial, shared=True)
+                   for trial in range(n_trials)]
+        _close_world(world)
+        return records
     return run_strided(_run_trials, (population, config, seed), n_trials, workers)
 
 

@@ -135,6 +135,15 @@ class PeerRuntime:
     def appears_public(self) -> bool:
         return self.host.nat is None or self.port_mapping_active
 
+    def close(self) -> None:
+        """Forget the relay client's circuits, detaching their callbacks,
+        and each port's connections; `Network.close` does the rest."""
+        for circuit in self.relay.circuits.values():
+            circuit.on_message = circuit.on_closed = None
+        self.relay.circuits.clear()
+        for port in self.ports.values():
+            port.conns.clear()
+
 
 class Phase(IntEnum):
     """Where a punch stands. Phases only move forward; each attempt

@@ -209,6 +209,11 @@ class Simulation:
         """Make sure a scheduled event never runs; idempotent."""
         handle[2] = None
 
+    def cancel_all(self) -> None:
+        """Cancel every pending event, so that none holds its callback."""
+        for entry in self._queue:
+            entry[2] = None
+
     def run(self, until: Optional[float] = None) -> None:
         """Execute events in time order until the queue drains or the
         clock would pass ``until``."""

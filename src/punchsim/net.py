@@ -224,3 +224,16 @@ class Network:
         elif action is REJECT_RST:
             rst = Packet(pkt.dst, pkt.src, TCP_RST, DEFAULT_TTL, SEGMENT_BYTES[TCP_RST])
             self.send(receiver.id, rst, skip_sender_nat=True)
+
+    def close(self) -> None:
+        """End this world: cancel every pending event, unbind every host
+        (its `handlers` and awaited `replies`) and drop the host tables,
+        so no callback keeps a host on a reference cycle; the drop counters
+        stay readable. A campaign closes a fresh-world trial's world, with
+        `dcutr.PeerRuntime.close`, once its record is built."""
+        self.sim.cancel_all()
+        for host in self.hosts.values():
+            host.handlers.clear()
+            host.replies.clear()
+        self.hosts.clear()
+        self._owner.clear()

@@ -33,12 +33,10 @@ class Reservation:
 class Circuit:
     """One peer's handle on a relayed connection."""
 
-    def __init__(self, client: "RelayClient", relay_ep: Endpoint, cid: int,
-                 peer_id: Optional[str] = None):
+    def __init__(self, client: "RelayClient", relay_ep: Endpoint, cid: int):
         self.client = client
         self.relay_ep = relay_ep
         self.cid = cid
-        self.peer_id = peer_id
         self.open = True
         self.on_message: Optional[Callable[[tuple], None]] = None
         self.on_closed: Optional[Callable[[str], None]] = None
@@ -219,7 +217,7 @@ class RelayClient:
                 if refused == len(relay_addrs):
                     settle(None)
                 return
-            circuit = Circuit(self, relay_ep, cid, peer_id=listener_id)
+            circuit = Circuit(self, relay_ep, cid)
             self.circuits[(relay_ep.host, circuit.cid)] = circuit
             settle(circuit)
 
@@ -257,7 +255,7 @@ class RelayClient:
             return
         kind = tag[0]
         if kind == "conn-in":
-            circuit = Circuit(self, pkt.src, tag[1], peer_id=tag[2])
+            circuit = Circuit(self, pkt.src, tag[1])
             self.circuits[(pkt.src.host, circuit.cid)] = circuit
             if self.on_incoming_circuit is not None:
                 self.on_incoming_circuit(circuit)

@@ -23,6 +23,7 @@ MAX_RTT_SAMPLES = 10  # pings per RTT measurement: the most, and the default
 class Transport(Enum):
     TCP = "TCP"
     QUIC = "QUIC"
+    __hash__ = object.__hash__  # by identity, in C: the dicts in dcutr are keyed by it
 
 
 # Module names for the members, as for PacketKind's (see packets.py).

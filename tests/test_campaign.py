@@ -1,12 +1,14 @@
 import concurrent.futures
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
 import os
 import re
-from collections import OrderedDict
+import sys
+from collections import Counter, OrderedDict
 from datetime import timedelta, timezone
 from enum import IntEnum
 from functools import partial
@@ -28,6 +30,10 @@ from punchsim.nat import MappingBehavior, NatConfig
 from punchsim.results import (OUTCOMES, RECORD_FIELDS, RTT_FIELDS, MalformedRecord,
                               validate_records)
 from punchsim.strategies import BirthdayPlan, BirthdayScenario, birthday_probability
+
+# The benchmark package sits at the root of the checkout.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from perfbench.workloads import DEFAULT_SEED, campaign_config  # noqa: E402
 
 VALID_OUTCOMES = {"NO_CONNECTION", "NO_STREAM",
                   "CONNECTION_REVERSED", "CANCELLED", "FAILED", "SUCCESS"}
@@ -376,6 +382,45 @@ class TestCampaignRuns:
         records = run_campaign(cfg, n_trials=5, seed=1)
         assert {r["protocol_filter"] for r in records} == {"TCP"}
         assert all(len(r["attempts"]) <= 1 for r in records)
+
+
+class TestWorldClose:
+    def test_closed_worlds_leave_no_cyclic_garbage(self):
+        """A fresh-world trial closes its world once its record is built,
+        and a persistent campaign after its last trial, so reference
+        counting frees every world and the cyclic collector finds
+        nothing. Each group's count is the garbage it left."""
+        bench = campaign_config()
+        population = generate_population(bench.population)
+        cancelled = small_config(edm_share=1.0)  # as the time-bound test
+        cancelled.policy = TransportPolicy.QUIC
+        cancelled.dcutr.attempt_deadline_ms = 2_000_000
+        groups = {
+            "bench": [(population, bench, t) for t in range(200)],
+            "no-rtts": [(population, dataclasses.replace(
+                bench, dcutr=DcutrConfig(measure_rtts=False)), t) for t in range(5)],
+            "alternate-roles": [(population, dataclasses.replace(
+                bench, dcutr=DcutrConfig(alternate_roles=True)), t) for t in range(5)],
+            "cancelled": [(generate_population(cancelled.population), cancelled, 0)],
+        }
+        outcomes, garbage = Counter(), {}
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for name, trials in groups.items():
+                for pop, cfg, trial in trials:
+                    outcomes[name, run_trial(pop, cfg, DEFAULT_SEED, trial)["outcome"]] += 1
+                garbage[name] = gc.collect()
+            run_campaign(campaign_config(persistent_nat=True), 20, DEFAULT_SEED)
+            garbage["persistent"] = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert garbage == dict.fromkeys([*groups, "persistent"], 0)
+        assert {outcome for name, outcome in outcomes if name == "bench"} >= {
+            "SUCCESS", "FAILED", "CONNECTION_REVERSED"}
+        assert outcomes["cancelled", "CANCELLED"] == 1
 
 
 class TestAggregation:

@@ -105,7 +105,6 @@ class TestCircuits:
         assert a_circ is not None and a_circ.open
         assert len(incoming) == 1
         b_circ = incoming[0]
-        assert b_circ.peer_id == "alice"
 
         got_a, got_b = [], []
         a_circ.on_message = got_a.append

@@ -49,14 +49,15 @@ def main() -> int:
             todo = pending[code] = set() if code.co_filename not in hits else {
                 line for _, _, line in code.co_lines()
                 if line and line != code.co_firstlineno}
-        if not todo:
-            return None
-        seen = hits[code.co_filename]
+        return line if todo else None
 
-        def line(frame, event, arg):
-            seen.add(frame.f_lineno)
-            todo.discard(frame.f_lineno)
-            return line
+    # One line tracer for every frame: a closure made per call would
+    # reference itself, and that cyclic garbage would fail the test that
+    # a closed world leaves none.
+    def line(frame, event, arg):
+        code = frame.f_code
+        hits[code.co_filename].add(frame.f_lineno)
+        pending[code].discard(frame.f_lineno)
         return line
 
     sys.path.insert(0, os.path.join(ROOT, "src"))
