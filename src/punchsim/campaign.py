@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from itertools import accumulate
 from typing import Optional
 
 from .analysis import apply_success_filters, latency_ratios, relay_path_bins
-from .dcutr import DcutrConfig, HolePunch, HolePunchResult, PeerRuntime
+from .dcutr import DcutrConfig, HolePunch, PeerRuntime
 from .kernel import (RandomStream, Simulation, bounded, check_fields, check_number,
                      derive_seed, run_strided)
 from .nat import ARCHETYPE_NATS, Archetype, NatConfig
@@ -142,16 +144,10 @@ def generate_population(spec: PopulationSpec) -> Population:
     rng = RandomStream(spec.seed, "population")
     shares = spec.effective_shares()
     names = sorted(shares)
-    weights = [shares[n] for n in names]
+    bounds = list(accumulate(shares[n] for n in names))  # running sums
 
-    def draw_archetype() -> str:
-        x = rng.random()
-        acc = 0.0
-        for name, w in zip(names, weights):
-            acc += w
-            if x < acc:
-                return name
-        return names[-1]
+    def draw_archetype() -> str:  # clamped: rounding may leave a draw past the sum
+        return names[min(bisect_right(bounds, rng.random()), len(names) - 1)]
 
     def draw_access() -> tuple[float, float, float]:
         lo, hi = spec.latency_range_ms
@@ -250,38 +246,32 @@ def _trial_in(world: tuple, population: Population, config: CampaignConfig,
               seed: int, trial: int, shared: bool) -> dict:
     """Trial `trial` in `world`: draw its pair, join both peers, reserve
     the remote on every relay and let 6 s pass. Then start the hole punch
-    and step the clock in 1 s slices until it reports; after 1 000 slices
+    and step the clock in 1 s slices until it is done; after 1 000 slices
     it is cancelled. `shared` says whether the world outlives the trial."""
     net, services, _ = world
     client_spec, remote_spec, tf = _draw_trial(population, config, seed, trial)
     client = _join(world, client_spec)
     remote = _join(world, remote_spec)
-    confirmed = []
     for svc in services:
-        remote.relay.reserve(svc.endpoint,
-                             lambda ok, ep=svc.endpoint: confirmed.append((ep, ok)))
-    # Let the reservation handshakes settle without idling the NAT
-    # mappings toward the relays past their TTL.
+        remote.relay.reserve(svc.endpoint, lambda ok: None)
+    # Let every reservation settle (answered or timed out within 5 s)
+    # without idling the NAT mappings toward the relays past their TTL.
     net.sim.run(until=net.sim.now + 6_000)
-    if shared:
-        # Relay order, over every reservation the remote holds, earlier
-        # trials' included.
-        relay_addrs = [svc.endpoint for svc in services
-                       if svc.host.id in remote.relay.reservations]
-    else:
-        # Relay addresses in the order the reservations are confirmed.
-        relay_addrs = [ep for ep, ok in confirmed if ok]
-    results = []
-    punch = HolePunch(client, remote, relay_addrs, config.dcutr,
-                      transport_filter=tf, on_done=results.append)
+    # A trial's own world holds only its reservations, in the order they
+    # were confirmed; a shared world lists, in relay order, every one the
+    # remote holds, earlier trials' included.
+    held = remote.relay.reservations
+    endpoints = {svc.host.id: svc.endpoint for svc in services}
+    relay_addrs = [endpoints[relay_id] for relay_id in (endpoints if shared else held)
+                   if relay_id in held]
+    punch = HolePunch(client, remote, relay_addrs, config.dcutr, transport_filter=tf)
     punch.start()
     for _ in range(1_000):
-        if results:
+        if punch.done:
             break
         net.sim.run(until=net.sim.now + 1_000)
-    if not results:
-        punch.cancel()
-    return _record(results[0], client_spec, remote_spec, tf, trial, config)
+    punch.cancel()  # a no-op once the punch is done
+    return _record(punch, client_spec, remote_spec, trial, config)
 
 
 def _rtt_fields(prefix: str, rtt: Optional[tuple]) -> dict:
@@ -290,8 +280,9 @@ def _rtt_fields(prefix: str, rtt: Optional[tuple]) -> dict:
     return {f"{prefix}_mean": round(rtt[0], 6), f"{prefix}_stddev": round(rtt[1], 6)}
 
 
-def _record(result: HolePunchResult, client_spec: PeerSpec, remote_spec: PeerSpec,
-            tf: Optional[Transport], trial: int, config: CampaignConfig) -> dict:
+def _record(punch: HolePunch, client_spec: PeerSpec, remote_spec: PeerSpec,
+            trial: int, config: CampaignConfig) -> dict:
+    result, tf = punch.result, punch.filter
     ts = CAMPAIGN_EPOCH + timedelta(seconds=trial * config.trial_spacing_s)
     return {  # in `results.RECORD_FIELDS` order
         "trial": trial,
@@ -313,7 +304,7 @@ def _record(result: HolePunchResult, client_spec: PeerSpec, remote_spec: PeerSpe
         **_rtt_fields("rtt_to_relay", result.rtt_to_relay),
         **_rtt_fields("rtt_relayed", result.rtt_relayed),
         **_rtt_fields("rtt_direct_after", result.rtt_direct_after),
-        "relay_addrs": list(result.relay_addrs),
+        "relay_addrs": [str(ep) for ep in punch.relay_addrs],
     }
 
 

@@ -64,12 +64,9 @@ class HolePunchAttempt:
 
 @dataclass
 class HolePunchResult:
-    client: str
-    remote: str
-    relay_addrs: list[str] = field(default_factory=list)
+    """The punch's findings; its peers and relays stay on the `HolePunch`."""
     attempts: list[HolePunchAttempt] = field(default_factory=list)
     outcome: Optional[OutcomeResult] = None  # set when the punch ends
-    port_mapping_active: bool = False
     listen_endpoints: list[tuple[str, str]] = field(default_factory=list)
     rtt_to_relay: Optional[tuple[float, float]] = None
     rtt_relayed: Optional[tuple[float, float]] = None
@@ -111,7 +108,6 @@ class PeerRuntime:
         self.relay = RelayClient(host)
         # TCP binds first; port numbers follow the binding order.
         self.ports: dict[Transport, Port] = {TCP: TcpPort(host), QUIC: QuicPort(host)}
-        self.port_mapping_active = port_mapping
         # Public endpoints of its own ports, as a relay observed them.
         self.observed: dict[Transport, Endpoint] = {}
         self.mapped_endpoints: dict[Transport, Endpoint] = {}
@@ -133,7 +129,7 @@ class PeerRuntime:
         return out
 
     def appears_public(self) -> bool:
-        return self.host.nat is None or self.port_mapping_active
+        return self.host.nat is None or bool(self.mapped_endpoints)
 
     def close(self) -> None:
         """Forget the relay client's circuits, detaching their callbacks,
@@ -182,11 +178,7 @@ class HolePunch:
         self.relay_addrs = relay_addrs
         self.filter = transport_filter
         self.on_done = on_done
-        self.result = HolePunchResult(
-            client=client.host.id, remote=remote.host.id,
-            relay_addrs=[str(ep) for ep in relay_addrs],
-            port_mapping_active=client.port_mapping_active,
-            started=self.sim.now)
+        self.result = HolePunchResult(started=self.sim.now)
         self.phase = CIRCUIT
         # timer name -> (last phase it covers, kernel handle)
         self._timers: dict[str, tuple[Phase, list]] = {}

@@ -212,13 +212,14 @@ class NatState:
 
     def install_static_mapping(self, internal: Endpoint, external_port: int) -> NatMapping:
         """Pre-installed port mapping (UPnP/PMP analogue): fixed external
-        port, endpoint-independent filtering, no expiry."""
+        port, endpoint-independent filtering, no expiry. It replaces the
+        mapping on its external port and an earlier forward of `internal`."""
         external = Endpoint(self.public_host, external_port)
-        old = self._by_port.get(external_port)
-        if old is not None:
-            self._drop_mapping(old)
-        m = NatMapping(internal=internal, external=external,
-                       key=("static", internal, external_port), static=True)
+        key = ("static", internal)
+        for old in (self._by_port.get(external_port), self._by_key.get(key)):
+            if old is not None:
+                self._drop_mapping(old)
+        m = NatMapping(internal=internal, external=external, key=key, static=True)
         self._by_port[external_port] = m
         self._by_key[m.key] = m
         self._statics += 1
@@ -256,7 +257,7 @@ class NatState:
             # A static mapping for the same internal endpoint carries
             # outbound traffic too (the router keeps the forwarded port).
             if self._statics:
-                m = self._by_key.get(("static", src, src.port))
+                m = self._by_key.get(("static", src))
             if m is None:
                 if self._sessions >= config.max_sessions:
                     self._drop_expired(now)

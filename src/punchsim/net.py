@@ -7,8 +7,8 @@ ms) and a NAT leg: the one-way latency between the host and its own NAT
 with the sender's and the receiver's access latencies summed, floored at
 `MIN_LATENCY_MS`. Distinct hosts are `HOP_DISTANCE` hops apart, used only
 for TTL: a host's own NAT sits at hop 1. `loss_rate` drops each packet
-independently. Each host id and each NAT's public name (`<id>#nat`)
-names one host.
+independently. `Network.hosts` maps each host id and each NAT's public
+name (`<id>#nat`) to its host; `Network.send` takes the sending `Host`.
 
 Timing model for a packet sent at t0 from a to b with one-way draw L:
 the sender's NAT processes it at t0 + leg(a), the receiver's NAT at
@@ -85,7 +85,7 @@ class Host:
         """Send message `tag` from `src`, one of this host's endpoints, in a UDP
         datagram. True: it always leaves, though the network may drop it."""
         # Positional: a keyword call to Packet's __init__ costs about twice as much.
-        self.net.send(self.id, Packet(src, dst, UDP_DATAGRAM, ttl, message_bytes(tag), tag))
+        self.net.send(self, Packet(src, dst, UDP_DATAGRAM, ttl, message_bytes(tag), tag))
         return True
 
     def request(self, send: Callable[[int], bool], on_reply: Callable[[tuple], None],
@@ -146,8 +146,7 @@ class Network:
         check_number("loss_rate", loss_rate, 0.0, 1.0)
         self.sim = sim
         self.loss_rate = loss_rate
-        self.hosts: dict[str, Host] = {}
-        self._owner: dict[str, Host] = {}  # addressable host-id -> host
+        self.hosts: dict[str, Host] = {}  # host id or NAT public name -> host
         self._latency_rng = sim.stream("latency")
         self.dropped_session_full = 0
         self.dropped_in_core = 0
@@ -157,7 +156,7 @@ class Network:
                  nat_leg: float = 0.0) -> Host:
         public_name = None if nat_config is None else f"{host_id}#nat"
         for name in (host_id, public_name):
-            if name in self._owner:  # a host id or a NAT's public name
+            if name in self.hosts:
                 raise ValueError(f"duplicate host {name!r}")
         check_number("mean_latency", mean_latency, 0.0)
         check_number("stddev_latency", stddev_latency, 0.0)
@@ -169,16 +168,14 @@ class Network:
         host = Host(self, host_id, nat, mean_latency, stddev_latency,
                     nat_leg if nat is not None else 0.0)
         self.hosts[host_id] = host
-        self._owner[host_id] = host
         if nat is not None:
-            self._owner[public_name] = host
+            self.hosts[public_name] = host
         return host
 
-    def send(self, from_host: str, pkt: Packet, skip_sender_nat: bool = False) -> None:
-        """Inject a packet into the fabric. Drops (filtering, TTL, loss,
-        table exhaustion) are outcomes, not errors."""
+    def send(self, sender: Host, pkt: Packet, skip_sender_nat: bool = False) -> None:
+        """Inject a packet from `sender` into the fabric. Drops (filtering,
+        TTL, loss, table exhaustion) are outcomes, not errors."""
         sim = self.sim
-        sender = self.hosts[from_host]
         t0 = sim.now
 
         if sender.nat is not None and not skip_sender_nat:
@@ -189,7 +186,7 @@ class Network:
                 return
 
         dst_host = pkt.dst.host
-        receiver = self._owner.get(dst_host)
+        receiver = self.hosts.get(dst_host)
         if receiver is None:
             return
         if pkt.ttl < (HOP_DISTANCE if receiver is not sender else 0):
@@ -223,11 +220,11 @@ class Network:
             self.sim.schedule(lambda: receiver._dispatch(translated), t_arrival)
         elif action is REJECT_RST:
             rst = Packet(pkt.dst, pkt.src, TCP_RST, DEFAULT_TTL, SEGMENT_BYTES[TCP_RST])
-            self.send(receiver.id, rst, skip_sender_nat=True)
+            self.send(receiver, rst, skip_sender_nat=True)
 
     def close(self) -> None:
         """End this world: cancel every pending event, unbind every host
-        (its `handlers` and awaited `replies`) and drop the host tables,
+        (its `handlers` and awaited `replies`) and empty the name table,
         so no callback keeps a host on a reference cycle; the drop counters
         stay readable. A campaign closes a fresh-world trial's world, with
         `dcutr.PeerRuntime.close`, once its record is built."""
@@ -236,4 +233,3 @@ class Network:
             host.handlers.clear()
             host.replies.clear()
         self.hosts.clear()
-        self._owner.clear()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import sys
 from collections import namedtuple
 from datetime import datetime
@@ -42,6 +43,12 @@ RECORD_FIELDS = {
 }
 _REQUIRED = tuple(k for k, (presence, _) in RECORD_FIELDS.items() if presence == REQUIRED)
 _FLOAT_MAX = sys.float_info.max  # a larger int RTT overflows a division
+# A timestamp as `date.isoformat()` or `datetime.isoformat()` writes it, with
+# any separator: what Python 3.10's `datetime.fromisoformat` reads. Later
+# versions read more (`Z`, basic and week dates), valid on them alone.
+_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+                        r"(.([01][0-9]|2[0-3])(:[0-9]{2}(:[0-9]{2}(\.[0-9]{3}([0-9]{3})?)?)?)?"
+                        r"([+-][0-9]{2}:[0-9]{2}(:[0-9]{2}(\.[0-9]{6})?)?)?)?", re.DOTALL)
 
 
 class MalformedRecord(ValueError):
@@ -135,8 +142,8 @@ RULES = {
 
 def validate_records(records: list[dict]) -> None:
     """Check each record against `RECORD_FIELDS`: required fields present,
-    no other key, each field's type rule kept, a known outcome and an ISO
-    8601 timestamp. Raises `MalformedRecord` at the first record that fails,
+    no other key, each field's type rule kept, a known outcome and a
+    `_TIMESTAMP` that names a real instant. Raises `MalformedRecord` at the first record that fails,
     naming the first of its own fields, in its order, that breaks its rule."""
     if not isinstance(records, list):
         raise MalformedRecord(0, "records must be a list")
@@ -155,8 +162,8 @@ def validate_records(records: list[dict]) -> None:
                 raise MalformedRecord(i, f"{key} {reason}")
         if rec["outcome"] not in OUTCOMES:
             raise MalformedRecord(i, f"unknown outcome {rec['outcome']!r}")
-        try:
-            datetime.fromisoformat(rec["timestamp"])
+        try:  # no match: None[0] raises TypeError
+            datetime.fromisoformat(_TIMESTAMP.fullmatch(rec["timestamp"])[0])
         except (TypeError, ValueError):
             raise MalformedRecord(i, "timestamp not parseable") from None
 

@@ -89,7 +89,7 @@ class Port:
                                                   self.RETRANSMIT_MS)
 
     def _send(self, remote: Endpoint, kind: PacketKind) -> None:
-        self.net.send(self.host.id, Packet(self.local, remote, kind, DEFAULT_TTL, SEGMENT_BYTES[kind]))
+        self.net.send(self.host, Packet(self.local, remote, kind, DEFAULT_TTL, SEGMENT_BYTES[kind]))
 
     def _settle(self, conn: _Conn, result: DialResult) -> None:
         """End an open connection; callers check that it is open."""

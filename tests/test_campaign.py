@@ -7,7 +7,9 @@ import json
 import math
 import os
 import re
+import runpy
 import sys
+import warnings
 from collections import Counter, OrderedDict
 from datetime import timedelta, timezone
 from enum import IntEnum
@@ -277,6 +279,21 @@ class TestCampaignRuns:
         report = aggregate(records, seed=8)
         assert sum(report.outcome_distribution.values()) == 100
         assert report.n_filtered <= report.n_results
+
+    def test_relay_order_is_confirmation_order_only_in_a_fresh_world(self):
+        # Without jitter the remote's reservation with the nearer relay-01
+        # confirms first. A trial's own world lists relays in that order; a
+        # persistent world, shared by every trial, in relay order.
+        config = CampaignConfig(population=PopulationSpec(n_clients=2, n_remotes=2, seed=3))
+        assert config.population.jitter == 0.0
+        population = generate_population(config.population)
+        far, near = population.relays
+        assert near.access_latency_ms < far.access_latency_ms
+        fresh = run_trial(population, config, seed=1, trial=0)
+        assert fresh["relay_addrs"] == ["relay-01:1", "relay-00:1"]
+        persistent = dataclasses.replace(config, persistent_nat=True)
+        [record] = run_campaign(persistent, n_trials=1, seed=1)
+        assert record["relay_addrs"] == ["relay-00:1", "relay-01:1"]
 
     def test_serial_equals_parallel(self):
         cfg = small_config()
@@ -1101,6 +1118,17 @@ class TestCliExits:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid plan") and "Traceback" not in err
 
+    def test_running_the_module_exits_with_the_status_of_main(self, monkeypatch, capsys):
+        # `python -m punchsim.cli`, in process: runpy warns that the test
+        # session imported the module already.
+        monkeypatch.setattr(sys, "argv", ["punchsim", "oracle", "--m", "0", "--k", "5",
+                                          "--scenario", "mixed"])
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exited:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module("punchsim.cli", run_name="__main__")
+        assert exited.value.code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: invalid plan")
+
     def analyze_exit(self, tmp_path, capsys, text, suffix="json"):
         path = tmp_path / f"results.{suffix}"
         if isinstance(text, bytes):
@@ -1305,6 +1333,25 @@ class TestCliExits:
         rec["trial"] = "0"  # now after client
         with pytest.raises(MalformedRecord, match="record 0: client must be a string"):
             validate_records([rec])
+
+    @pytest.mark.parametrize("stamp, valid", [
+        ("2026-01-01", True), ("2026-01-01T09", True), ("2026-01-01 09:30", True),
+        ("2026-01-01T09:30:00.250", True), ("2026-01-01T09:30:00.250000-05:30", True),
+        ("2026-01-01T09:30+01:00:30.000001", True),
+        # Python 3.11 reads these, 3.10 does not.
+        ("2026-01-01T00:00:00Z", False), ("20260101T000000", False),
+        ("2026-W01-4", False), ("2026-01-01T09:30+0100", False),
+        ("2026-01-01T09:30:00.25", False),
+        # No version reads these.
+        ("2026-02-30", False), ("2026-01-01T24:00", False), ("2026-001", False)])
+    def test_a_timestamp_is_valid_on_every_python_version_or_on_none(self, stamp, valid):
+        rec = make_record()
+        rec["timestamp"] = stamp
+        if valid:
+            validate_records([rec])
+        else:
+            with pytest.raises(MalformedRecord, match="record 0: timestamp not parseable"):
+                validate_records([rec])
 
     def test_validation_rejects_non_list_and_non_object_records(self):
         with pytest.raises(MalformedRecord, match="record 1: not an object"):

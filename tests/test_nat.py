@@ -318,6 +318,19 @@ def test_static_mapping_carries_outbound_until_replaced():
     assert nat._statics == 1
 
 
+def test_port_forward_carries_outbound_whatever_its_external_port():
+    # The forward keeps its external port for outbound traffic too, and a
+    # new forward of the same internal endpoint replaces the old one.
+    nat = make_nat(mapping=MappingBehavior.APDM)
+    nat.install_static_mapping(INT, 6000)
+    assert nat.process_outbound(udp(INT, DST1), 0.0).src == Endpoint("pub", 6000)
+    nat.install_static_mapping(INT, 7000)
+    assert nat.process_outbound(udp(INT, DST2), 1.0).src == Endpoint("pub", 7000)
+    assert (nat.session_count(), list(nat._by_port)) == (0, [7000])
+    action, _ = nat.process_inbound(udp(DST1, Endpoint("pub", 6000)), 2.0)
+    assert action is InboundAction.DROP
+
+
 INTERNALS = [Endpoint("lan", 5000), Endpoint("lan", 5001), Endpoint("lan2", 5000)]
 DESTS = [Endpoint("x", 443), Endpoint("x", 8443), Endpoint("y", 443)]
 PORT_LO, PORT_HI = 40_000, 40_015
@@ -352,8 +365,8 @@ def _check_tables(nat):
 def test_table_invariants_hold_under_random_traffic(mapping, port_alloc,
                                                     max_sessions, steps):
     # A 16-port range keeps inbound probes landing on live mappings; the
-    # 3 static ports inside it and at most 4 sessions never fill it. Static
-    # port 5000 equals an internal port, so outbound traffic can use it.
+    # 3 static ports inside it and at most 4 sessions never fill it. A
+    # static port carries its internal endpoint's outbound traffic too.
     nat = make_nat(mapping=mapping, port_alloc=port_alloc, mapping_ttl=1000,
                    max_sessions=max_sessions, port_range=(PORT_LO, PORT_HI))
     now = 0.0

@@ -32,7 +32,7 @@ def learn_external(net, host, port, stun_host, stun_port):
     endpoint it saw (the sender's external endpoint)."""
     seen = []
     net.hosts[stun_host].handlers[stun_port] = lambda pkt: seen.append(pkt.src)
-    net.send(host, udp(Endpoint(host, port), Endpoint(stun_host, stun_port)))
+    net.send(net.hosts[host], udp(Endpoint(host, port), Endpoint(stun_host, stun_port)))
     net.sim.run()
     return seen[-1]
 
@@ -44,7 +44,7 @@ class TestDelivery:
         b = net.add_host("b", 20.0)
         sink = Sink()
         b.bind(sink, 80)
-        net.send(a.id, udp(Endpoint("a", 1), Endpoint("b", 80)))
+        net.send(a, udp(Endpoint("a", 1), Endpoint("b", 80)))
         net.sim.run()
         assert len(sink.received) == 1
         assert net.sim.now == 30.0
@@ -55,7 +55,7 @@ class TestDelivery:
         b = net.add_host("b", 20.0)
         sink = Sink()
         b.bind(sink, 80)
-        net.send(a.id, udp(Endpoint("a", 1), Endpoint("b", 80), ttl=3))
+        net.send(a, udp(Endpoint("a", 1), Endpoint("b", 80), ttl=3))
         net.sim.run()
         assert sink.received == []
         assert net.dropped_in_core == 1
@@ -66,7 +66,7 @@ class TestDelivery:
         b = net.add_host("b", 20.0)
         sink = Sink()
         b.bind(sink, 80)
-        net.send(a.id, udp(Endpoint("a", 1), Endpoint("b", 80), ttl=64))
+        net.send(a, udp(Endpoint("a", 1), Endpoint("b", 80), ttl=64))
         net.sim.run()
         assert len(sink.received) == 1
 
@@ -76,7 +76,7 @@ class TestDelivery:
         a = net.add_host("a", 10.0, nat_config=NatConfig(), nat_leg=1.0)
         b = net.add_host("b", 20.0, nat_config=NatConfig(), nat_leg=1.0)
         b_pub = net.hosts["b"].nat.public_host
-        net.send(a.id, udp(Endpoint("a", 1), Endpoint(b_pub, 4000), ttl=3))
+        net.send(a, udp(Endpoint("a", 1), Endpoint(b_pub, 4000), ttl=3))
         net.sim.run()
         assert a.nat.session_count() == 1
         assert b.nat.session_count() == 0
@@ -89,7 +89,7 @@ class TestDelivery:
         sink = Sink()
         b.bind(sink, 80)
         for ttl in (HOP_DISTANCE - 1, HOP_DISTANCE):
-            net.send(a.id, udp(Endpoint("a", 1), Endpoint("b", 80), ttl=ttl, tag=ttl))
+            net.send(a, udp(Endpoint("a", 1), Endpoint("b", 80), ttl=ttl, tag=ttl))
         net.sim.run()
         assert [pkt.tag for pkt in sink.received] == [HOP_DISTANCE]
         assert net.dropped_in_core == 1
@@ -99,7 +99,7 @@ class TestDelivery:
         a = net.add_host("a", 10.0)
         sink = Sink()
         a.bind(sink, 80)
-        net.send(a.id, udp(Endpoint("a", 1), Endpoint("a", 80), ttl=1))
+        net.send(a, udp(Endpoint("a", 1), Endpoint("a", 80), ttl=1))
         net.sim.run()
         assert len(sink.received) == 1 and net.dropped_in_core == 0
         assert net.sim.now == 20.0  # its access latency, out and back
@@ -120,17 +120,10 @@ class TestDelivery:
                          nat_leg=4.0)
         arrivals = []
         a.bind(lambda pkt: arrivals.append((pkt.kind, pkt.size_bytes, net.sim.now)), 1)
-        net.send(a.id, Packet(src=Endpoint("a", 1), dst=Endpoint(b.nat.public_host, 80),
-                              kind=PacketKind.TCP_SYN))
+        net.send(a, Packet(src=Endpoint("a", 1), dst=Endpoint(b.nat.public_host, 80),
+                           kind=PacketKind.TCP_SYN))
         net.sim.run()
         assert arrivals == [(PacketKind.TCP_RST, 40, 52.0)]
-
-    def test_unknown_host_rejected(self):
-        net = build_net()
-        net.add_host("b", 20.0)
-        with pytest.raises(KeyError):
-            net.send("zzz", udp(Endpoint("zzz", 1), Endpoint("b", 80)))
-        assert net.sim.pending() == 0
 
     def test_both_names_of_a_natted_host_reach_it(self):
         # Its NAT's public name reaches it from outside; its own id does
@@ -142,10 +135,10 @@ class TestDelivery:
         sinks = {"a": Sink(), "b": Sink()}
         a.bind(sinks["a"], 80)
         b.bind(sinks["b"], 80)
-        net.send("b", udp(Endpoint("b", 1), Endpoint(a.nat.public_host, 80), tag=1))
-        net.send("b", udp(Endpoint("b", 1), Endpoint("a", 80), tag=2))
-        net.send("a", udp(Endpoint("a", 1), Endpoint("b", 80), tag=3))
-        net.send("a", udp(Endpoint("a", 1), Endpoint("nowhere", 80), tag=4))
+        net.send(b, udp(Endpoint("b", 1), Endpoint(a.nat.public_host, 80), tag=1))
+        net.send(b, udp(Endpoint("b", 1), Endpoint("a", 80), tag=2))
+        net.send(a, udp(Endpoint("a", 1), Endpoint("b", 80), tag=3))
+        net.send(a, udp(Endpoint("a", 1), Endpoint("nowhere", 80), tag=4))
         net.sim.run()
         assert [p.tag for p in sinks["a"].received] == [1]
         assert [p.tag for p in sinks["b"].received] == [3]
@@ -159,9 +152,9 @@ class TestDelivery:
         with pytest.raises(ValueError, match="duplicate host 'a#nat'"):
             net.add_host(a.nat.public_host, 5.0)
         net.add_host("b", 20.0)
-        net.send("b", udp(Endpoint("b", 1), Endpoint(a.nat.public_host, 80)))
+        net.send(net.hosts["b"], udp(Endpoint("b", 1), Endpoint(a.nat.public_host, 80)))
         net.sim.run()
-        assert len(sink.received) == 1 and list(net.hosts) == ["a", "b"]
+        assert len(sink.received) == 1 and list(net.hosts) == ["a", "a#nat", "b"]
 
     def test_nat_name_that_names_a_host_is_refused(self):
         net = build_net()
@@ -171,7 +164,7 @@ class TestDelivery:
         with pytest.raises(ValueError, match="duplicate host 'a#nat'"):
             net.add_host("a", 10.0, nat_config=NatConfig(), nat_leg=1.0)
         net.add_host("b", 20.0)
-        net.send("b", udp(Endpoint("b", 1), Endpoint("a#nat", 80)))
+        net.send(net.hosts["b"], udp(Endpoint("b", 1), Endpoint("a#nat", 80)))
         net.sim.run()
         assert len(sink.received) == 1 and list(net.hosts) == ["a#nat", "b"]
 
@@ -184,7 +177,7 @@ class TestDelivery:
         net.add_host("a", means[0], 0.0)
         b = net.add_host("b", means[1], 0.0)
         b.bind(Sink(), 80)
-        net.send("a", udp(Endpoint("a", 1), Endpoint("b", 80)))
+        net.send(net.hosts["a"], udp(Endpoint("a", 1), Endpoint("b", 80)))
         net.sim.run()
         assert net.sim.now == arrival
 
@@ -196,7 +189,7 @@ class TestDelivery:
         delays = []
         b.bind(lambda pkt: delays.append(net.sim.now), 80)
         for _ in range(10_000):
-            net.send("a", udp(Endpoint("a", 1), Endpoint("b", 80)))
+            net.send(net.hosts["a"], udp(Endpoint("a", 1), Endpoint("b", 80)))
         net.sim.run()
         assert len(delays) == 10_000 and min(delays) >= MIN_LATENCY_MS
         mean = sum(delays) / len(delays)
@@ -211,7 +204,7 @@ class TestDelivery:
         sink = Sink()
         b.bind(sink, 80)
         for port in (1, 2):  # one mapping per internal endpoint
-            net.send(a.id, udp(Endpoint("a", port), Endpoint("b", 80)))
+            net.send(a, udp(Endpoint("a", port), Endpoint("b", 80)))
         net.sim.run()
         assert len(sink.received) == 1
         assert net.dropped_session_full == 1
@@ -219,7 +212,7 @@ class TestDelivery:
     def test_unroutable_destination_is_dropped(self):
         net = build_net()
         a = net.add_host("a", 10.0)
-        net.send(a.id, udp(Endpoint("a", 1), Endpoint("nowhere", 80)))
+        net.send(a, udp(Endpoint("a", 1), Endpoint("nowhere", 80)))
         assert net.sim.pending() == 0
         assert net.dropped_session_full == net.dropped_in_core == 0
 
@@ -253,7 +246,7 @@ class TestDelivery:
         sink = Sink()
         b.bind(sink, 80)
         for _ in range(2_000):
-            net.send(a.id, udp(Endpoint("a", 1), Endpoint("b", 80)))
+            net.send(a, udp(Endpoint("a", 1), Endpoint("b", 80)))
         net.sim.run()
         assert abs(len(sink.received) / 2_000 - 0.7) < 0.03
 
@@ -313,7 +306,7 @@ def test_sends_match_the_latency_model(hosts, sends, loss, seed):
                                      max(t0, t_arrival - leg_b)))
             expected_arrivals.append((k, b, t_arrival))
         dst = Endpoint(b if net.hosts[b].nat is None else net.hosts[b].nat.public_host, 80)
-        net.send(a, udp(Endpoint(a, 1000 + k), dst, ttl=ttl, tag=k))
+        net.send(net.hosts[a], udp(Endpoint(a, 1000 + k), dst, ttl=ttl, tag=k))
 
     for k, (i, j, ttl) in enumerate(sends):
         net.sim.schedule(lambda k=k, i=i, j=j, ttl=ttl: send(k, i, j, ttl), 10.0 * k)

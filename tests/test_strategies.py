@@ -322,13 +322,13 @@ class TestRolesAndPriming:
         # TTL, sent to a peer by its host id or its NAT's public name, dies
         # in the core.
         net = Network(Simulation(seed=1))
-        net.add_host("a", 10.0, 0.0)
+        a = net.add_host("a", 10.0, 0.0)
         b = net.add_host("b", 10.0, 0.0, nat_config=NatConfig())
         for to_host in ("b", b.nat.public_host):
             for ttl in range(1, HOP_DISTANCE + 2):
                 before = net.dropped_in_core
-                net.send("a", Packet(Endpoint("a", 1), Endpoint(to_host, 80),
-                                     PacketKind.UDP_DATAGRAM, ttl))
+                net.send(a, Packet(Endpoint("a", 1), Endpoint(to_host, 80),
+                                   PacketKind.UDP_DATAGRAM, ttl))
                 dropped = net.dropped_in_core > before
                 try:
                     DcutrConfig(priming_ttl=ttl)
