@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from datetime import datetime
+from decimal import Decimal
 from typing import Optional
 
 from .results import RTT_CLASSES, validate_records
@@ -194,14 +195,18 @@ def relay_path_bins(filtered: list[dict], bin_width: float = 0.05
                     ) -> tuple[dict[str, list[int]], int]:
     """Success counts by where the relay sits on the path, location =
     RTT-to-relay / RTT-via-relay clipped to [0, 1], over records that
-    already passed the success filters. Returns ({bin label: [successes,
-    total]} in label order, records skipped for lacking an RTT-to-relay
-    or a nonzero relayed RTT)."""
+    already passed the success filters. Bin i holds the locations from
+    i * bin_width up to the next bin's start, the last bin the rest up to
+    1.0, and is labelled by its start with as many decimals as the width
+    has (at least two). Returns ({bin label: [successes, total]} in bin
+    order, records skipped for lacking an RTT-to-relay or a nonzero
+    relayed RTT)."""
     if not 0.0 < bin_width <= 1.0:
         raise ValueError("bin_width must be in (0, 1]")
-    n_bins = int(round(1.0 / bin_width))
-    bins: dict[str, list[int]] = {}
-    labels: dict[int, str] = {}  # bin index -> label, formatted once
+    width = Decimal(str(bin_width))  # as written, so that 0.05 divides 1 exactly
+    last = math.ceil(1 / width) - 1
+    places = max(2, -width.as_tuple().exponent)
+    bins: dict[int, list[int]] = {}
     skipped = 0
     for rec in filtered:
         to_relay = rec.get("rtt_to_relay_mean")
@@ -210,14 +215,10 @@ def relay_path_bins(filtered: list[dict], bin_width: float = 0.05
             skipped += 1
             continue
         loc = min(1.0, max(0.0, to_relay / relayed))
-        idx = min(int(loc / bin_width), n_bins - 1)
-        label = labels.get(idx)
-        if label is None:
-            label = labels[idx] = f"{idx * bin_width:.2f}"
-        hit = bins.setdefault(label, [0, 0])
+        hit = bins.setdefault(min(int(loc / bin_width), last), [0, 0])
         hit[0] += rec["outcome"] == "SUCCESS"
         hit[1] += 1
-    return dict(sorted(bins.items())), skipped
+    return {f"{i * width:.{places}f}": bins[i] for i in sorted(bins)}, skipped
 
 
 def relay_path_location(records: list[dict], bin_width: float = 0.05) -> dict:

@@ -167,8 +167,7 @@ class HolePunch:
 
     def __init__(self, client: PeerRuntime, remote: PeerRuntime,
                  relay_addrs: list[Endpoint], cfg: Optional[DcutrConfig] = None,
-                 transport_filter: Optional[Transport] = None,
-                 on_done: Callable[[HolePunchResult], None] = None):
+                 transport_filter: Optional[Transport] = None):
         if remote.host.net is not client.host.net:
             raise ValueError(f"{client.host.id} and {remote.host.id} are on different networks")
         self.sim = client.host.net.sim
@@ -177,7 +176,6 @@ class HolePunch:
         self.remote = remote
         self.relay_addrs = relay_addrs
         self.filter = transport_filter
-        self.on_done = on_done
         self.result = HolePunchResult(started=self.sim.now)
         self.phase = CIRCUIT
         # timer name -> (last phase it covers, kernel handle)
@@ -204,7 +202,7 @@ class HolePunch:
              last: Optional[Phase] = None) -> None:
         """(Re)arm timer `name` to cover the phases from now to `last`."""
         self._disarm(name)
-        self._timers[name] = (last or self.phase, self.sim.schedule_in(fn, delay))
+        self._timers[name] = (last or self.phase, self.sim.schedule(fn, self.sim.now + delay))
 
     def _disarm(self, name: str) -> None:
         timer = self._timers.pop(name, None)
@@ -237,8 +235,6 @@ class HolePunch:
         for runtime in (self.client, self.remote):
             for port in runtime.ports.values():
                 port.on_established = None
-        if self.on_done is not None:
-            self.on_done(self.result)
 
     def cancel(self) -> None:
         """Explicit abort, e.g. at the campaign's time bound."""

@@ -202,9 +202,6 @@ class Simulation:
         heapq.heappush(self._queue, entry)
         return entry
 
-    def schedule_in(self, fn: Callable[[], None], delay: float) -> list:
-        return self.schedule(fn, self.now + delay)
-
     def cancel(self, handle: list) -> None:
         """Make sure a scheduled event never runs; idempotent."""
         handle[2] = None

@@ -305,28 +305,32 @@ class NatState:
         (DROP, None) or (REJECT_RST, None) with ``pkt`` left as it was;
         like `process_outbound`, it keeps no reference to ``pkt``.
         """
-        expiry = self.denylist.get(pkt.src.host)
-        if expiry is not None:
-            if expiry > now:
-                return DROP, None
-            del self.denylist[pkt.src.host]
+        denylist = self.denylist
+        if denylist:
+            src_host = pkt.src.host
+            expiry = denylist.get(src_host)
+            if expiry is not None:
+                if expiry > now:
+                    return DROP, None
+                del denylist[src_host]
 
+        cfg = self.config
         m = self._by_port.get(pkt.dst.port)
         if m is not None:
-            if self._expired(m, now):
+            static = m.static
+            if not static and now - m.last_activity > cfg.mapping_ttl:
                 self._drop_mapping(m)
                 m = None
             elif m.created > now:
                 m = None
-            elif not m.static:
-                filt = self.config.filtering
+            elif not static:
+                filt = cfg.filtering
                 if filt is not EIF:
                     since = (m.contacted.get(pkt.src) if filt is APDF
                              else m.contacted_host_since(pkt.src.host))
                     if since is None or since > now:
                         m = None
         if m is None:
-            cfg = self.config
             if cfg.denylist_on_unsolicited or cfg.rst_on_unsolicited_tcp:
                 return self._note_unsolicited(pkt, now), None
             return DROP, None

@@ -24,8 +24,11 @@ reply's tag is (`REPLY`, token, ...), the request's kind left to the
 callback. `Host.serve` hands it the reply, whether that reached a bound
 port or came through a circuit, and cancels the request's timeout.
 `serve` also answers ("ping", token) with (`REPLY`, token) on either
-carrier. A layer above takes only its `Host` and reaches the network as
-`host.net`.
+carrier. Both dispatchers, `Host._dispatch` and `relay.RelayClient` for
+a circuit, call `serve` only for a tag whose kind is in
+`packets.SERVED`, `ping` or `REPLY`; any other message is the
+application's. A layer above takes only its `Host` and reaches the
+network as `host.net`.
 
 The benchmark's tracer (perfbench/tracer.py) sees this layer only through
 calls, so a fast path here must keep them: every event goes through
@@ -42,8 +45,8 @@ from typing import Callable, Optional
 
 from .kernel import Simulation, check_number
 from .nat import DELIVER, REJECT_RST, NatConfig, NatState, SessionTableFull
-from .packets import (DEFAULT_TTL, REPLY, SEGMENT_BYTES, TCP_RST, UDP_DATAGRAM, Endpoint,
-                      Packet, message_bytes)
+from .packets import (DEFAULT_TTL, REPLY, SEGMENT_BYTES, SERVED, TCP_RST, UDP_DATAGRAM,
+                      Endpoint, Packet, message_bytes)
 
 FIRST_DYNAMIC_PORT = 10_000
 # Floor applied to every latency draw so causality is never violated.
@@ -95,11 +98,12 @@ class Host:
         waits, if `send` is (its carrier is gone). `on_reply(tag)` gets the
         reply echoing the token, unless `on_timeout()` runs at `timeout_ms`;
         without a timeout the reply is awaited while the simulation runs."""
-        token = self.net.sim.next_token()
+        sim = self.net.sim
+        token = sim.next_token()
         if not send(token):
             return False
-        timer = None if timeout_ms is None else self.net.sim.schedule_in(
-            lambda: self._expire(token, on_timeout), timeout_ms)
+        timer = None if timeout_ms is None else sim.schedule(
+            lambda: self._expire(token, on_timeout), sim.now + timeout_ms)
         self.replies[token] = (on_reply, timer)
         return True
 
@@ -107,17 +111,12 @@ class Host:
         del self.replies[token]  # a delivered reply cancelled this timer
         on_timeout()
 
-    def serve(self, tag, answer: Callable[[object, tuple], None], via) -> bool:
-        """Answer a ping with `answer(via, (REPLY, token))`, or hand a
-        `REPLY` tag to the callback its token names (a reply nobody waits
-        for is dropped). False when `tag` is neither, so the message is
-        the application's."""
-        if type(tag) is not tuple:
-            return False
-        kind = tag[0]
-        if kind == "ping":
-            answer(via, (REPLY,) + tag[1:])
-        elif kind == REPLY:
+    def serve(self, tag: tuple, answer: Callable[[object, tuple], None], via) -> None:
+        """Hand a `REPLY` tag to the callback its token names (a reply
+        nobody waits for is dropped), or answer a ping with `answer(via,
+        (REPLY, token))`. A carrier calls this for the `SERVED` kinds only;
+        every other message is the application's."""
+        if tag[0] == REPLY:
             waiting = self.replies.pop(tag[1], None)
             if waiting is not None:
                 on_reply, timer = waiting
@@ -125,14 +124,15 @@ class Host:
                     self.net.sim.cancel(timer)
                 on_reply(tag)
         else:
-            return False
-        return True
+            answer(via, (REPLY,) + tag[1:])
 
     def _dispatch(self, pkt: Packet) -> None:
         handler = self.handlers.get(pkt.dst.port)
         if handler is not None:
             tag = pkt.tag
-            if type(tag) is not tuple or not self.serve(tag, self._answer, pkt):
+            if type(tag) is tuple and tag[0] in SERVED:
+                self.serve(tag, self._answer, pkt)
+            else:
                 handler(pkt)
 
     def _answer(self, request: Packet, tag: tuple) -> None:
@@ -208,7 +208,9 @@ class Network:
         t_arrival = t0 + latency
         rnat = receiver.nat
         if rnat is not None and dst_host == rnat.public_host:
-            t_nat = max(t0, t_arrival - receiver.leg)
+            t_nat = t_arrival - receiver.leg
+            if t_nat < t0:
+                t_nat = t0
             sim.schedule(lambda: self._at_receiver_nat(receiver, pkt, t_arrival), t_nat)
         elif rnat is None:
             sim.schedule(lambda: receiver._dispatch(pkt), t_arrival)

@@ -71,6 +71,7 @@ SEGMENT_BYTES = {TCP_SYN: 60, TCP_SYNACK: 60, TCP_ACK: 60, TCP_RST: 40,
                  QUIC_INITIAL: 1_200, QUIC_REPLY: 300}
 
 REPLY = "reply"  # the kind of every answer to a request; tag[1] echoes its token
+SERVED = ("ping", REPLY)  # the kinds `net.Host.serve` handles on any carrier
 
 
 def _book(field: int):  # the size rule of a message whose tag[field] is an address book

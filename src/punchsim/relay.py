@@ -1,7 +1,10 @@
 """Precursor protocols: relay reservations, limited relayed connections
 (circuits) with pings through them, and observed-address exchange. Each
 message is a row of `packets.MESSAGES`, and the relay charges each side's
-data budget the table size of the payloads it forwards."""
+data budget the table size of the payloads it forwards. A circuit payload
+whose kind is in `packets.SERVED` (a `ping` or a `REPLY`) goes to
+`net.Host.serve`, as on a bound port; any other goes to the circuit's
+`on_message`."""
 
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from .net import Host
-from .packets import MESSAGES, REPLY, Endpoint, Packet
+from .packets import MESSAGES, REPLY, SERVED, Endpoint, Packet
 from .transport import RttProbe
 
 RELAY_PORT = 1
@@ -45,12 +48,14 @@ class Circuit:
         """Send a payload through the relay; False once the circuit closed."""
         if not self.open:
             return False
-        return self.client._send_control(self.relay_ep, ("circ", self.cid, tag))
+        client = self.client
+        return client.host.datagram(client.endpoint, self.relay_ep, ("circ", self.cid, tag))
 
     def close(self) -> None:
         if self.open:
             self.open = False
-            self.client._send_control(self.relay_ep, ("circ-close", self.cid))
+            client = self.client
+            client.host.datagram(client.endpoint, self.relay_ep, ("circ-close", self.cid))
 
     def _closed(self, reason: str) -> None:
         if self.open:
@@ -84,16 +89,13 @@ class RelayService:
         self._circuits: dict[int, dict] = {}
         self._next_cid = 1
 
-    def _send(self, dst: Endpoint, tag: tuple) -> None:
-        self.host.datagram(self.endpoint, dst, tag)
-
     def _live_reservations(self) -> int:
         now = self.net.sim.now
         return sum(1 for r in self.reservations.values() if r.expires > now)
 
     def _on_packet(self, pkt: Packet) -> None:
         tag = pkt.tag
-        if not isinstance(tag, tuple):
+        if type(tag) is not tuple:
             return
         kind = tag[0]
         # Circuit payloads first: they are most of a relay's traffic.
@@ -109,9 +111,9 @@ class RelayService:
             if circ["used"][pkt.src] > self.data_budget_bytes:
                 self._close_circuit(cid, "budget-exhausted")
                 return
-            self._send(other, tag)
+            self.host.datagram(self.endpoint, other, tag)
         elif kind == "obs":
-            self._send(pkt.src, (REPLY, tag[1], pkt.src))
+            self.host.datagram(self.endpoint, pkt.src, (REPLY, tag[1], pkt.src))
         elif kind == "rsv-req":
             token, peer_id = tag[1], tag[2]
             now = self.net.sim.now
@@ -119,7 +121,7 @@ class RelayService:
             # At capacity, only the refresh of a live reservation is admitted.
             if ((rsv is None or rsv.expires <= now)
                     and self._live_reservations() >= self.capacity):
-                self._send(pkt.src, (REPLY, token, None))
+                self.host.datagram(self.endpoint, pkt.src, (REPLY, token, None))
                 return
             expires = now + DEFAULT_RESERVATION_MS
             if rsv is None:
@@ -127,13 +129,13 @@ class RelayService:
             else:
                 # Refreshed in place: its open circuits count against it.
                 rsv.client_endpoint, rsv.expires = pkt.src, expires
-            self._send(pkt.src, (REPLY, token, expires))
+            self.host.datagram(self.endpoint, pkt.src, (REPLY, token, expires))
         elif kind == "conn-req":
             token, listener_id, dialer_id = tag[1], tag[2], tag[3]
             rsv = self.reservations.get(listener_id)
             if (rsv is None or rsv.expires <= self.net.sim.now
                     or rsv.active_conns >= self.relayed_conn_limit):
-                self._send(pkt.src, (REPLY, token, None))
+                self.host.datagram(self.endpoint, pkt.src, (REPLY, token, None))
                 return
             cid = self._next_cid
             self._next_cid += 1
@@ -144,8 +146,9 @@ class RelayService:
                 "used": {pkt.src: 0, rsv.client_endpoint: 0},
                 "rsv": rsv,
             }
-            self._send(pkt.src, (REPLY, token, cid))
-            self._send(rsv.client_endpoint, ("conn-in", cid, dialer_id))
+            self.host.datagram(self.endpoint, pkt.src, (REPLY, token, cid))
+            self.host.datagram(self.endpoint, rsv.client_endpoint,
+                               ("conn-in", cid, dialer_id))
         elif kind == "circ-close":
             self._close_circuit(tag[1], "closed", notify=pkt.src)
 
@@ -157,7 +160,7 @@ class RelayService:
         circ["rsv"].active_conns -= 1
         for side in circ["sides"]:
             if side != notify:
-                self._send(side, ("circ-reset", cid, reason))
+                self.host.datagram(self.endpoint, side, ("circ-reset", cid, reason))
 
 
 class RelayClient:
@@ -174,9 +177,6 @@ class RelayClient:
         self.circuits: dict[tuple[str, int], Circuit] = {}
         self.on_incoming_circuit: Optional[Callable[[Circuit], None]] = None
 
-    def _send_control(self, dst: Endpoint, tag: tuple) -> bool:
-        return self.host.datagram(self.endpoint, dst, tag)
-
     def reserve(self, relay_ep: Endpoint, on_done: Callable[[bool], None]) -> None:
         def on_reply(tag: tuple) -> None:
             expires = tag[2]  # None: refused
@@ -185,7 +185,8 @@ class RelayClient:
             on_done(expires is not None)
 
         self.host.request(
-            lambda token: self._send_control(relay_ep, ("rsv-req", token, self.host.id)),
+            lambda token: self.host.datagram(self.endpoint, relay_ep,
+                                             ("rsv-req", token, self.host.id)),
             on_reply, REQUEST_TIMEOUT_MS, lambda: on_done(False))
 
     def connect_via(self, listener_id: str, relay_addrs: list[Endpoint],
@@ -225,10 +226,11 @@ class RelayClient:
             # No timeout per request: `settle` closes a circuit that opens
             # late, so the relay frees its slot.
             self.host.request(
-                lambda token: self._send_control(
-                    relay_ep, ("conn-req", token, listener_id, self.host.id)),
+                lambda token: self.host.datagram(
+                    self.endpoint, relay_ep, ("conn-req", token, listener_id, self.host.id)),
                 partial(on_reply, relay_ep))
-        timeout = self.net.sim.schedule_in(lambda: settle(None), CONNECT_TIMEOUT_MS)
+        sim = self.net.sim
+        timeout = sim.schedule(lambda: settle(None), sim.now + CONNECT_TIMEOUT_MS)
 
     def circuit_ping(self, circuit: Circuit, samples: int,
                      on_done: Callable[[Optional[tuple[float, float]]], None]) -> None:
@@ -251,7 +253,7 @@ class RelayClient:
 
     def _on_packet(self, pkt: Packet) -> None:
         tag = pkt.tag
-        if not isinstance(tag, tuple):
+        if type(tag) is not tuple:
             return
         kind = tag[0]
         if kind == "conn-in":
@@ -264,8 +266,9 @@ class RelayClient:
             if circuit is None or not circuit.open:
                 return
             payload = tag[2]
-            if (not self.host.serve(payload, Circuit.send, circuit)
-                    and circuit.on_message is not None):
+            if type(payload) is tuple and payload[0] in SERVED:
+                self.host.serve(payload, Circuit.send, circuit)
+            elif circuit.on_message is not None:
                 circuit.on_message(payload)
         elif kind == "circ-reset":
             circuit = self.circuits.get((pkt.src.host, tag[1]))

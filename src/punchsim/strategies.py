@@ -161,13 +161,14 @@ def birthday_punch(plan: BirthdayPlan, edm_nat: NatState, edm_host: str,
 
     probe_ports = rng.sample(range(lo, hi + 1), plan.k_probe)
     public_host = edm_nat.public_host
+    inbound = edm_nat.process_inbound
     carrier.src = peer_external
     for j, dst_port in enumerate(probe_ports):
         carrier.dst = unchecked_endpoint((public_host, dst_port))
         if prober_nat is not None:
             carrier.src = prober_sources[j]
             prober_nat.process_outbound(carrier, now)
-        action, _ = edm_nat.process_inbound(carrier, now)
+        action, _ = inbound(carrier, now)
         if action is DELIVER:
             return True
     return False

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional
 
 from .net import Host
@@ -79,14 +80,15 @@ class Port:
         self._first_flight(remote)
         sim = self.net.sim
         conn.timers = [
-            sim.schedule_in(lambda: self._retransmit(conn), self.RETRANSMIT_MS),
-            sim.schedule_in(lambda: self._settle(conn, DialResult(False, "timeout")),
-                            deadline_ms)]
+            sim.schedule(lambda: self._retransmit(conn), sim.now + self.RETRANSMIT_MS),
+            sim.schedule(lambda: self._settle(conn, DialResult(False, "timeout")),
+                         sim.now + deadline_ms)]
 
     def _retransmit(self, conn: _Conn) -> None:
         self._first_flight(conn.remote)
-        conn.timers[0] = self.net.sim.schedule_in(lambda: self._retransmit(conn),
-                                                  self.RETRANSMIT_MS)
+        sim = self.net.sim
+        conn.timers[0] = sim.schedule(lambda: self._retransmit(conn),
+                                      sim.now + self.RETRANSMIT_MS)
 
     def _send(self, remote: Endpoint, kind: PacketKind) -> None:
         self.net.send(self.host, Packet(self.local, remote, kind, DEFAULT_TTL, SEGMENT_BYTES[kind]))
@@ -154,10 +156,10 @@ class QuicPort(Port):
         state; with a low TTL they die in the core after passing our NAT."""
         if count < 1:
             raise ValueError("count must be >= 1")
+        sim = self.net.sim
         for i in range(count):
-            self.net.sim.schedule_in(
-                lambda: self.host.datagram(self.local, toward, "dummy", ttl),
-                i * DUMMY_SPACING_MS)
+            sim.schedule(lambda: self.host.datagram(self.local, toward, "dummy", ttl),
+                         sim.now + i * DUMMY_SPACING_MS)
 
     def _first_flight(self, remote: Endpoint) -> None:
         self._send(remote, QUIC_INITIAL)
@@ -226,5 +228,5 @@ def measure_rtt(host: Host, port: int, target: Endpoint, samples: int = MAX_RTT_
     """Direct-path RTT measurement from a bound port; relayed paths are
     measured over their circuit (see the relay module)."""
     src = host.endpoint(port)
-    RttProbe(host, lambda tag: host.datagram(src, target, tag),
-             samples=samples, on_done=on_done).start()
+    RttProbe(host, partial(host.datagram, src, target), samples=samples,
+             on_done=on_done).start()

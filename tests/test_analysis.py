@@ -204,17 +204,31 @@ class TestRelayPathLocation:
         }
         assert out["skipped"] == 1
 
-    def test_bins_whose_labels_round_alike_share_a_label(self):
-        # At width 0.004, bins 0 and 1 both print as 0.00.
+    def test_fine_bins_keep_distinct_labels(self):
+        # At width 0.004, bins 0 and 1 once both printed as 0.00.
         records = [rec(outcome="SUCCESS", to_relay=0.1, relayed=100.0),   # bin 0
                    rec(outcome="FAILED", to_relay=0.5, relayed=100.0),    # bin 1
                    rec(outcome="SUCCESS", to_relay=0.9, relayed=100.0),   # bin 2
                    rec(outcome="SUCCESS", to_relay=0.45, relayed=100.0)]  # bin 1
         out = relay_path_location(records, bin_width=0.004)
         assert out["bins"] == {
-            "0.00": {"successes": 2, "total": 3, "rate": 2 / 3},
-            "0.01": {"successes": 1, "total": 1, "rate": 1.0},
+            "0.000": {"successes": 1, "total": 1, "rate": 1.0},
+            "0.004": {"successes": 1, "total": 2, "rate": 0.5},
+            "0.008": {"successes": 1, "total": 1, "rate": 1.0},
         }
+
+    @pytest.mark.parametrize("width, locations, expected", [
+        (0.005, [0.002, 0.007, 0.012, 0.017],
+         {"0.000": 1, "0.005": 1, "0.010": 1, "0.015": 1}),
+        # A width that does not divide 1 leaves a partial top bin.
+        (0.7, [0.1, 0.9, 1.0], {"0.00": 1, "0.70": 2}),
+        (0.4, [0.5, 0.9, 1.0], {"0.40": 1, "0.80": 2}),
+    ])
+    def test_each_location_lands_in_the_bin_that_holds_it(self, width, locations, expected):
+        bins, skipped = relay_path_bins(
+            [rec(to_relay=loc, relayed=1.0) for loc in locations], width)
+        assert {label: total for label, (_, total) in bins.items()} == expected
+        assert list(bins) == sorted(expected) and skipped == 0
 
     def test_invalid_bin_width_rejected(self):
         with pytest.raises(ValueError):

@@ -40,13 +40,11 @@ def build_world(client_nat=CONE, remote_nat=CONE, client_mapping=False,
 
 def run_punch(net, client, remote, relay_addrs, cfg=None, tf=None,
               horizon_ms=600_000):
-    out = []
-    hp = HolePunch(client, remote, relay_addrs, cfg,
-                   transport_filter=tf, on_done=out.append)
+    hp = HolePunch(client, remote, relay_addrs, cfg, transport_filter=tf)
     hp.start()
     net.sim.run(until=net.sim.now + horizon_ms)
-    assert out, "hole punch never finished"
-    return hp, out[0]
+    assert hp.done, "hole punch never finished"
+    return hp, hp.result
 
 
 class TestBasePunch:
@@ -105,8 +103,7 @@ class TestEarlyOutcomes:
 
     def test_unresponsive_remote_is_no_stream(self):
         net, svc, client, remote = build_world()
-        hp = HolePunch(client, remote, [svc.endpoint],
-                       on_done=lambda r: None)
+        hp = HolePunch(client, remote, [svc.endpoint])
         hp.start()
         # The remote's application never picks up incoming circuits.
         remote.relay.on_incoming_circuit = None
@@ -117,47 +114,39 @@ class TestEarlyOutcomes:
         # With this seed the listener gets stream-open but its stream-ack
         # is lost on the way to the initiator.
         net, svc, client, remote = build_world(seed=2, loss=0.02)
-        out = []
-        hp = HolePunch(client, remote, [svc.endpoint],
-                       on_done=out.append)
+        hp = HolePunch(client, remote, [svc.endpoint])
         hp.start()
         while hp.phase is Phase.CIRCUIT:
             net.sim.run(until=net.sim.now + 1)
         opened = net.sim.now  # the stream deadline runs from here
         net.sim.run()
-        assert [r.outcome for r in out] == [OutcomeResult.NO_STREAM]
-        assert out[0].ended - opened <= hp.cfg.stream_timeout_ms
+        assert hp.result.outcome is OutcomeResult.NO_STREAM
+        assert hp.result.ended - opened <= hp.cfg.stream_timeout_ms
 
     def test_cancel_before_attempts(self):
         net, svc, client, remote = build_world()
-        out = []
-        hp = HolePunch(client, remote, [svc.endpoint],
-                       on_done=out.append)
+        hp = HolePunch(client, remote, [svc.endpoint])
         hp.start()
         net.sim.run(until=net.sim.now + 100)
         hp.cancel()
-        assert out and out[0].outcome is OutcomeResult.CANCELLED
-        assert out[0].attempts == []
+        assert hp.done and hp.result.outcome is OutcomeResult.CANCELLED
+        assert hp.result.attempts == []
 
     def test_circuit_opening_after_a_cancel_is_closed(self):
         net, svc, client, remote = build_world()
-        out = []
-        hp = HolePunch(client, remote, [svc.endpoint],
-                       on_done=out.append)
+        hp = HolePunch(client, remote, [svc.endpoint])
         hp.start()
         net.sim.run(until=net.sim.now + 1)
         hp.cancel()
         net.sim.run()
-        assert out[0].outcome is OutcomeResult.CANCELLED
+        assert hp.result.outcome is OutcomeResult.CANCELLED
         assert svc._circuits == {}
         assert svc.reservations["remote"].active_conns == 0
         assert not any(c.open for c in client.relay.circuits.values())
 
     def test_cancel_during_rtt_probe_leaves_rtts_unset(self):
         net, svc, client, remote = build_world()
-        out = []
-        hp = HolePunch(client, remote, [svc.endpoint],
-                       on_done=out.append)
+        hp = HolePunch(client, remote, [svc.endpoint])
         hp.start()
         while hp.phase is not Phase.MEASURE and net.sim.now < 60_000:
             net.sim.run(until=net.sim.now + 1)
@@ -166,9 +155,9 @@ class TestEarlyOutcomes:
         net.sim.run(until=net.sim.now + 60)
         hp.cancel()
         net.sim.run(until=net.sim.now + 60_000)
-        assert out[0].outcome is OutcomeResult.CANCELLED
-        assert out[0].rtt_to_relay is None
-        assert out[0].rtt_relayed is None
+        assert hp.result.outcome is OutcomeResult.CANCELLED
+        assert hp.result.rtt_to_relay is None
+        assert hp.result.rtt_relayed is None
 
     def test_circuit_reset_before_the_attempts_is_no_stream(self):
         # The listener's ten relayed pings pass the 300-byte budget.
@@ -252,8 +241,7 @@ class TestReversal:
             return build_world(client_nat=None, client_leg=0.0)
 
         net, svc, client, remote = world()
-        landed = []
-        hp = HolePunch(client, remote, [svc.endpoint], on_done=landed.append)
+        hp = HolePunch(client, remote, [svc.endpoint])
         hp.start()
         while hp.phase is Phase.CIRCUIT:
             net.sim.run(until=net.sim.now + 1)
@@ -262,12 +250,13 @@ class TestReversal:
             net.sim.run(until=net.sim.now + 1)
         accepted = net.sim.now
         net.sim.run()
-        assert landed[0].outcome is OutcomeResult.CONNECTION_REVERSED
-        cfg = DcutrConfig(stream_timeout_ms=(accepted + landed[0].ended) / 2 - opened)
+        landed = hp.result
+        assert landed.outcome is OutcomeResult.CONNECTION_REVERSED
+        cfg = DcutrConfig(stream_timeout_ms=(accepted + landed.ended) / 2 - opened)
         net, svc, client, remote = world()
         _, res = run_punch(net, client, remote, [svc.endpoint], cfg=cfg)
         assert res.outcome is OutcomeResult.CONNECTION_REVERSED
-        assert res.ended < landed[0].ended
+        assert res.ended < landed.ended
 
 
 class TestAttemptMachinery:
@@ -373,27 +362,22 @@ def test_punch_ends_once_with_consistent_attempts(client_nat, remote_nat,
         client_nat=client_nat, remote_nat=remote_nat, seed=seed, loss=loss,
         client_mapping=client_mapping and client_nat is not None,
         client_leg=1.0 if client_nat else 0.0)
-    out = []
-    live_timers = []
-
-    def on_done(result):
-        out.append(result)
-        # The punch's own timers are the events dcutr scheduled; transport
-        # retransmits and deadlines belong to the ports.
-        live_timers.extend(e for e in net.sim._queue if e[2] is not None
-                           and getattr(e[2], "__module__", "") == "punchsim.dcutr")
-
-    hp = HolePunch(client, remote, [svc.endpoint], transport_filter=tf,
-                   on_done=on_done)
+    hp = HolePunch(client, remote, [svc.endpoint], transport_filter=tf)
     hp.start()
     if cancel_at is not None:
         net.sim.run(until=net.sim.now + cancel_at)
         hp.cancel()
+    queue = net.sim._queue
+    while not hp.done and queue:
+        net.sim.run(until=queue[0][0])
+    assert hp.done
+    # The punch's own timers are the events dcutr scheduled; transport
+    # retransmits and deadlines belong to the ports.
+    assert not [e for e in queue if e[2] is not None
+                and getattr(e[2], "__module__", "") == "punchsim.dcutr"]
+    res, ended = hp.result, hp.result.ended
     net.sim.run()
-
-    assert len(out) == 1 and hp.done
-    res = out[0]
-    assert live_timers == []
+    assert res.ended == ended  # it ended once
     assert [a.index for a in res.attempts] == list(range(1, len(res.attempts) + 1))
     assert len(res.attempts) <= hp.cfg.max_attempts
     if res.outcome is OutcomeResult.SUCCESS:

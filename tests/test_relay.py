@@ -435,26 +435,19 @@ class RelayWorld(RuleBasedStateMachine):
           tf=st.sampled_from([None, *Transport]))
     def punch(self, pair, relays, tf):
         client, remote = (self.peers[i] for i in pair)
-        out, live_timers = [], []
-
-        def on_done(result):
-            out.append(result)
-            live_timers.extend(e for e in self.net.sim._queue if e[2] is not None
-                               and getattr(e[2], "__module__", "") == "punchsim.dcutr")
-
         hp = HolePunch(client, remote,
-                       [self.services[i].endpoint for i in relays],
-                       transport_filter=tf, on_done=on_done)
+                       [self.services[i].endpoint for i in relays], transport_filter=tf)
         hp.start()
-        for _ in range(300):
-            if out:
-                break
-            self._run(1_000)
+        queue, horizon = self.net.sim._queue, self.net.sim.now + 300_000
+        while not hp.done and queue and queue[0][0] <= horizon:
+            self.net.sim.run(until=queue[0][0])
+        # The invariants of test_punch_ends_once_with_consistent_attempts.
+        assert hp.done and not [e for e in queue if e[2] is not None
+                                and getattr(e[2], "__module__", "") == "punchsim.dcutr"]
+        res, ended = hp.result, hp.result.ended
         remote.relay.on_incoming_circuit = self._track
         self._run(1_000)
-        # The invariants of test_punch_ends_once_with_consistent_attempts.
-        assert len(out) == 1 and hp.done and live_timers == []
-        res = out[0]
+        assert res.ended == ended
         assert [a.index for a in res.attempts] == list(range(1, len(res.attempts) + 1))
         assert len(res.attempts) <= hp.cfg.max_attempts
         assert res.outcome is not OutcomeResult.CANCELLED
