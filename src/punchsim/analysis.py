@@ -195,17 +195,19 @@ def relay_path_bins(filtered: list[dict], bin_width: float = 0.05
                     ) -> tuple[dict[str, list[int]], int]:
     """Success counts by where the relay sits on the path, location =
     RTT-to-relay / RTT-via-relay clipped to [0, 1], over records that
-    already passed the success filters. Bin i holds the locations from
-    i * bin_width up to the next bin's start, the last bin the rest up to
-    1.0, and is labelled by its start with as many decimals as the width
-    has (at least two). Returns ({bin label: [successes, total]} in bin
-    order, records skipped for lacking an RTT-to-relay or a nonzero
-    relayed RTT)."""
+    already passed the success filters. Bin i holds the locations from the
+    float nearest i * bin_width (0.3 starts bin 3 at width 0.1) up to the
+    next bin's start, the last bin the rest up to 1.0, and is labelled by
+    its start with as many decimals as the width has (at least two).
+    Returns ({bin label: [successes, total]} in bin order, records skipped
+    for lacking an RTT-to-relay or a nonzero relayed RTT)."""
     if not 0.0 < bin_width <= 1.0:
         raise ValueError("bin_width must be in (0, 1]")
     width = Decimal(str(bin_width))  # as written, so that 0.05 divides 1 exactly
     last = math.ceil(1 / width) - 1
     places = max(2, -width.as_tuple().exponent)
+    num, den = width.as_integer_ratio()  # bin i starts at the float i * num / den
+    scale = (1 - 2 ** -40) / bin_width  # a hair under 1 / width
     bins: dict[int, list[int]] = {}
     skipped = 0
     for rec in filtered:
@@ -215,7 +217,10 @@ def relay_path_bins(filtered: list[dict], bin_width: float = 0.05
             skipped += 1
             continue
         loc = min(1.0, max(0.0, to_relay / relayed))
-        hit = bins.setdefault(min(int(loc / bin_width), last), [0, 0])
+        i = int(loc * scale)  # its bin or, scaled low, the one below
+        if i < last and loc >= (i + 1) * num / den:
+            i += 1
+        hit = bins.setdefault(i, [0, 0])
         hit[0] += rec["outcome"] == "SUCCESS"
         hit[1] += 1
     return {f"{i * width:.{places}f}": bins[i] for i in sorted(bins)}, skipped

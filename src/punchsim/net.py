@@ -16,19 +16,19 @@ t0 + L - leg(b), and the receiving host sees it at t0 + L. Only the NAT
 passage times matter for hole-punch synchronization.
 
 Every in-sim message is a tag, a row of `packets.MESSAGES` that gives its
-size, carried by a UDP datagram (`Host.datagram`) or through a relay's
-circuit. Requests and replies: `Host.request` sends a request whose tag
-is (kind, token, ...), with a fresh token from `Simulation.next_token()`,
-and files a callback under the token in the host's `replies` table; every
-reply's tag is (`REPLY`, token, ...), the request's kind left to the
-callback. `Host.serve` hands it the reply, whether that reached a bound
-port or came through a circuit, and cancels the request's timeout.
-`serve` also answers ("ping", token) with (`REPLY`, token) on either
-carrier. Both dispatchers, `Host._dispatch` and `relay.RelayClient` for
-a circuit, call `serve` only for a tag whose kind is in
-`packets.SERVED`, `ping` or `REPLY`; any other message is the
-application's. A layer above takes only its `Host` and reaches the
-network as `host.net`.
+size (no packet carries one), carried by a UDP datagram (`Host.datagram`)
+or through a relay's circuit. Requests and replies: `Host.request` sends a
+request tag (kind, ...) as (kind, token, ...), with a fresh token from
+`Simulation.next_token()`, and files a callback under the token in the
+host's `replies` table; every reply's tag is (`REPLY`, token, ...), the
+request's kind left to the callback. `Host.serve` hands it the reply,
+whether that reached a bound port or came through a circuit, and cancels
+the request's timeout. `serve` also answers ("ping", token) with (`REPLY`,
+token) on either carrier. Both dispatchers, `Host._dispatch` and
+`relay.RelayClient` for a circuit, call `serve` only for a tag whose kind
+is in `packets.SERVED`, `ping` or `REPLY`; any other message is the
+application's. A layer above takes only its `Host` and reaches the network
+as `host.net`.
 
 The benchmark's tracer (perfbench/tracer.py) sees this layer only through
 calls, so a fast path here must keep them: every event goes through
@@ -45,8 +45,8 @@ from typing import Callable, Optional
 
 from .kernel import Simulation, check_number
 from .nat import DELIVER, REJECT_RST, NatConfig, NatState, SessionTableFull
-from .packets import (DEFAULT_TTL, REPLY, SEGMENT_BYTES, SERVED, TCP_RST, UDP_DATAGRAM,
-                      Endpoint, Packet, message_bytes)
+from .packets import (DEFAULT_TTL, MESSAGES, REPLY, SERVED, TCP_RST, UDP_DATAGRAM, Endpoint,
+                      Packet)
 
 FIRST_DYNAMIC_PORT = 10_000
 # Floor applied to every latency draw so causality is never violated.
@@ -86,21 +86,22 @@ class Host:
 
     def datagram(self, src: Endpoint, dst: Endpoint, tag, ttl: int = DEFAULT_TTL) -> bool:
         """Send message `tag` from `src`, one of this host's endpoints, in a UDP
-        datagram. True: it always leaves, though the network may drop it."""
+        datagram; True (the network may drop it), or KeyError for no `MESSAGES` row."""
+        MESSAGES[tag if type(tag) is str else tag[0]]
         # Positional: a keyword call to Packet's __init__ costs about twice as much.
-        self.net.send(self, Packet(src, dst, UDP_DATAGRAM, ttl, message_bytes(tag), tag))
+        self.net.send(self, Packet(src, dst, UDP_DATAGRAM, ttl, tag))
         return True
 
-    def request(self, send: Callable[[int], bool], on_reply: Callable[[tuple], None],
-                timeout_ms: Optional[float] = None,
+    def request(self, send: Callable[[tuple], bool], tag: tuple,
+                on_reply: Callable[[tuple], None], timeout_ms: Optional[float] = None,
                 on_timeout: Optional[Callable[[], None]] = None) -> bool:
-        """`send(token)` a request under a fresh token; False, and nothing
-        waits, if `send` is (its carrier is gone). `on_reply(tag)` gets the
-        reply echoing the token, unless `on_timeout()` runs at `timeout_ms`;
-        without a timeout the reply is awaited while the simulation runs."""
+        """`send` request `tag` (kind, ...) as (kind, token, ...), a fresh token;
+        False, and nothing waits, if `send` is (its carrier is gone). The
+        reply echoing the token goes to `on_reply(tag)` unless `on_timeout()`
+        runs at `timeout_ms`; with no timeout it is awaited as the sim runs."""
         sim = self.net.sim
         token = sim.next_token()
-        if not send(token):
+        if not send((tag[0], token) + tag[1:]):
             return False
         timer = None if timeout_ms is None else sim.schedule(
             lambda: self._expire(token, on_timeout), sim.now + timeout_ms)
@@ -221,8 +222,7 @@ class Network:
         if action is DELIVER:
             self.sim.schedule(lambda: receiver._dispatch(translated), t_arrival)
         elif action is REJECT_RST:
-            rst = Packet(pkt.dst, pkt.src, TCP_RST, DEFAULT_TTL, SEGMENT_BYTES[TCP_RST])
-            self.send(receiver, rst, skip_sender_nat=True)
+            self.send(receiver, Packet(pkt.dst, pkt.src, TCP_RST), skip_sender_nat=True)
 
     def close(self) -> None:
         """End this world: cancel every pending event, unbind every host

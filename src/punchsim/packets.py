@@ -1,7 +1,7 @@
 """Wire-level primitives shared by the NAT and transport layers, and the
-one table of in-sim messages. A packet's size follows from its kind
-(`SEGMENT_BYTES`) or, for a UDP datagram, from the message it carries
-(`MESSAGES`, read by `message_bytes`), so no sender passes a size."""
+one table of in-sim messages. No packet carries a size: `wire_bytes(pkt)`
+computes it from its kind (`SEGMENT_BYTES`) or, for a UDP datagram, from
+the message it carries (`MESSAGES`, read by `message_bytes`)."""
 
 from __future__ import annotations
 
@@ -118,11 +118,13 @@ class Packet:
     dst: Endpoint
     kind: PacketKind
     ttl: int = DEFAULT_TTL
-    size_bytes: int = 0
     tag: object = None
 
     def __post_init__(self):
         if self.ttl < 1:
             raise ValueError("ttl must be >= 1")
-        if self.size_bytes < 0:
-            raise ValueError("size_bytes must be >= 0")
+
+
+def wire_bytes(pkt: Packet) -> int:
+    """A packet's size: its segment's, or its datagram's message's; KeyError for no row."""
+    return message_bytes(pkt.tag) if pkt.kind is UDP_DATAGRAM else SEGMENT_BYTES[pkt.kind]

@@ -1,10 +1,10 @@
 """Precursor protocols: relay reservations, limited relayed connections
 (circuits) with pings through them, and observed-address exchange. Each
 message is a row of `packets.MESSAGES`, and the relay charges each side's
-data budget the table size of the payloads it forwards. A circuit payload
-whose kind is in `packets.SERVED` (a `ping` or a `REPLY`) goes to
-`net.Host.serve`, as on a bound port; any other goes to the circuit's
-`on_message`."""
+data budget the table size of the payloads it forwards, not their
+frames'. A circuit payload whose kind is in `packets.SERVED` (a `ping` or
+a `REPLY`) goes to `net.Host.serve`, as on a bound port; any other goes
+to the circuit's `on_message`."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from .net import Host
-from .packets import MESSAGES, REPLY, SERVED, Endpoint, Packet
+from .packets import MESSAGES, REPLY, SERVED, Endpoint, Packet, message_bytes
 from .transport import RttProbe
 
 RELAY_PORT = 1
@@ -45,9 +45,10 @@ class Circuit:
         self.on_closed: Optional[Callable[[str], None]] = None
 
     def send(self, tag) -> bool:
-        """Send a payload through the relay; False once the circuit closed."""
+        """Send a payload through the relay: False once closed, KeyError for no `MESSAGES` row."""
         if not self.open:
             return False
+        MESSAGES[tag if type(tag) is str else tag[0]]
         client = self.client
         return client.host.datagram(client.endpoint, self.relay_ep, ("circ", self.cid, tag))
 
@@ -107,7 +108,7 @@ class RelayService:
             other = circ["sides"].get(pkt.src)
             if other is None:
                 return
-            circ["used"][pkt.src] += pkt.size_bytes - MESSAGES["circ"]
+            circ["used"][pkt.src] += message_bytes(tag[2])
             if circ["used"][pkt.src] > self.data_budget_bytes:
                 self._close_circuit(cid, "budget-exhausted")
                 return
@@ -184,10 +185,9 @@ class RelayClient:
                 self.reservations[relay_ep.host] = expires
             on_done(expires is not None)
 
-        self.host.request(
-            lambda token: self.host.datagram(self.endpoint, relay_ep,
-                                             ("rsv-req", token, self.host.id)),
-            on_reply, REQUEST_TIMEOUT_MS, lambda: on_done(False))
+        self.host.request(partial(self.host.datagram, self.endpoint, relay_ep),
+                          ("rsv-req", self.host.id), on_reply, REQUEST_TIMEOUT_MS,
+                          lambda: on_done(False))
 
     def connect_via(self, listener_id: str, relay_addrs: list[Endpoint],
                     on_done: Callable[[Optional[Circuit]], None]) -> None:
@@ -225,10 +225,8 @@ class RelayClient:
         for relay_ep in relay_addrs:
             # No timeout per request: `settle` closes a circuit that opens
             # late, so the relay frees its slot.
-            self.host.request(
-                lambda token: self.host.datagram(
-                    self.endpoint, relay_ep, ("conn-req", token, listener_id, self.host.id)),
-                partial(on_reply, relay_ep))
+            self.host.request(partial(self.host.datagram, self.endpoint, relay_ep),
+                              ("conn-req", listener_id, self.host.id), partial(on_reply, relay_ep))
         sim = self.net.sim
         timeout = sim.schedule(lambda: settle(None), sim.now + CONNECT_TIMEOUT_MS)
 
@@ -246,10 +244,8 @@ class RelayClient:
         as seen by a public observer (Identify's address discovery). The
         probe leaves from the observed port itself so the answer reflects
         that port's translation."""
-        src = self.host.endpoint(port)
-        self.host.request(
-            lambda token: self.host.datagram(src, observer_ep, ("obs", token)),
-            lambda tag: on_done(tag[2]), timeout_ms, lambda: on_done(None))
+        self.host.request(partial(self.host.datagram, self.host.endpoint(port), observer_ep),
+                          ("obs",), lambda tag: on_done(tag[2]), timeout_ms, lambda: on_done(None))
 
     def _on_packet(self, pkt: Packet) -> None:
         tag = pkt.tag

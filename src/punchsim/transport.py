@@ -1,6 +1,7 @@
 """Connection establishment over simulated packets: one port interface
 (`Port`) for TCP with simultaneous open and for a QUIC-style
-one-round-trip UDP handshake with NAT priming, and RTT probing."""
+one-round-trip UDP handshake with NAT priming, and RTT probing. A port
+names the segment kind of its dial's first flight (`Port.FIRST_FLIGHT`)."""
 
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ from functools import partial
 from typing import Callable, Optional
 
 from .net import Host
-from .packets import (DEFAULT_TTL, QUIC_INITIAL, QUIC_REPLY, SEGMENT_BYTES, TCP_ACK, TCP_RST,
-                      TCP_SYN, TCP_SYNACK, Endpoint, Packet, PacketKind)
+from .packets import (DEFAULT_TTL, QUIC_INITIAL, QUIC_REPLY, TCP_ACK, TCP_RST, TCP_SYN,
+                      TCP_SYNACK, Endpoint, Packet, PacketKind)
 
 TCP_SYN_RETRANSMIT_MS = 1_000.0
 QUIC_RETRANSMIT_MS = 500.0
@@ -58,10 +59,11 @@ class _Conn:
 
 class Port:
     """A bound port that dials and is dialed. A dial sends its first
-    flight, repeats it every `RETRANSMIT_MS` and fails at its deadline; it
-    settles once, and settling cancels both timers. Subclasses supply
-    `_first_flight(remote)` and the packet handler `_on_packet(pkt)`."""
+    flight, a `FIRST_FLIGHT` segment, repeats it every `RETRANSMIT_MS` and
+    fails at its deadline; it settles once, and settling cancels both
+    timers. Subclasses supply both and the packet handler `_on_packet(pkt)`."""
 
+    FIRST_FLIGHT: PacketKind
     RETRANSMIT_MS: float
 
     def __init__(self, host: Host, port: Optional[int] = None):
@@ -77,7 +79,7 @@ class Port:
              on_done: Optional[Callable[[DialResult], None]] = None) -> None:
         conn = _Conn(remote, OPENING, on_done)
         self.conns[remote] = conn
-        self._first_flight(remote)
+        self._send(remote, self.FIRST_FLIGHT)
         sim = self.net.sim
         conn.timers = [
             sim.schedule(lambda: self._retransmit(conn), sim.now + self.RETRANSMIT_MS),
@@ -85,13 +87,13 @@ class Port:
                          sim.now + deadline_ms)]
 
     def _retransmit(self, conn: _Conn) -> None:
-        self._first_flight(conn.remote)
+        self._send(conn.remote, self.FIRST_FLIGHT)
         sim = self.net.sim
         conn.timers[0] = sim.schedule(lambda: self._retransmit(conn),
                                       sim.now + self.RETRANSMIT_MS)
 
     def _send(self, remote: Endpoint, kind: PacketKind) -> None:
-        self.net.send(self.host, Packet(self.local, remote, kind, DEFAULT_TTL, SEGMENT_BYTES[kind]))
+        self.net.send(self.host, Packet(self.local, remote, kind))
 
     def _settle(self, conn: _Conn, result: DialResult) -> None:
         """End an open connection; callers check that it is open."""
@@ -111,10 +113,8 @@ class TcpPort(Port):
     """A TCP port that can listen and dial concurrently, as hole punching
     requires. Crossing SYNs complete via simultaneous open."""
 
+    FIRST_FLIGHT = TCP_SYN
     RETRANSMIT_MS = TCP_SYN_RETRANSMIT_MS
-
-    def _first_flight(self, remote: Endpoint) -> None:
-        self._send(remote, TCP_SYN)
 
     def _on_packet(self, pkt: Packet) -> None:
         conn = self.conns.get(pkt.src)
@@ -145,6 +145,7 @@ class QuicPort(Port):
     NAT with dummy datagrams and answers the client's first flight, which
     establishes that side at once."""
 
+    FIRST_FLIGHT = QUIC_INITIAL
     RETRANSMIT_MS = QUIC_RETRANSMIT_MS
 
     def __init__(self, host: Host, port: Optional[int] = None):
@@ -161,9 +162,6 @@ class QuicPort(Port):
             sim.schedule(lambda: self.host.datagram(self.local, toward, "dummy", ttl),
                          sim.now + i * DUMMY_SPACING_MS)
 
-    def _first_flight(self, remote: Endpoint) -> None:
-        self._send(remote, QUIC_INITIAL)
-
     def _on_packet(self, pkt: Packet) -> None:
         if pkt.kind is QUIC_INITIAL:
             self._send(pkt.src, QUIC_REPLY)
@@ -179,8 +177,8 @@ class QuicPort(Port):
 
 class RttProbe:
     """Sequential pings over any carrier (`send(tag)` is False once it is
-    gone), each a `Host.request` awaiting its `packets.REPLY`. Reports the RTTs'
-    mean and stddev, or None if none came back."""
+    gone), each a `Host.request` of ("ping",) awaiting its `packets.REPLY`.
+    Reports the RTTs' mean and stddev, or None if none came back."""
 
     def __init__(self, host: Host, send: Callable[[tuple], bool],
                  samples: int = MAX_RTT_SAMPLES, timeout_ms: float = 2_000.0,
@@ -202,8 +200,7 @@ class RttProbe:
 
     def _send_next(self) -> None:
         if self._sent < self.samples and self.host.request(
-                lambda token: self.send(("ping", token)), self._on_packet,
-                self.timeout_ms, self._send_next):
+                self.send, ("ping",), self._on_packet, self.timeout_ms, self._send_next):
             self._sent += 1
             self._sent_at = self.net.sim.now
             return

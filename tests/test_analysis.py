@@ -223,6 +223,10 @@ class TestRelayPathLocation:
         # A width that does not divide 1 leaves a partial top bin.
         (0.7, [0.1, 0.9, 1.0], {"0.00": 1, "0.70": 2}),
         (0.4, [0.5, 0.9, 1.0], {"0.40": 1, "0.80": 2}),
+        # A location on a decimal edge starts its bin, and the float just
+        # under an edge stays in the bin below.
+        (0.1, [0.3, 0.6, 0.7], {"0.30": 1, "0.60": 1, "0.70": 1}),
+        (0.09, [0.44999999999999996, 0.45], {"0.36": 1, "0.45": 1}),
     ])
     def test_each_location_lands_in_the_bin_that_holds_it(self, width, locations, expected):
         bins, skipped = relay_path_bins(

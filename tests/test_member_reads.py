@@ -25,9 +25,7 @@ DATA_PATH = {
     nat.NatState.process_inbound, nat.NatState._note_unsolicited,
     net.Network.send, net.Network._at_receiver_nat, net.Host.datagram,
     net.Host._dispatch, net.Host.serve,
-    transport.Port._send, transport.TcpPort._first_flight,
-    transport.QuicPort._first_flight, transport.TcpPort._on_packet,
-    transport.QuicPort._on_packet,
+    transport.Port._send, transport.TcpPort._on_packet, transport.QuicPort._on_packet,
     vars(packets.PacketKind)["is_tcp"].fget, packets.message_bytes,
     *(rule for rule in packets.MESSAGES.values() if callable(rule)),
     strategies.birthday_punch,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from punchsim.kernel import RandomStream, Simulation
 from punchsim.nat import FilteringBehavior, MappingBehavior, NatConfig
 from punchsim.net import HOP_DISTANCE, MIN_LATENCY_MS, Network
-from punchsim.packets import Endpoint, Packet, PacketKind
+from punchsim.packets import Endpoint, Packet, PacketKind, wire_bytes
 from punchsim.transport import QuicPort, RttProbe, TcpPort, measure_rtt
 
 
@@ -119,7 +119,7 @@ class TestDelivery:
         b = net.add_host("b", 20.0, nat_config=NatConfig(rst_on_unsolicited_tcp=True),
                          nat_leg=4.0)
         arrivals = []
-        a.bind(lambda pkt: arrivals.append((pkt.kind, pkt.size_bytes, net.sim.now)), 1)
+        a.bind(lambda pkt: arrivals.append((pkt.kind, wire_bytes(pkt), net.sim.now)), 1)
         net.send(a, Packet(src=Endpoint("a", 1), dst=Endpoint(b.nat.public_host, 80),
                            kind=PacketKind.TCP_SYN))
         net.sim.run()
@@ -215,6 +215,17 @@ class TestDelivery:
         net.send(a, udp(Endpoint("a", 1), Endpoint("nowhere", 80)))
         assert net.sim.pending() == 0
         assert net.dropped_session_full == net.dropped_in_core == 0
+
+    def test_a_datagram_with_no_message_kind_raises_at_its_sender(self):
+        net = build_net()
+        a = net.add_host("a", 10.0)
+        net.add_host("b", 20.0).bind(Sink(), 80)
+        for tag in ("raw", ("hello",)):
+            with pytest.raises(KeyError):
+                a.datagram(Endpoint("a", 1), Endpoint("b", 80), tag)
+        assert net.sim.pending() == 0  # nothing was sent
+        assert a.datagram(Endpoint("a", 1), Endpoint("b", 80), ("ping", 1))
+        assert net.sim.pending() == 1
 
     def test_duplicate_host_and_port_rejected(self):
         net = build_net()
@@ -489,6 +500,17 @@ class TestRtt:
         host = net.add_host("a", 10.0)
         with pytest.raises(ValueError, match="samples"):
             RttProbe(host, lambda tag: True, samples=samples)
+
+    def test_a_request_carries_its_token_after_its_kind(self):
+        net = build_net()
+        host = net.add_host("a", 10.0)
+        sent = []
+        assert host.request(lambda tag: sent.append(tag) or True, ("rsv-req", "p"),
+                            lambda tag: None)
+        assert sent == [("rsv-req", *host.replies, "p")]
+        # A carrier that is gone sends nothing, and nothing waits.
+        assert not host.request(lambda tag: False, ("obs",), lambda tag: None)
+        assert len(host.replies) == 1 and net.sim.pending() == 0
 
     def test_fresh_worlds_issue_the_same_probe_token(self):
         # Probe tokens come from the simulation, not from process-wide

@@ -48,8 +48,6 @@ class TestPacket:
         ep = Endpoint("h", 1)
         with pytest.raises(ValueError):
             Packet(src=ep, dst=ep, kind=PacketKind.UDP_DATAGRAM, ttl=0)
-        with pytest.raises(ValueError):
-            Packet(src=ep, dst=ep, kind=PacketKind.UDP_DATAGRAM, size_bytes=-1)
 
 
 class TestMessages:

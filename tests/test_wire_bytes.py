@@ -1,14 +1,14 @@
 """The bytes each in-sim message kind puts on the wire, pinned at fixed totals.
 
-A message's size follows from its tag through one table
-(`packets.message_bytes`, and `packets.SEGMENT_BYTES` for TCP and QUIC
-segments), and the relay's data budget reads those sizes, so a size that
-moves changes outcomes. This test wraps `Network.send` on its class, as
-perfbench's tracer does, runs the seed-42 trials of the benchmark's campaign
-workload, and sums the packets and bytes sent per kind: a segment by its
-`PacketKind`, a datagram by its tag's kind, and a circuit frame as "circ/"
-plus its payload's kind. The totals were recorded before the table existed,
-when each sender passed its own size.
+A packet's size follows from its kind or its message's tag through one table
+(`packets.wire_bytes`: `packets.SEGMENT_BYTES` for TCP and QUIC segments,
+`packets.message_bytes` for a datagram), and the relay's data budget reads
+those sizes, so a size that moves changes outcomes. This test wraps
+`Network.send` on its class, as perfbench's tracer does, runs the seed-42
+trials of the benchmark's campaign workload, and sums the packets and bytes
+sent per kind: a segment by its `PacketKind`, a datagram by its tag's kind,
+and a circuit frame as "circ/" plus its payload's kind. The totals were
+recorded before the table existed, when each sender passed its own size.
 """
 
 import os
@@ -16,6 +16,7 @@ import sys
 from collections import Counter
 
 from punchsim import net
+from punchsim.packets import wire_bytes
 
 # The benchmark package sits at the root of the checkout.
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -57,7 +58,7 @@ def wire_totals(tmp_path) -> dict:
     def send(network, from_host, pkt, *args, **kwargs):
         kind = wire_kind(pkt)
         packets[kind] += 1
-        sizes[kind] += pkt.size_bytes
+        sizes[kind] += wire_bytes(pkt)
         return original(network, from_host, pkt, *args, **kwargs)
 
     net.Network.send = send
