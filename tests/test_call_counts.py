@@ -17,22 +17,20 @@ sys.path.insert(0, os.path.join(ROOT, "tools"))
 import callcount  # noqa: E402
 from punchsim.transport import mean_stddev  # noqa: E402
 
-CAMPAIGN_TRIALS = 200
 CAMPAIGN_CALLS = {
     "campaign": 3867, "dcutr": 23271, "kernel": 99610, "nat": 35411, "net": 144786,
     "packets": 39227, "relay": 24628, "transport": 27665,
 }
-PUNCHES = 100
 PUNCH_CALLS = {"kernel": 26146, "nat": 42132, "packets": 612, "strategies": 101}
 
 
 def test_campaign_trials_make_the_pinned_calls():
-    calls = callcount.workload_calls("campaign-serial", CAMPAIGN_TRIALS)
+    calls = callcount.workload_calls("campaign-serial")
     assert callcount.module_totals(calls) == CAMPAIGN_CALLS
 
 
 def test_birthday_punches_make_the_pinned_calls():
-    calls = callcount.workload_calls("birthday-mc", PUNCHES)
+    calls = callcount.workload_calls("birthday-mc")
     assert callcount.module_totals(calls) == PUNCH_CALLS
 
 
@@ -41,3 +39,15 @@ def test_generator_expression_frames_are_not_counted():
     # resumed once per value.
     calls = callcount.count_calls(lambda: mean_stddev([1.0, 2.0, 4.0]))
     assert calls == {("transport", "mean_stddev"): 1}
+
+
+def test_a_profiler_already_installed_is_put_back():
+    def outer(frame, event, arg):
+        pass
+
+    sys.setprofile(outer)
+    try:
+        callcount.count_calls(lambda: mean_stddev([1.0]))
+        assert sys.getprofile() is outer
+    finally:
+        sys.setprofile(None)

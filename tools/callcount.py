@@ -1,9 +1,9 @@
 """Python calls into punchsim per benchmark op, counted without a clock.
 
-    python tools/callcount.py [--trials 200] [--punches 100] [--seed 42] [--top 15]
+    python tools/callcount.py [--top 15]
 
-Runs ops of perfbench's campaign-serial and birthday-mc workloads under
-`sys.setprofile` and counts each "call" event whose code lives in the
+Runs 200 campaign-serial trials and 100 birthday-mc punches of perfbench's
+workloads at its default seed under `sys.setprofile` and counts each "call" event whose code lives in the
 punchsim package, by module and by function. Comprehension and
 generator-expression frames are left out: Python 3.12 runs comprehensions
 inline (PEP 709), so counting their frames would tie the totals to the
@@ -28,6 +28,8 @@ from punchsim import strategies  # noqa: E402
 
 PACKAGE = os.path.dirname(os.path.abspath(punchsim.__file__))
 COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
+# The ops counted per workload; tests/test_call_counts.py pins their totals.
+OPS = {"campaign-serial": 200, "birthday-mc": 100}
 
 
 def count_calls(run) -> Counter:
@@ -38,11 +40,12 @@ def count_calls(run) -> Counter:
         if event == "call":
             by_code[frame.f_code] += 1
 
+    previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         run()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     calls = Counter()
     for code, n in by_code.items():
         path = code.co_filename
@@ -52,17 +55,18 @@ def count_calls(run) -> Counter:
     return calls
 
 
-def workload_calls(name: str, n: int, seed: int = DEFAULT_SEED) -> Counter:
-    """The calls of ops 0..n-1 of a perfbench workload, its set-up excluded.
+def workload_calls(name: str) -> Counter:
+    """The calls of a perfbench workload's first OPS[name] ops at its default
+    seed, its set-up excluded.
 
     A birthday punch caches its opening sources for the process, so the
     cache is emptied first: the count is a fresh process's, whatever ran
     before it."""
     with tempfile.TemporaryDirectory() as workdir:
-        workload = WORKLOADS[name](seed, workdir)
+        workload = WORKLOADS[name](DEFAULT_SEED, workdir)
         workload.setup()
         strategies._sources.cache_clear()
-        return count_calls(lambda: [workload.op(i) for i in range(n)])
+        return count_calls(lambda: [workload.op(i) for i in range(OPS[name])])
 
 
 def module_totals(calls: Counter) -> dict:
@@ -90,14 +94,11 @@ def table(name: str, n: int, calls: Counter, top: int) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--trials", type=int, default=200, help="campaign-serial trials")
-    parser.add_argument("--punches", type=int, default=100, help="birthday-mc punches")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--top", type=int, default=15, help="functions listed per workload")
     args = parser.parse_args(argv)
-    print(f"Python {sys.version.split()[0]}, seed {args.seed}")
-    for name, n in (("campaign-serial", args.trials), ("birthday-mc", args.punches)):
-        print(table(name, n, workload_calls(name, n, args.seed), args.top))
+    print(f"Python {sys.version.split()[0]}, seed {DEFAULT_SEED}")
+    for name, n in OPS.items():
+        print(table(name, n, workload_calls(name), args.top))
     return 0
 
 
