@@ -169,9 +169,9 @@ class Simulation:
     """Single-threaded event loop with a FIFO tie-break for simultaneous
     events. One instance per trial; instances share nothing.
 
-    `schedule` returns the queue entry ``[at, seq, fn]`` as the handle.
-    `cancel` clears its ``fn`` in place (lazy deletion), and `run` drops
-    cleared entries without moving the clock.
+    `schedule` returns the queue entry ``[at, seq, fn, arg]`` as the handle;
+    `run` calls ``fn(arg)`` if a caller set ``arg``, else ``fn()``. `cancel`
+    clears both (lazy deletion); `run` drops them without moving the clock.
     """
 
     def __init__(self, seed: int = 0):
@@ -198,18 +198,18 @@ class Simulation:
         if not at >= self.now:  # a NaN time is refused too
             raise ScheduleInPastError(f"cannot schedule at t={at} (now={self.now})")
         self._seq += 1
-        entry = [at, self._seq, fn]
+        entry = [at, self._seq, fn, None]
         heapq.heappush(self._queue, entry)
         return entry
 
     def cancel(self, handle: list) -> None:
         """Make sure a scheduled event never runs; idempotent."""
-        handle[2] = None
+        handle[2] = handle[3] = None
 
     def cancel_all(self) -> None:
-        """Cancel every pending event, so that none holds its callback."""
+        """Cancel every pending event, so none holds its callback or argument."""
         for entry in self._queue:
-            entry[2] = None
+            entry[2] = entry[3] = None
 
     def run(self, until: Optional[float] = None) -> None:
         """Execute events in time order until the queue drains or the
@@ -218,10 +218,13 @@ class Simulation:
         pop = heapq.heappop
         bound = math.inf if until is None else until
         while queue and queue[0][0] <= bound:
-            at, _, fn = pop(queue)
+            at, _, fn, arg = pop(queue)
             if fn is not None:
                 self.now = at
-                fn()
+                if arg is None:
+                    fn()
+                else:
+                    fn(arg)
         if until is not None and until > self.now:
             self.now = until
 

@@ -23,20 +23,22 @@ request tag (kind, ...) as (kind, token, ...), with a fresh token from
 host's `replies` table; every reply's tag is (`REPLY`, token, ...), the
 request's kind left to the callback. `Host.serve` hands it the reply,
 whether that reached a bound port or came through a circuit, and cancels
-the request's timeout. `serve` also answers ("ping", token) with (`REPLY`,
-token) on either carrier. Both dispatchers, `Host._dispatch` and
-`relay.RelayClient` for a circuit, call `serve` only for a tag whose kind
-is in `packets.SERVED`, `ping` or `REPLY`; any other message is the
+the request's timeout. For ("ping", token) `serve` returns (`REPLY`,
+token), which the carrier sends back. Both dispatchers, `Host._dispatch`
+and `relay.RelayClient` for a circuit, call `serve` only for a tag whose
+kind is in `packets.SERVED`, `ping` or `REPLY`; any other message is the
 application's. A layer above takes only its `Host` and reaches the network
 as `host.net`.
 
 The benchmark's tracer (perfbench/tracer.py) sees this layer only through
 calls, so a fast path here must keep them: every event goes through
-`Simulation.schedule` as a punchsim lambda or bound method, every latency
-or loss draw through a `RandomStream` method, every packet a host builds
-through `Packet.__post_init__`, every send through `Network.send`, and
-every delivery through `Host._dispatch`. `tests/test_hook_counts.py`
-pins how often each is called.
+`Simulation.schedule` as a punchsim lambda or bound method (a packet's
+events carry it in their argument slot, so no closure is built), every
+latency or loss draw through a `RandomStream` method, every packet a host
+builds through `Packet.__post_init__`, every send through `Network.send`,
+and every delivery through `Host._dispatch`, looked up when scheduled.
+`tests/test_hook_counts.py` pins how often each is called. A traced
+delivery's callback is the tracer's wrapper, so its span is `bench.event`.
 """
 
 from __future__ import annotations
@@ -112,32 +114,30 @@ class Host:
         del self.replies[token]  # a delivered reply cancelled this timer
         on_timeout()
 
-    def serve(self, tag: tuple, answer: Callable[[object, tuple], None], via) -> None:
+    def serve(self, tag: tuple) -> Optional[tuple]:
         """Hand a `REPLY` tag to the callback its token names (a reply
-        nobody waits for is dropped), or answer a ping with `answer(via,
-        (REPLY, token))`. A carrier calls this for the `SERVED` kinds only;
-        every other message is the application's."""
-        if tag[0] == REPLY:
-            waiting = self.replies.pop(tag[1], None)
-            if waiting is not None:
-                on_reply, timer = waiting
-                if timer is not None:
-                    self.net.sim.cancel(timer)
-                on_reply(tag)
-        else:
-            answer(via, (REPLY,) + tag[1:])
+        nobody waits for is dropped) and return None, or return a ping's
+        answer, (`REPLY`, token), for the carrier to send back. A carrier
+        calls this for the `SERVED` kinds only."""
+        if tag[0] != REPLY:
+            return (REPLY,) + tag[1:]
+        waiting = self.replies.pop(tag[1], None)
+        if waiting is not None:
+            on_reply, timer = waiting
+            if timer is not None:
+                self.net.sim.cancel(timer)
+            on_reply(tag)
 
     def _dispatch(self, pkt: Packet) -> None:
         handler = self.handlers.get(pkt.dst.port)
         if handler is not None:
             tag = pkt.tag
             if type(tag) is tuple and tag[0] in SERVED:
-                self.serve(tag, self._answer, pkt)
+                reply = self.serve(tag)
+                if reply is not None:
+                    self.datagram(pkt.dst, pkt.src, reply)
             else:
                 handler(pkt)
-
-    def _answer(self, request: Packet, tag: tuple) -> None:
-        self.datagram(request.dst, request.src, tag)
 
 
 class Network:
@@ -212,15 +212,16 @@ class Network:
             t_nat = t_arrival - receiver.leg
             if t_nat < t0:
                 t_nat = t0
-            sim.schedule(lambda: self._at_receiver_nat(receiver, pkt, t_arrival), t_nat)
+            sim.schedule(self._at_receiver_nat, t_nat)[3] = (receiver, pkt, t_arrival)
         elif rnat is None:
-            sim.schedule(lambda: receiver._dispatch(pkt), t_arrival)
+            sim.schedule(receiver._dispatch, t_arrival)[3] = pkt
         # A NAT'd host's internal address is not routable from outside.
 
-    def _at_receiver_nat(self, receiver: Host, pkt: Packet, t_arrival: float) -> None:
+    def _at_receiver_nat(self, hop: tuple[Host, Packet, float]) -> None:
+        receiver, pkt, t_arrival = hop
         action, translated = receiver.nat.process_inbound(pkt, self.sim.now)
         if action is DELIVER:
-            self.sim.schedule(lambda: receiver._dispatch(translated), t_arrival)
+            self.sim.schedule(receiver._dispatch, t_arrival)[3] = translated
         elif action is REJECT_RST:
             self.send(receiver, Packet(pkt.dst, pkt.src, TCP_RST), skip_sender_nat=True)
 

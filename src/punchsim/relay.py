@@ -3,8 +3,8 @@
 message is a row of `packets.MESSAGES`, and the relay charges each side's
 data budget the table size of the payloads it forwards, not their
 frames'. A circuit payload whose kind is in `packets.SERVED` (a `ping` or
-a `REPLY`) goes to `net.Host.serve`, as on a bound port; any other goes
-to the circuit's `on_message`."""
+a `REPLY`) goes to `net.Host.serve`, as on a bound port, and its answer
+back through the circuit; any other goes to the circuit's `on_message`."""
 
 from __future__ import annotations
 
@@ -263,7 +263,9 @@ class RelayClient:
                 return
             payload = tag[2]
             if type(payload) is tuple and payload[0] in SERVED:
-                self.host.serve(payload, Circuit.send, circuit)
+                reply = self.host.serve(payload)
+                if reply is not None:
+                    circuit.send(reply)
             elif circuit.on_message is not None:
                 circuit.on_message(payload)
         elif kind == "circ-reset":

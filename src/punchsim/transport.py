@@ -181,8 +181,8 @@ class RttProbe:
     Reports the RTTs' mean and stddev, or None if none came back."""
 
     def __init__(self, host: Host, send: Callable[[tuple], bool],
-                 samples: int = MAX_RTT_SAMPLES, timeout_ms: float = 2_000.0,
-                 on_done: Callable[[Optional[tuple[float, float]]], None] = None):
+                 samples: int = MAX_RTT_SAMPLES, timeout_ms: float = 2_000.0, *,
+                 on_done: Callable[[Optional[tuple[float, float]]], None]):
         if not 1 <= samples <= MAX_RTT_SAMPLES:
             raise ValueError(f"samples must be in 1..{MAX_RTT_SAMPLES}")
         self.net = host.net
@@ -220,8 +220,8 @@ def mean_stddev(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def measure_rtt(host: Host, port: int, target: Endpoint, samples: int = MAX_RTT_SAMPLES,
-                on_done: Callable[[Optional[tuple[float, float]]], None] = None) -> None:
+def measure_rtt(host: Host, port: int, target: Endpoint, samples: int = MAX_RTT_SAMPLES, *,
+                on_done: Callable[[Optional[tuple[float, float]]], None]) -> None:
     """Direct-path RTT measurement from a bound port; relayed paths are
     measured over their circuit (see the relay module)."""
     src = host.endpoint(port)

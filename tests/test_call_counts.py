@@ -18,7 +18,7 @@ import callcount  # noqa: E402
 from punchsim.transport import mean_stddev  # noqa: E402
 
 CAMPAIGN_CALLS = {
-    "campaign": 3867, "dcutr": 23271, "kernel": 99610, "nat": 35411, "net": 144786,
+    "campaign": 3867, "dcutr": 23271, "kernel": 99610, "nat": 35411, "net": 104885,
     "packets": 39227, "relay": 24628, "transport": 27665,
 }
 PUNCH_CALLS = {"kernel": 26146, "nat": 42132, "packets": 612, "strategies": 101}

@@ -25,6 +25,38 @@ def test_tie_break_is_insertion_order():
     assert order == ["a", "b"]
 
 
+def test_an_event_gets_the_argument_set_in_its_handle():
+    sim = Simulation(seed=1)
+    got = []
+    sim.schedule(got.append, 5.0)[3] = 0  # a falsy argument is passed too
+    sim.schedule(lambda: got.append("none"), 5.0)
+    sim.schedule(got.append, 4.0)[3] = ("hop", 1)
+    sim.run()
+    assert got == [("hop", 1), 0, "none"]
+
+
+def test_a_cancelled_handle_holds_neither_callback_nor_argument():
+    sim = Simulation(seed=1)
+    ran = []
+    kept = sim.schedule(ran.append, 1.0)
+    kept[3] = "kept"
+    dropped = sim.schedule(ran.append, 2.0)
+    dropped[3] = "dropped"
+    sim.cancel(dropped)
+    assert dropped[2:] == [None, None]
+    sim.run()
+    assert ran == ["kept"]
+
+    handles = [sim.schedule(ran.append, 3.0), sim.schedule(ran.append, 4.0)]
+    for n, handle in enumerate(handles):
+        handle[3] = n
+    sim.cancel_all()
+    assert [handle[2:] for handle in handles] == [[None, None]] * 2
+    assert sim.pending() == 0
+    sim.run()
+    assert ran == ["kept"] and sim.now == 1.0  # cancelled, they moved no clock
+
+
 def test_schedule_in_past_rejected():
     sim = Simulation(seed=1)
     sim.schedule(lambda: None, 2.0)
@@ -163,7 +195,8 @@ def test_events_run_in_time_then_fifo_order(roots, until, cancels):
     # `cancels` holds (canceller, victim) pairs: when event `canceller` runs
     # (-1: before the first run) it cancels event `victim`, by scheduling
     # order, if that one is scheduled by then. Pairs may repeat, and a
-    # victim may already have run, or be the canceller itself.
+    # victim may already have run, or be the canceller itself. Every odd
+    # event gets its order through its handle's argument slot.
     sim = Simulation(seed=1)
     scheduled = []  # time of each event, in the order it was scheduled
     handles = []
@@ -174,7 +207,8 @@ def test_events_run_in_time_then_fifo_order(roots, until, cancels):
         order = len(scheduled)
         scheduled.append(at)
 
-        def fire():
+        def fire(arg=None):
+            assert arg == (order if order % 2 else None)
             ran.append((sim.now, order))
             with pytest.raises(ScheduleInPastError):
                 sim.schedule(lambda: None, sim.now - 1.0)
@@ -182,7 +216,10 @@ def test_events_run_in_time_then_fifo_order(roots, until, cancels):
                 add(sim.now + delay, kids)
             cancel_from(order)
 
-        handles.append(sim.schedule(fire, at))
+        handle = sim.schedule(fire, at)
+        if order % 2:
+            handle[3] = order
+        handles.append(handle)
 
     def cancel_from(canceller):
         for c, victim in cancels:
@@ -190,6 +227,7 @@ def test_events_run_in_time_then_fifo_order(roots, until, cancels):
                 if victim not in {o for _, o in ran}:
                     cancelled.add(victim)
                 sim.cancel(handles[victim])
+                assert handles[victim][2:] == [None, None]
 
     for at, children in roots:
         add(at, children)

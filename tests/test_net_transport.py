@@ -499,7 +499,19 @@ class TestRtt:
         net = build_net()
         host = net.add_host("a", 10.0)
         with pytest.raises(ValueError, match="samples"):
-            RttProbe(host, lambda tag: True, samples=samples)
+            RttProbe(host, lambda tag: True, samples=samples, on_done=lambda rtt: None)
+
+    def test_a_probe_without_on_done_fails_at_the_call(self):
+        # Without a default, the mistake cannot surface later, from inside
+        # Simulation.run, once the pings end.
+        net = build_net()
+        host = net.add_host("a", 10.0)
+        port = host.bind(lambda pkt: None)
+        with pytest.raises(TypeError, match="on_done"):
+            RttProbe(host, lambda tag: True)
+        with pytest.raises(TypeError, match="on_done"):
+            measure_rtt(host, port, Endpoint("b", 7), samples=1)
+        assert net.sim.pending() == 0
 
     def test_a_request_carries_its_token_after_its_kind(self):
         net = build_net()
