@@ -14,9 +14,13 @@ packet under a config that neither denylists nor answers with a RST;
 config on every call, since a `NatConfig` may change. The benchmark's
 tracer (perfbench/tracer.py) sees the NAT only through calls, so a fast
 path must keep them: every passage goes through one of the two methods,
-and every port draw through a `RandomStream` method. As a NAT device does,
-both rewrite the header of the packet they pass in place and keep no
-reference to it.
+and every port draw through a `RandomStream` method. Frames it does not
+wrap are left out: a new dynamic mapping is made by `object.__new__` with
+its slots set in place, sparing the frame of the dataclass-generated
+`NatMapping.__init__` (256 per birthday punch); and ADF admits a packet,
+inline, when some contact with its source's host passed at or before
+`now`. As a NAT device does, both rewrite the header of the packet they
+pass in place and keep no reference to it.
 """
 
 from __future__ import annotations
@@ -136,10 +140,6 @@ class NatMapping:
     created: float = 0.0
     last_activity: float = 0.0
     static: bool = False  # pre-installed port mapping: EIF-like, never expires
-
-    def contacted_host_since(self, host: str) -> Optional[float]:
-        times = [t for ep, t in self.contacted.items() if ep.host == host]
-        return min(times) if times else None
 
 
 class NatState:
@@ -274,9 +274,13 @@ class NatState:
                     while port in by_port:
                         port = rng.randint(lo, hi)
                 # NatConfig checked the range the port comes from.
-                external = unchecked_endpoint((self.public_host, port))
-                self._by_key[key] = by_port[port] = NatMapping(
-                    src, external, key, {dst: now}, now, now)
+                external = unchecked_endpoint(Endpoint, (self.public_host, port))
+                # NatMapping(src, external, key, {dst: now}, now, now), set in place.
+                m = object.__new__(NatMapping)
+                m.internal, m.external, m.key, m.contacted = src, external, key, {dst: now}
+                m.created = m.last_activity = now
+                m.static = False
+                self._by_key[key] = by_port[port] = m
                 self._sessions += 1
                 pkt.src = external
                 return pkt
@@ -325,10 +329,16 @@ class NatState:
                 m = None
             elif not static:
                 filt = cfg.filtering
-                if filt is not EIF:
-                    since = (m.contacted.get(pkt.src) if filt is APDF
-                             else m.contacted_host_since(pkt.src.host))
+                if filt is APDF:
+                    since = m.contacted.get(pkt.src)
                     if since is None or since > now:
+                        m = None
+                elif filt is ADF:
+                    host = pkt.src.host
+                    for ep, since in m.contacted.items():
+                        if ep.host == host and since <= now:
+                            break
+                    else:
                         m = None
         if m is None:
             if cfg.denylist_on_unsolicited or cfg.rst_on_unsolicited_tcp:

@@ -8,7 +8,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 # The TTL of a packet that sets none: Packet's default, the default of
 # Host.datagram and QuicPort.prime, and the TTL of every Port._send packet.
@@ -39,9 +38,10 @@ class Endpoint(namedtuple("Endpoint", "host port")):
         return f"{self.host}:{self.port}"
 
 
-# unchecked_endpoint((host, port)) builds an Endpoint without validating
-# it, for a port taken from a range that was checked already.
-unchecked_endpoint = partial(tuple.__new__, Endpoint)
+# unchecked_endpoint(Endpoint, (host, port)) builds an Endpoint without
+# validating it, for a port from a range that was checked already. It is
+# tuple.__new__ itself: a C call, with no Python frame and no __post_init__.
+unchecked_endpoint = tuple.__new__
 
 
 class PacketKind(Enum):

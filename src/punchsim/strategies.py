@@ -155,7 +155,7 @@ def birthday_punch(plan: BirthdayPlan, edm_nat: NatState, edm_host: str,
     outbound = edm_nat.process_outbound
     for src in sources:
         if both_edm:
-            carrier.dst = unchecked_endpoint((peer_external.host, rng.randint(lo, hi)))
+            carrier.dst = unchecked_endpoint(Endpoint, (peer_external.host, rng.randint(lo, hi)))
         carrier.src = src
         outbound(carrier, now)  # nat.SessionTableFull propagates
 
@@ -164,7 +164,7 @@ def birthday_punch(plan: BirthdayPlan, edm_nat: NatState, edm_host: str,
     inbound = edm_nat.process_inbound
     carrier.src = peer_external
     for j, dst_port in enumerate(probe_ports):
-        carrier.dst = unchecked_endpoint((public_host, dst_port))
+        carrier.dst = unchecked_endpoint(Endpoint, (public_host, dst_port))
         if prober_nat is not None:
             carrier.src = prober_sources[j]
             prober_nat.process_outbound(carrier, now)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from punchsim.kernel import RandomStream
 from punchsim.nat import (ARCHETYPE_NATS, Archetype, FilteringBehavior, InboundAction,
-                          MappingBehavior, NatConfig, NatState,
+                          MappingBehavior, NatConfig, NatMapping, NatState,
                           PortAllocation, SessionTableFull, archetype)
 from punchsim.packets import Endpoint, Packet, PacketKind
 
@@ -101,6 +101,50 @@ class TestMapping:
         action, pkt = nat.process_inbound(udp(DST2, ext), 2.0)
         assert action is InboundAction.DELIVER and pkt.dst == other
         assert nat._by_port[ext.port] is static
+
+    @pytest.mark.parametrize("mapping,key", [
+        (MappingBehavior.EIM, (INT,)),
+        (MappingBehavior.ADM, (INT, DST1.host)),
+        (MappingBehavior.APDM, (INT, DST1)),
+    ])
+    def test_a_fresh_mapping_is_the_one_its_constructor_makes(self, mapping, key):
+        # process_outbound sets a new mapping's slots without the
+        # dataclass-generated __init__; a slot it missed would raise here.
+        nat = make_nat(mapping=mapping)
+        ext = nat.process_outbound(udp(INT, DST1), 5.0).src
+        m = nat._by_port[ext.port]
+        assert nat._by_key[key] is m
+        assert all(hasattr(m, f.name) for f in fields(NatMapping))
+        assert m == NatMapping(INT, ext, key, {DST1: 5.0}, 5.0, 5.0)
+        assert type(ext) is Endpoint and ext == Endpoint("pub", ext.port)
+
+
+def _admitted_by_earliest_contact(m, src, now):
+    """The ADF rule process_inbound once ran through a helper: the earliest
+    contact with the sender's host must have passed by `now`."""
+    times = [t for ep, t in m.contacted.items() if ep.host == src.host]
+    since = min(times) if times else None
+    return not (since is None or since > now)
+
+
+_HOSTS = ["x", "y", "z"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(contacts=st.lists(st.tuples(st.sampled_from(_HOSTS), st.integers(1, 3),
+                                   st.integers(0, 100)), min_size=1, max_size=8),
+       probe=st.tuples(st.sampled_from(_HOSTS), st.integers(1, 4), st.integers(0, 100)))
+def test_adf_admits_as_the_earliest_contact_rule_does(contacts, probe):
+    # One EIM mapping collects contacts with several ports of a host, with
+    # other hosts, and contacts made later than the probe arrives.
+    nat = make_nat(filtering=FilteringBehavior.ADF, mapping_ttl=1e9)
+    for host, port, t in contacts:
+        ext = nat.process_outbound(udp(INT, Endpoint(host, port)), float(t)).src
+    m = nat._by_port[ext.port]
+    src, now = Endpoint(probe[0], probe[1]), float(probe[2])
+    expected = m.created <= now and _admitted_by_earliest_contact(m, src, now)
+    action, _ = nat.process_inbound(udp(src, ext), now)
+    assert (action is InboundAction.DELIVER) == expected
 
 
 class TestFiltering:

@@ -2,7 +2,8 @@ import pickle
 
 import pytest
 
-from punchsim.packets import MESSAGES, REPLY, Endpoint, Packet, PacketKind, message_bytes
+from punchsim.packets import (MESSAGES, REPLY, Endpoint, Packet, PacketKind, message_bytes,
+                              unchecked_endpoint)
 
 
 class TestEndpoint:
@@ -41,6 +42,17 @@ class TestEndpoint:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             Endpoint("h", 1).port = 2
+
+    def test_unchecked_endpoint_is_an_endpoint_built_without_its_check(self, monkeypatch):
+        checked = Endpoint("h", 1)
+
+        def refuse(self):
+            raise AssertionError("unchecked_endpoint ran Endpoint.__post_init__")
+
+        monkeypatch.setattr(Endpoint, "__post_init__", refuse)
+        ep = unchecked_endpoint(Endpoint, ("h", 1))
+        assert type(ep) is Endpoint and ep == checked and hash(ep) == hash(checked)
+        assert len({ep: 1, checked: 2}) == 1 and (ep.host, ep.port) == ("h", 1)
 
 
 class TestPacket:

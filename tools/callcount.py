@@ -2,15 +2,20 @@
 
     python tools/callcount.py [--top 15]
 
-Runs 200 campaign-serial trials and 100 birthday-mc punches of perfbench's
-workloads at its default seed under `sys.setprofile` and counts each "call" event whose code lives in the
-punchsim package, by module and by function. Comprehension and
-generator-expression frames are left out: Python 3.12 runs comprehensions
-inline (PEP 709), so counting their frames would tie the totals to the
-version. The counts follow from the simulated work alone, so unlike a wall
-time they compare across machines and runs; tests/test_call_counts.py pins
-the per-module totals. Python 3.10 has no `co_qualname`, so there a
-function is named without its class.
+Runs 200 campaign-serial trials, 100 birthday-mc punches and one
+analyze-file pass of perfbench's workloads at its default seed under
+`sys.setprofile` and counts each "call" event of a frame whose module
+(`f_globals["__name__"]`) is punchsim's, by module and by function. The
+module, not the code's file, decides, so the `__init__`, `__eq__` and
+`__repr__` that `dataclasses` generates count too: their code lives in
+`<string>`. Comprehension and generator-expression frames are left out:
+Python 3.12 runs comprehensions inline (PEP 709), so counting their frames
+would tie the totals to the version. The counts follow from the simulated
+work alone, so unlike a wall time they compare across machines and runs;
+tests/test_call_counts.py pins the per-module totals. A method of a
+punchsim class is named "Class.method", a generated one too; any other
+function by its `co_qualname`, which Python 3.10 lacks, so there a nested
+function is named without its outer function.
 """
 
 import argparse
@@ -26,10 +31,25 @@ import punchsim  # noqa: E402
 from perfbench.workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 from punchsim import strategies  # noqa: E402
 
-PACKAGE = os.path.dirname(os.path.abspath(punchsim.__file__))
+PACKAGE = punchsim.__name__
 COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
 # The ops counted per workload; tests/test_call_counts.py pins their totals.
-OPS = {"campaign-serial": 200, "birthday-mc": 100}
+OPS = {"campaign-serial": 200, "birthday-mc": 100, "analyze-file": 1}
+
+
+def method_names() -> dict:
+    """Code object -> "Class.method" for every method defined on a class of
+    a loaded punchsim module, the dataclass-generated ones included."""
+    names = {}
+    for name, module in list(sys.modules.items()):
+        if name.startswith(PACKAGE + "."):
+            for cls in vars(module).values():
+                if isinstance(cls, type) and cls.__module__ == name:
+                    for attr, fn in vars(cls).items():
+                        code = getattr(fn, "__code__", None)
+                        if code is not None:
+                            names[code] = f"{cls.__qualname__}.{attr}"
+    return names
 
 
 def count_calls(run) -> Counter:
@@ -38,7 +58,7 @@ def count_calls(run) -> Counter:
 
     def profile(frame, event, arg):
         if event == "call":
-            by_code[frame.f_code] += 1
+            by_code[frame.f_code, frame.f_globals.get("__name__", "")] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -46,12 +66,12 @@ def count_calls(run) -> Counter:
         run()
     finally:
         sys.setprofile(previous)
+    names = method_names()
     calls = Counter()
-    for code, n in by_code.items():
-        path = code.co_filename
-        if os.path.dirname(path) == PACKAGE and code.co_name not in COMPREHENSIONS:
-            module = os.path.splitext(os.path.basename(path))[0]
-            calls[module, getattr(code, "co_qualname", code.co_name)] += n
+    for (code, module), n in by_code.items():
+        if module.startswith(PACKAGE + ".") and code.co_name not in COMPREHENSIONS:
+            name = names.get(code) or getattr(code, "co_qualname", code.co_name)
+            calls[module.rpartition(".")[2], name] += n
     return calls
 
 
@@ -79,7 +99,8 @@ def module_totals(calls: Counter) -> dict:
 def table(name: str, n: int, calls: Counter, top: int) -> str:
     workload = WORKLOADS[name]
     label = workload.op_label
-    rows = [f"{name}: {n} {workload.item}", f"  {'module':<12}{'calls':>10}{'per ' + label:>14}"]
+    rows = [f"{name}: {n * workload.items_per_op} {workload.item}",
+            f"  {'module':<12}{'calls':>10}{'per ' + label:>14}"]
     totals = module_totals(calls)
     for module, count in sorted(totals.items(), key=lambda kv: -kv[1]):
         rows.append(f"  {module:<12}{count:>10}{count / n:>14.2f}")
