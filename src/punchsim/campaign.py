@@ -66,8 +66,8 @@ class PopulationSpec:
     shares: dict = field(default_factory=lambda: {
         "FullCone": 0.10, "RestrictedCone": 0.15,
         "PortRestrictedCone": 0.55, "Symmetric": 0.20})
-    # Overrides the Symmetric share when set (endpoint-dependent mappers
-    # are exactly the Symmetric archetype here); cone shares renormalize.
+    # Overrides the Symmetric share when set (EDM is the Symmetric archetype
+    # here); the cone shares renormalize, and below 1 one must be positive.
     edm_share: Optional[float] = None
     port_mapping_prevalence: float = bounded(0.0, 0.0, 1.0)
     mapping_lies_share: float = bounded(0.0, 0.0, 1.0)
@@ -87,6 +87,9 @@ class PopulationSpec:
             raise ValueError("archetype shares must sum to 1")
         if self.edm_share is not None:
             check_number("edm_share", self.edm_share, 0.0, 1.0)
+            if self.edm_share < 1 and not any(
+                    v > 0 for k, v in self.shares.items() if k != "Symmetric"):
+                raise ValueError("an edm_share below 1 needs a positive non-Symmetric share")
         low_high = self.latency_range_ms
         if not isinstance(low_high, (tuple, list)) or len(low_high) != 2:
             raise ValueError("latency_range_ms must be a [low, high] pair")

@@ -189,8 +189,8 @@ class HolePunch:
         # What each side learned of the other's addresses.
         self._remote_addrs: dict[Transport, Endpoint] = {}
         self._client_addrs: dict[Transport, Endpoint] = {}
-        # The listener's direct connection, once its port reports one.
-        self._client_direct: Optional[tuple[Endpoint, Endpoint, Transport]] = None
+        # The listener's direct connection (local, remote), once its port reports one.
+        self._client_direct: Optional[tuple[Endpoint, Endpoint]] = None
 
     @property
     def done(self) -> bool:
@@ -498,11 +498,11 @@ class HolePunch:
         if runtime is self.client:
             if self.phase is DIRECT:
                 if self._client_direct is None:  # in the grace window
-                    self._client_direct = (port_obj.local, remote_ep, transport)
+                    self._client_direct = (port_obj.local, remote_ep)
                     self._disarm("grace")
                     self._measure_direct()
                 return
-            self._client_direct = (port_obj.local, remote_ep, transport)
+            self._client_direct = (port_obj.local, remote_ep)
         # Before the attempts this is a reversal dial landing, which the
         # stream deadline reads; after a success the attempt is settled.
         if self.phase is not ATTEMPT:
@@ -532,7 +532,7 @@ class HolePunch:
             self.c_circ.close()
 
     def _measure_direct(self) -> None:
-        local, remote_ep, _ = self._client_direct
+        local, remote_ep = self._client_direct
 
         def got_direct(rtt) -> None:
             if self.phase is DIRECT:

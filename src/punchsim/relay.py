@@ -77,7 +77,6 @@ class RelayService:
                  relayed_conn_limit: int = DEFAULT_RELAYED_CONN_LIMIT):
         if host.nat is not None:
             raise ValueError("relays must be public peers")
-        self.net = host.net
         self.host = host
         self.port = host.bind(self._on_packet, RELAY_PORT)
         self.endpoint = Endpoint(host.id, self.port)
@@ -91,7 +90,7 @@ class RelayService:
         self._next_cid = 1
 
     def _live_reservations(self) -> int:
-        now = self.net.sim.now
+        now = self.host.net.sim.now
         return sum(1 for r in self.reservations.values() if r.expires > now)
 
     def _on_packet(self, pkt: Packet) -> None:
@@ -117,7 +116,7 @@ class RelayService:
             self.host.datagram(self.endpoint, pkt.src, (REPLY, tag[1], pkt.src))
         elif kind == "rsv-req":
             token, peer_id = tag[1], tag[2]
-            now = self.net.sim.now
+            now = self.host.net.sim.now
             rsv = self.reservations.get(peer_id)
             # At capacity, only the refresh of a live reservation is admitted.
             if ((rsv is None or rsv.expires <= now)
@@ -134,7 +133,7 @@ class RelayService:
         elif kind == "conn-req":
             token, listener_id, dialer_id = tag[1], tag[2], tag[3]
             rsv = self.reservations.get(listener_id)
-            if (rsv is None or rsv.expires <= self.net.sim.now
+            if (rsv is None or rsv.expires <= self.host.net.sim.now
                     or rsv.active_conns >= self.relayed_conn_limit):
                 self.host.datagram(self.endpoint, pkt.src, (REPLY, token, None))
                 return
@@ -169,7 +168,6 @@ class RelayClient:
     accepts circuits, answers circuit-level pings."""
 
     def __init__(self, host: Host):
-        self.net = host.net
         self.host = host
         self.port = host.bind(self._on_packet)
         self.endpoint = Endpoint(host.id, self.port)
@@ -206,7 +204,7 @@ class RelayClient:
                 if circuit is not None:
                     circuit.close()
                 return
-            self.net.sim.cancel(timeout)
+            self.host.net.sim.cancel(timeout)
             timeout = None
             on_done(circuit)
 
@@ -227,7 +225,7 @@ class RelayClient:
             # late, so the relay frees its slot.
             self.host.request(partial(self.host.datagram, self.endpoint, relay_ep),
                               ("conn-req", listener_id, self.host.id), partial(on_reply, relay_ep))
-        sim = self.net.sim
+        sim = self.host.net.sim
         timeout = sim.schedule(lambda: settle(None), sim.now + CONNECT_TIMEOUT_MS)
 
     def circuit_ping(self, circuit: Circuit, samples: int,

@@ -67,7 +67,6 @@ class Port:
     RETRANSMIT_MS: float
 
     def __init__(self, host: Host, port: Optional[int] = None):
-        self.net = host.net
         self.host = host
         self.port = host.bind(self._on_packet, port)
         self.local = host.endpoint(self.port)
@@ -80,7 +79,7 @@ class Port:
         conn = _Conn(remote, OPENING, on_done)
         self.conns[remote] = conn
         self._send(remote, self.FIRST_FLIGHT)
-        sim = self.net.sim
+        sim = self.host.net.sim
         conn.timers = [
             sim.schedule(lambda: self._retransmit(conn), sim.now + self.RETRANSMIT_MS),
             sim.schedule(lambda: self._settle(conn, DialResult(False, "timeout")),
@@ -88,18 +87,18 @@ class Port:
 
     def _retransmit(self, conn: _Conn) -> None:
         self._send(conn.remote, self.FIRST_FLIGHT)
-        sim = self.net.sim
+        sim = self.host.net.sim
         conn.timers[0] = sim.schedule(lambda: self._retransmit(conn),
                                       sim.now + self.RETRANSMIT_MS)
 
     def _send(self, remote: Endpoint, kind: PacketKind) -> None:
-        self.net.send(self.host, Packet(self.local, remote, kind))
+        self.host.net.send(self.host, Packet(self.local, remote, kind))
 
     def _settle(self, conn: _Conn, result: DialResult) -> None:
         """End an open connection; callers check that it is open."""
         conn.state = ESTABLISHED if result.established else FAILED
         for timer in conn.timers:
-            self.net.sim.cancel(timer)
+            self.host.net.sim.cancel(timer)
         if conn.on_done is not None:
             conn.on_done(result)
         if result.established and self.on_established is not None:
@@ -157,7 +156,7 @@ class QuicPort(Port):
         state; with a low TTL they die in the core after passing our NAT."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        sim = self.net.sim
+        sim = self.host.net.sim
         for i in range(count):
             sim.schedule(lambda: self.host.datagram(self.local, toward, "dummy", ttl),
                          sim.now + i * DUMMY_SPACING_MS)
@@ -185,7 +184,6 @@ class RttProbe:
                  on_done: Callable[[Optional[tuple[float, float]]], None]):
         if not 1 <= samples <= MAX_RTT_SAMPLES:
             raise ValueError(f"samples must be in 1..{MAX_RTT_SAMPLES}")
-        self.net = host.net
         self.host = host
         self.send = send
         self.samples = samples
@@ -202,12 +200,12 @@ class RttProbe:
         if self._sent < self.samples and self.host.request(
                 self.send, ("ping",), self._on_packet, self.timeout_ms, self._send_next):
             self._sent += 1
-            self._sent_at = self.net.sim.now
+            self._sent_at = self.host.net.sim.now
             return
         self.on_done(mean_stddev(self.rtts) if self.rtts else None)
 
     def _on_packet(self, tag: tuple) -> None:
-        self.rtts.append(self.net.sim.now - self._sent_at)
+        self.rtts.append(self.host.net.sim.now - self._sent_at)
         self._send_next()
 
 

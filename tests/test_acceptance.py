@@ -8,13 +8,10 @@ from punchsim.analysis import analyze
 from punchsim.campaign import (CampaignConfig, PopulationSpec, TransportPolicy,
                                aggregate, export_results, load_results,
                                run_campaign)
-from punchsim.dcutr import (DcutrConfig, HolePunch, OutcomeAttempt,
-                            OutcomeResult, PeerRuntime)
-from punchsim.kernel import RandomStream, Simulation
+from punchsim.dcutr import DcutrConfig, OutcomeAttempt, OutcomeResult
+from punchsim.kernel import RandomStream
 from punchsim.nat import (FilteringBehavior, MappingBehavior, NatConfig,
                           PortAllocation)
-from punchsim.net import Network
-from punchsim.relay import RelayService
 from punchsim.strategies import (BirthdayPlan, BirthdayScenario,
                                  birthday_monte_carlo, birthday_probability,
                                  both_edm_pair_share, dial_arrival_skew,
@@ -22,29 +19,7 @@ from punchsim.strategies import (BirthdayPlan, BirthdayScenario,
                                  refined_wait_time)
 from punchsim.transport import Transport
 
-
-def punch_world(client_nat, remote_nat, client_lat, remote_lat,
-                client_leg, remote_leg, relay_lat=5.0, seed=9):
-    net = Network(Simulation(seed=seed))
-    net.add_host("relay", relay_lat)
-    svc = RelayService(net.hosts["relay"])
-    net.add_host("client", client_lat, nat_config=client_nat,
-                 nat_leg=client_leg)
-    net.add_host("remote", remote_lat, nat_config=remote_nat,
-                 nat_leg=remote_leg)
-    client = PeerRuntime(net.hosts["client"])
-    remote = PeerRuntime(net.hosts["remote"])
-    remote.relay.reserve(svc.endpoint, lambda ok: None)
-    net.sim.run(until=net.sim.now + 6_000)
-    return net, svc, client, remote
-
-
-def run_punch(net, client, remote, relay_addrs, cfg, tf):
-    hp = HolePunch(client, remote, relay_addrs, cfg, transport_filter=tf)
-    hp.start()
-    net.sim.run(until=net.sim.now + 600_000)
-    assert hp.done, "hole punch never finished"
-    return hp.result
+from punch_world import build_world, run_punch
 
 
 class TestBirthdayOracleValues:
@@ -129,14 +104,14 @@ class TestSyncMargin:
 
     def run_with_error_factor(self, factor):
         strict = NatConfig(rst_on_unsolicited_tcp=True)
-        net, svc, client, remote = punch_world(
+        net, svc, client, remote = build_world(
             client_nat=strict,
             remote_nat=NatConfig(rst_on_unsolicited_tcp=True),
             client_lat=10.0, remote_lat=10.0,
-            client_leg=5.0, remote_leg=5.0)
+            client_leg=5.0, remote_leg=5.0, seed=9)
         cfg = DcutrConfig(max_attempts=1, sync_error_ms=-factor * 10.0)
-        res = run_punch(net, client, remote, [svc.endpoint], cfg,
-                        Transport.TCP)
+        _, res = run_punch(net, client, remote, [svc.endpoint], cfg,
+                           Transport.TCP)
         return res.outcome
 
     def test_errors_below_margin_succeed(self):
@@ -159,22 +134,22 @@ class TestRefinedWait:
     def build(self):
         strict_c = NatConfig(rst_on_unsolicited_tcp=True)
         strict_r = NatConfig(rst_on_unsolicited_tcp=True)
-        return punch_world(client_nat=strict_c, remote_nat=strict_r,
+        return build_world(client_nat=strict_c, remote_nat=strict_r,
                            client_lat=22.0, remote_lat=10.0,
-                           client_leg=20.0, remote_leg=5.0)
+                           client_leg=20.0, remote_leg=5.0, seed=9)
 
     def test_baseline_half_rtt_fails(self):
         net, svc, client, remote = self.build()
         cfg = DcutrConfig(max_attempts=1, refined_wait=False)
-        res = run_punch(net, client, remote, [svc.endpoint], cfg,
-                        Transport.TCP)
+        _, res = run_punch(net, client, remote, [svc.endpoint], cfg,
+                           Transport.TCP)
         assert res.outcome is OutcomeResult.FAILED
 
     def test_refined_wait_succeeds(self):
         net, svc, client, remote = self.build()
         cfg = DcutrConfig(max_attempts=1, refined_wait=True)
-        res = run_punch(net, client, remote, [svc.endpoint], cfg,
-                        Transport.TCP)
+        _, res = run_punch(net, client, remote, [svc.endpoint], cfg,
+                           Transport.TCP)
         assert res.outcome is OutcomeResult.SUCCESS
 
     def test_arrival_skew_inequality_over_random_topologies(self):
@@ -216,20 +191,20 @@ class TestConnectionReversal:
 
 class TestRoleAlternation:
     def build(self):
-        return punch_world(
+        return build_world(
             client_nat=NatConfig(mapping=MappingBehavior.EIM,
                                  filtering=FilteringBehavior.ADF),
             remote_nat=NatConfig(mapping=MappingBehavior.APDM,
                                  filtering=FilteringBehavior.APDF,
                                  port_alloc=PortAllocation.RANDOM),
             client_lat=10.0, remote_lat=20.0,
-            client_leg=1.0, remote_leg=2.0)
+            client_leg=1.0, remote_leg=2.0, seed=9)
 
     def test_alternation_recovers_on_second_attempt(self):
         net, svc, client, remote = self.build()
         cfg = DcutrConfig(alternate_roles=True)
-        res = run_punch(net, client, remote, [svc.endpoint], cfg,
-                        Transport.QUIC)
+        _, res = run_punch(net, client, remote, [svc.endpoint], cfg,
+                           Transport.QUIC)
         assert res.outcome is OutcomeResult.SUCCESS
         assert [a.outcome for a in res.attempts] == [
             OutcomeAttempt.FAILED, OutcomeAttempt.SUCCESS]
@@ -237,8 +212,8 @@ class TestRoleAlternation:
     def test_without_alternation_all_three_attempts_fail(self):
         net, svc, client, remote = self.build()
         cfg = DcutrConfig(alternate_roles=False)
-        res = run_punch(net, client, remote, [svc.endpoint], cfg,
-                        Transport.QUIC)
+        _, res = run_punch(net, client, remote, [svc.endpoint], cfg,
+                           Transport.QUIC)
         assert res.outcome is OutcomeResult.FAILED
         assert [a.outcome for a in res.attempts] == [
             OutcomeAttempt.FAILED] * 3

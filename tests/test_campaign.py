@@ -265,6 +265,17 @@ class TestPopulation:
         with pytest.raises(ValueError):
             PopulationSpec(edm_share=1.5)
 
+    @pytest.mark.parametrize("shares, edm_share", [
+        ({"Symmetric": 1.0}, 0.5), ({"FullCone": 0.0, "Symmetric": 1.0}, 0.25)])
+    def test_edm_share_below_one_needs_a_cone_share(self, shares, edm_share):
+        # No cone share is left to carry the other 1 - edm_share of clients.
+        with pytest.raises(ValueError, match="edm_share"):
+            PopulationSpec(shares=shares, edm_share=edm_share)
+        spec = PopulationSpec(shares=shares, edm_share=1.0, n_clients=20)
+        assert spec.effective_shares()["Symmetric"] == 1.0
+        assert all(p.nat.mapping is MappingBehavior.APDM
+                   for p in generate_population(spec).clients)
+
     def test_relays_are_public(self):
         pop = generate_population(PopulationSpec(seed=3))
         assert all(r.nat is None for r in pop.relays)

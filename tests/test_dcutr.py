@@ -1,50 +1,22 @@
+from contextlib import contextmanager
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from punchsim.dcutr import (DcutrConfig, HolePunch, OutcomeAttempt,
-                            OutcomeResult, PeerRuntime, Phase)
-from punchsim.kernel import Simulation
+                            OutcomeResult, Phase)
 from punchsim.nat import (ARCHETYPE_NATS, FilteringBehavior, MappingBehavior, NatConfig,
                           PortAllocation)
-from punchsim.net import Network
-from punchsim.relay import RelayService
-from punchsim.transport import Transport
+from punchsim.net import Host
+from punchsim.transport import Port, Transport
 
-CONE = dict(mapping=MappingBehavior.EIM, filtering=FilteringBehavior.APDF)
-SYMMETRIC = dict(mapping=MappingBehavior.APDM,
-                 filtering=FilteringBehavior.APDF,
-                 port_alloc=PortAllocation.RANDOM)
+from punch_world import CONE, build_world, run_punch
 
-
-def build_world(client_nat=CONE, remote_nat=CONE, client_mapping=False,
-                mapping_lies=False, seed=3, client_lat=10.0, remote_lat=20.0,
-                client_leg=1.0, remote_leg=2.0, loss=0.0, relay_kwargs=None):
-    net = Network(Simulation(seed=seed), loss_rate=loss)
-    net.add_host("relay", 5.0)
-    svc = RelayService(net.hosts["relay"], **(relay_kwargs or {}))
-    net.add_host("client", client_lat,
-                 nat_config=NatConfig(**client_nat) if client_nat else None,
-                 nat_leg=client_leg)
-    net.add_host("remote", remote_lat,
-                 nat_config=NatConfig(**remote_nat) if remote_nat else None,
-                 nat_leg=remote_leg)
-    client = PeerRuntime(net.hosts["client"],
-                         port_mapping=client_mapping,
-                         mapping_lies=mapping_lies)
-    remote = PeerRuntime(net.hosts["remote"])
-    remote.relay.reserve(svc.endpoint, lambda ok: None)
-    net.sim.run(until=net.sim.now + 6_000)
-    return net, svc, client, remote
-
-
-def run_punch(net, client, remote, relay_addrs, cfg=None, tf=None,
-              horizon_ms=600_000):
-    hp = HolePunch(client, remote, relay_addrs, cfg, transport_filter=tf)
-    hp.start()
-    net.sim.run(until=net.sim.now + horizon_ms)
-    assert hp.done, "hole punch never finished"
-    return hp, hp.result
+SYMMETRIC = NatConfig(mapping=MappingBehavior.APDM,
+                      filtering=FilteringBehavior.APDF,
+                      port_alloc=PortAllocation.RANDOM)
 
 
 class TestBasePunch:
@@ -193,7 +165,7 @@ class TestEarlyOutcomes:
         # A two-entry table holds the client's relay and TCP mappings, so
         # its QUIC observation is dropped and the QUIC-only punch has no
         # address to dial.
-        net, svc, client, remote = build_world(client_nat=dict(CONE, max_sessions=2))
+        net, svc, client, remote = build_world(client_nat=replace(CONE, max_sessions=2))
         _, res = run_punch(net, client, remote, [svc.endpoint], tf=Transport.QUIC)
         assert net.dropped_session_full == 1
         assert list(client.observed) == [Transport.TCP]
@@ -293,7 +265,7 @@ class TestAttemptMachinery:
         assert res.rtt_direct_after is None
 
     def test_large_sync_error_fails_against_rst_nat(self):
-        strict = dict(CONE, rst_on_unsolicited_tcp=True)
+        strict = replace(CONE, rst_on_unsolicited_tcp=True)
         net, svc, client, remote = build_world(
             client_nat=strict, remote_nat=strict,
             client_lat=10.0, remote_lat=10.0,
@@ -304,7 +276,7 @@ class TestAttemptMachinery:
         assert res.outcome is OutcomeResult.FAILED
 
     def test_zero_sync_error_succeeds_on_same_fixture(self):
-        strict = dict(CONE, rst_on_unsolicited_tcp=True)
+        strict = replace(CONE, rst_on_unsolicited_tcp=True)
         net, svc, client, remote = build_world(
             client_nat=strict, remote_nat=strict,
             client_lat=10.0, remote_lat=10.0,
@@ -331,8 +303,8 @@ class TestOptimizations:
         assert res.outcome is OutcomeResult.SUCCESS
 
     def test_role_alternation_recovers_on_second_attempt(self):
-        asym_client = dict(mapping=MappingBehavior.EIM,
-                           filtering=FilteringBehavior.ADF)
+        asym_client = NatConfig(mapping=MappingBehavior.EIM,
+                                filtering=FilteringBehavior.ADF)
         net, svc, client, remote = build_world(client_nat=asym_client,
                                                remote_nat=SYMMETRIC)
         cfg = DcutrConfig(alternate_roles=True)
@@ -343,9 +315,80 @@ class TestOptimizations:
             OutcomeAttempt.FAILED, OutcomeAttempt.SUCCESS]
 
 
+ATTEMPT_EXCHANGE = ("connect", "connect-reply", "sync")
+
+
+@contextmanager
+def peer_sends():
+    """Each peer's own sends in order, as (host id, message kind, attempt):
+    its datagrams, a circuit payload in place of the frame that carries it,
+    and a "dial" for each `Port.dial`, whose first flight is no datagram.
+    The attempt is that of a connect, connect-reply or sync, else None."""
+    sends = []
+    datagram, dial = vars(Host)["datagram"], vars(Port)["dial"]
+
+    def logged_datagram(host, src, dst, tag, *args):
+        if host.id != "relay":
+            message = tag[2] if type(tag) is tuple and tag[0] == "circ" else tag
+            kind = message if type(message) is str else message[0]
+            sends.append((host.id, kind, message[1] if kind in ATTEMPT_EXCHANGE else None))
+        return datagram(host, src, dst, tag, *args)
+
+    def logged_dial(port, *args, **kwargs):
+        sends.append((port.host.id, "dial", None))
+        return dial(port, *args, **kwargs)
+
+    Host.datagram, Port.dial = logged_datagram, logged_dial
+    try:
+        yield sends
+    finally:
+        Host.datagram, Port.dial = datagram, dial
+
+
+class TestMessageOrder:
+    """Attempt k is the initiator's (remote's) connect(k), the listener's
+    (client's) connect-reply(k) and the initiator's sync(k), in that order.
+    Both sides act only after the sync: over TCP both dial; over QUIC the
+    attempt's QUIC client dials and its server sends dummies, and
+    alternating roles swaps the two on even attempts."""
+
+    @pytest.mark.parametrize("alternate_roles", [False, True], ids=["fixed", "alternating"])
+    @pytest.mark.parametrize("tf", [Transport.TCP, Transport.QUIC], ids=["tcp", "quic"])
+    @pytest.mark.parametrize("remote_nat, attempts", [
+        (SYMMETRIC, [OutcomeAttempt.FAILED] * 3),
+        (CONE, [OutcomeAttempt.SUCCESS])], ids=["failing", "succeeding"])
+    def test_each_attempt_is_connect_reply_then_sync(self, remote_nat, attempts, tf,
+                                                     alternate_roles):
+        net, svc, client, remote = build_world(remote_nat=remote_nat)
+        cfg = DcutrConfig(alternate_roles=alternate_roles)
+        with peer_sends() as sends:
+            _, res = run_punch(net, client, remote, [svc.endpoint], cfg=cfg, tf=tf)
+        numbers = [index for _, kind, index in sends if kind == "connect"]
+        assert numbers == list(range(1, len(numbers) + 1))
+        assert 1 <= len(numbers) <= cfg.max_attempts
+        for k in numbers:
+            assert [(who, kind) for who, kind, index in sends if index == k] == [
+                ("remote", "connect"), ("client", "connect-reply"), ("remote", "sync")]
+        attempt, synced = 0, False
+        for who, kind, index in sends:
+            if kind == "connect":
+                attempt, synced = index, False
+            elif kind == "sync":
+                synced = True
+            elif kind in ("dial", "dummy"):
+                assert attempt and synced, (who, kind, attempt)
+                if tf is Transport.TCP:
+                    assert kind == "dial"
+                else:
+                    swapped = alternate_roles and attempt % 2 == 0
+                    server = "client" if swapped else "remote"
+                    assert (who == server) == (kind == "dummy"), (who, kind, attempt)
+        assert [a.outcome for a in res.attempts] == attempts
+
+
 # -- invariants over small worlds ------------------------------------------------
 
-_NATS = list(ARCHETYPE_NATS.values())
+_NATS = [NatConfig(**nat) for nat in ARCHETYPE_NATS.values()]
 
 
 @settings(max_examples=100, deadline=None)
