@@ -10,6 +10,7 @@ files produced elsewhere can be converted to it externally.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from datetime import datetime
 from decimal import Decimal
 from typing import Optional
@@ -206,8 +207,8 @@ def relay_path_bins(filtered: list[dict], bin_width: float = 0.05
     width = Decimal(str(bin_width))  # as written, so that 0.05 divides 1 exactly
     last = math.ceil(1 / width) - 1
     places = max(2, -width.as_tuple().exponent)
-    num, den = width.as_integer_ratio()  # bin i starts at the float i * num / den
-    scale = (1 - 2 ** -40) / bin_width  # a hair under 1 / width
+    num, den = width.as_integer_ratio()
+    starts = [i * num / den for i in range(last + 1)]  # the float nearest i * width
     bins: dict[int, list[int]] = {}
     skipped = 0
     for rec in filtered:
@@ -217,9 +218,7 @@ def relay_path_bins(filtered: list[dict], bin_width: float = 0.05
             skipped += 1
             continue
         loc = min(1.0, max(0.0, to_relay / relayed))
-        i = int(loc * scale)  # its bin or, scaled low, the one below
-        if i < last and loc >= (i + 1) * num / den:
-            i += 1
+        i = bisect_right(starts, loc) - 1
         hit = bins.setdefault(i, [0, 0])
         hit[0] += rec["outcome"] == "SUCCESS"
         hit[1] += 1

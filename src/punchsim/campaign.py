@@ -24,7 +24,7 @@ from .kernel import (RandomStream, Simulation, bounded, check_fields, check_numb
                      derive_seed, run_strided)
 from .nat import ARCHETYPE_NATS, Archetype, NatConfig
 from .net import Network
-from .relay import RelayService
+from .relay import REQUEST_TIMEOUT_MS, RelayService
 from .results import read_csv, validate_records, write_csv, write_json
 from .transport import QUIC, TCP, Transport
 
@@ -257,9 +257,9 @@ def _trial_in(world: tuple, population: Population, config: CampaignConfig,
     remote = _join(world, remote_spec)
     for svc in services:
         remote.relay.reserve(svc.endpoint, lambda ok: None)
-    # Let every reservation settle (answered or timed out within 5 s)
-    # without idling the NAT mappings toward the relays past their TTL.
-    net.sim.run(until=net.sim.now + 6_000)
+    # Let every reservation settle (answered or timed out) without idling
+    # the NAT mappings toward the relays past their TTL.
+    net.sim.run(until=net.sim.now + (REQUEST_TIMEOUT_MS + 1_000))
     # A trial's own world holds only its reservations, in the order they
     # were confirmed; a shared world lists, in relay order, every one the
     # remote holds, earlier trials' included.

@@ -122,33 +122,24 @@ class RandomStream:
 
     def sample(self, population, k: int) -> list:
         """k distinct elements of `population`, drawn exactly as CPython's
-        `Random.sample` draws them, through either of its branches, with
-        each index drawn as `randint` draws. `tests/test_kernel.py` pins
-        the draws against `Random.sample`."""
+        `Random.sample` draws them. Its pool branch, for a population no
+        larger than its set-size threshold, is `Random.sample` itself; its
+        set branch, which a punch's port probes take, is written out here
+        with each index drawn as `randint` draws. `tests/test_kernel.py`
+        pins the draws against `Random.sample`."""
         n = len(population)
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} of {n}")
-        rng = self.rng
         # CPython's choice: a small set's size less an empty list's, plus
         # the table size of a k-element set.
         setsize = 21
         if k > 5:
             setsize += 4 ** math.ceil(math.log(k * 3, 4))
         if n <= setsize:
-            # Pool branch: take pool[j] from the i unchosen elements, then
-            # move the last unchosen element into its place.
-            pool = list(population)
-            result = []
-            for i in range(n, n - k, -1):
-                bits = i.bit_length()
-                j = _getrandbits(rng, bits)
-                while j >= i:
-                    j = _getrandbits(rng, bits)
-                result.append(pool[j])
-                pool[j] = pool[i - 1]
-            return result
+            return self.rng.sample(population, k)
         # Set branch: redraw an index past the end or already chosen. The
         # dict keeps the chosen indices in draw order.
+        rng = self.rng
         bits = n.bit_length()
         chosen = {}
         for _ in range(k):

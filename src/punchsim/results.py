@@ -249,7 +249,9 @@ def write_json(value, path: str) -> None:
     """Write `value` to `path` byte for byte as `json.dumps` with
     `sort_keys=True` and an indent of 1 writes it, plus a newline: the
     layout of every JSON file punchsim writes. That indent turns json's C
-    encoder off; this writer costs about half its pure-Python one."""
+    encoder off; `_write_json` writes the lists, the exact-`str`-key dicts
+    and the exact-type leaves of punchsim's files in about half the time of
+    json's pure-Python encoder, and hands any other value to json.dumps."""
     out: list[str] = []
     _write_json(value, "\n", out, {})
     out.append("\n")
@@ -272,31 +274,10 @@ _JSON_LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
                 bool: {True: "true", False: "false"}.__getitem__}
 
 
-def _json_leaf(value) -> str:
-    """json's encoding of a scalar. A subclass of str, int or float (an
-    `IntEnum`, say) is written as its base type, as json writes it."""
-    for kind in (value.__class__, str, int, float):
-        if kind in _JSON_LEAVES and isinstance(value, kind):
-            return _JSON_LEAVES[kind](value)
-    raise TypeError(f"Object of type {value.__class__.__name__} "
-                    "is not JSON serializable")
-
-
-def _json_key(key) -> str:
-    """A dict key as json writes it: a str as it is, an int, float, bool or
-    None as its JSON text."""
-    if isinstance(key, str):
-        return key
-    if key is not None and not isinstance(key, (int, float)):
-        raise TypeError("keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return _json_leaf(key)
-
-
 def _heads(keys: list, indent: str) -> list:
-    """What precedes each value of a dict at `indent` whose sorted keys,
-    as strings, are `keys`: "{" or ",", the line break and indent, the
-    encoded key and ": "."""
+    """What precedes each value of a dict at `indent` whose sorted keys
+    are `keys`: "{" or ",", the line break and indent, the encoded key
+    and ": "."""
     sep = "," + indent + " "
     heads = [sep + encode_basestring_ascii(key) + ": " for key in keys]
     heads[0] = "{" + heads[0][1:]
@@ -305,12 +286,16 @@ def _heads(keys: list, indent: str) -> list:
 
 def _write_json(value, indent: str, out: list, memo: dict) -> None:
     """Append `value` laid out at the depth whose line break and indent
-    is `indent`. Dict keys are sorted as they are, then written as
-    strings, as json does: int keys sort as ints. json's C encoder, with
-    this depth's item separator, writes a list of more than 8 items of
-    exact leaf types; for fewer, the call costs more than the loop. `memo`
-    maps each set of exact `str` keys in insertion order, with its indent,
-    to its sorted keys and their heads."""
+    is `indent`. Written here: lists and tuples, dicts whose keys are all
+    exact `str` (they sort the same way in every dict), and leaves of an
+    exact type in `_JSON_LEAVES`. json's C encoder, with this depth's item
+    separator, writes a list of more than 8 exact leaves; for fewer, the
+    call costs more than the loop. `memo` maps each key set, in insertion
+    order, with its indent, to its sorted keys and their `_heads`.
+    Anything else (a dict with an int, float, bool, None or `str`-subclass
+    key, a subclass of str, int or float such as an `IntEnum`, a value
+    json refuses) is json.dumps's, re-indented to this depth: its text
+    holds no raw line break but those of its layout."""
     if isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -332,26 +317,18 @@ def _write_json(value, indent: str, out: list, memo: dict) -> None:
                 out.append(sep + leaf(item))
             sep = "," + inner
         out.append(indent + "]")
-    elif isinstance(value, dict):
+    elif isinstance(value, dict) and countOf(map(type, value), str) == len(value):
         if not value:
             out.append("{}")
             return
         keys = tuple(value)
-        # Exact str keys sort the same way in every dict; a str subclass
-        # may compare otherwise, and other keys sort by their own types.
-        if countOf(map(type, keys), str) == len(keys):
-            entry = memo.get((keys, indent))
-            if entry is None:
-                order = sorted(keys)
-                entry = memo[keys, indent] = order, _heads(order, indent)
-            order, heads = entry
-            items = map(value.__getitem__, order)
-        else:
-            pairs = sorted(value.items())  # as json sorts
-            heads = _heads([_json_key(key) for key, _ in pairs], indent)
-            items = [item for _, item in pairs]
+        entry = memo.get((keys, indent))
+        if entry is None:
+            order = sorted(keys)
+            entry = memo[keys, indent] = order, _heads(order, indent)
+        order, heads = entry
         inner = indent + " "
-        for head, item in zip(heads, items):
+        for head, item in zip(heads, map(value.__getitem__, order)):
             leaf = _JSON_LEAVES.get(item.__class__)
             if leaf is None:
                 out.append(head)
@@ -360,4 +337,4 @@ def _write_json(value, indent: str, out: list, memo: dict) -> None:
                 out.append(head + leaf(item))
         out.append(indent + "}")
     else:
-        out.append(_json_leaf(value))
+        out.append(json.dumps(value, sort_keys=True, indent=1).replace("\n", indent))

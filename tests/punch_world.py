@@ -9,7 +9,7 @@ from punchsim.dcutr import HolePunch, PeerRuntime
 from punchsim.kernel import Simulation
 from punchsim.nat import FilteringBehavior, MappingBehavior, NatConfig
 from punchsim.net import Network
-from punchsim.relay import RelayService
+from punchsim.relay import REQUEST_TIMEOUT_MS, RelayService
 
 CONE = NatConfig(mapping=MappingBehavior.EIM, filtering=FilteringBehavior.APDF)
 
@@ -29,7 +29,7 @@ def build_world(client_nat=CONE, remote_nat=CONE, client_mapping=False,
                          mapping_lies=mapping_lies)
     remote = PeerRuntime(net.hosts["remote"])
     remote.relay.reserve(svc.endpoint, lambda ok: None)
-    net.sim.run(until=net.sim.now + 6_000)
+    net.sim.run(until=net.sim.now + (REQUEST_TIMEOUT_MS + 1_000))
     return net, svc, client, remote
 
 

@@ -691,6 +691,10 @@ class TestExport:
     @example([{"1": "a", "10": "b", "2": "c"}, {1: "a", 10: "b", 2: "c"},
               {1: "a", 2: "b"}, {True: "a", 2: "b"}])
     @example({"x": {1: "a", "b": 2}, "y": [{1: "a", "b": 2}]})
+    # Deep dicts with other keys: json.dumps's text, over several lines and
+    # with an escaped line break in a string, re-indented to their depth.
+    @example({"a": {"b": {1: [1, {"c": 2}], 2: {"d": [3]}}}})
+    @example([[{2: {"e": ["x\ny"]}, 1: [Level.HIGH, Text("t")]}]])
     def test_writer_writes_what_json_dumps_writes(self, tmp_path, value):
         path = tmp_path / "value.json"
         try:

@@ -316,22 +316,27 @@ class TestOptimizations:
 
 
 ATTEMPT_EXCHANGE = ("connect", "connect-reply", "sync")
+CIRCUIT_ENDS = ("circ-close", "circ-reset")
+# The kinds whose second field `peer_sends` logs: an attempt or a circuit id.
+NUMBERED = (*ATTEMPT_EXCHANGE, "conn-in", *CIRCUIT_ENDS)
 
 
 @contextmanager
 def peer_sends():
-    """Each peer's own sends in order, as (host id, message kind, attempt):
+    """Each peer's own sends in order, as (host id, message kind, number):
     its datagrams, a circuit payload in place of the frame that carries it,
     and a "dial" for each `Port.dial`, whose first flight is no datagram.
-    The attempt is that of a connect, connect-reply or sync, else None."""
+    Of the relay's sends, its conn-in and circ-reset messages. The number
+    is the attempt of a connect, connect-reply or sync, the circuit id of a
+    conn-in, circ-close or circ-reset, else None."""
     sends = []
     datagram, dial = vars(Host)["datagram"], vars(Port)["dial"]
 
     def logged_datagram(host, src, dst, tag, *args):
-        if host.id != "relay":
-            message = tag[2] if type(tag) is tuple and tag[0] == "circ" else tag
-            kind = message if type(message) is str else message[0]
-            sends.append((host.id, kind, message[1] if kind in ATTEMPT_EXCHANGE else None))
+        message = tag[2] if type(tag) is tuple and tag[0] == "circ" else tag
+        kind = message if type(message) is str else message[0]
+        if host.id != "relay" or kind in ("conn-in", "circ-reset"):
+            sends.append((host.id, kind, message[1] if kind in NUMBERED else None))
         return datagram(host, src, dst, tag, *args)
 
     def logged_dial(port, *args, **kwargs):
@@ -345,29 +350,39 @@ def peer_sends():
         Host.datagram, Port.dial = datagram, dial
 
 
+@pytest.mark.parametrize("alternate_roles", [False, True], ids=["fixed", "alternating"])
+@pytest.mark.parametrize("tf", [Transport.TCP, Transport.QUIC], ids=["tcp", "quic"])
+@pytest.mark.parametrize("remote_nat, attempts", [
+    (SYMMETRIC, [OutcomeAttempt.FAILED] * 3),
+    (CONE, [OutcomeAttempt.SUCCESS])], ids=["failing", "succeeding"])
 class TestMessageOrder:
-    """Attempt k is the initiator's (remote's) connect(k), the listener's
-    (client's) connect-reply(k) and the initiator's sync(k), in that order.
-    Both sides act only after the sync: over TCP both dial; over QUIC the
-    attempt's QUIC client dials and its server sends dummies, and
-    alternating roles swaps the two on even attempts."""
+    """The DCUtR and circuit-relay message order of one punch, over TCP
+    and QUIC, fixed and alternating roles, and a failing and a succeeding
+    NAT pair."""
 
-    @pytest.mark.parametrize("alternate_roles", [False, True], ids=["fixed", "alternating"])
-    @pytest.mark.parametrize("tf", [Transport.TCP, Transport.QUIC], ids=["tcp", "quic"])
-    @pytest.mark.parametrize("remote_nat, attempts", [
-        (SYMMETRIC, [OutcomeAttempt.FAILED] * 3),
-        (CONE, [OutcomeAttempt.SUCCESS])], ids=["failing", "succeeding"])
-    def test_each_attempt_is_connect_reply_then_sync(self, remote_nat, attempts, tf,
-                                                     alternate_roles):
+    def punch(self, remote_nat, attempts, tf, alternate_roles):
+        """The punch's sends (see `peer_sends`) and its config."""
         net, svc, client, remote = build_world(remote_nat=remote_nat)
         cfg = DcutrConfig(alternate_roles=alternate_roles)
         with peer_sends() as sends:
             _, res = run_punch(net, client, remote, [svc.endpoint], cfg=cfg, tf=tf)
+        assert [a.outcome for a in res.attempts] == attempts
+        return sends, cfg
+
+    def test_each_attempt_is_connect_reply_then_sync(self, remote_nat, attempts, tf,
+                                                     alternate_roles):
+        """Attempt k is the initiator's (remote's) connect(k), the listener's
+        (client's) connect-reply(k) and the initiator's sync(k), in that
+        order. Both sides act only after the sync: over TCP both dial; over
+        QUIC the attempt's QUIC client dials and its server sends dummies,
+        and alternating roles swaps the two on even attempts."""
+        sends, cfg = self.punch(remote_nat, attempts, tf, alternate_roles)
         numbers = [index for _, kind, index in sends if kind == "connect"]
         assert numbers == list(range(1, len(numbers) + 1))
         assert 1 <= len(numbers) <= cfg.max_attempts
         for k in numbers:
-            assert [(who, kind) for who, kind, index in sends if index == k] == [
+            assert [(who, kind) for who, kind, index in sends
+                    if kind in ATTEMPT_EXCHANGE and index == k] == [
                 ("remote", "connect"), ("client", "connect-reply"), ("remote", "sync")]
         attempt, synced = 0, False
         for who, kind, index in sends:
@@ -383,7 +398,32 @@ class TestMessageOrder:
                     swapped = alternate_roles and attempt % 2 == 0
                     server = "client" if swapped else "remote"
                     assert (who == server) == (kind == "dummy"), (who, kind, attempt)
-        assert [a.outcome for a in res.attempts] == attempts
+
+    def test_identify_then_stream_then_connect(self, remote_nat, attempts, tf,
+                                               alternate_roles):
+        """Each peer sends its `id` before the initiator's stream-open, and
+        the listener's stream-ack comes before the first connect."""
+        sends, _ = self.punch(remote_nat, attempts, tf, alternate_roles)
+        kinds = [(who, kind) for who, kind, _ in sends]
+        stream_open = kinds.index(("remote", "stream-open"))
+        assert {who for who, kind in kinds[:stream_open] if kind == "id"} == {
+            "client", "remote"}
+        assert stream_open < kinds.index(("client", "stream-ack")) < kinds.index(
+            ("remote", "connect"))
+
+    def test_every_circuit_ends_closed_or_reset(self, remote_nat, attempts, tf,
+                                                alternate_roles):
+        """Every circuit the relay opened for the punch is closed by a peer
+        (circ-close) or reset by the relay (circ-reset) after it opened."""
+        sends, _ = self.punch(remote_nat, attempts, tf, alternate_roles)
+        opened, ended = set(), set()
+        for who, kind, cid in sends:
+            if kind == "conn-in":
+                opened.add(cid)
+            elif kind in CIRCUIT_ENDS:
+                assert cid in opened, (who, kind, cid)
+                ended.add(cid)
+        assert opened and ended == opened
 
 
 # -- invariants over small worlds ------------------------------------------------

@@ -139,19 +139,29 @@ def test_normal_draws_exactly_as_cpython_gauss():
 SAMPLE_CASES = [(21, 5), (22, 5), (85, 6), (86, 6), (1045, 256), (1046, 256),
                 (65536, 256), (1, 1), (7, 7), (30, 1), (200, 100), (2**40, 4),
                 (16, 0), (0, 0)]
+# The cases of SAMPLE_CASES that the pool branch takes.
+POOL_CASES = {(21, 5), (85, 6), (1045, 256), (1, 1), (7, 7), (200, 100), (16, 0), (0, 0)}
 
 
 def test_sample_draws_exactly_as_cpython_sample():
-    # RandomStream.sample re-implements Random.sample's two branches; a
-    # CPython change to either fails here instead of silently moving
-    # every probe draw and the birthday digests.
+    # RandomStream.sample picks Random.sample's branch itself, calls
+    # Random.sample for the pool branch and re-implements the set branch;
+    # a CPython change to the threshold or to the set branch fails here
+    # instead of silently moving every probe draw and the birthday digests.
+    # The pool-branch cases also draw from a list and a tuple.
+    populations = []
+    for n, k in SAMPLE_CASES:
+        population = range(1000, 1000 + n)
+        populations += [(population, k)]
+        if (n, k) in POOL_CASES:
+            populations += [(list(population), k), (tuple(population), k)]
     for seed in range(200):
         stream = RandomStream(seed, "pin")
         reference = copy.deepcopy(stream.rng)
-        for n, k in SAMPLE_CASES:
-            population = range(1000, 1000 + n)
-            assert stream.sample(population, k) == reference.sample(population, k), (seed, n, k)
-            assert stream.rng.getstate() == reference.getstate(), (seed, n, k)
+        for population, k in populations:
+            case = (seed, type(population).__name__, len(population), k)
+            assert stream.sample(population, k) == reference.sample(population, k), case
+            assert stream.rng.getstate() == reference.getstate(), case
 
 
 @pytest.mark.parametrize("n", [1, 21, 22, 1046])
